@@ -17,7 +17,7 @@ from .blocks import (
     verify_isomorphism,
     verify_report_doc,
 )
-from .field import PrimeField, check_modulus, is_prime
+from .field import check_modulus, is_prime
 from .generators import (
     Planted,
     build_planted,
@@ -33,7 +33,6 @@ from .idempotents import (
     equivalence_witness,
     split_once,
 )
-from .linalg import available_backends, get_backend, set_backend
 from .radical import (
     RadicalReport,
     is_semisimple,
@@ -50,11 +49,9 @@ __all__ = [
     "Element",
     "OrthogonalDecomposition",
     "Planted",
-    "PrimeField",
     "RadicalReport",
     "Subalgebra",
     "VerificationReport",
-    "available_backends",
     "build_planted",
     "cayley_fixture",
     "check_modulus",
@@ -64,7 +61,6 @@ __all__ = [
     "errors",
     "from_doc",
     "full_isomorphism",
-    "get_backend",
     "group_algebra",
     "is_prime",
     "is_semisimple",
@@ -75,7 +71,6 @@ __all__ = [
     "require_semisimple",
     "result_to_doc",
     "scramble",
-    "set_backend",
     "split_once",
     "verify_isomorphism",
     "verify_report_doc",

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    EntryOutsideCorner,
     InvalidDocument,
     NoIdentity,
     NotAssociative,
@@ -90,7 +91,7 @@ class Algebra:
 
     def _solve_identity(self):
         M, rhs = self._identity_system()
-        u = linalg.solve(M, rhs, self.p)
+        u = linalg.solve_batch(M, rhs, self.p)
         if u is None:
             raise NoIdentity("presentation has no two-sided identity")
         return u
@@ -106,6 +107,21 @@ class Algebra:
     def mul_vec(self, x, y):
         """Coordinates of x*y."""
         return linalg.matmul_mod(self.lmat(x), y[:, None], self.p)[:, 0]
+
+    def products(self, X, Y):
+        """All pairwise products: out[i, j] = X[i] * Y[j], shape (kx, ky, dim).
+
+        Two matmul_mod calls: X against the n x n^2 multiplication table,
+        then Y against the result, so the shorter stack should be X.
+        """
+        n, p = self.dim, self.p
+        X = linalg.as_mod_array(X, p)
+        kx = X.shape[0]
+        # left[j, (i, k)] = coordinate k of X[i] * b_j
+        left = linalg.matmul_mod(X, self._ltable, p, reduce_b=False)
+        left = left.reshape(kx, n, n).transpose(1, 0, 2).reshape(n, kx * n)
+        out = linalg.matmul_mod(Y, left, p, reduce_b=False)
+        return out.reshape(-1, kx, n).transpose(1, 0, 2)
 
     @property
     def _ltable(self):
@@ -278,21 +294,40 @@ def from_doc(doc):
         if key not in doc:
             raise InvalidDocument(f"algebra document missing {key!r}")
     p = doc["p"]
-    if not isinstance(p, int) or isinstance(p, bool):
+    if not is_doc_int(p):
         raise InvalidDocument("field 'p' must be an integer")
-    sc = doc["structure_constants"]
-    try:
-        arr = np.asarray(sc, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDocument(f"bad structure constants: {exc}") from None
-    if "dim" in doc and (arr.ndim != 3 or arr.shape[0] != doc["dim"]):
+    arr = doc_array(doc["structure_constants"], (None, None, None),
+                    "structure constants")
+    if "dim" in doc and not (is_doc_int(doc["dim"]) and arr.shape[0] == doc["dim"]):
         raise InvalidDocument("declared dim disagrees with the constants cube")
-    return Algebra(
-        p,
-        arr,
-        identity=doc.get("identity"),
-        labels=doc.get("labels"),
-    )
+    identity = doc.get("identity")
+    if identity is not None:
+        identity = doc_array(identity, (None,), "identity")
+    return Algebra(p, arr, identity=identity, labels=doc.get("labels"))
+
+
+def is_doc_int(x):
+    """A JSON integer (bool is an int subclass in Python, but not one here)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def doc_array(x, shape, what):
+    """int64 array of a document field with the given shape (None: any size).
+
+    Booleans, floats and strings are refused, not truncated or coerced.
+    """
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):
+        raise InvalidDocument(f"{what} is not an integer array") from None
+    if arr.dtype.kind != "i" and arr.size:
+        raise InvalidDocument(f"{what} must hold integers, not {arr.dtype}")
+    if arr.ndim != len(shape) or any(
+        want is not None and want != got for want, got in zip(shape, arr.shape)
+    ):
+        want = tuple("*" if n is None else n for n in shape)
+        raise InvalidDocument(f"{what} has shape {arr.shape}, expected {want}")
+    return arr.astype(np.int64)
 
 
 class Element:
@@ -393,15 +428,14 @@ class Subalgebra:
             )
             return
         # products of basis pairs, then re-expressed in the row basis
-        prods = np.concatenate(
-            [linalg.matmul_mod(parent.lmat(rows[i]), rows.T, p).T
-             for i in range(k)]
-        )
+        prods = parent.products(rows, rows).reshape(k * k, parent.dim)
         coeffs = linalg.solve_batch(rows.T, prods.T, p)
-        assert coeffs is not None, "subalgebra basis is not closed under product"
+        if coeffs is None:
+            raise EntryOutsideCorner("subalgebra basis is not closed under product")
         sc = np.ascontiguousarray(coeffs.T.reshape(k, k, k))
-        one = linalg.solve(rows.T, identity_parent, p)
-        assert one is not None, "identity does not lie in the subalgebra"
+        one = linalg.solve_batch(rows.T, identity_parent, p)
+        if one is None:
+            raise EntryOutsideCorner("identity does not lie in the subalgebra")
         # associativity is inherited, skip the quadratic recheck
         self.algebra = Algebra(p, sc, identity=one, validate=False)
 
@@ -416,7 +450,7 @@ class Subalgebra:
         """Coordinates in the subalgebra basis, or None if x lies outside."""
         if self.rows.shape[0] == 0:
             return None if x.any() else np.zeros(0, dtype=np.int64)
-        sol = linalg.solve(self.rows.T, x, self.parent.p)
+        sol = linalg.solve_batch(self.rows.T, x, self.parent.p)
         if sol is None:
             return None
         if not np.array_equal(self.to_parent(sol), x % self.parent.p):

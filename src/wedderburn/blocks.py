@@ -4,17 +4,24 @@ Pipeline: group the primitive idempotents into equivalence classes, form
 the central idempotent of each class, build connecting elements and matrix
 units, present each corner e1*A*e1 as the entry field of its block, and
 assemble the global linear map sending x to the tuple of block matrices
-(a_mu * x * b_nu).  Everything is re-verified exactly after construction;
-the serialized report contains enough data to re-prove the isomorphism
-without re-running any of the search.
+(a_mu * x * b_nu).
+
+The certificate is what the report serializes: per block the
+representative, connecting elements, matrix units, central idempotent and
+division basis, plus the iso matrix, its inverse and the layout.  `check`
+re-proves every relation of a certificate exactly, without re-running any
+of the search; `verify_isomorphism` (in process) and `verify_report_doc`
+(from a report document) both run it.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import idempotents, linalg, radical
-from .algebra import Algebra, Subalgebra
+from .algebra import Algebra, Subalgebra, doc_array, is_doc_int
 from .errors import (
     CentralityViolation,
     EntryOutsideCorner,
@@ -22,6 +29,7 @@ from .errors import (
     MatrixUnitViolation,
     NonBijective,
     ShapeMismatch,
+    WitnessSolveFailed,
 )
 
 
@@ -43,8 +51,7 @@ class ConnectingFamily:
 
 @dataclass
 class MatrixUnitSystem:
-    units: list  # units[mu][nu] = b[mu] * a[nu], coordinate vectors
-    block_identity: np.ndarray
+    units: np.ndarray  # units[mu, nu] = b[mu] * a[nu], shape (n, n, dim)
 
 
 @dataclass
@@ -67,6 +74,9 @@ class Block:
 
 @dataclass
 class VerificationReport:
+    """Flags for the map itself; a failed certificate relation (witnesses,
+    units, division basis, iso rows) shows only in failures and `passed`."""
+
     bijective: bool
     unit: bool
     multiplicative: bool  # None when the all-pairs check was skipped
@@ -75,10 +85,9 @@ class VerificationReport:
 
     @property
     def passed(self):
-        checks = [self.bijective, self.unit, self.orthogonality]
-        if self.multiplicative is not None:
-            checks.append(self.multiplicative)
-        return all(checks)
+        flags = [self.bijective, self.unit, self.orthogonality,
+                 self.multiplicative is not False]
+        return all(flags) and not self.failures
 
 
 @dataclass
@@ -90,6 +99,11 @@ class DecompositionResult:
     p: int
     dim: int
     seed: int
+
+
+class Failure(NamedTuple):
+    relation: str  # a VerificationReport flag name, or "certificate"
+    message: str  # names the relation, the block and the indices
 
 
 def group_by_equivalence(A, decomposition):
@@ -115,7 +129,8 @@ def group_by_equivalence(A, decomposition):
         a_list, b_list = [], []
         for member in members:
             w = idempotents.equivalence_witness(A, member, rep)
-            assert w is not None, "class member lost its witness"
+            if w is None:
+                raise WitnessSolveFailed("class member lost its witness")
             a_list.append(w.a.coords)
             b_list.append(w.b.coords)
         families.append(
@@ -136,60 +151,67 @@ def central_idempotent(A, family):
     return c
 
 
-def matrix_units(A, family, block_identity):
-    """Grid b[mu]*a[nu]; every product relation is checked exhaustively."""
-    n_i = len(family.members)
-    units = [
-        [A.mul_vec(family.b[mu], family.a[nu]) for nu in range(n_i)]
-        for mu in range(n_i)
+def _unit_relations(A, units):
+    """Messages for every failed E[mu,nu] * E[xi,eta] = delta(nu,xi) E[mu,eta]."""
+    n_i = units.shape[0]
+    flat = units.reshape(n_i * n_i, A.dim)
+    diff = A.products(flat, flat).reshape(n_i, n_i, n_i, n_i, A.dim)
+    diag = np.arange(n_i)
+    diff[:, diag, diag] -= units[:, None]
+    return [
+        f"unit relation ({mu},{nu})*({xi},{eta}) fails"
+        for mu, nu, xi, eta in np.argwhere(diff.any(axis=4))
     ]
-    diag_sum = np.zeros(A.dim, dtype=np.int64)
-    for mu in range(n_i):
-        diag_sum = (diag_sum + units[mu][mu]) % A.p
-    if not np.array_equal(diag_sum, block_identity):
+
+
+def matrix_units(A, family, block_identity):
+    """Grid b[mu]*a[nu]; every product relation is checked."""
+    units = A.products(np.array(family.b), np.array(family.a))
+    diag = np.arange(len(units))
+    if not np.array_equal(units[diag, diag].sum(axis=0) % A.p, block_identity):
         raise MatrixUnitViolation("diagonal units do not sum to the block identity")
-    for mu in range(n_i):
-        for nu in range(n_i):
-            for xi in range(n_i):
-                for eta in range(n_i):
-                    got = A.mul_vec(units[mu][nu], units[xi][eta])
-                    want = units[mu][eta] if nu == xi else np.zeros(
-                        A.dim, dtype=np.int64
-                    )
-                    if not np.array_equal(got, want):
-                        raise MatrixUnitViolation(
-                            f"unit relation ({mu},{nu})*({xi},{eta}) fails"
-                        )
-    return MatrixUnitSystem(units=units, block_identity=block_identity)
+    failed = _unit_relations(A, units)
+    if failed:
+        raise MatrixUnitViolation(failed[0])
+    return MatrixUnitSystem(units=units)
 
 
 def division_presentation(A, family):
-    """The corner at the class representative, certified commutative field."""
+    """The corner at the class representative: the block's entry field."""
     corner = A.corner(family.rep.coords)
-    B = corner.algebra
-    B.require_commutative()
-    fixed = idempotents._fixed_space(corner)
-    assert fixed.shape[0] == 1, "corner at a primitive part is not a field"
-    return DivisionAlgebra(corner=corner, degree=B.dim)
+    return DivisionAlgebra(corner=corner, degree=corner.dim)
 
 
-def block_map(A, block, x):
-    """Image of x in block: grid of D-coordinates of a[mu]*x*b[nu]."""
-    fam, D = block.family, block.D
-    grid = []
-    for mu in range(block.n):
-        row = []
-        ax = A.mul_vec(fam.a[mu], x)
-        for nu in range(block.n):
-            entry = A.mul_vec(ax, fam.b[nu])
-            coords = D.corner.from_parent(entry)
-            if coords is None:
+def _layout(shapes):
+    """Rows (block, mu, nu, t) of the flattened target, for (n, d) per block."""
+    return [
+        (index, mu, nu, t)
+        for index, (n_i, d_i) in enumerate(shapes)
+        for mu in range(n_i)
+        for nu in range(n_i)
+        for t in range(d_i)
+    ]
+
+
+def _iso_rows(A, index, a, b, basis):
+    """Iso matrix rows of one block, in layout order (mu, nu, t).
+
+    Entry (mu, nu) of the image of x is a[mu] * x * b[nu] in the division
+    basis; its rows are those coordinates for x running over A's basis.
+    """
+    n_i, n, d = len(a), A.dim, basis.shape[0]
+    right = np.concatenate([A.rmat(v).T for v in b])  # row (nu, j): b_j * b[nu]
+    # sandwich[mu, nu, j] = a[mu] * b_j * b[nu]
+    sandwich = A.products(a, right).reshape(n_i, n_i, n, n)
+    rhs = sandwich.transpose(3, 0, 1, 2).reshape(n, n_i * n_i * n)
+    coords = linalg.solve_batch(basis.T, rhs, A.p)
+    if coords is None:
+        for k in range(n_i * n_i):
+            if linalg.solve_batch(basis.T, rhs[:, k * n:(k + 1) * n], A.p) is None:
                 raise EntryOutsideCorner(
-                    f"entry ({mu},{nu}) escapes the corner field"
+                    f"block {index}: entry ({k // n_i},{k % n_i}) escapes the corner"
                 )
-            row.append(coords)
-        grid.append(row)
-    return grid
+    return coords.reshape(d, n_i, n_i, n).transpose(1, 2, 0, 3).reshape(-1, n)
 
 
 def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
@@ -206,168 +228,206 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
         staged.append((len(fam.members), D.degree, tuple(int(v) for v in c),
                        fam, c, D, units))
     staged.sort(key=lambda s: s[:3])
-
-    blocks = []
-    layout = []
-    total = 0
-    for index, (n_i, d_i, _, fam, c, D, units) in enumerate(staged):
-        blk = Block(index=index, n=n_i, D=D, c=c, family=fam, units=units)
-        lc_rank = linalg.rank(A.lmat(c), A.p)
-        assert lc_rank == n_i * n_i * d_i, (
-            f"block {index} spans {lc_rank}, expected {n_i * n_i * d_i}"
-        )
-        blocks.append(blk)
-        for mu in range(n_i):
-            for nu in range(n_i):
-                for t in range(d_i):
-                    layout.append((index, mu, nu, t))
-        total += n_i * n_i * d_i
-    assert total == A.dim, "block dimensions do not add up"
-
-    iso = np.zeros((A.dim, A.dim), dtype=np.int64)
-    row = 0
-    for blk in blocks:
-        fam, D = blk.family, blk.D
-        for mu in range(blk.n):
-            La = A.lmat(fam.a[mu])
-            for nu in range(blk.n):
-                T = linalg.matmul_mod(A.rmat(fam.b[nu]), La, A.p)
-                coords = linalg.solve_batch(D.corner.rows.T, T, A.p)
-                if coords is None:
-                    raise EntryOutsideCorner(
-                        f"block {blk.index} entry ({mu},{nu}) escapes the corner"
-                    )
-                iso[row : row + D.degree] = coords
-                row += D.degree
-    iso_inv = linalg.inverse(iso, A.p)
+    blocks = [
+        Block(index=index, n=n_i, D=D, c=c, family=fam, units=units)
+        for index, (n_i, _, _, fam, c, D, units) in enumerate(staged)
+    ]
+    iso = np.concatenate([
+        _iso_rows(A, blk.index, np.array(blk.family.a), np.array(blk.family.b),
+                  blk.D.corner.rows)
+        for blk in blocks
+    ])
+    iso_inv = linalg.inverse(iso, A.p) if iso.shape == (A.dim, A.dim) else None
     if iso_inv is None:
-        raise NonBijective("assembled block map is singular")
+        raise NonBijective("assembled block map is not invertible")
     return DecompositionResult(
         blocks=blocks,
         iso=iso,
         iso_inverse=iso_inv,
-        layout=layout,
+        layout=_layout((blk.n, blk.D.degree) for blk in blocks),
         p=A.p,
         dim=A.dim,
         seed=seed,
     )
 
 
-def codomain_algebra(result):
-    """Presentation of the block direct sum in the flattened coordinates."""
-    p, n = result.p, result.dim
-    sc = np.zeros((n, n, n), dtype=np.int64)
-    one = np.zeros(n, dtype=np.int64)
+def _codomain(p, dim, blocks):
+    """Presentation of the direct sum of M_n(D) over (n, D-algebra) pairs."""
+    sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    one = np.zeros(dim, dtype=np.int64)
     offset = 0
-    for blk in result.blocks:
-        d = blk.D.degree
-        dsc = blk.D.corner.algebra.sc
-        done = blk.D.corner.algebra.one
-        size = blk.n * blk.n * d
-
-        def pos(mu, nu, t):
-            return offset + (mu * blk.n + nu) * d + t
-
-        for mu in range(blk.n):
-            for nu in range(blk.n):
-                for eta in range(blk.n):
-                    for s in range(d):
-                        for t in range(d):
-                            # (E[mu,nu] x_s) (E[nu,eta] x_t)
-                            #   = E[mu,eta] (x_s x_t)
-                            for u in range(d):
-                                v = dsc[s, t, u]
-                                if v:
-                                    sc[
-                                        pos(mu, nu, s),
-                                        pos(nu, eta, t),
-                                        pos(mu, eta, u),
-                                    ] = v
-            for t in range(d):
-                one[pos(mu, mu, t)] = done[t]
+    for n_i, D in blocks:
+        size = n_i * n_i * D.dim
+        eye = np.eye(n_i, dtype=np.int64)
+        # (E[mu,nu] x_s) (E[xi,eta] x_t) = delta(nu,xi) E[mu,eta] (x_s x_t)
+        cube = np.einsum("ma,nx,eb,stu->mnsxetabu", eye, eye, eye, D.sc)
+        block = slice(offset, offset + size)
+        sc[block, block, block] = cube.reshape(size, size, size)
+        one[block] = np.einsum("mn,t->mnt", eye, D.one).reshape(size)
         offset += size
     return Algebra(p, sc, identity=one, validate=False)
 
 
-def _target_identity(result):
-    one = np.zeros(result.dim, dtype=np.int64)
+def codomain_algebra(result):
+    """Presentation of the block direct sum in the flattened coordinates."""
+    return _codomain(result.p, result.dim,
+                     [(blk.n, blk.D.corner.algebra) for blk in result.blocks])
+
+
+def _check_block(A, bi, blk, fail):
+    """Relations inside one block; returns the members e[mu] = b[mu]*a[mu]."""
+    p, rep, a, b, c = A.p, blk.rep, blk.a, blk.b, blk.c
+    diag = np.arange(blk.n)
+    if not np.array_equal(A.mul_vec(rep, rep), rep):
+        fail(f"block {bi}: representative is not idempotent")
+    if not (np.array_equal(a[0], rep) and np.array_equal(b[0], rep)):
+        fail(f"block {bi}: a[0], b[0] differ from the representative")
+    ba = A.products(b, a)
+    e = ba[diag, diag]
+    rep_a = A.products(rep[None], a)[0]
+    e_b = A.products(e, b)[diag, diag]
+    for got, want, what in (
+        (A.products(a, b)[diag, diag], rep, "a[{0}]*b[{0}] != representative"),
+        (A.products(e, e)[diag, diag], e, "b[{0}]*a[{0}] is not idempotent"),
+        (A.products(rep_a, e)[diag, diag], a, "a[{0}] is not in rep*A*e[{0}]"),
+        (A.products(e_b, rep[None])[:, 0], b, "b[{0}] is not in e[{0}]*A*rep"),
+    ):
+        for mu in np.flatnonzero((got != want).any(axis=1)):
+            fail(f"block {bi}: " + what.format(mu))
+    for mu, nu in np.argwhere((blk.units != ba).any(axis=2)):
+        fail(f"block {bi}: matrix unit ({mu},{nu}) != b[{mu}]*a[{nu}]")
+    for msg in _unit_relations(A, blk.units):
+        fail(f"block {bi}: {msg}")
+    # c is then idempotent once the members are orthogonal (checked later)
+    if not np.array_equal(e.sum(axis=0) % p, c):
+        fail(f"block {bi}: central idempotent is not the member sum")
+    if not np.array_equal(A.lmat(c), A.rmat(c)):
+        fail(f"block {bi}: central idempotent is not central")
+    return e
+
+
+def _check_division_basis(A, bi, blk, fail):
+    """The block's entry ring; None (after a failure) unless it is a field."""
+    p, rep, basis = A.p, blk.rep, blk.basis
+    if linalg.rank(basis, p) != blk.d:
+        return fail(f"block {bi}: division basis is not independent")
+    try:
+        corner = Subalgebra(A, basis, identity_parent=rep)
+    except EntryOutsideCorner:
+        return fail(f"block {bi}: division basis is not closed under product")
+    D = corner.algebra
+    if not D.is_commutative():
+        return fail(f"block {bi}: division corner is not commutative")
+    # a commutative algebra is a field iff x -> x^p is injective (no
+    # nilpotents) and fixes only the prime field
+    F = D.frobenius_matrix()
+    fixed = linalg.kernel((F - np.eye(blk.d, dtype=np.int64)) % p, p)
+    if linalg.rank(F, p) != blk.d or fixed.shape[0] != 1:
+        return fail(f"block {bi}: division corner is not a field")
+    return corner
+
+
+def check(A, cert, multiplicative=True):
+    """Re-prove every relation of a certificate; returns a list of Failure.
+
+    cert carries the arrays of a report (see _parse_certificate): blocks,
+    each with n, d, rep, c, a, b, units and basis over A's basis, then iso,
+    iso_inverse and layout.  An empty list proves that cert.iso is a unital ring isomorphism from A
+    onto the direct sum of the blocks M_n(D), D a field, and that it is the
+    map the serialized witnesses define.  The stages run in order and stop
+    after the first one that fails, since each works from what the earlier
+    ones certified.  multiplicative=False skips the all-pairs product check.
+    """
+    p, n = A.p, A.dim
+    fails = []
+
+    def fail(message, relation="certificate"):
+        fails.append(Failure(relation, message))
+
+    members = [_check_block(A, bi, blk, fail) for bi, blk in enumerate(cert.blocks)]
+    corners = [_check_division_basis(A, bi, blk, fail)
+               for bi, blk in enumerate(cert.blocks)]
+    if fails:
+        return fails
+
+    # across blocks: the parts are orthogonal and complete, hence so are the
+    # central idempotents (each is the sum of its block's parts)
+    labels = [f"({bi},{mu})" for bi, blk in enumerate(cert.blocks)
+              for mu in range(blk.n)]
+    E = np.concatenate(members)
+    if not np.array_equal(E.sum(axis=0) % p, A.one):
+        fail("primitive parts do not sum to the identity")
+    overlap = A.products(E, E).any(axis=2)
+    for i, j in np.argwhere(np.triu(overlap | overlap.T, 1)):
+        fail(f"parts {labels[i]} and {labels[j]} are not orthogonal")
+    layout = np.array(_layout((blk.n, blk.d) for blk in cert.blocks)).reshape(-1, 4)
+    if len(layout) != n:
+        fail("block dimensions do not sum to the algebra dimension")
+    elif cert.layout.shape != layout.shape:
+        fail(f"layout has {len(cert.layout)} rows, expected {n}")
+    else:
+        for r in np.flatnonzero((cert.layout != layout).any(axis=1))[:1]:
+            fail(f"layout row {r} is {cert.layout[r].tolist()}, "
+                 f"expected {layout[r].tolist()}")
+    if fails:
+        return fails
+
+    # the iso matrix is the map the witnesses define
     row = 0
-    for blk in result.blocks:
-        d = blk.D.degree
-        done = blk.D.corner.algebra.one
-        for mu in range(blk.n):
-            for nu in range(blk.n):
-                if mu == nu:
-                    one[row : row + d] = done
-                row += d
-    return one
+    for bi, blk in enumerate(cert.blocks):
+        size = blk.n * blk.n * blk.d
+        got, row = cert.iso[row:row + size], row + size
+        try:
+            rows = _iso_rows(A, bi, blk.a, blk.b, blk.basis)
+        except EntryOutsideCorner as exc:
+            fail(str(exc))
+            continue
+        differ = (got != rows).reshape(blk.n, blk.n, -1)
+        for mu, nu in np.argwhere(differ.any(axis=2)):
+            fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
+                 "match the connecting elements")
+    if fails:
+        return fails
+
+    # the iso is a unital ring isomorphism onto the block direct sum
+    target = _codomain(p, n, [(blk.n, corner.algebra)
+                              for blk, corner in zip(cert.blocks, corners)])
+    iso, inv = cert.iso, cert.iso_inverse
+    eye = np.eye(n, dtype=np.int64)
+    for name, prod in (("iso * iso_inverse", linalg.matmul_mod(iso, inv, p)),
+                       ("iso_inverse * iso", linalg.matmul_mod(inv, iso, p))):
+        for i, j in np.argwhere(prod != eye)[:1]:
+            fail(f"{name} differs from the identity at ({i},{j})", "bijective")
+    if not np.array_equal(linalg.matmul_mod(iso, A.one[:, None], p)[:, 0],
+                          target.one):
+        fail("image of the identity is not the block identity", "unit")
+    images = linalg.matmul_mod(iso, np.array([blk.c for blk in cert.blocks]).T, p)
+    for bi in range(len(cert.blocks)):
+        block_one = np.where(layout[:, 0] == bi, target.one, 0)
+        if not np.array_equal(images[:, bi], block_one):
+            fail(f"central idempotent of block {bi} does not map to its "
+                 "block identity", "orthogonality")
+    if multiplicative:
+        # iso(b_i b_j) against iso(b_i) iso(b_j) in the target
+        left = linalg.matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+        right = target.products(iso.T, iso.T)
+        for i, j in np.argwhere((left != right).any(axis=2))[:1]:
+            fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
+    return fails
 
 
 def verify_isomorphism(A, result, check_multiplicative=True):
-    """Exact re-proof that the assembled map is a unital ring isomorphism."""
-    failures = []
-    p, n = A.p, A.dim
-    eye = np.eye(n, dtype=np.int64)
-
-    prod = linalg.matmul_mod(result.iso, result.iso_inverse, p)
-    bijective = np.array_equal(prod, eye) and np.array_equal(
-        linalg.matmul_mod(result.iso_inverse, result.iso, p), eye
-    )
-    if not bijective:
-        failures.append("iso and iso_inverse are not mutually inverse")
-
-    target_one = _target_identity(result)
-    unit = np.array_equal(
-        linalg.matmul_mod(result.iso, A.one[:, None], p)[:, 0], target_one
-    )
-    if not unit:
-        failures.append("image of the identity is not the block identity")
-
-    orthogonality = True
-    row = 0
-    for blk in result.blocks:
-        size = blk.n * blk.n * blk.D.degree
-        image = linalg.matmul_mod(result.iso, blk.c[:, None], p)[:, 0]
-        expected = np.zeros(n, dtype=np.int64)
-        expected[row : row + size] = target_one[row : row + size]
-        if not np.array_equal(image, expected):
-            orthogonality = False
-            failures.append(
-                f"central idempotent of block {blk.index} does not map to "
-                "its block identity"
-            )
-        row += size
-
-    multiplicative = None
-    if check_multiplicative:
-        multiplicative = True
-        target = codomain_algebra(result)
-        U = result.iso
-        left = linalg.matmul_mod(
-            A.sc.reshape(n * n, n), U.T, p
-        ).reshape(n, n, n)
-        Ut = np.ascontiguousarray(U.T)
-        for m in range(n):
-            rhs_m = linalg.matmul_mod(
-                linalg.matmul_mod(Ut, np.ascontiguousarray(target.sc[:, :, m]), p),
-                U,
-                p,
-            )
-            if not np.array_equal(left[:, :, m], rhs_m):
-                bad = np.argwhere(left[:, :, m] != rhs_m)[0]
-                failures.append(
-                    f"multiplicativity fails at basis pair "
-                    f"({int(bad[0])},{int(bad[1])})"
-                )
-                multiplicative = False
-                break
-
+    """Exact re-proof of a result: `check` on the arrays its report carries."""
+    cert = _parse_certificate(A, _certificate_doc(result))
+    fails = check(A, cert, multiplicative=check_multiplicative)
+    failed = {f.relation for f in fails}
     return VerificationReport(
-        bijective=bijective,
-        unit=unit,
-        multiplicative=multiplicative,
-        orthogonality=orthogonality,
-        failures=failures,
+        bijective="bijective" not in failed,
+        unit="unit" not in failed,
+        multiplicative=("multiplicative" not in failed
+                        if check_multiplicative else None),
+        orthogonality="orthogonality" not in failed,
+        failures=[f.message for f in fails],
     )
 
 
@@ -379,316 +439,114 @@ def apply_iso(result, x):
 
 
 def unflatten(result, flat):
-    grids = []
-    row = 0
+    grids, row = [], 0
     for blk in result.blocks:
-        d = blk.D.degree
-        grid = []
-        for mu in range(blk.n):
-            grow = []
-            for nu in range(blk.n):
-                grow.append(flat[row : row + d].copy())
-                row += d
-            grid.append(grow)
-        grids.append(grid)
+        size = blk.n * blk.n * blk.D.degree
+        cells = np.array(flat[row:row + size]).reshape(blk.n, blk.n, -1)
+        grids.append([list(cells_row) for cells_row in cells])
+        row += size
     return grids
 
 
 def flatten(result, grids):
-    flat = np.zeros(result.dim, dtype=np.int64)
-    row = 0
     if len(grids) != len(result.blocks):
         raise ShapeMismatch("wrong number of blocks")
+    flat = []
     for blk, grid in zip(result.blocks, grids):
-        d = blk.D.degree
-        if len(grid) != blk.n or any(len(r) != blk.n for r in grid):
-            raise ShapeMismatch(f"block {blk.index} grid is not {blk.n}x{blk.n}")
-        for mu in range(blk.n):
-            for nu in range(blk.n):
-                entry = np.asarray(grid[mu][nu], dtype=np.int64)
-                if entry.shape != (d,):
-                    raise ShapeMismatch(
-                        f"block {blk.index} entry ({mu},{nu}) has wrong length"
-                    )
-                flat[row : row + d] = entry % result.p
-                row += d
-    return flat
+        shape = (blk.n, blk.n, blk.D.degree)
+        try:
+            cells = np.asarray(grid, dtype=np.int64)
+        except ValueError:  # ragged grid
+            cells = None
+        if cells is None or cells.shape != shape:
+            raise ShapeMismatch(f"block {blk.index} grid is not {shape[0]}x"
+                                f"{shape[1]} entries of length {shape[2]}")
+        flat.append(cells.reshape(-1) % result.p)
+    return np.concatenate(flat)
 
 
 def target_multiply(result, X, Y):
     """Blockwise matrix product with entries multiplied in each block's D."""
-    if len(X) != len(result.blocks) or len(Y) != len(result.blocks):
-        raise ShapeMismatch("operand block count differs from the layout")
-    out = []
-    for blk, Xb, Yb in zip(result.blocks, X, Y):
+    flat_x, flat_y = flatten(result, X), flatten(result, Y)
+    out, row = [], 0
+    for blk in result.blocks:
         n_i, d = blk.n, blk.D.degree
-        D = blk.D.corner.algebra
-        for grid in (Xb, Yb):
-            if len(grid) != n_i or any(len(r) != n_i for r in grid):
-                raise ShapeMismatch(f"block {blk.index} operand is not {n_i}x{n_i}")
-            for r in grid:
-                for entry in r:
-                    if np.asarray(entry).shape != (d,):
-                        raise ShapeMismatch(
-                            f"block {blk.index} entry has wrong length"
-                        )
-        prod = []
-        for mu in range(n_i):
-            prow = []
-            for eta in range(n_i):
-                acc = np.zeros(d, dtype=np.int64)
-                for nu in range(n_i):
-                    acc = (acc + D.mul_vec(
-                        np.asarray(Xb[mu][nu], dtype=np.int64) % result.p,
-                        np.asarray(Yb[nu][eta], dtype=np.int64) % result.p,
-                    )) % result.p
-                prow.append(acc)
-            prod.append(prow)
-        out.append(prod)
-    return out
+        size = n_i * n_i * d
+        x = flat_x[row:row + size].reshape(n_i * n_i, d)
+        y = flat_y[row:row + size].reshape(n_i * n_i, d)
+        # pairs[mu, nu, xi, eta] = x[mu, nu] * y[xi, eta]; keep nu = xi
+        pairs = blk.D.corner.algebra.products(x, y).reshape(n_i, n_i, n_i, n_i, d)
+        out.append(np.einsum("mnneu->meu", pairs).reshape(size) % result.p)
+        row += size
+    return unflatten(result, np.concatenate(out))
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def _doc_vec(x, n, p, what):
-    try:
-        arr = np.asarray(x, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise InvalidDocument(f"{what} is not an integer vector") from None
-    if arr.shape != (n,):
-        raise InvalidDocument(f"{what} has shape {arr.shape}, expected ({n},)")
-    return arr % p
+_BLOCK_KEYS = ("n", "division_degree", "representative_idempotent",
+               "central_idempotent", "connecting_a", "connecting_b",
+               "matrix_units", "division_basis")
 
 
-def _doc_mat(x, shape, p, what):
-    try:
-        arr = np.asarray(x, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise InvalidDocument(f"{what} is not an integer matrix") from None
-    if arr.shape != shape:
-        raise InvalidDocument(f"{what} has shape {arr.shape}, expected {shape}")
-    return arr % p
+def _parse_certificate(A, doc):
+    """The certificate arrays of a report; InvalidDocument on any fault of form."""
+    if not isinstance(doc, dict):
+        raise InvalidDocument("report document must be an object")
+    for key in ("p", "dim", "blocks", "iso_matrix", "iso_inverse", "layout"):
+        if key not in doc:
+            raise InvalidDocument(f"report document missing {key!r}")
+    for key, what, value in (("p", "modulus", A.p), ("dim", "dimension", A.dim)):
+        if not is_doc_int(doc[key]) or doc[key] != value:
+            raise InvalidDocument(f"report {what} {doc[key]!r} does not match "
+                                  f"the algebra {what} {value}")
+    if not isinstance(doc["blocks"], list) or not doc["blocks"]:
+        raise InvalidDocument("report field 'blocks' must be a non-empty list")
+    n = A.dim
+
+    def arr(x, shape, what):
+        return doc_array(x, shape, what) % A.p
+
+    blocks = []
+    for bi, bdoc in enumerate(doc["blocks"]):
+        if not isinstance(bdoc, dict) or not set(_BLOCK_KEYS) <= bdoc.keys():
+            raise InvalidDocument(f"block {bi} is not an object with the keys "
+                                  f"{', '.join(_BLOCK_KEYS)}")
+        n_i, d = bdoc["n"], bdoc["division_degree"]
+        if not (is_doc_int(n_i) and n_i >= 1 and is_doc_int(d) and d >= 1):
+            raise InvalidDocument(f"block {bi} has invalid sizes")
+        blocks.append(SimpleNamespace(
+            n=n_i, d=d,
+            rep=arr(bdoc["representative_idempotent"], (n,),
+                    f"block {bi} representative"),
+            c=arr(bdoc["central_idempotent"], (n,), f"block {bi} center"),
+            a=arr(bdoc["connecting_a"], (n_i, n), f"block {bi} connecting_a"),
+            b=arr(bdoc["connecting_b"], (n_i, n), f"block {bi} connecting_b"),
+            units=arr(bdoc["matrix_units"], (n_i, n_i, n), f"block {bi} matrix units"),
+            basis=arr(bdoc["division_basis"], (d, n), f"block {bi} division basis"),
+        ))
+    return SimpleNamespace(
+        blocks=blocks,
+        iso=arr(doc["iso_matrix"], (n, n), "iso_matrix"),
+        iso_inverse=arr(doc["iso_inverse"], (n, n), "iso_inverse"),
+        layout=doc_array(doc["layout"], (None, 4), "layout"),
+    )
 
 
 def verify_report_doc(A, doc):
     """Re-prove a serialized report against its algebra document.
 
     Returns the list of failed-relation messages (empty means the report
-    verifies).  Structural problems (wrong shapes, mismatched modulus)
-    raise InvalidDocument instead, since they are input errors rather than
-    disproofs.  Nothing from the original decomposition search is re-run;
-    every check works from the serialized witnesses alone.
+    verifies); they are the ones verify_isomorphism reports for the same
+    arrays.  Structural problems (missing fields, wrong shapes or types,
+    mismatched modulus) raise InvalidDocument instead, since they are input
+    errors rather than disproofs.
     """
-    if not isinstance(doc, dict):
-        raise InvalidDocument("report document must be an object")
-    for key in ("p", "dim", "blocks", "iso_matrix", "iso_inverse", "layout"):
-        if key not in doc:
-            raise InvalidDocument(f"report document missing {key!r}")
-    if doc["p"] != A.p:
-        raise InvalidDocument(
-            f"report modulus {doc['p']} does not match algebra modulus {A.p}"
-        )
-    if doc["dim"] != A.dim:
-        raise InvalidDocument(
-            f"report dimension {doc['dim']} does not match algebra dimension {A.dim}"
-        )
-    p, n = A.p, A.dim
-    msgs = []
-    zero = np.zeros(n, dtype=np.int64)
-
-    staged = []
-    for bi, bdoc in enumerate(doc["blocks"]):
-        if not isinstance(bdoc, dict):
-            raise InvalidDocument(f"block {bi} is not an object")
-        for key in ("n", "division_degree", "central_idempotent",
-                    "representative_idempotent", "connecting_a",
-                    "connecting_b", "matrix_units", "division_basis"):
-            if key not in bdoc:
-                raise InvalidDocument(f"block {bi} missing {key!r}")
-        n_i = bdoc["n"]
-        d_i = bdoc["division_degree"]
-        if not (isinstance(n_i, int) and n_i >= 1
-                and isinstance(d_i, int) and d_i >= 1):
-            raise InvalidDocument(f"block {bi} has invalid sizes")
-        rep = _doc_vec(bdoc["representative_idempotent"], n, p,
-                       f"block {bi} representative")
-        c = _doc_vec(bdoc["central_idempotent"], n, p, f"block {bi} center")
-        if len(bdoc["connecting_a"]) != n_i or len(bdoc["connecting_b"]) != n_i:
-            raise InvalidDocument(f"block {bi} connecting family has wrong size")
-        avecs = [_doc_vec(v, n, p, f"block {bi} a[{mu}]")
-                 for mu, v in enumerate(bdoc["connecting_a"])]
-        bvecs = [_doc_vec(v, n, p, f"block {bi} b[{mu}]")
-                 for mu, v in enumerate(bdoc["connecting_b"])]
-        units = _doc_mat(bdoc["matrix_units"], (n_i, n_i, n), p,
-                         f"block {bi} matrix units")
-        rows = _doc_mat(bdoc["division_basis"], (d_i, n), p,
-                        f"block {bi} division basis")
-
-        if not np.array_equal(A.mul_vec(rep, rep), rep):
-            msgs.append(f"block {bi}: representative is not idempotent")
-        if not (np.array_equal(avecs[0], rep) and np.array_equal(bvecs[0], rep)):
-            msgs.append(f"block {bi}: a[0], b[0] differ from the representative")
-        members = []
-        for mu in range(n_i):
-            e_mu = A.mul_vec(bvecs[mu], avecs[mu])
-            members.append(e_mu)
-            if not np.array_equal(A.mul_vec(avecs[mu], bvecs[mu]), rep):
-                msgs.append(f"block {bi}: a[{mu}]*b[{mu}] != representative")
-            if not np.array_equal(A.mul_vec(e_mu, e_mu), e_mu):
-                msgs.append(f"block {bi}: b[{mu}]*a[{mu}] is not idempotent")
-            sandwich = A.mul_vec(A.mul_vec(rep, avecs[mu]), e_mu)
-            if not np.array_equal(sandwich, avecs[mu]):
-                msgs.append(f"block {bi}: a[{mu}] is not in rep*A*e[{mu}]")
-            sandwich = A.mul_vec(A.mul_vec(e_mu, bvecs[mu]), rep)
-            if not np.array_equal(sandwich, bvecs[mu]):
-                msgs.append(f"block {bi}: b[{mu}] is not in e[{mu}]*A*rep")
-        for mu in range(n_i):
-            for nu in range(n_i):
-                if not np.array_equal(
-                    units[mu, nu], A.mul_vec(bvecs[mu], avecs[nu])
-                ):
-                    msgs.append(
-                        f"block {bi}: matrix unit ({mu},{nu}) != b[{mu}]*a[{nu}]"
-                    )
-        for mu in range(n_i):
-            for nu in range(n_i):
-                for xi in range(n_i):
-                    for eta in range(n_i):
-                        got = A.mul_vec(units[mu, nu], units[xi, eta])
-                        want = units[mu, eta] if nu == xi else zero
-                        if not np.array_equal(got, want):
-                            msgs.append(
-                                f"block {bi}: unit relation "
-                                f"({mu},{nu})*({xi},{eta}) fails"
-                            )
-        csum = members[0].copy()
-        for e_mu in members[1:]:
-            csum = (csum + e_mu) % p
-        if not np.array_equal(csum, c):
-            msgs.append(f"block {bi}: central idempotent is not the member sum")
-        if not np.array_equal(A.mul_vec(c, c), c):
-            msgs.append(f"block {bi}: central idempotent is not idempotent")
-        if not np.array_equal(A.lmat(c), A.rmat(c)):
-            msgs.append(f"block {bi}: central idempotent is not central")
-
-        if linalg.rank(rows, p) != d_i:
-            msgs.append(f"block {bi}: division basis is not independent")
-        local_one = linalg.solve(rows.T, rep, p)
-        if local_one is None:
-            msgs.append(f"block {bi}: representative outside its division basis")
-        staged.append((bi, n_i, d_i, rep, c, avecs, bvecs, units, rows, members))
-
-    if msgs:
-        return msgs
-
-    # cross-block orthogonality and completeness
-    all_members = []
-    for s in staged:
-        bi, members = s[0], s[9]
-        for mu, e in enumerate(members):
-            all_members.append((bi, mu, e))
-    total = np.zeros(n, dtype=np.int64)
-    for _, _, e in all_members:
-        total = (total + e) % p
-    if not np.array_equal(total, A.one):
-        msgs.append("primitive parts do not sum to the identity")
-    for i, (bi, mu, e) in enumerate(all_members):
-        for bj, nu, f in all_members[i + 1:]:
-            if A.mul_vec(e, f).any() or A.mul_vec(f, e).any():
-                msgs.append(
-                    f"parts ({bi},{mu}) and ({bj},{nu}) are not orthogonal"
-                )
-    ctotal = np.zeros(n, dtype=np.int64)
-    for s in staged:
-        ctotal = (ctotal + s[4]) % p
-    if not np.array_equal(ctotal, A.one):
-        msgs.append("central idempotents do not sum to the identity")
-    for i, si in enumerate(staged):
-        for sj in staged[i + 1:]:
-            if A.mul_vec(si[4], sj[4]).any():
-                msgs.append(
-                    f"central idempotents of blocks {si[0]} and {sj[0]} overlap"
-                )
-
-    expected_layout = []
-    for bi, n_i, d_i, *_ in staged:
-        for mu in range(n_i):
-            for nu in range(n_i):
-                for t in range(d_i):
-                    expected_layout.append([bi, mu, nu, t])
-    if [list(map(int, e)) for e in doc["layout"]] != expected_layout:
-        msgs.append("layout does not enumerate the blocks canonically")
-    if sum(n_i * n_i * d_i for _, n_i, d_i, *_ in staged) != n:
-        msgs.append("block dimensions do not sum to the algebra dimension")
-    if msgs:
-        return msgs
-
-    # rebuild block objects to reuse the isomorphism checks
-    iso = _doc_mat(doc["iso_matrix"], (n, n), p, "iso_matrix")
-    iso_inv = _doc_mat(doc["iso_inverse"], (n, n), p, "iso_inverse")
-    rebuilt = []
-    for bi, n_i, d_i, rep, c, avecs, bvecs, units, rows, members in staged:
-        prods = np.concatenate(
-            [linalg.matmul_mod(A.lmat(rows[i]), rows.T, p).T
-             for i in range(d_i)]
-        )
-        if linalg.solve_batch(rows.T, prods.T, p) is None:
-            msgs.append(f"block {bi}: division basis is not closed under product")
-            return msgs
-        corner = Subalgebra(A, rows, identity_parent=rep)
-        D = DivisionAlgebra(corner=corner, degree=d_i)
-        if not D.corner.algebra.is_commutative():
-            msgs.append(f"block {bi}: division corner is not commutative")
-            return msgs
-        if idempotents._fixed_space(corner).shape[0] != 1:
-            msgs.append(f"block {bi}: division corner is not a field")
-            return msgs
-        fam = ConnectingFamily(
-            rep=idempotents.Idempotent(A.element(rep)),
-            members=[idempotents.Idempotent(A.element(e)) for e in members],
-            a=avecs,
-            b=bvecs,
-        )
-        us = MatrixUnitSystem(
-            units=[[units[mu, nu] for nu in range(n_i)] for mu in range(n_i)],
-            block_identity=c,
-        )
-        rebuilt.append(Block(index=bi, n=n_i, D=D, c=c, family=fam, units=us))
-    result = DecompositionResult(
-        blocks=rebuilt, iso=iso, iso_inverse=iso_inv,
-        layout=[tuple(e) for e in expected_layout],
-        p=p, dim=n, seed=doc.get("seed", 0),
-    )
-
-    # the serialized matrix must agree with the map the witnesses define
-    row = 0
-    for blk in rebuilt:
-        for mu in range(blk.n):
-            La = A.lmat(blk.family.a[mu])
-            for nu in range(blk.n):
-                T = linalg.matmul_mod(A.rmat(blk.family.b[nu]), La, p)
-                coords = linalg.solve_batch(blk.D.corner.rows.T, T, p)
-                if coords is None:
-                    msgs.append(
-                        f"block {blk.index}: entry ({mu},{nu}) escapes the corner"
-                    )
-                    return msgs
-                if not np.array_equal(iso[row : row + blk.D.degree], coords):
-                    msgs.append(
-                        f"iso_matrix rows for block {blk.index} entry "
-                        f"({mu},{nu}) do not match the connecting elements"
-                    )
-                row += blk.D.degree
-    if msgs:
-        return msgs
-
-    report = verify_isomorphism(A, result, check_multiplicative=True)
-    msgs.extend(report.failures)
-    return msgs
+    return [f.message for f in check(A, _parse_certificate(A, doc))]
 
 
-def result_to_doc(result, verification):
+def _certificate_doc(result):
+    """The report document of a result, less its verification flags."""
     blocks = []
     for blk in result.blocks:
         blocks.append({
@@ -698,9 +556,7 @@ def result_to_doc(result, verification):
             "representative_idempotent": blk.family.rep.coords.tolist(),
             "connecting_a": [v.tolist() for v in blk.family.a],
             "connecting_b": [v.tolist() for v in blk.family.b],
-            "matrix_units": [
-                [u.tolist() for u in row] for row in blk.units.units
-            ],
+            "matrix_units": np.asarray(blk.units.units).tolist(),
             "division_basis": blk.D.corner.rows.tolist(),
         })
     return {
@@ -711,10 +567,15 @@ def result_to_doc(result, verification):
         "iso_matrix": result.iso.tolist(),
         "iso_inverse": result.iso_inverse.tolist(),
         "layout": [list(map(int, entry)) for entry in result.layout],
-        "verification": {
-            "bijective": verification.bijective,
-            "unit": verification.unit,
-            "multiplicative": verification.multiplicative,
-            "orthogonality": verification.orthogonality,
-        },
     }
+
+
+def result_to_doc(result, verification):
+    doc = _certificate_doc(result)
+    doc["verification"] = {
+        "bijective": verification.bijective,
+        "unit": verification.unit,
+        "multiplicative": verification.multiplicative,
+        "orthogonality": verification.orthogonality,
+    }
+    return doc

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import algebra, blocks, generators, radical
+from . import algebra, blocks, generators
 from .errors import (
     InvalidCayley,
     InvalidDocument,
@@ -84,13 +84,6 @@ def _block_summary_lines(result):
 
 def cmd_decompose(args):
     A = algebra.from_doc(_load_json(args.input))
-    try:
-        radical.require_semisimple(A)
-    except NotSemisimple as exc:
-        print(f"not semisimple: radical has dimension {len(exc.radical_basis)}")
-        for el in exc.radical_basis:
-            print(f"  radical basis element: {el.coords.tolist()}")
-        return EXIT_NOT_SEMISIMPLE
     result = blocks.full_isomorphism(A, seed=args.seed, cap=args.max_split_iters)
     level = args.verify_level or ("full" if A.dim <= 64 else "fast")
     report = blocks.verify_isomorphism(

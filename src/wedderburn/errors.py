@@ -27,10 +27,6 @@ class DivisionByZero(WedderburnError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class NoSolutionError(WedderburnError):
-    """A linear system required to be consistent has no solution."""
-
-
 class NotAssociative(WedderburnError):
     """Structure constants fail associativity.
 
@@ -97,6 +93,10 @@ class WitnessSolveFailed(WedderburnError):
 
 class CentralityViolation(WedderburnError):
     """A class-sum idempotent failed the centrality check (upstream grouping bug)."""
+
+
+class OrthogonalityViolation(WedderburnError):
+    """Decomposition parts are zero, overlap, or miss their target sum (fatal)."""
 
 
 class MatrixUnitViolation(WedderburnError):

@@ -1,11 +1,10 @@
-"""Arithmetic in the prime field F_p for an odd prime p.
+"""Validity checks for the prime modulus p of the field F_p.
 
-Scalars are plain ints in [0, p).  The class exists to carry the modulus
-around and to centralize the validity checks; bulk arithmetic lives in the
-numpy/Cython kernels, not here.
+Scalars are plain ints in [0, p); bulk arithmetic lives in the numpy
+kernels of `linalg`, not here.
 """
 
-from .errors import DivisionByZero, NotPrime, UnsupportedCharacteristic
+from .errors import NotPrime, UnsupportedCharacteristic
 
 # Largest modulus the exact int64 matmul kernels accept: n*(p-1)^2 must stay
 # below 2^62 for any dimension n we allow, so cap p itself well under 2^31.
@@ -46,43 +45,3 @@ def check_modulus(p):
         )
     return p
 
-
-class PrimeField:
-    """The field F_p with scalar operations on canonical representatives."""
-
-    def __init__(self, p):
-        self.p = check_modulus(p)
-
-    def normalize(self, a):
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.p}")
-        # p is prime, so Fermat gives a^(p-2) = a^(-1); pow is fast enough.
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"

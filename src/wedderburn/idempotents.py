@@ -18,6 +18,7 @@ from .algebra import Element, Subalgebra
 from .errors import (
     NotIdempotent,
     NotSemisimpleContext,
+    OrthogonalityViolation,
     SplitIterationCapExceeded,
     WitnessSolveFailed,
 )
@@ -87,17 +88,16 @@ class OrthogonalDecomposition:
 
     def __post_init__(self):
         A = self.of.parent
-        total = np.zeros(A.dim, dtype=np.int64)
-        for i, part in enumerate(self.parts):
-            coords = part.coords
-            assert coords.any(), "decomposition contains a zero part"
-            total = (total + coords) % A.p
-            for j, other in enumerate(self.parts):
-                if i != j:
-                    assert not A.mul_vec(coords, other.coords).any(), (
-                        f"parts {i} and {j} are not orthogonal"
-                    )
-        assert np.array_equal(total, self.of.coords), "parts do not sum to target"
+        E = np.array([part.coords for part in self.parts])
+        if not E.any(axis=1).all():
+            raise OrthogonalityViolation("decomposition contains a zero part")
+        cross = A.products(E, E).any(axis=2)
+        np.fill_diagonal(cross, False)
+        if cross.any():
+            i, j = np.argwhere(cross)[0]
+            raise OrthogonalityViolation(f"parts {i} and {j} are not orthogonal")
+        if not np.array_equal(E.sum(axis=0) % A.p, self.of.coords):
+            raise OrthogonalityViolation("parts do not sum to target")
 
 
 @dataclass
@@ -258,16 +258,6 @@ def decompose_identity(A, seed=0, cap=DEFAULT_SPLIT_CAP):
     )
 
 
-def verify_primitivity(A, cert):
-    """Independently rebuild the corner and recheck the certificate."""
-    corner = A.corner(cert.e)
-    B = corner.algebra
-    if B.dim != cert.corner_dim or not B.is_commutative():
-        return False
-    fixed = _fixed_space(corner)
-    return fixed.shape[0] == 1 == cert.frobenius_fixed_dim
-
-
 def equivalence_witness(A, e, f):
     """Witness (a, b) with a*b = f, b*a = e, or None when none exists.
 
@@ -288,7 +278,7 @@ def equivalence_witness(A, e, f):
     K = A.hom_space(e, f)
     # columns: a * (basis of eAf); want a*b = f
     M = linalg.matmul_mod(A.lmat(a), K.T, A.p)
-    beta = linalg.solve(M, f, A.p)
+    beta = linalg.solve_batch(M, f, A.p)
     if beta is None:
         raise WitnessSolveFailed(
             "a*b = f has no solution; input was not a primitive pair of a "

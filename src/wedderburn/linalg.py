@@ -1,56 +1,9 @@
 """Exact linear algebra over F_p on int64 numpy arrays.
 
-All matrices carry canonical representatives in [0, p).  The row-reduction
-hot loop is delegated to a backend kernel: the compiled `_speedups`
-extension when available, else the numpy `_pykernels` fallback.  Override
-with the WEDDERBURN_BACKEND environment variable or `set_backend`.
+All matrices carry canonical representatives in [0, p).
 """
 
-import os
-
 import numpy as np
-
-from . import _pykernels
-
-try:
-    from . import _speedups
-except ImportError:
-    _speedups = None
-
-_BACKENDS = {"python": _pykernels}
-if _speedups is not None:
-    _BACKENDS["cython"] = _speedups
-
-
-def _default_backend():
-    name = os.environ.get("WEDDERBURN_BACKEND")
-    if name is not None:
-        if name not in _BACKENDS:
-            raise ImportError(
-                f"WEDDERBURN_BACKEND={name!r} unavailable; "
-                f"choices: {sorted(_BACKENDS)}"
-            )
-        return _BACKENDS[name]
-    return _BACKENDS.get("cython", _pykernels)
-
-
-_kernel = _default_backend()
-
-
-def set_backend(name):
-    """Select the row-reduction kernel ('python' or 'cython') at runtime."""
-    global _kernel
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choices: {sorted(_BACKENDS)}")
-    _kernel = _BACKENDS[name]
-
-
-def get_backend():
-    return _kernel.BACKEND_NAME
-
-
-def available_backends():
-    return sorted(_BACKENDS)
 
 
 def as_mod_array(data, p):
@@ -69,7 +22,28 @@ def rref(M, p, pivot_cols=None):
         raise ValueError("rref expects a 2-D matrix")
     if pivot_cols is None:
         pivot_cols = R.shape[1]
-    pivots = _kernel.rref_inplace(R, p, pivot_cols)
+    rows = R.shape[0]
+    pivots = []
+    r = 0
+    for c in range(pivot_cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        piv = int(R[r, c])
+        if piv != 1:
+            R[r] = (R[r] * pow(piv, p - 2, p)) % p
+        colvals = R[:, c].copy()
+        colvals[r] = 0
+        hit = np.nonzero(colvals)[0]
+        if hit.size:
+            R[hit] = (R[hit] - colvals[hit, None] * R[r]) % p
+        pivots.append(c)
+        r += 1
     return R, pivots
 
 
@@ -108,11 +82,6 @@ def solve_batch(A, B, p):
     for j, c in enumerate(pivots):
         X[c] = R[j, n:]
     return X[:, 0] if vector_rhs else X
-
-
-def solve(A, b, p):
-    """Particular solution of A x = b, or None."""
-    return solve_batch(A, b, p)
 
 
 def kernel(M, p):

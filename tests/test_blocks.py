@@ -11,6 +11,7 @@ from wedderburn import (
     cayley_fixture,
     decompose_identity,
     direct_sum,
+    from_doc,
     full_isomorphism,
     group_algebra,
     matrix_algebra,
@@ -19,9 +20,10 @@ from wedderburn import (
     verify_isomorphism,
     verify_report_doc,
 )
+from wedderburn import blocks
 from wedderburn.blocks import (
+    DivisionAlgebra,
     apply_iso,
-    block_map,
     central_idempotent,
     codomain_algebra,
     flatten,
@@ -30,7 +32,12 @@ from wedderburn.blocks import (
     target_multiply,
     unflatten,
 )
-from wedderburn.errors import EntryOutsideCorner, MatrixUnitViolation, ShapeMismatch
+from wedderburn.errors import (
+    EntryOutsideCorner,
+    InvalidDocument,
+    MatrixUnitViolation,
+    ShapeMismatch,
+)
 from wedderburn.linalg import matmul_mod
 
 
@@ -122,14 +129,26 @@ def test_matrix_units_catch_corruption():
         matrix_units(A, bad, c)
 
 
+def test_unit_relations_are_checked_on_the_units_themselves():
+    A = matrix_algebra(7, 2).algebra
+    res = full_isomorphism(A, seed=0)
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    units = doc["blocks"][0]["matrix_units"]
+    units[0][1], units[1][0] = units[1][0], units[0][1]
+    # E[1,0] * E[0,1] = E[1,1], not the E[0,0] that (0,1)*(1,0) must give
+    assert "block 0: unit relation (0,1)*(1,0) fails" in verify_report_doc(A, doc)
+
+
 # -- the entry map ---------------------------------------------------------------
+
+# the block map sends x to its per-block entry grids: apply_iso
 
 
 def test_block_map_of_central_idempotent_is_identity_grid():
     A = c3()
     res = full_isomorphism(A, seed=0)
     for blk in res.blocks:
-        grid = block_map(A, blk, blk.c)
+        grid = apply_iso(res, blk.c)[blk.index]
         done = blk.D.corner.algebra.one
         for mu in range(blk.n):
             for nu in range(blk.n):
@@ -140,8 +159,7 @@ def test_block_map_of_central_idempotent_is_identity_grid():
 def test_block_map_of_other_blocks_element_is_zero():
     A = c3()
     res = full_isomorphism(A, seed=0)
-    b0, b1 = res.blocks
-    grid = block_map(A, b0, b1.c)
+    grid = apply_iso(res, res.blocks[1].c)[0]
     assert all(not entry.any() for row in grid for entry in row)
 
 
@@ -152,7 +170,7 @@ def test_block_map_of_units_gives_elementary_grids():
     done = blk.D.corner.algebra.one
     for mu in range(blk.n):
         for nu in range(blk.n):
-            grid = block_map(A, blk, blk.units.units[mu][nu])
+            grid = apply_iso(res, blk.units.units[mu][nu])[0]
             for s in range(blk.n):
                 for t in range(blk.n):
                     want = done if (s, t) == (mu, nu) else np.zeros(
@@ -161,18 +179,16 @@ def test_block_map_of_units_gives_elementary_grids():
                     assert grid[s][t].tolist() == want.tolist()
 
 
-def test_block_map_rejects_vectors_outside_the_corner():
-    # hand the map a block from a *different* algebra's result
-    A = matrix_algebra(7, 2).algebra
-    res = full_isomorphism(A, seed=0)
-    blk = res.blocks[0]
-    # E12 is not in rep*A*rep for any primitive rep, so some sandwich
-    # coordinates fall outside the corner line
+def test_block_map_rejects_vectors_outside_the_corner(monkeypatch):
+    # present the block on the corner of a non-representative member: the
+    # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
+    def foreign_corner(A, family):
+        corner = A.corner(family.members[-1].coords)
+        return DivisionAlgebra(corner=corner, degree=corner.dim)
+
+    monkeypatch.setattr(blocks, "division_presentation", foreign_corner)
     with pytest.raises(EntryOutsideCorner):
-        bad = copy.copy(blk)
-        bad.family = copy.copy(blk.family)
-        bad.family.a = [np.array([0, 1, 0, 0]), blk.family.a[1]]
-        block_map(A, bad, A.one)
+        full_isomorphism(matrix_algebra(7, 2).algebra, seed=0)
 
 
 # -- the global isomorphism -------------------------------------------------------
@@ -264,12 +280,14 @@ def test_verify_catches_corrupted_units():
     A = matrix_algebra(7, 2).algebra
     res = full_isomorphism(A, seed=0)
     blk = res.blocks[0]
-    # corrupt one unit and rebuild the affected iso rows from scratch
+    # corrupt one unit: the iso matrix is untouched, but the units are part
+    # of the certificate
     bad = copy.deepcopy(res)
     bad.blocks[0].units.units[0][1] = (blk.units.units[0][1] + A.one) % 7
     rep = verify_isomorphism(A, bad)
-    assert rep.passed  # iso matrix itself was untouched, so still a ring map
-    # but a corrupted iso row breaks multiplicativity with a named witness
+    assert not rep.passed
+    assert "block 0: matrix unit (0,1) != b[0]*a[1]" in rep.failures
+    # a corrupted iso row no longer matches the connecting elements
     worse = copy.deepcopy(res)
     worse.iso[2] = (worse.iso[2] + 1) % 7
     rep = verify_isomorphism(A, worse)
@@ -339,3 +357,105 @@ def test_report_doc_contains_the_contracted_fields():
         ):
             assert key in blk, key
     assert doc["layout"][0] == [0, 0, 0, 0]
+
+
+def _tamper(res, field):
+    """Corrupt one certificate field of res in place; return the message the
+    verifier must report.  Block 0 is M_1(F_49), block 1 is M_2(F_7)."""
+    b0, b1 = res.blocks
+    if field == "a[mu]":
+        b1.family.a[1] = b1.family.a[1] * 2 % 7
+        return "block 1: a[1]*b[1] != representative"
+    if field == "b[mu]":
+        b1.family.b[1] = b1.family.b[1] * 2 % 7
+        return "block 1: b[1]*a[1] is not idempotent"
+    if field == "unit":
+        b1.units.units[0, 1] = (b1.units.units[0, 1] + 1) % 7
+        return "block 1: matrix unit (0,1) != b[0]*a[1]"
+    if field == "central idempotent":
+        b0.c = (b0.c + 1) % 7
+        return "block 0: central idempotent is not the member sum"
+    if field == "representative":
+        b0.family.rep.element.coords = b0.family.rep.coords * 2 % 7
+        return "block 0: representative is not idempotent"
+    if field == "division basis":
+        b0.D.corner.rows[1] = b0.D.corner.rows[0]
+        return "block 0: division basis is not independent"
+    if field == "iso row":
+        res.iso[4] = (res.iso[4] + 1) % 7  # layout row 4 is (1, 1, 0, 0)
+        return ("iso_matrix rows for block 1 entry (1,0) do not match the "
+                "connecting elements")
+    if field == "iso_inverse":
+        res.iso_inverse[0, 0] = (res.iso_inverse[0, 0] + 1) % 7
+        i = int(np.flatnonzero(res.iso[:, 0])[0])
+        return f"iso * iso_inverse differs from the identity at ({i},0)"
+    if field == "layout":
+        res.layout[2], res.layout[3] = res.layout[3], res.layout[2]
+        return "layout row 2 is [1, 0, 1, 0], expected [1, 0, 0, 0]"
+    raise ValueError(field)
+
+
+@pytest.mark.parametrize("field", [
+    "a[mu]", "b[mu]", "unit", "central idempotent", "representative",
+    "division basis", "iso row", "iso_inverse", "layout",
+])
+def test_one_verifier_names_the_tampered_relation(field):
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    assert [(b.n, b.D.degree) for b in res.blocks] == [(1, 2), (2, 1)]
+    bad = copy.deepcopy(res)
+    message = _tamper(bad, field)
+    ver = verify_isomorphism(A, bad)
+    msgs = verify_report_doc(A, result_to_doc(bad, ver))
+    assert message in msgs
+    # the in-process verifier runs the same check on the same arrays
+    assert ver.failures == msgs
+
+
+MALFORMED = {
+    "connecting_a=5": ("report", ("blocks", 0, "connecting_a"), 5),
+    "layout=7": ("report", ("layout",), 7),
+    "n=true": ("report", ("blocks", 0, "n"), True),
+    "division_basis=1.5": ("report", ("blocks", 0, "division_basis", 0, 0), 1.5),
+    "iso_matrix=1.5": ("report", ("iso_matrix", 0, 0), 1.5),
+    "blocks=5": ("report", ("blocks",), 5),
+    "structure_constant=1.5": ("algebra", ("structure_constants", 0, 0, 0), 1.5),
+    "identity=1.5": ("algebra", ("identity", 0), 1.5),
+}
+
+
+@pytest.mark.parametrize("target, path, value", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_fields_are_invalid_documents(target, path, value):
+    A = c3()
+    res = full_isomorphism(A, seed=0)
+    docs = {"algebra": A.to_doc(),
+            "report": result_to_doc(res, verify_isomorphism(A, res))}
+    node = docs[target]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InvalidDocument):
+        verify_report_doc(from_doc(docs["algebra"]), docs["report"])
+
+
+def test_local_ring_is_not_accepted_as_division_field():
+    # F_5[x]/(x^2) is commutative and x -> x^5 fixes only F_5, yet x is
+    # nilpotent: a report presenting it as M_1(D), D a field, must fail
+    from wedderburn import make_presentation
+
+    sc = np.zeros((2, 2, 2), dtype=int)
+    sc[0, 0, 0] = sc[0, 1, 1] = sc[1, 0, 1] = 1
+    A = make_presentation(5, sc)
+    one, eye = [1, 0], [[1, 0], [0, 1]]
+    doc = {
+        "p": 5, "dim": 2, "seed": 0,
+        "blocks": [{
+            "n": 1, "division_degree": 2, "central_idempotent": one,
+            "representative_idempotent": one, "connecting_a": [one],
+            "connecting_b": [one], "matrix_units": [[one]],
+            "division_basis": eye,
+        }],
+        "iso_matrix": eye, "iso_inverse": eye,
+        "layout": [[0, 0, 0, 0], [0, 0, 0, 1]],
+    }
+    assert verify_report_doc(A, doc) == ["block 0: division corner is not a field"]

@@ -149,3 +149,36 @@ def test_stdout_output_without_dash_o(c3_doc):
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["dim"] == 3
+
+
+def test_verify_malformed_report_exit_4(tmp_path, c3_doc):
+    rep = tmp_path / "rep.json"
+    run("decompose", str(c3_doc), "--format", "structured", "-o", str(rep))
+    doc = json.loads(rep.read_text())
+    doc["blocks"][0]["connecting_a"] = 5
+    rep.write_text(json.dumps(doc))
+    v = run("verify", str(c3_doc), str(rep))
+    assert v.returncode == 4
+    assert "invalid input" in v.stderr and "Traceback" not in v.stderr
+
+
+def test_verify_non_closed_division_basis_under_optimize(tmp_path):
+    # the closure check must survive python -O, which strips asserts
+    alg, rep = tmp_path / "f125.json", tmp_path / "rep.json"
+    assert run("gen", "matrix", "-n", "1", "-p", "5", "--ext-poly", "1,1,0,1",
+               "-o", str(alg)).returncode == 0
+    assert run("decompose", str(alg), "--format", "structured",
+               "-o", str(rep)).returncode == 0
+    doc = json.loads(rep.read_text())
+    block = doc["blocks"][0]
+    assert block["division_basis"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # span(1, t) in F_125 = F_5[t]/(t^3 + t + 1) misses t^2
+    block["division_degree"] = 2
+    block["division_basis"] = [[1, 0, 0], [0, 1, 0]]
+    rep.write_text(json.dumps(doc))
+    v = subprocess.run(
+        [sys.executable, "-O", "-m", "wedderburn.cli", "verify", str(alg), str(rep)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert v.returncode == 1
+    assert "block 0: division basis is not closed under product" in v.stdout

@@ -19,7 +19,16 @@ from wedderburn.errors import (
     NotSemisimpleContext,
     SplitIterationCapExceeded,
 )
-from wedderburn.idempotents import verify_primitivity
+from wedderburn.idempotents import _fixed_space
+
+
+def verify_primitivity(A, cert):
+    """Independently rebuild the corner and recheck the certificate."""
+    corner = A.corner(cert.e)
+    B = corner.algebra
+    if B.dim != cert.corner_dim or not B.is_commutative():
+        return False
+    return _fixed_space(corner).shape[0] == 1 == cert.frobenius_fixed_dim
 
 
 def check_decomposition(A, dec):

@@ -1,13 +1,11 @@
-"""Exact modular linear algebra: oracles, frozen examples, backend parity."""
+"""Exact modular linear algebra: oracles and frozen examples."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedderburn.linalg import (
-    available_backends,
     char_poly,
-    get_backend,
     inverse,
     kernel,
     matmul_mod,
@@ -15,8 +13,6 @@ from wedderburn.linalg import (
     rank,
     row_space_basis,
     rref,
-    set_backend,
-    solve,
     solve_batch,
 )
 
@@ -45,12 +41,12 @@ def test_rank_example():
 
 
 def test_solve_example():
-    x = solve(np.array([[1, 1], [0, 0]]), np.array([3, 0]), 5)
+    x = solve_batch(np.array([[1, 1], [0, 0]]), np.array([3, 0]), 5)
     assert x.tolist() == [3, 0]
 
 
 def test_solve_inconsistent():
-    assert solve(np.array([[1, 1], [0, 0]]), np.array([3, 1]), 5) is None
+    assert solve_batch(np.array([[1, 1], [0, 0]]), np.array([3, 1]), 5) is None
 
 
 def test_kernel_example():
@@ -216,32 +212,3 @@ def test_min_poly_annihilates(n, p, rng):
     # and the characteristic polynomial is a multiple of it (degree check)
     assert len(q) <= n + 1
 
-
-# -- backend parity --------------------------------------------------------
-
-
-def test_backend_parity_on_random_matrices():
-    import random
-
-    names = available_backends()
-    if len(names) < 2:
-        pytest.skip("only one backend compiled in")
-    rng = random.Random(13)
-    cases = [random_matrix(rng, m, n, 97) for m, n in [(4, 6), (6, 4), (5, 5)]]
-    before = get_backend()
-    try:
-        outputs = {}
-        for name in names:
-            set_backend(name)
-            outputs[name] = [rref(M, 97) for M in cases]
-        base = outputs[names[0]]
-        for name in names[1:]:
-            for (R0, piv0), (R1, piv1) in zip(base, outputs[name]):
-                assert np.array_equal(R0, R1) and piv0 == piv1
-    finally:
-        set_backend(before)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_backend("fortran")
