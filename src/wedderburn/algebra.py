@@ -311,22 +311,23 @@ def is_doc_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def doc_array(x, shape, what):
+def doc_array(x, shape, what, error=InvalidDocument):
     """int64 array of a document field with the given shape (None: any size).
 
-    Booleans, floats and strings are refused, not truncated or coerced.
+    Booleans, floats and strings are refused, not truncated or coerced; a
+    ragged, non-integer or misshapen x raises `error`.
     """
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError):
-        raise InvalidDocument(f"{what} is not an integer array") from None
+        raise error(f"{what} is not an integer array") from None
     if arr.dtype.kind != "i" and arr.size:
-        raise InvalidDocument(f"{what} must hold integers, not {arr.dtype}")
+        raise error(f"{what} must hold integers, not {arr.dtype}")
     if arr.ndim != len(shape) or any(
         want is not None and want != got for want, got in zip(shape, arr.shape)
     ):
         want = tuple("*" if n is None else n for n in shape)
-        raise InvalidDocument(f"{what} has shape {arr.shape}, expected {want}")
+        raise error(f"{what} has shape {arr.shape}, expected {want}")
     return arr.astype(np.int64)
 
 

@@ -454,13 +454,7 @@ def flatten(result, grids):
     flat = []
     for blk, grid in zip(result.blocks, grids):
         shape = (blk.n, blk.n, blk.D.degree)
-        try:
-            cells = np.asarray(grid, dtype=np.int64)
-        except ValueError:  # ragged grid
-            cells = None
-        if cells is None or cells.shape != shape:
-            raise ShapeMismatch(f"block {blk.index} grid is not {shape[0]}x"
-                                f"{shape[1]} entries of length {shape[2]}")
+        cells = doc_array(grid, shape, f"block {blk.index} grid", ShapeMismatch)
         flat.append(cells.reshape(-1) % result.p)
     return np.concatenate(flat)
 

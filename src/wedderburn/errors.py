@@ -112,7 +112,11 @@ class NonBijective(WedderburnError):
 
 
 class ShapeMismatch(WedderburnError):
-    """Block-matrix operands do not match the decomposition layout."""
+    """Block-matrix operands do not match the decomposition layout.
+
+    Raised for a wrong number of blocks, a ragged or misshapen grid, and
+    grid entries that are not integers (never truncated).
+    """
 
 
 class InvalidCayley(WedderburnError):

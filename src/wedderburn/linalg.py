@@ -181,51 +181,89 @@ def min_poly(M, p):
     raise AssertionError("minimal polynomial search exceeded the dimension bound")
 
 
-def char_poly(M, p):
-    """Characteristic polynomial det(T*I - M), lowest-first, monic.
+def _inv_mod(t, p):
+    """Elementwise t^(p-2) mod p: the inverse of each nonzero entry, 0 for 0."""
+    out = np.ones_like(t)
+    base = t % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
-    Hessenberg reduction by exact similarity transformations, then the
-    determinant recurrence along the last column.  Works in any odd
-    characteristic (no division by integer constants).
+
+def _reduce_in_place(X, p):
+    """X %= p, written with floor division: numpy divides an int64 array by
+    a scalar several times faster than it takes the remainder."""
+    X -= X // p * p
+
+
+def _stack_matvec(X, v, p):
+    """Exact X @ v mod p over a stack: X (b, r, k), v (b, k) -> (b, r).
+
+    Entries are reduced.  While k (p-1)^2 stays under the int64 bound the
+    products are summed as they are; beyond it each product is reduced
+    first, so the sum holds k terms below p.
     """
-    H = as_mod_array(M, p).copy()
-    n = H.shape[0]
-    if H.shape != (n, n):
-        raise ValueError("char_poly expects a square matrix")
-    if n == 0:
-        return np.array([1], dtype=np.int64)
+    if X.shape[-1] * (p - 1) * (p - 1) < _INT64_SAFE:
+        return np.matmul(X, v[:, :, None])[:, :, 0] % p
+    return ((X * v[:, None, :]) % p).sum(axis=2) % p
+
+
+def char_poly(M, p):
+    """Characteristic polynomials det(T*I - M) of a stack of square matrices.
+
+    M has shape (..., n, n); the result has shape (..., n + 1), each row
+    lowest-first and monic.  A single matrix is a stack of one.  Hessenberg
+    reduction by exact similarity transformations, applied to the whole
+    stack one column at a time, then the determinant recurrence along the
+    last column.  Works in any odd characteristic (no division by integer
+    constants).
+    """
+    H = as_mod_array(M, p)
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+        raise ValueError("char_poly expects a stack of square matrices")
+    lead, n = H.shape[:-2], H.shape[-1]
+    b = int(np.prod(lead, dtype=np.int64))
+    H = H.reshape(b, n, n)
     for j in range(n - 2):
-        piv_row = -1
-        for i in range(j + 1, n):
-            if H[i, j] != 0:
-                piv_row = i
-                break
-        if piv_row == -1:
+        # first nonzero entry below the subdiagonal position (j+1, j); a
+        # matrix with none there gets piv = j + 1 and a zero multiplier
+        piv = j + 1 + np.argmax(H[:, j + 1:, j] != 0, axis=1)
+        moved = np.nonzero(piv != j + 1)[0]
+        if moved.size:
+            q = piv[moved]
+            H[moved, j + 1], H[moved, q] = H[moved, q], H[moved, j + 1]
+            H[moved, :, j + 1], H[moved, :, q] = H[moved, :, q], H[moved, :, j + 1]
+        u = H[:, j + 2:, j] * _inv_mod(H[:, j + 1, j], p)[:, None] % p
+        if not u.any():
             continue
-        if piv_row != j + 1:
-            H[[j + 1, piv_row]] = H[[piv_row, j + 1]]
-            H[:, [j + 1, piv_row]] = H[:, [piv_row, j + 1]]
-        tinv = pow(int(H[j + 1, j]), p - 2, p)
-        for i in range(j + 2, n):
-            u = int(H[i, j]) * tinv % p
-            if u:
-                H[i] = (H[i] - u * H[j + 1]) % p
-                H[:, j + 1] = (H[:, j + 1] + u * H[:, i]) % p
+        # rows i > j+1 lose u_i times row j+1, then column j+1 gains
+        # u_i times column i: one similarity.  Row j+1 is zero left of
+        # column j, so the row update starts there.
+        rows = H[:, j + 2:, j:]
+        rows -= u[:, :, None] * H[:, None, j + 1, j:]
+        _reduce_in_place(rows, p)
+        H[:, :, j + 1] += _stack_matvec(H[:, :, j + 2:], u, p)
+        _reduce_in_place(H[:, :, j + 1], p)
     # p_m(T) = (T - H[m-1,m-1]) p_{m-1}
     #          - sum_i H[i-1,m-1] * (prod of subdiagonals below row i) p_{i-1}
-    polys = [np.array([1], dtype=np.int64)]
+    polys = np.zeros((b, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    sub = np.zeros((b, 0), dtype=np.int64)  # sub[:, i-1] = prod_{k=i}^{m-1} H[k,k-1]
     for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = np.zeros(m + 1, dtype=np.int64)
-        cur[1:] = prev
-        cur[:-1] = (cur[:-1] - int(H[m - 1, m - 1]) * prev) % p
+        prev = polys[:, m - 1, :m]
+        cur = polys[:, m, : m + 1]
+        cur[:, 1:] = prev
+        cur[:, :-1] -= H[:, m - 1, m - 1, None] * prev % p
+        if m > 1:
+            sub = np.concatenate([sub, np.ones((b, 1), dtype=np.int64)], axis=1)
+            sub = sub * H[:, m - 1, m - 2, None] % p
+            coef = H[:, : m - 1, m - 1] * sub % p
+            cur[:, : m - 1] -= _stack_matvec(
+                polys[:, : m - 1, : m - 1].transpose(0, 2, 1), coef, p
+            )
         cur %= p
-        subprod = 1
-        for i in range(m - 1, 0, -1):
-            subprod = subprod * int(H[i, i - 1]) % p
-            coef = int(H[i - 1, m - 1]) * subprod % p
-            if coef:
-                pi = polys[i - 1]
-                cur[: len(pi)] = (cur[: len(pi)] - coef * pi) % p
-        polys.append(cur)
-    return polys[n]
+    return polys[:, n].reshape(lead + (n + 1,))

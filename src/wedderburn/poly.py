@@ -62,7 +62,14 @@ def sub(a, b, p):
 def mul(a, b, p):
     if is_zero(a) or is_zero(b):
         return np.zeros(1, dtype=np.int64)
-    return normalize(np.convolve(a, b) % p, p)
+    if min(len(a), len(b)) * (p - 1) ** 2 < 2**63:
+        return normalize(np.convolve(a, b) % p, p)
+    # one int64 convolution sum would overflow: split a into 16-bit limbs,
+    # so each sum holds products below 2^47 (exact for < 2^16 terms)
+    a = np.asarray(a, dtype=np.int64) % p
+    b = np.asarray(b, dtype=np.int64) % p
+    high = np.convolve(a >> 16, b) % p
+    return normalize((high * 2**16 + np.convolve(a & 0xFFFF, b)) % p, p)
 
 
 def scalar_mul(k, a, p):

@@ -16,6 +16,14 @@ step has to be taken on faith:
 
 If the explicit check ever failed the input would be refused rather than
 guessed at.  For p > dim the chain is the single trace-form stage.
+
+A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
+the current basis.  It is computed in bulk: one matmul_mod gives the left
+multiplication matrices of all m basis elements, one 2-D matmul_mod per run
+of pairs (s, t..t') gives their products, and the pairs go through
+linalg.char_poly as stacks of at most _CHUNK_ENTRIES entries, so a stage
+makes one char_poly call per chunk and its memory does not grow with m^2.
+The explicit ideal and nilpotency checks use Algebra.products.
 """
 
 from dataclasses import dataclass, field
@@ -44,17 +52,41 @@ class RadicalReport:
         return self.rows.shape[0] == 0
 
 
+# int64 entries of one stack of pair products (8 MB); char_poly's temporaries
+# are a few times that, whatever the number of pairs
+_CHUNK_ENTRIES = 2**20
+
+
 def _char_coeff_form(A, rows, k):
-    """Gram matrix of (x, y) -> c_k(xy) on the span of the given rows."""
-    m = rows.shape[0]
-    n = A.dim
-    lmats = [A.lmat(rows[s]) for s in range(m)]
+    """Gram matrix of (x, y) -> c_k(xy) on the span of the given rows.
+
+    L_{xy} = L_x L_y has the characteristic polynomial of its transpose
+    L_y^T L_x^T, and row block s of T below is L_{x_s}^T, so each pair
+    (s, t >= s) is one block of a 2-D product T[t-block rows] @ T[s-block].
+    The pairs are taken in chunks and each chunk is one stacked char_poly.
+    """
+    m, n, p = rows.shape[0], A.dim, A.p
+    T = linalg.matmul_mod(rows, A._ltable, p, reduce_b=False).reshape(m * n, n)
+    su, tu = np.triu_indices(m)
+    coeffs = np.empty(su.size, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, su.size, step):
+        hi = min(lo + step, su.size)
+        stack = np.empty((hi - lo, n, n), dtype=np.int64)
+        pos = lo
+        while pos < hi:
+            # the pairs (s, t), (s, t+1), ... that fall into this chunk
+            s, t = int(su[pos]), int(tu[pos])
+            cnt = min(hi - pos, m - t)
+            stack[pos - lo : pos - lo + cnt] = linalg.matmul_mod(
+                T[t * n : (t + cnt) * n], T[s * n : (s + 1) * n], p,
+                reduce_a=False, reduce_b=False,
+            ).reshape(cnt, n, n)
+            pos += cnt
+        coeffs[lo:hi] = linalg.char_poly(stack, p)[:, n - k]
     B = np.zeros((m, m), dtype=np.int64)
-    for s in range(m):
-        for t in range(s, m):
-            prod = linalg.matmul_mod(lmats[s], lmats[t], A.p)
-            chi = linalg.char_poly(prod, A.p)
-            B[s, t] = B[t, s] = int(chi[n - k])
+    B[su, tu] = coeffs
+    B[tu, su] = coeffs
     return B
 
 
@@ -93,13 +125,12 @@ def _reduce_against(basis_rref, pivots, V, p):
 def _verify_two_sided_ideal(A, rows):
     R, pivots = linalg.rref(rows, A.p)
     R = R[: len(pivots)]
-    prods = []
-    for i in range(A.dim):
-        b = A.basis_vec(i)
-        L, Rm = A.lmat(b), A.rmat(b)
-        prods.append(linalg.matmul_mod(L, rows.T, A.p).T)
-        prods.append(linalg.matmul_mod(Rm, rows.T, A.p).T)
-    residue = _reduce_against(R, pivots, np.concatenate(prods), A.p)
+    basis = np.eye(A.dim, dtype=np.int64)
+    prods = np.concatenate([
+        A.products(basis, rows).reshape(-1, A.dim),  # b_i * r
+        A.products(rows, basis).reshape(-1, A.dim),  # r * b_i
+    ])
+    residue = _reduce_against(R, pivots, prods, A.p)
     return not residue.any()
 
 
@@ -107,11 +138,9 @@ def _verify_nilpotent(A, rows):
     """Least m with span^m = 0, or None if the chain fails to shrink."""
     cur = rows
     for m in range(2, A.dim + 2):
-        prods = np.concatenate(
-            [linalg.matmul_mod(A.lmat(cur[s]), rows.T, A.p).T
-             for s in range(cur.shape[0])]
+        nxt = linalg.row_space_basis(
+            A.products(cur, rows).reshape(-1, A.dim), A.p
         )
-        nxt = linalg.row_space_basis(prods, A.p)
         if nxt.shape[0] == 0:
             return m
         if nxt.shape[0] >= cur.shape[0]:

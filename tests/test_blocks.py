@@ -257,6 +257,30 @@ def test_flatten_unflatten_round_trip():
         flatten(res, [[[np.zeros(1, dtype=int)]]])  # one block missing
 
 
+def test_flatten_refuses_non_integer_cells():
+    res = full_isomorphism(c3(), seed=0)
+    assert [(b.n, b.D.degree) for b in res.blocks] == [(1, 1), (1, 2)]
+    # once truncated silently to [1, 2, 0]
+    with pytest.raises(ShapeMismatch, match="block 0 grid must hold integers"):
+        flatten(res, [[[[1.7]]], [[[2.9, 0.5]]]])
+    with pytest.raises(ShapeMismatch, match="block 1 grid must hold integers"):
+        flatten(res, [[[[1]]], [[["2", "0"]]]])
+    with pytest.raises(ShapeMismatch):
+        target_multiply(res, [[[[1]]], [[[2.5, 0]]]], [[[[1]]], [[[1, 0]]]])
+    assert flatten(res, [[[[1]]], [[[7, -1]]]]).tolist() == [1, 2, 4]
+
+
+def test_round_trip_at_the_largest_modulus():
+    # p = 2^31 - 1: the polynomial products of the splitting stage need
+    # more than one int64 convolution pass there
+    p = 2**31 - 1
+    spec = [(3, 1), (2, 2), (1, 3)]
+    A, _ = scramble(build_planted(spec, p).algebra, seed=0)
+    res = full_isomorphism(A, seed=0)
+    assert sorted((b.n, b.D.degree) for b in res.blocks) == sorted(spec)
+    assert verify_isomorphism(A, res).passed
+
+
 def test_codomain_is_associative_and_verifies():
     from wedderburn import make_presentation
 

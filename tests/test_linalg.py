@@ -97,6 +97,59 @@ def test_char_poly_against_sympy():
             assert got == want, (p, M.tolist())
 
 
+def sympy_char_poly(M, p):
+    sympy = pytest.importorskip("sympy")
+    if len(M) == 0:
+        return [1]
+    coeffs = sympy.Matrix([[int(x) for x in row] for row in M]).charpoly().all_coeffs()
+    return [int(c) % p for c in reversed(coeffs)]
+
+
+def hessenberg_stress_stack(rng, n, p):
+    """Random matrices plus ones whose reduction needs a row swap (first
+    subdiagonal entry zero, a nonzero further down) or skips a column
+    (nothing below the subdiagonal to eliminate with)."""
+    def rand(q=p):
+        return random_matrix(rng, n, n, q).reshape(n, n)
+
+    swap = rand()
+    if n >= 3:
+        swap[1, 0] = 0
+        swap[n - 1, 0] = rng.randrange(1, p)
+    upper = np.triu(rand())  # every column skipped
+    sparse = rand() * (rand(4) == 0)
+    zero = np.zeros((n, n), dtype=np.int64)
+    return np.array([rand(), rand(), rand(), swap, upper, sparse, zero])
+
+
+@pytest.mark.parametrize("p", [3, 5, 97, 2**31 - 1])
+def test_char_poly_stack_against_sympy(p):
+    import random
+
+    rng = random.Random(p)
+    for n in (0, 1, 2, 3, 4, 6):
+        stack = hessenberg_stress_stack(rng, n, p)
+        before = stack.copy()
+        got = char_poly(stack, p)
+        assert np.array_equal(stack, before)  # reduced on a copy
+        assert got.shape == (7, n + 1)
+        for M, row in zip(stack, got):
+            assert row.tolist() == sympy_char_poly(M, p), (p, M.tolist())
+            # a single matrix is a stack of one: same answer
+            assert char_poly(M, p).tolist() == row.tolist()
+        # leading stack axes are kept
+        assert char_poly(stack[:6].reshape(2, 3, n, n), p).tolist() == (
+            got[:6].reshape(2, 3, n + 1).tolist()
+        )
+
+
+def test_char_poly_rejects_non_square():
+    with pytest.raises(ValueError):
+        char_poly(np.zeros((2, 3)), 5)
+    with pytest.raises(ValueError):
+        char_poly(np.zeros(3), 5)
+
+
 # -- randomized oracle checks --------------------------------------------
 
 

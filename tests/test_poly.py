@@ -205,10 +205,52 @@ def test_factor_matches_oracle_randomly():
 
 
 def test_factor_large_prime_uses_probe_path():
-    # p = 101 exceeds the deterministic scan bound, exercising the
-    # randomized fixed-vector probe; result still exact and canonical
+    # p = 101 is still under the scan bound poly._SCAN_LIMIT = 257, so this
+    # splits by the exhaustive gcd(v - c, f) scan over F_p; the probe itself
+    # is covered by test_factor_above_scan_limit_runs_the_probe
     f = poly.mul(np.array([7, 1]), np.array([90, 1]), 101)
     assert berlekamp_multiset(f.tolist(), 101) == [((7, 1), 1), ((90, 1), 1)]
+
+
+def test_factor_above_scan_limit_runs_the_probe(monkeypatch):
+    p = 65537
+    assert p > poly._SCAN_LIMIT
+    # (T + 3)(T + 10)^2 (T^2 - 3): 3 generates F_65537^*, so it is a
+    # non-residue and T^2 - 3 is irreducible
+    f = np.array([1])
+    for g in ([3, 1], [10, 1], [10, 1], [p - 3, 0, 1]):
+        f = poly.mul(f, np.array(g), p)
+    exponents = []
+    real_pow_mod = poly.pow_mod
+
+    def counting_pow_mod(base, e, modulus, q):
+        exponents.append(e)
+        return real_pow_mod(base, e, modulus, q)
+
+    monkeypatch.setattr(poly, "pow_mod", counting_pow_mod)
+    assert berlekamp_multiset(f.tolist(), p) == [
+        ((3, 1), 1), ((10, 1), 2), ((p - 3, 0, 1), 1)
+    ]
+    # the quadratic-residue probe raises to (p - 1) / 2; the scan never does
+    assert exponents.count((p - 1) // 2) >= 1
+
+
+def test_mul_is_exact_at_the_largest_modulus():
+    p = 2**31 - 1
+    rng = random.Random(31)
+    for la, lb in [(1, 1), (2, 3), (6, 6), (9, 4), (40, 17)]:
+        a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
+        want = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] = (want[i + j] + x * y) % p
+        got = poly.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.tolist() == want, (la, lb)
+    # all-maximal coefficients: every convolution sum is as large as it gets
+    top = np.full(8, p - 1, dtype=np.int64)
+    want = [((k + 1 if k < 8 else 15 - k) * (p - 1) ** 2) % p for k in range(15)]
+    assert poly.mul(top, top, p).tolist() == want
 
 
 def test_squarefree_decomposition_reassembles():

@@ -109,3 +109,84 @@ def test_q8_at_p3_is_semisimple():
 def test_report_caches():
     A = triangular3()
     assert radical_report(A) is radical_report(A)
+
+
+def count_char_poly_calls(monkeypatch):
+    from wedderburn import linalg
+
+    calls = []
+    real = linalg.char_poly
+
+    def counting(M, p):
+        calls.append(M.shape)
+        return real(M, p)
+
+    monkeypatch.setattr(linalg, "char_poly", counting)
+    return calls
+
+
+def test_scrambled_m6_over_f3_is_semisimple(monkeypatch):
+    # 3 | 6 kills the trace form, so the c_3 stage alone proves semisimplicity
+    A, _ = scramble(matrix_algebra(3, 6).algebra, seed=5)
+    calls = count_char_poly_calls(monkeypatch)
+    rep = radical_report(A)
+    assert rep.is_semisimple
+    assert rep.stage_dims == [36, 0]
+    # all 36 * 37 / 2 pairs of the stage in one stacked call, not one per pair
+    assert calls == [(666, 36, 36)]
+
+
+def m3_plus_f3c3():
+    parts = [matrix_algebra(3, 3).algebra, group_algebra(cayley_fixture("C3"), 3)]
+    return scramble(direct_sum(parts), seed=7)[0]
+
+
+def test_scrambled_m3_plus_f3c3_is_rejected_with_its_radical(monkeypatch):
+    A = m3_plus_f3c3()
+    calls = count_char_poly_calls(monkeypatch)
+    rep = radical_report(A)
+    assert rep.rows.shape == (2, 12)
+    assert rep.stage_dims == [12, 2, 2]
+    # the augmentation ideal of F_3[C3] squares to its cube, which is zero
+    assert rep.nilpotency_index == 3
+    for row in rep.rows:
+        assert is_nilpotent_oracle(A, row)
+    # one call per chain stage past the trace form (c_3, then c_9)
+    assert [shape[0] for shape in calls] == [78, 3]
+    with pytest.raises(NotSemisimple) as info:
+        require_semisimple(A)
+    assert len(info.value.radical_basis) == 2
+
+
+def test_char_coeff_stage_is_chunked_and_chunking_is_invisible(monkeypatch):
+    from wedderburn import radical
+
+    want = radical_report(m3_plus_f3c3())
+    # room for 10 pair products of 12 x 12 per chunk
+    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", 10 * 12 * 12)
+    calls = count_char_poly_calls(monkeypatch)
+    got = radical_report(m3_plus_f3c3())
+    assert got.rows.tolist() == want.rows.tolist()
+    assert got.stage_dims == want.stage_dims
+    assert got.nilpotency_index == want.nilpotency_index
+    # 78 pairs at stage c_3 in chunks of 10, then the 3 pairs of stage c_9
+    assert [shape[0] for shape in calls] == [10] * 7 + [8, 3]
+
+
+@pytest.mark.parametrize("chunk_entries", [2**20, 7 * 12 * 12])
+def test_char_coeff_form_matches_the_pairwise_definition(monkeypatch, chunk_entries):
+    from wedderburn import linalg, radical
+
+    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", chunk_entries)
+    A = m3_plus_f3c3()
+    n, p = A.dim, A.p
+    rows = np.random.default_rng(3).integers(0, p, size=(6, n))
+    for k in (3, 9):
+        # B[s, t] = coefficient of T^(n-k) in det(T - L_{x_s} L_{x_t})
+        want = [
+            [int(linalg.char_poly(
+                linalg.matmul_mod(A.lmat(x), A.lmat(y), p), p)[n - k])
+             for y in rows]
+            for x in rows
+        ]
+        assert radical._char_coeff_form(A, rows, k).tolist() == want
