@@ -1,10 +1,13 @@
 """Associative F_p-algebras presented by structure constants.
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
-constructor checks associativity (as two flattened matrix products, not a
-five-fold loop) and locates the two-sided identity, so every Algebra in
-circulation is genuinely an associative unital algebra.
+constructor checks associativity (as two flattened matrix products, taken a
+block of the first index at a time, not a five-fold loop) and locates the
+two-sided identity, so every Algebra in circulation is genuinely an
+associative unital algebra.
 """
+
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +22,12 @@ from .errors import (
     ParentMismatch,
 )
 from .field import check_modulus
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+# int64 entries of one block of the associativity check (1 MB per side;
+# blocks that fit in cache beat larger ones at every p measured)
+_CHECK_ENTRIES = 2**17
 
 
 class Algebra:
@@ -61,23 +70,31 @@ class Algebra:
     # -- construction checks ------------------------------------------------
 
     def _check_associativity(self):
+        """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
+
+        Row block i of flat_left times the left table gives the coordinates
+        of (b_i b_j) b_k; flat_left times column block i of the right table
+        gives those of b_i (b_j b_k).  Each block holds at most about
+        _CHECK_ENTRIES of the n^4 entries, so memory stays O(n^3), and the
+        blocks go in order of i, so the witness is the first failing triple.
+        """
         n, p = self.dim, self.p
         if n == 0:
             return
-        flat_left = self.sc.reshape(n * n, n)
-        flat_right = self.sc.reshape(n, n * n)
-        # lhs[(i,j),(k,l)] = sum_m c[i,j,m] c[m,k,l]
-        lhs = linalg.matmul_mod(flat_left, flat_right, p).reshape(n, n, n, n)
-        # rhs0[(j,k),(i,l)] = sum_m c[j,k,m] c[i,m,l]
-        mid = np.ascontiguousarray(self.sc.transpose(1, 0, 2)).reshape(n, n * n)
-        rhs = (
-            linalg.matmul_mod(flat_left, mid, p)
-            .reshape(n, n, n, n)
-            .transpose(2, 0, 1, 3)
-        )
-        if not np.array_equal(lhs, rhs):
-            i, j, k, _ = np.argwhere(lhs != rhs)[0]
-            raise NotAssociative((int(i), int(j), int(k)))
+        flat_left = linalg.Operand(self.sc.reshape(n * n, n), p)
+        step = max(1, _CHECK_ENTRIES // n**3)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # lhs[i, j, k, l] = sum_m c[i,j,m] c[m,k,l]
+            lhs = linalg.matmul_mod(flat_left[lo * n : hi * n], self._ltable, p)
+            lhs = lhs.reshape(hi - lo, n, n, n)
+            # rhs[j, k, i, l] = sum_m c[j,k,m] c[i,m,l]
+            rhs = linalg.matmul_mod(
+                flat_left, self._rtable[:, lo * n : hi * n], p
+            ).reshape(n, n, hi - lo, n).transpose(2, 0, 1, 3)
+            if not np.array_equal(lhs, rhs):
+                i, j, k, _ = np.argwhere(lhs != rhs)[0]
+                raise NotAssociative((int(lo + i), int(j), int(k)))
 
     def _identity_system(self):
         n = self.dim
@@ -118,29 +135,29 @@ class Algebra:
         X = linalg.as_mod_array(X, p)
         kx = X.shape[0]
         # left[j, (i, k)] = coordinate k of X[i] * b_j
-        left = linalg.matmul_mod(X, self._ltable, p, reduce_b=False)
+        left = linalg.matmul_mod(X, self._ltable, p)
         left = left.reshape(kx, n, n).transpose(1, 0, 2).reshape(n, kx * n)
-        out = linalg.matmul_mod(Y, left, p, reduce_b=False)
+        out = linalg.matmul_mod(Y, left, p)
         return out.reshape(-1, kx, n).transpose(1, 0, 2)
 
     @property
     def _ltable(self):
-        # row i holds the flattened matrix of left multiplication by b_i;
-        # sc is stored reduced, so the view stays reduced
+        # row i holds the flattened matrix of left multiplication by b_i
         table = getattr(self, "_ltable_cache", None)
         if table is None:
             n = self.dim
-            table = self.sc.reshape(n, n * n)
+            table = linalg.Operand(self.sc.reshape(n, n * n), self.p)
             self._ltable_cache = table
         return table
 
     @property
     def _rtable(self):
+        # row i holds the flattened matrix of right multiplication by b_i
         table = getattr(self, "_rtable_cache", None)
         if table is None:
             n = self.dim
-            table = np.ascontiguousarray(self.sc.transpose(1, 0, 2)).reshape(
-                n, n * n
+            table = linalg.Operand(
+                self.sc.transpose(1, 0, 2).reshape(n, n * n), self.p
             )
             self._rtable_cache = table
         return table
@@ -148,15 +165,13 @@ class Algebra:
     def lmat(self, x):
         """Matrix of left multiplication by x; column j is x*b_j."""
         n = self.dim
-        flat = linalg.matmul_mod(x[None, :], self._ltable, self.p,
-                                 reduce_b=False)
+        flat = linalg.matmul_mod(x[None, :], self._ltable, self.p)
         return np.ascontiguousarray(flat.reshape(n, n).T)
 
     def rmat(self, y):
         """Matrix of right multiplication by y; column i is b_i*y."""
         n = self.dim
-        flat = linalg.matmul_mod(y[None, :], self._rtable, self.p,
-                                 reduce_b=False)
+        flat = linalg.matmul_mod(y[None, :], self._rtable, self.p)
         return np.ascontiguousarray(flat.reshape(n, n).T)
 
     def pow_vec(self, x, k):
@@ -328,6 +343,13 @@ def doc_array(x, shape, what, error=InvalidDocument):
     ):
         want = tuple("*" if n is None else n for n in shape)
         raise error(f"{what} has shape {arr.shape}, expected {want}")
+    if arr.ndim and arr.size and not isinstance(x, np.ndarray):
+        # numpy reads [1, true] as the integers [1, 1]: look at the leaves
+        leaves = x
+        for _ in range(arr.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
+            raise error(f"{what} must hold integers, not booleans")
     return arr.astype(np.int64)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 failed verification; 2 not semisimple (radical
 printed); 3 unsupported characteristic; 4 invalid input (including argument
-errors); 5 split iteration cap exhausted (retry with another seed).
+errors); 5 split iteration cap exhausted (retry with another seed); 6 an
+internal invariant failed (a bug, not bad input).
 All randomized behavior is a pure function of (input, seed); structured
 output is canonical JSON, byte-identical across runs.
 """
@@ -14,6 +15,7 @@ import sys
 
 from . import algebra, blocks, generators
 from .errors import (
+    InternalInvariantViolation,
     InvalidCayley,
     InvalidDocument,
     ModulusMismatch,
@@ -32,6 +34,7 @@ EXIT_NOT_SEMISIMPLE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INVALID_INPUT = 4
 EXIT_SPLIT_CAP = 5
+EXIT_INTERNAL = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,6 +239,9 @@ def main(argv=None):
     except SplitIterationCapExceeded as exc:
         print(f"{exc}; retry with a different --seed", file=sys.stderr)
         return EXIT_SPLIT_CAP
+    except InternalInvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InvalidDocument, InvalidCayley, NotPrime, NotAssociative,
             NoIdentity, ReduciblePolynomial, ModulusMismatch,
             OSError, ValueError) as exc:

@@ -135,5 +135,13 @@ class InternalSamplingFailure(WedderburnError):
     """Rejection sampling failed to find an invertible matrix within its cap."""
 
 
+class InternalInvariantViolation(WedderburnError):
+    """A result the algorithm guarantees failed its own check: a bug, not bad input.
+
+    Checked with a real test, not an assert, so it survives python -O; the
+    command line exits 6 on it.
+    """
+
+
 class InvalidDocument(WedderburnError):
     """A serialized algebra/report/Cayley document is malformed."""

@@ -4,26 +4,58 @@ Scalars are plain ints in [0, p); bulk arithmetic lives in the numpy
 kernels of `linalg`, not here.
 """
 
+from functools import lru_cache
+
 from .errors import NotPrime, UnsupportedCharacteristic
 
-# Largest modulus the exact int64 matmul kernels accept: n*(p-1)^2 must stay
-# below 2^62 for any dimension n we allow, so cap p itself well under 2^31.
+# Largest modulus the exact kernels accept: matmul_mod splits entries below
+# 2^31 into 16-bit limbs (the high one under 2^15), and the int64 sums in
+# char_poly and poly.mul bound products of residues by (p-1)^2 < 2^62.
 MAX_MODULUS = 2**31 - 1
 
 
+# Miller-Rabin with these bases is exact below this bound (3215031751 itself
+# is the first composite that passes all four), which exceeds MAX_MODULUS
+_MR_BASES = (2, 3, 5, 7)
+_MR_EXACT_BELOW = 3215031751
+
+
+@lru_cache(maxsize=1024)
 def is_prime(n):
-    """Deterministic primality check by trial division (moduli are small)."""
+    """Deterministic primality check.
+
+    Miller-Rabin with bases 2, 3, 5, 7 below _MR_EXACT_BELOW, trial division
+    above it.  Cached: every Algebra constructor checks its modulus.
+    """
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_EXACT_BELOW:
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

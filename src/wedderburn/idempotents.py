@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg, poly, radical
 from .algebra import Element, Subalgebra
 from .errors import (
+    InternalInvariantViolation,
     NotIdempotent,
     NotSemisimpleContext,
     OrthogonalityViolation,
@@ -149,9 +150,12 @@ def _coprime_split(B, x, g, h):
     """
     _, s, t = poly.bezout(g, h, B.p)
     eps = _eval_in(B, poly.mul(s, g, B.p), x)
-    assert np.array_equal(B.mul_vec(eps, eps), eps), "split produced a non-idempotent"
-    assert eps.any(), "split produced zero"
-    assert not np.array_equal(eps, B.one), "split produced the whole identity"
+    if not np.array_equal(B.mul_vec(eps, eps), eps):
+        raise InternalInvariantViolation("split produced a non-idempotent")
+    if not eps.any():
+        raise InternalInvariantViolation("split produced zero")
+    if np.array_equal(eps, B.one):
+        raise InternalInvariantViolation("split produced the whole identity")
     return eps
 
 
@@ -192,12 +196,16 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
             if linalg.rank(np.stack([one_Z, row]), p) == 2:
                 v = row
                 break
-        assert v is not None, "fixed space exceeds the scalar line but no witness"
+        if v is None:
+            raise InternalInvariantViolation(
+                "fixed space exceeds the scalar line but no witness"
+            )
         m = Z_sub.algebra.min_poly_vec(v)
         factors = poly.berlekamp_factor(m, p)
-        assert len(factors) >= 2 and all(mult == 1 for _, mult in factors), (
-            "central fixed vector has a non-split minimal polynomial"
-        )
+        if len(factors) < 2 or any(mult != 1 for _, mult in factors):
+            raise InternalInvariantViolation(
+                "central fixed vector has a non-split minimal polynomial"
+            )
         g = factors[0][0]
         h = poly.exact_div(m, g, p)
         eps_z = _coprime_split(Z_sub.algebra, v, g, h)

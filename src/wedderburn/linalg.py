@@ -5,6 +5,8 @@ All matrices carry canonical representatives in [0, p).
 
 import numpy as np
 
+from .errors import InternalInvariantViolation
+
 
 def as_mod_array(data, p):
     """Copy data into a C-contiguous int64 array reduced mod p."""
@@ -120,31 +122,100 @@ def inverse(M, p):
 # float64 products are exact while the inner-product bound stays under 2^53
 _FLOAT_SAFE = 2**53
 _INT64_SAFE = 2**62
+# entries below 2^31 split into 16-bit limbs hi < 2^15, lo < 2^16; the
+# largest limb product sum, (hi + lo)(hi' + lo') < (3 * 2^15)^2 per term,
+# stays exact over this many terms
+_LIMB_SLICE = 2**19
 
 
-def matmul_mod(A, B, p, reduce_a=True, reduce_b=True):
-    """Exact A @ B mod p, routed through BLAS when the bound permits.
+class Operand:
+    """A matrix reduced mod p, with the float64 copies matmul_mod feeds BLAS.
 
-    reduce_a/reduce_b=False skip the input normalization; the caller then
-    guarantees the operand is already int64 and reduced mod p (used for
-    cached multiplication tables on the hot path).
+    matmul_mod wraps a plain array in a fresh Operand on every call; keeping
+    one for a matrix used again and again (a multiplication table) converts
+    it once.  Indexing gives a view whose copies are views of these.
     """
-    A = as_mod_array(A, p) if reduce_a else A
-    B = as_mod_array(B, p) if reduce_b else B
-    if A.ndim != 2 or B.ndim != 2:
+
+    __slots__ = ("p", "ints", "shape", "_parts", "_base")
+
+    def __init__(self, M, p):
+        self.p = p
+        self.ints = _reduced(M, p)
+        self.shape = self.ints.shape
+        self._parts = {}
+        self._base = None
+
+    def __getitem__(self, index):
+        view = Operand.__new__(Operand)
+        view.p, view.ints = self.p, self.ints[index]
+        view.shape, view._parts, view._base = view.ints.shape, {}, (self, index)
+        return view
+
+    def parts(self, wide):
+        """(M,) as float64, or when wide the limbs (hi, lo, hi + lo)."""
+        got = self._parts.get(wide)
+        if got is None:
+            if self._base is not None:
+                base, index = self._base
+                got = tuple(x[index] for x in base.parts(wide))
+            elif wide:
+                hi, lo = self.ints >> 16, self.ints & 0xFFFF
+                got = tuple(x.astype(np.float64) for x in (hi, lo, hi + lo))
+            else:
+                got = (self.ints.astype(np.float64),)
+            self._parts[wide] = got
+        return got
+
+
+def _reduced(M, p):
+    """M itself when it is already an int64 array with entries in [0, p)."""
+    if (isinstance(M, np.ndarray) and M.dtype == np.int64
+            and (M.size == 0 or (M.min() >= 0 and M.max() < p))):
+        return M
+    return as_mod_array(M, p)
+
+
+def matmul_mod(A, B, p):
+    """Exact A @ B mod p on float64 BLAS, for any odd p < 2^31.
+
+    A and B are arrays (any integers; reduced here) or Operands.  While
+    K (p-1)^2 < 2^53 one float64 product is exact.  Beyond that both sides
+    are split into 16-bit limbs and each K-slice of at most _LIMB_SLICE
+    terms takes three exact products (Karatsuba), recombined mod p in int64.
+    """
+    A = A if isinstance(A, Operand) else Operand(A, p)
+    B = B if isinstance(B, Operand) else Operand(B, p)
+    if A.p != p or B.p != p:
+        raise ValueError("operand prepared for another modulus")
+    if len(A.shape) != 2 or len(B.shape) != 2:
         raise ValueError("matmul_mod expects 2-D operands")
     K = A.shape[1]
-    bound = (p - 1) * (p - 1)
-    if K * bound < _FLOAT_SAFE:
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return np.asarray(np.rint(C), dtype=np.int64) % p
-    chunk = max(1, _INT64_SAFE // bound)
-    if K <= chunk:
-        return (A @ B) % p
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for s in range(0, K, chunk):
-        acc = (acc + A[:, s : s + chunk] @ B[s : s + chunk, :]) % p
-    return acc
+    if K * (p - 1) * (p - 1) < _FLOAT_SAFE:
+        (a,), (b,) = A.parts(False), B.parts(False)
+        C = (a @ b).astype(np.int64)
+        _reduce_in_place(C, p)
+        return C
+    (ah, al, asum), (bh, bl, bsum) = A.parts(True), B.parts(True)
+    C = 0  # wide means K >= 1, so the loop runs
+    for s in range(0, K, _LIMB_SLICE):
+        k = slice(s, s + _LIMB_SLICE)
+        hh = ah[:, k] @ bh[k]
+        ll = al[:, k] @ bl[k]
+        cross = asum[:, k] @ bsum[k]
+        cross -= hh
+        cross -= ll
+        # C + hh 2^32 + cross 2^16 + ll by Horner; every int64 stays < 2^53
+        part = hh.astype(np.int64)
+        _reduce_in_place(part, p)
+        part <<= 16
+        part += cross.astype(np.int64)
+        _reduce_in_place(part, p)
+        part <<= 16
+        part += ll.astype(np.int64)
+        part += C
+        _reduce_in_place(part, p)
+        C = part
+    return C
 
 
 def min_poly(M, p):
@@ -178,7 +249,9 @@ def min_poly(M, p):
         combo = (combo * inv) % p
         stored.append((piv, v, combo))
         current = matmul_mod(current, M, p)
-    raise AssertionError("minimal polynomial search exceeded the dimension bound")
+    raise InternalInvariantViolation(
+        "minimal polynomial search exceeded the dimension bound"
+    )
 
 
 def _inv_mod(t, p):

@@ -10,7 +10,11 @@ import random
 
 import numpy as np
 
-from .errors import DivisionByZero, InternalSamplingFailure
+from .errors import (
+    DivisionByZero,
+    InternalInvariantViolation,
+    InternalSamplingFailure,
+)
 from .linalg import kernel as mat_kernel
 
 # exhaustive gcd(f, v - c) scan is used up to this modulus; beyond it the
@@ -98,7 +102,8 @@ def divmod_poly(a, b, p):
 
 def exact_div(a, b, p):
     q, r = divmod_poly(a, b, p)
-    assert is_zero(r), "exact_div called on a non-divisor"
+    if not is_zero(r):
+        raise InternalInvariantViolation("exact_div called on a non-divisor")
     return q
 
 
@@ -168,7 +173,8 @@ def derivative(c, p):
 
 def pth_root(c, p):
     """p-th root of a polynomial in T^p (coefficients are Frobenius-fixed)."""
-    assert degree(c) == NEG_INF or degree(c) % p == 0
+    if degree(c) != NEG_INF and degree(c) % p:
+        raise InternalInvariantViolation("pth_root of a polynomial not in T^p")
     return normalize(c[::p], p)
 
 
@@ -216,7 +222,10 @@ def _split_squarefree(f, p, rng):
         if np.any(row[1:]):
             v = normalize(row, p)
             break
-    assert v is not None, "fixed space of dim > 1 must contain a non-constant"
+    if v is None:
+        raise InternalInvariantViolation(
+            "fixed space of dim > 1 must contain a non-constant"
+        )
     if p <= _SCAN_LIMIT:
         for c in range(p):
             g = gcd(sub(v, constant(c, p), p), f, p)
@@ -225,7 +234,9 @@ def _split_squarefree(f, p, rng):
                 return _split_squarefree(g, p, rng) + _split_squarefree(
                     exact_div(f, g, p), p, rng
                 )
-        raise AssertionError("scan over F_p failed to split a reducible input")
+        raise InternalInvariantViolation(
+            "scan over F_p failed to split a reducible input"
+        )
     for _ in range(_PROBE_CAP):
         shift = add(v, constant(rng.randrange(p), p), p)
         w = pow_mod(shift, (p - 1) // 2, f, p)
@@ -289,7 +300,10 @@ def berlekamp_factor(f, p):
         key=lambda fm: (len(fm[0]), tuple(int(x) for x in fm[0])),
     )
     for factor, _ in result:
-        assert is_irreducible(factor, p), "factorization produced a reducible part"
+        if not is_irreducible(factor, p):
+            raise InternalInvariantViolation(
+                "factorization produced a reducible part"
+            )
     return result
 
 
@@ -312,4 +326,6 @@ def find_irreducible(d, p):
                 break
             coeffs[i] = 0
         else:
-            raise AssertionError("no irreducible of the requested degree found")
+            raise InternalInvariantViolation(
+                "no irreducible of the requested degree found"
+            )

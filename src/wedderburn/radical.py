@@ -66,7 +66,7 @@ def _char_coeff_form(A, rows, k):
     The pairs are taken in chunks and each chunk is one stacked char_poly.
     """
     m, n, p = rows.shape[0], A.dim, A.p
-    T = linalg.matmul_mod(rows, A._ltable, p, reduce_b=False).reshape(m * n, n)
+    T = linalg.matmul_mod(rows, A._ltable, p).reshape(m * n, n)
     su, tu = np.triu_indices(m)
     coeffs = np.empty(su.size, dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (n * n))
@@ -79,8 +79,7 @@ def _char_coeff_form(A, rows, k):
             s, t = int(su[pos]), int(tu[pos])
             cnt = min(hi - pos, m - t)
             stack[pos - lo : pos - lo + cnt] = linalg.matmul_mod(
-                T[t * n : (t + cnt) * n], T[s * n : (s + 1) * n], p,
-                reduce_a=False, reduce_b=False,
+                T[t * n : (t + cnt) * n], T[s * n : (s + 1) * n], p
             ).reshape(cnt, n, n)
             pos += cnt
         coeffs[lo:hi] = linalg.char_poly(stack, p)[:, n - k]

@@ -1,8 +1,11 @@
 """Structure-constant presentations: validation, products, corners, documents."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wedderburn import algebra
 from wedderburn import (
     Algebra,
     cayley_fixture,
@@ -10,6 +13,7 @@ from wedderburn import (
     group_algebra,
     make_presentation,
     matrix_algebra,
+    scramble,
 )
 from wedderburn.errors import (
     InvalidDocument,
@@ -33,7 +37,8 @@ def oracle_mul(sc, x, y, p):
     return out
 
 
-def oracle_associative(sc, p):
+def oracle_first_failure(sc, p):
+    """First (i, j, k) in lexicographic order with (b_i b_j) b_k != b_i (b_j b_k)."""
     n = len(sc)
     basis = [[int(i == t) for t in range(n)] for i in range(n)]
     for i in range(n):
@@ -44,8 +49,12 @@ def oracle_associative(sc, p):
                 jk = oracle_mul(sc, basis[j], basis[k], p)
                 rhs = oracle_mul(sc, basis[i], jk, p)
                 if lhs != rhs:
-                    return False
-    return True
+                    return (i, j, k)
+    return None
+
+
+def oracle_associative(sc, p):
+    return oracle_first_failure(sc, p) is None
 
 
 def c3_algebra(p=5):
@@ -77,6 +86,36 @@ def test_rejects_non_associative_and_oracle_agrees():
     lhs = oracle_mul(sc.tolist(), oracle_mul(sc.tolist(), basis[i], basis[j], 7), basis[k], 7)
     rhs = oracle_mul(sc.tolist(), basis[i], oracle_mul(sc.tolist(), basis[j], basis[k], 7), 7)
     assert lhs != rhs
+
+
+@pytest.mark.parametrize("a", [0, 3, 5])
+def test_witness_is_first_failure_in_first_middle_and_last_block(monkeypatch, a):
+    # F_7^6 (b_i b_j = delta_ij b_i) with b_a b_b = b_a planted: every
+    # triple with i < a still associates, so the first failure has i = a
+    n, p, b = 6, 7, (a + 1) % 6
+    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc[range(n), range(n), range(n)] = 1
+    sc[a, b, a] = 1
+    want = oracle_first_failure(sc.tolist(), p)
+    assert want is not None and want[0] == a
+    # blocks {0, 1}, {2, 3}, {4, 5}: a = 0, 3, 5 fail in the first, middle
+    # (second row of the block) and last block
+    monkeypatch.setattr(algebra, "_CHECK_ENTRIES", 2 * n**3)
+    with pytest.raises(NotAssociative) as info:
+        make_presentation(p, sc)
+    assert info.value.witness == want
+
+
+def test_associativity_check_memory_is_cubic():
+    # dim 64: one n^4 int64 array alone would be 128 MiB
+    sc = matrix_algebra(97, 8).algebra.sc.copy()
+    tracemalloc.start()
+    try:
+        Algebra(97, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_accepted_presentations_pass_oracle():
@@ -119,6 +158,32 @@ def test_mul_matches_oracle():
             y = np.array([rng.randrange(A.p) for _ in range(A.dim)])
             want = oracle_mul(A.sc.tolist(), x.tolist(), y.tolist(), A.p)
             assert A.mul_vec(x, y).tolist() == want
+
+
+def test_products_at_the_largest_prime_match_oracle():
+    # scrambled entries fill [0, p), so every product takes the limb path
+    p = 2**31 - 1
+    A, _ = scramble(group_algebra(cayley_fixture("S3"), p), seed=4)
+    sc = A.sc.tolist()
+    rng = np.random.default_rng(2)
+    X = rng.integers(0, p, (3, A.dim))
+    Y = rng.integers(0, p, (2, A.dim))
+    for _ in range(2):  # the second round runs on the cached limb tables
+        for x in X:
+            L, R = A.lmat(x), A.rmat(x)
+            for j in range(A.dim):
+                e = [int(t == j) for t in range(A.dim)]
+                assert L[:, j].tolist() == oracle_mul(sc, x.tolist(), e, p)
+                assert R[:, j].tolist() == oracle_mul(sc, e, x.tolist(), p)
+            for y in Y:
+                want = oracle_mul(sc, x.tolist(), y.tolist(), p)
+                assert A.mul_vec(x, y).tolist() == want
+        prods = A.products(X, Y)
+        for s, x in enumerate(X):
+            for t, y in enumerate(Y):
+                assert prods[s, t].tolist() == oracle_mul(
+                    sc, x.tolist(), y.tolist(), p)
+    assert set(A._ltable._parts) == {True} and set(A._rtable._parts) == {True}
 
 
 def test_lmat_rmat_columns_are_products():

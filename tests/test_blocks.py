@@ -445,6 +445,10 @@ MALFORMED = {
     "blocks=5": ("report", ("blocks",), 5),
     "structure_constant=1.5": ("algebra", ("structure_constants", 0, 0, 0), 1.5),
     "identity=1.5": ("algebra", ("identity", 0), 1.5),
+    # numpy reads [1, true] as [1, 1]; the parser must see the boolean
+    "structure_constant=true": ("algebra", ("structure_constants", 0, 0, 0), True),
+    "identity=true": ("algebra", ("identity", 0), True),
+    "iso_matrix=true": ("report", ("iso_matrix", 0, 0), True),
 }
 
 

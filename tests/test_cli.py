@@ -101,6 +101,58 @@ def test_invalid_input_exit_4(tmp_path):
     assert run("gen", "matrix", "-n", "2", "-p", "5", "--scramble").returncode == 4
 
 
+def test_boolean_among_integers_exit_4(tmp_path, c3_doc):
+    rep = tmp_path / "rep.json"
+    assert run("decompose", str(c3_doc), "--format", "structured",
+               "-o", str(rep)).returncode == 0
+    docs = {"algebra": json.loads(c3_doc.read_text()),
+            "report": json.loads(rep.read_text())}
+    layout = docs["report"]["layout"]
+    row, col = next((r, c) for r in range(len(layout)) for c in range(4)
+                    if layout[r][c] == 1)
+    # each edited cell holds 1, so only its JSON type is wrong
+    for target, path in (("algebra", ("structure_constants", 0, 0, 0)),
+                         ("algebra", ("identity", 0)),
+                         ("report", ("layout", row, col))):
+        edited = json.loads(json.dumps(docs[target]))
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] == 1
+        node[path[-1]] = True
+        out = tmp_path / f"{target}.json"
+        out.write_text(json.dumps(edited))
+        alg = out if target == "algebra" else c3_doc
+        rpt = out if target == "report" else rep
+        v = run("verify", str(alg), str(rpt))
+        assert v.returncode == 4, path
+        assert "booleans" in v.stderr and "Traceback" not in v.stderr
+        if target == "algebra":
+            assert run("decompose", str(out)).returncode == 4
+
+
+# an impossible split: the coprime-factor idempotent comes out zero
+_BROKEN_SPLIT = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from wedderburn import cli, idempotents\n"
+    "idempotents._eval_in = lambda B, coeffs, x: np.zeros(B.dim, dtype=np.int64)\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_internal_invariant_violation_exit_6(c3_doc, flags):
+    # a typed check, not an assert: python -O must not strip it
+    r = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_SPLIT, "decompose", str(c3_doc)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 6
+    assert "internal error: split produced zero" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_split_cap_exit_5(tmp_path):
     m = tmp_path / "m.json"
     f25 = tmp_path / "f25.json"

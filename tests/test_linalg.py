@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wedderburn import linalg
 from wedderburn.linalg import (
     char_poly,
     inverse,
@@ -157,7 +158,7 @@ def test_matmul_matches_oracle_small_and_large_p():
     import random
 
     rng = random.Random(7)
-    for p in (5, 97, 2**31 - 1):  # last one forces the chunked path
+    for p in (5, 97, 2**31 - 1):  # last one forces the limb path
         for _ in range(5):
             A = random_matrix(rng, 3, 4, p)
             B = random_matrix(rng, 4, 2, p)
@@ -168,6 +169,66 @@ def test_matmul_handles_unreduced_inputs():
     A = np.array([[-1, 6]])
     B = np.array([[2], [7]])
     assert matmul_mod(A, B, 5).tolist() == oracle_matmul(A % 5, B % 5, 5)
+
+
+def int_oracle(A, B, p):
+    """A @ B mod p in Python integers (object arrays), any shape."""
+    A, B = np.asarray(A).astype(object), np.asarray(B).astype(object)
+    if A.shape[1] == 0:
+        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64).tolist()
+    return ((A @ B) % p).tolist()
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**30 + 3])
+@pytest.mark.parametrize("K", [1, 63, 64, 65, 257])
+def test_matmul_wide_primes_match_int_oracle(p, K):
+    rng = np.random.default_rng(K)
+    A = rng.integers(0, p, (5, K))
+    B = rng.integers(0, p, (K, 3))
+    # the largest residues make every limb product as big as it gets
+    A[0], B[:, 0] = p - 1, p - 1
+    assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
+    # unreduced and negative entries are reduced first
+    A2 = A - 3 * p * rng.integers(0, 2, A.shape)
+    B2 = B + p * rng.integers(0, 3, B.shape)
+    assert matmul_mod(A2, B2, p).tolist() == int_oracle(A, B, p)
+
+
+def test_matmul_zero_size_operands():
+    for p in (5, 2**31 - 1):
+        for m, k, n in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)):
+            C = matmul_mod(np.ones((m, k), dtype=np.int64),
+                           np.ones((k, n), dtype=np.int64), p)
+            assert C.shape == (m, n) and C.dtype == np.int64 and not C.any()
+
+
+def test_matmul_sums_limb_products_over_k_slices(monkeypatch):
+    # slices of 16 terms: K = 257 takes 17 slices, each recombined mod p
+    monkeypatch.setattr(linalg, "_LIMB_SLICE", 16)
+    p = 2**31 - 1
+    rng = np.random.default_rng(3)
+    for K in (15, 16, 17, 257):
+        A = rng.integers(0, p, (4, K))
+        B = rng.integers(0, p, (K, 6))
+        assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
+
+
+def test_prepared_operand_matches_plain_arrays():
+    rng = np.random.default_rng(11)
+    for p in (97, 2**31 - 1):
+        A = rng.integers(0, p, (6, 40))
+        B = rng.integers(-p, 2 * p, (40, 9))
+        want = int_oracle(A, B % p, p)
+        prepared = linalg.Operand(B, p)
+        assert matmul_mod(A, prepared, p).tolist() == want
+        assert matmul_mod(linalg.Operand(A, p), prepared, p).tolist() == want
+        # a view shares the cached copies of its base
+        assert matmul_mod(A, prepared[:, 2:5], p).tolist() == [
+            row[2:5] for row in want
+        ]
+        assert matmul_mod(linalg.Operand(A, p)[1:3], B, p).tolist() == want[1:3]
+        with pytest.raises(ValueError):
+            matmul_mod(A, prepared, 5)
 
 
 def test_solve_batch_consistency():

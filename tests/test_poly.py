@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedderburn import poly
+from wedderburn.errors import InternalInvariantViolation
 
 
 def oracle_factor(f, p):
@@ -110,6 +111,14 @@ def test_pth_root():
     f = np.zeros(6, dtype=np.int64)
     f[0], f[5] = 2, 1
     assert poly.pth_root(f, 5).tolist() == [2, 1]
+
+
+def test_broken_preconditions_raise_a_typed_error():
+    # checks, not asserts: they must hold under python -O as well
+    with pytest.raises(InternalInvariantViolation, match="non-divisor"):
+        poly.exact_div(np.array([1, 1]), np.array([0, 1]), 5)
+    with pytest.raises(InternalInvariantViolation, match="not in T"):
+        poly.pth_root(np.array([1, 1]), 5)
 
 
 def test_pow_mod():
