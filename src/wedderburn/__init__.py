@@ -8,7 +8,7 @@ of matrix rings -- all in exact modular arithmetic, all re-verified.
 """
 
 from . import errors
-from .algebra import Algebra, Element, Subalgebra, from_doc, make_presentation
+from .algebra import Algebra, Subalgebra, from_doc, make_presentation
 from .blocks import (
     DecompositionResult,
     VerificationReport,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra",
     "DecompositionResult",
-    "Element",
     "OrthogonalDecomposition",
     "Planted",
     "RadicalReport",

@@ -19,7 +19,6 @@ from .errors import (
     NotAssociative,
     NotCommutative,
     NotIdempotent,
-    ParentMismatch,
 )
 from .field import check_modulus
 
@@ -260,25 +259,6 @@ class Algebra:
         rows = linalg.row_space_basis(proj.T, self.p)
         return Subalgebra(self, rows, identity_parent=e % self.p)
 
-    # -- elements -------------------------------------------------------------
-
-    def element(self, coords):
-        return Element(self, linalg.as_mod_array(coords, self.p))
-
-    def zero(self):
-        return self.element(np.zeros(self.dim, dtype=np.int64))
-
-    def identity(self):
-        return self.element(self.one)
-
-    def same_presentation(self, other):
-        return (
-            isinstance(other, Algebra)
-            and other.p == self.p
-            and other.dim == self.dim
-            and np.array_equal(other.sc, self.sc)
-        )
-
     def __repr__(self):
         return f"Algebra(p={self.p}, dim={self.dim})"
 
@@ -351,81 +331,6 @@ def doc_array(x, shape, what, error=InvalidDocument):
         if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
             raise error(f"{what} must hold integers, not booleans")
     return arr.astype(np.int64)
-
-
-class Element:
-    """An algebra element carried as a coordinate vector."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent, coords):
-        self.parent = parent
-        self.coords = coords
-
-    def _coerce(self, other):
-        if isinstance(other, Element):
-            if other.parent is not self.parent and not self.parent.same_presentation(
-                other.parent
-            ):
-                raise ParentMismatch("elements belong to different presentations")
-            return other.coords
-        raise TypeError(f"cannot combine Element with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Element(
-            self.parent, (self.coords + self._coerce(other)) % self.parent.p
-        )
-
-    def __sub__(self, other):
-        return Element(
-            self.parent, (self.coords - self._coerce(other)) % self.parent.p
-        )
-
-    def __neg__(self):
-        return Element(self.parent, (-self.coords) % self.parent.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Element(self.parent, (self.coords * other) % self.parent.p)
-        return Element(
-            self.parent, self.parent.mul_vec(self.coords, self._coerce(other))
-        )
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            return Element(self.parent, (self.coords * scalar) % self.parent.p)
-        return NotImplemented
-
-    def __pow__(self, k):
-        return Element(self.parent, self.parent.pow_vec(self.coords, k))
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.parent.same_presentation(other.parent) and np.array_equal(
-            self.coords, other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.parent.p, tuple(int(c) for c in self.coords)))
-
-    def is_zero(self):
-        return not self.coords.any()
-
-    def is_idempotent(self):
-        return np.array_equal(
-            self.parent.mul_vec(self.coords, self.coords), self.coords
-        )
-
-    def __repr__(self):
-        if self.parent.labels:
-            terms = [
-                f"{int(c)}*{lab}"
-                for c, lab in zip(self.coords, self.parent.labels)
-                if c
-            ]
-            return " + ".join(terms) if terms else "0"
-        return f"Element({self.coords.tolist()})"
 
 
 class Subalgebra:

@@ -131,8 +131,8 @@ def group_by_equivalence(A, decomposition):
             w = idempotents.equivalence_witness(A, member, rep)
             if w is None:
                 raise WitnessSolveFailed("class member lost its witness")
-            a_list.append(w.a.coords)
-            b_list.append(w.b.coords)
+            a_list.append(w.a)
+            b_list.append(w.b)
         families.append(
             ConnectingFamily(rep=rep, members=members, a=a_list, b=b_list)
         )

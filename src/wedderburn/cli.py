@@ -15,7 +15,6 @@ import sys
 
 from . import algebra, blocks, generators
 from .errors import (
-    InternalInvariantViolation,
     InvalidCayley,
     InvalidDocument,
     ModulusMismatch,
@@ -26,6 +25,7 @@ from .errors import (
     ReduciblePolynomial,
     SplitIterationCapExceeded,
     UnsupportedCharacteristic,
+    WedderburnError,
 )
 
 EXIT_OK = 0
@@ -230,8 +230,8 @@ def main(argv=None):
         return args.func(args)
     except NotSemisimple as exc:
         print(f"not semisimple: radical has dimension {len(exc.radical_basis)}")
-        for el in exc.radical_basis:
-            print(f"  radical basis element: {el.coords.tolist()}")
+        for row in exc.radical_basis:
+            print(f"  radical basis element: {row.tolist()}")
         return EXIT_NOT_SEMISIMPLE
     except UnsupportedCharacteristic as exc:
         print(f"unsupported characteristic: {exc}", file=sys.stderr)
@@ -239,14 +239,15 @@ def main(argv=None):
     except SplitIterationCapExceeded as exc:
         print(f"{exc}; retry with a different --seed", file=sys.stderr)
         return EXIT_SPLIT_CAP
-    except InternalInvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (InvalidDocument, InvalidCayley, NotPrime, NotAssociative,
             NoIdentity, ReduciblePolynomial, ModulusMismatch,
             OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except WedderburnError as exc:
+        # any other package error here is a failed invariant, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -43,10 +43,6 @@ class NoIdentity(WedderburnError):
     """The presentation admits no two-sided multiplicative identity."""
 
 
-class ParentMismatch(WedderburnError):
-    """Elements of different algebra presentations were combined."""
-
-
 class NotIdempotent(WedderburnError):
     """An element assumed to satisfy e*e = e does not."""
 
@@ -59,7 +55,7 @@ class NotSemisimple(WedderburnError):
     """The algebra has a nonzero Jacobson radical.
 
     Attributes:
-        radical_basis: list of elements spanning the radical.
+        radical_basis: (r, dim) array whose rows span the radical.
     """
 
     def __init__(self, radical_basis):

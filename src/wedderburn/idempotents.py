@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, poly, radical
-from .algebra import Element, Subalgebra
+from .algebra import Subalgebra
 from .errors import (
     InternalInvariantViolation,
     NotIdempotent,
@@ -28,49 +28,16 @@ DEFAULT_SPLIT_CAP = 256
 
 
 class Idempotent:
-    """An algebra element verified on construction to square to itself."""
+    """An element of A, held as coordinates checked to square to themselves."""
 
-    def __init__(self, element):
-        if not element.is_idempotent():
-            raise NotIdempotent(
-                f"{element.coords.tolist()} does not square to itself"
-            )
-        self.element = element
-
-    @property
-    def coords(self):
-        return self.element.coords
-
-    @property
-    def parent(self):
-        return self.element.parent
+    def __init__(self, A, coords):
+        coords = linalg.as_mod_array(coords, A.p)
+        A.require_idempotent(coords)
+        self.parent = A
+        self.coords = coords
 
     def __repr__(self):
-        return f"Idempotent({self.element!r})"
-
-
-@dataclass
-class PrimitivityCertificate:
-    """Proof data that e*A*e is a field, hence e primitive.
-
-    A commutative semisimple corner whose Frobenius fixed space is a line
-    has exactly one simple factor, so it is a finite field; over the finite
-    base field that is the only way a corner can be a division ring.
-    """
-
-    e: np.ndarray
-    corner_dim: int
-    frobenius_fixed_dim: int
-    corner_commutative: bool
-
-    @property
-    def valid(self):
-        return self.corner_commutative and self.frobenius_fixed_dim == 1
-
-
-@dataclass
-class Primitive:
-    certificate: PrimitivityCertificate
+        return f"Idempotent({self.coords.tolist()})"
 
 
 @dataclass
@@ -85,7 +52,6 @@ class OrthogonalDecomposition:
 
     parts: list
     of: Idempotent
-    certificates: list
 
     def __post_init__(self):
         A = self.of.parent
@@ -107,13 +73,12 @@ class EquivalenceWitness:
 
     e: Idempotent
     f: Idempotent
-    a: Element
-    b: Element
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         A = self.e.parent
-        e, f = self.e.coords, self.f.coords
-        a, b = self.a.coords, self.b.coords
+        e, f, a, b = self.e.coords, self.f.coords, self.a, self.b
         checks = (
             (A.mul_vec(a, b), f, "a*b = f"),
             (A.mul_vec(b, a), e, "b*a = e"),
@@ -166,8 +131,30 @@ def _fixed_space(sub):
     return linalg.kernel((F - np.eye(Z.dim, dtype=np.int64)) % Z.p, Z.p)
 
 
+def _split_element(B, x):
+    """(factors, eps): the factored minimal polynomial m of x and an idempotent.
+
+    eps comes from m = g*h with g the first primary factor of m; it is None
+    when m is a power of one irreducible, so x gives nothing to split.
+    """
+    p = B.p
+    m = B.min_poly_vec(x)
+    factors = poly.berlekamp_factor(m, p)
+    if len(factors) < 2:
+        return factors, None
+    g0, mult0 = factors[0]
+    g = g0
+    for _ in range(mult0 - 1):
+        g = poly.mul(g, g0, p)
+    h = poly.exact_div(m, g, p)
+    return factors, _coprime_split(B, x, g, h)
+
+
 def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
-    """One splitting step at the idempotent e (coords or Idempotent)."""
+    """One splitting step at the idempotent e (coords or Idempotent).
+
+    Returns a Split, or None when e is primitive.
+    """
     _require_certified(A)
     if isinstance(e, Idempotent):
         e = e.coords
@@ -182,7 +169,7 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
     B_sub = A.corner(e)
     B = B_sub.algebra
     if B.dim == 1:
-        return Primitive(PrimitivityCertificate(e, 1, 1, True))
+        return None
 
     center_rows = B.center_basis()
     Z_sub = Subalgebra(B, center_rows, identity_parent=B.one)
@@ -200,43 +187,26 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
             raise InternalInvariantViolation(
                 "fixed space exceeds the scalar line but no witness"
             )
-        m = Z_sub.algebra.min_poly_vec(v)
-        factors = poly.berlekamp_factor(m, p)
-        if len(factors) < 2 or any(mult != 1 for _, mult in factors):
+        factors, eps_z = _split_element(Z_sub.algebra, v)
+        if eps_z is None or any(mult != 1 for _, mult in factors):
             raise InternalInvariantViolation(
                 "central fixed vector has a non-split minimal polynomial"
             )
-        g = factors[0][0]
-        h = poly.exact_div(m, g, p)
-        eps_z = _coprime_split(Z_sub.algebra, v, g, h)
         eps_b = Z_sub.to_parent(eps_z)
-        e1 = B_sub.to_parent(eps_b)
-        e2 = (e - e1) % p
-        return Split(e1, e2)
-
-    if Z_sub.dim == B.dim:
-        # commutative corner with a one-dimensional fixed space: a field
-        return Primitive(
-            PrimitivityCertificate(e, B.dim, 1, True)
-        )
-
-    # full matrix algebra over a field: spectral split of a random element
-    for _ in range(cap):
-        x = B.random_vec(rng)
-        m = B.min_poly_vec(x)
-        factors = poly.berlekamp_factor(m, p)
-        if len(factors) < 2:
-            continue
-        g0, mult0 = factors[0]
-        g = g0
-        for _ in range(mult0 - 1):
-            g = poly.mul(g, g0, p)
-        h = poly.exact_div(m, g, p)
-        eps_b = _coprime_split(B, x, g, h)
-        e1 = B_sub.to_parent(eps_b)
-        e2 = (e - e1) % p
-        return Split(e1, e2)
-    raise SplitIterationCapExceeded(cap)
+    elif Z_sub.dim == B.dim:
+        # commutative corner with a one-dimensional fixed space: it has one
+        # simple factor, so it is a finite field and e is primitive
+        return None
+    else:
+        # full matrix algebra over a field: spectral split of a random element
+        for _ in range(cap):
+            _, eps_b = _split_element(B, B.random_vec(rng))
+            if eps_b is not None:
+                break
+        else:
+            raise SplitIterationCapExceeded(cap)
+    e1 = B_sub.to_parent(eps_b)
+    return Split(e1, (e - e1) % p)
 
 
 def decompose_identity(A, seed=0, cap=DEFAULT_SPLIT_CAP):
@@ -249,21 +219,16 @@ def decompose_identity(A, seed=0, cap=DEFAULT_SPLIT_CAP):
     radical.require_semisimple(A)
     master = random.Random(seed)
     entries = [A.one.copy()]
-    certs = [None]
     i = 0
     while i < len(entries):
         sub_rng = random.Random(master.getrandbits(64))
         outcome = split_once(A, entries[i], rng=sub_rng, cap=cap)
-        if isinstance(outcome, Primitive):
-            certs[i] = outcome.certificate
+        if outcome is None:
             i += 1
         else:
             entries[i : i + 1] = [outcome.e1, outcome.e2]
-            certs[i : i + 1] = [None, None]
-    parts = [Idempotent(A.element(c)) for c in entries]
-    return OrthogonalDecomposition(
-        parts=parts, of=Idempotent(A.identity()), certificates=certs
-    )
+    parts = [Idempotent(A, c) for c in entries]
+    return OrthogonalDecomposition(parts=parts, of=Idempotent(A, A.one))
 
 
 def equivalence_witness(A, e, f):
@@ -273,12 +238,11 @@ def equivalence_witness(A, e, f):
     basis vector of f*A*e is completed to a witness by solving a linear
     system over e*A*f.
     """
-    e_id = e if isinstance(e, Idempotent) else Idempotent(A.element(e))
-    f_id = f if isinstance(f, Idempotent) else Idempotent(A.element(f))
+    e_id = e if isinstance(e, Idempotent) else Idempotent(A, e)
+    f_id = f if isinstance(f, Idempotent) else Idempotent(A, f)
     e, f = e_id.coords, f_id.coords
     if np.array_equal(e, f):
-        el = A.element(e)
-        return EquivalenceWitness(e_id, f_id, el, el)
+        return EquivalenceWitness(e_id, f_id, e.copy(), e.copy())
     H = A.hom_space(f, e)
     if H.shape[0] == 0:
         return None
@@ -293,4 +257,4 @@ def equivalence_witness(A, e, f):
             "semisimple presentation"
         )
     b = linalg.matmul_mod(beta[None, :], K, A.p)[0]
-    return EquivalenceWitness(e_id, f_id, A.element(a), A.element(b))
+    return EquivalenceWitness(e_id, f_id, a, b)

@@ -97,10 +97,8 @@ def kernel(M, p):
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     out = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for j, c in enumerate(pivots):
-            out[i, c] = (-int(R[j, f])) % p
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = (-R[: len(pivots)][:, free].T) % p
     return out
 
 

@@ -2,8 +2,8 @@
 
 Polynomials are int64 numpy arrays of coefficients, lowest degree first,
 with no trailing zeros (the zero polynomial is the single coefficient [0]).
-Everything here is deterministic: the factor splitter scans F_p directly for
-small p and uses an internally seeded probe only for large p.
+Everything here is deterministic: the factor splitter's quadratic-residue
+probe draws its shifts from an internally seeded generator.
 """
 
 import random
@@ -17,9 +17,6 @@ from .errors import (
 )
 from .linalg import kernel as mat_kernel
 
-# exhaustive gcd(f, v - c) scan is used up to this modulus; beyond it the
-# probabilistic quadratic-residue probe takes over
-_SCAN_LIMIT = 257
 _PROBE_CAP = 256
 
 NEG_INF = float("-inf")
@@ -226,17 +223,6 @@ def _split_squarefree(f, p, rng):
         raise InternalInvariantViolation(
             "fixed space of dim > 1 must contain a non-constant"
         )
-    if p <= _SCAN_LIMIT:
-        for c in range(p):
-            g = gcd(sub(v, constant(c, p), p), f, p)
-            dg = degree(g)
-            if dg != NEG_INF and 0 < dg < degree(f):
-                return _split_squarefree(g, p, rng) + _split_squarefree(
-                    exact_div(f, g, p), p, rng
-                )
-        raise InternalInvariantViolation(
-            "scan over F_p failed to split a reducible input"
-        )
     for _ in range(_PROBE_CAP):
         shift = add(v, constant(rng.randrange(p), p), p)
         w = pow_mod(shift, (p - 1) // 2, f, p)
@@ -283,8 +269,8 @@ def berlekamp_factor(f, p):
 
     Returns a list of (factor, multiplicity) sorted by (degree, coefficient
     tuple); every factor is re-certified irreducible before returning.
-    Deterministic: the only randomness is an internally seeded probe used
-    for p > 257, and it only changes the discovery order, never the result.
+    Deterministic: the only randomness is the internally seeded probe, and
+    it only changes the discovery order, never the result.
     """
     f = normalize(f, p)
     if is_zero(f):

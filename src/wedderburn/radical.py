@@ -191,5 +191,5 @@ def require_semisimple(A):
     """Return the report for a semisimple A, else raise with the radical."""
     report = radical_report(A)
     if not report.is_semisimple:
-        raise NotSemisimple([A.element(r) for r in report.rows])
+        raise NotSemisimple(report.rows)
     return report

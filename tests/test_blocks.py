@@ -400,7 +400,7 @@ def _tamper(res, field):
         b0.c = (b0.c + 1) % 7
         return "block 0: central idempotent is not the member sum"
     if field == "representative":
-        b0.family.rep.element.coords = b0.family.rep.coords * 2 % 7
+        b0.family.rep.coords = b0.family.rep.coords * 2 % 7
         return "block 0: representative is not idempotent"
     if field == "division basis":
         b0.D.corner.rows[1] = b0.D.corner.rows[0]

@@ -140,16 +140,40 @@ _BROKEN_SPLIT = (
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
+# blocks.matrix_units raising the error class named as the first argument
+_FATAL_UNITS = (
+    "import sys\n"
+    "from wedderburn import blocks, cli, errors\n"
+    "error = getattr(errors, sys.argv.pop(1))\n"
+    "def matrix_units(*args):\n"
+    "    raise error('forced failure')\n"
+    "blocks.matrix_units = matrix_units\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-def test_internal_invariant_violation_exit_6(c3_doc, flags):
-    # a typed check, not an assert: python -O must not strip it
+_FATAL_ERRORS = (
+    "MatrixUnitViolation", "OrthogonalityViolation", "CentralityViolation",
+    "EntryOutsideCorner", "NonBijective", "WitnessSolveFailed",
+    "InternalSamplingFailure",
+)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [(["-c", _BROKEN_SPLIT], "split produced zero"),
+     (["-O", "-c", _BROKEN_SPLIT], "split produced zero")]
+    + [(["-c", _FATAL_UNITS, name], "forced failure") for name in _FATAL_ERRORS],
+    ids=["plain", "optimize", *_FATAL_ERRORS],
+)
+def test_internal_invariant_violation_exit_6(c3_doc, command, message):
+    # a typed check, not an assert: python -O must not strip it; and a failed
+    # invariant must not share exit 1 with "verification failed"
     r = subprocess.run(
-        [sys.executable, *flags, "-c", _BROKEN_SPLIT, "decompose", str(c3_doc)],
+        [sys.executable, *command, "decompose", str(c3_doc)],
         capture_output=True, text=True, timeout=120,
     )
     assert r.returncode == 6
-    assert "internal error: split produced zero" in r.stderr
+    assert f"internal error: {message}" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -122,7 +122,7 @@ def test_scramble_round_trip():
     base = build_planted([(2, 1), (1, 2)], 7).algebra
     A, S = scramble(base, seed=42)
     assert rank(S, 7) == base.dim
-    assert not A.same_presentation(base)  # actually moved
+    assert not np.array_equal(A.sc, base.sc)  # actually moved
     res = full_isomorphism(A, seed=0)
     assert sorted((b.n, b.D.degree) for b in res.blocks) == [(1, 2), (2, 1)]
     assert verify_isomorphism(A, res).passed
@@ -133,7 +133,7 @@ def test_scramble_is_seeded():
     A1, S1 = scramble(base, seed=1)
     A2, S2 = scramble(base, seed=1)
     A3, S3 = scramble(base, seed=2)
-    assert S1.tolist() == S2.tolist() and A1.same_presentation(A2)
+    assert S1.tolist() == S2.tolist() and np.array_equal(A1.sc, A2.sc)
     assert S1.tolist() != S3.tolist()
 
 

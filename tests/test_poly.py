@@ -214,21 +214,13 @@ def test_factor_matches_oracle_randomly():
 
 
 def test_factor_large_prime_uses_probe_path():
-    # p = 101 is still under the scan bound poly._SCAN_LIMIT = 257, so this
-    # splits by the exhaustive gcd(v - c, f) scan over F_p; the probe itself
-    # is covered by test_factor_above_scan_limit_runs_the_probe
+    # p = 101 splits by the quadratic-residue probe, like every odd p
     f = poly.mul(np.array([7, 1]), np.array([90, 1]), 101)
     assert berlekamp_multiset(f.tolist(), 101) == [((7, 1), 1), ((90, 1), 1)]
 
 
-def test_factor_above_scan_limit_runs_the_probe(monkeypatch):
-    p = 65537
-    assert p > poly._SCAN_LIMIT
-    # (T + 3)(T + 10)^2 (T^2 - 3): 3 generates F_65537^*, so it is a
-    # non-residue and T^2 - 3 is irreducible
-    f = np.array([1])
-    for g in ([3, 1], [10, 1], [10, 1], [p - 3, 0, 1]):
-        f = poly.mul(f, np.array(g), p)
+def count_pow_mod_exponents(monkeypatch):
+    """Record the exponent of every poly.pow_mod call from here on."""
     exponents = []
     real_pow_mod = poly.pow_mod
 
@@ -237,10 +229,39 @@ def test_factor_above_scan_limit_runs_the_probe(monkeypatch):
         return real_pow_mod(base, e, modulus, q)
 
     monkeypatch.setattr(poly, "pow_mod", counting_pow_mod)
+    return exponents
+
+
+def test_factor_at_a_large_prime_runs_the_probe(monkeypatch):
+    p = 65537
+    # (T + 3)(T + 10)^2 (T^2 - 3): 3 generates F_65537^*, so it is a
+    # non-residue and T^2 - 3 is irreducible
+    f = np.array([1])
+    for g in ([3, 1], [10, 1], [10, 1], [p - 3, 0, 1]):
+        f = poly.mul(f, np.array(g), p)
+    exponents = count_pow_mod_exponents(monkeypatch)
     assert berlekamp_multiset(f.tolist(), p) == [
         ((3, 1), 1), ((10, 1), 2), ((p - 3, 0, 1), 1)
     ]
-    # the quadratic-residue probe raises to (p - 1) / 2; the scan never does
+    # the quadratic-residue probe raises to (p - 1) / 2
+    assert exponents.count((p - 1) // 2) >= 1
+
+
+@pytest.mark.parametrize("p, factors", [
+    # T (T + 1)(T + 2)(T^2 + 1): -1 is a non-residue mod 3
+    (3, [[0, 1], [1, 1], [2, 1], [1, 0, 1]]),
+    # T (T + 1)(T + 3)^2 (T^2 + 2): -2 is a non-residue mod 5
+    (5, [[0, 1], [1, 1], [3, 1], [3, 1], [2, 0, 1]]),
+])
+def test_factor_at_small_primes_runs_the_probe(monkeypatch, p, factors):
+    # at p = 3 the probe's exponent (p - 1) / 2 is 1: the shifted fixed
+    # vector itself is compared with 1, the only nonzero square
+    f = np.array([1])
+    for g in factors:
+        f = poly.mul(f, np.array(g), p)
+    exponents = count_pow_mod_exponents(monkeypatch)
+    assert berlekamp_multiset(f.tolist(), p) == oracle_factor(f.tolist(), p)
+    # the fixed-space and irreducibility checks raise to p, not (p - 1) / 2
     assert exponents.count((p - 1) // 2) >= 1
 
 
