@@ -6,16 +6,15 @@ units, present each corner e1*A*e1 as the entry field of its block, and
 assemble the global linear map sending x to the tuple of block matrices
 (a_mu * x * b_nu).
 
-The certificate is what the report serializes: per block the
-representative, connecting elements, matrix units, central idempotent and
-division basis, plus the iso matrix, its inverse and the layout.  `check`
-re-proves every relation of a certificate exactly, without re-running any
-of the search; `verify_isomorphism` (in process) and `verify_report_doc`
-(from a report document) both run it.
+A `DecompositionResult` is the certificate, and what the report serializes:
+per block the representative, connecting elements, matrix units, central
+idempotent and division basis, plus the iso matrix, its inverse and the
+layout.  `check` re-proves every relation of a certificate exactly, without
+re-running any of the search; `verify_isomorphism` runs it on a result and
+`verify_report_doc` on the result parsed from a report document.
 """
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -49,27 +48,30 @@ class ConnectingFamily:
     b: list
 
 
-@dataclass
-class MatrixUnitSystem:
-    units: np.ndarray  # units[mu, nu] = b[mu] * a[nu], shape (n, n, dim)
+class DivisionAlgebra(NamedTuple):
+    """The block's entry field: a basis of the corner rep*A*rep."""
 
-
-@dataclass
-class DivisionAlgebra:
-    """Corner rep*A*rep certified to be a field (the block's entry ring)."""
-
-    corner: Subalgebra
+    basis: np.ndarray  # (degree, dim), over A's basis
     degree: int
 
 
 @dataclass
 class Block:
+    """One block M_n(D); every vector is in A's coordinates.
+
+    a[mu] lies in rep*A*e_mu and b[mu] in e_mu*A*rep, with a[mu]*b[mu] = rep
+    and b[mu]*a[mu] = e_mu; units[mu, nu] = b[mu]*a[nu]; c is the central
+    idempotent, the sum of the members e_mu.
+    """
+
     index: int
     n: int
     D: DivisionAlgebra
-    c: np.ndarray
-    family: ConnectingFamily
-    units: MatrixUnitSystem
+    rep: np.ndarray  # (dim,)
+    c: np.ndarray  # (dim,)
+    a: np.ndarray  # (n, dim)
+    b: np.ndarray  # (n, dim)
+    units: np.ndarray  # (n, n, dim)
 
 
 @dataclass
@@ -79,14 +81,13 @@ class VerificationReport:
 
     bijective: bool
     unit: bool
-    multiplicative: bool  # None when the all-pairs check was skipped
+    multiplicative: bool
     orthogonality: bool
     failures: list = field(default_factory=list)
 
     @property
     def passed(self):
-        flags = [self.bijective, self.unit, self.orthogonality,
-                 self.multiplicative is not False]
+        flags = [self.bijective, self.unit, self.multiplicative, self.orthogonality]
         return all(flags) and not self.failures
 
 
@@ -95,10 +96,10 @@ class DecompositionResult:
     blocks: list
     iso: np.ndarray
     iso_inverse: np.ndarray
-    layout: list  # rows (block index, mu, nu, D-basis index)
+    layout: np.ndarray  # int64 (dim, 4): rows (block index, mu, nu, D-basis index)
     p: int
     dim: int
-    seed: int
+    seed: int  # None when parsed from a report
 
 
 class Failure(NamedTuple):
@@ -173,24 +174,24 @@ def matrix_units(A, family, block_identity):
     failed = _unit_relations(A, units)
     if failed:
         raise MatrixUnitViolation(failed[0])
-    return MatrixUnitSystem(units=units)
+    return units
 
 
 def division_presentation(A, family):
     """The corner at the class representative: the block's entry field."""
     corner = A.corner(family.rep.coords)
-    return DivisionAlgebra(corner=corner, degree=corner.dim)
+    return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
 
 
 def _layout(shapes):
     """Rows (block, mu, nu, t) of the flattened target, for (n, d) per block."""
-    return [
+    return np.array([
         (index, mu, nu, t)
         for index, (n_i, d_i) in enumerate(shapes)
         for mu in range(n_i)
         for nu in range(n_i)
         for t in range(d_i)
-    ]
+    ], dtype=np.int64).reshape(-1, 4)
 
 
 def _iso_rows(A, index, a, b, basis):
@@ -229,14 +230,12 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
                        fam, c, D, units))
     staged.sort(key=lambda s: s[:3])
     blocks = [
-        Block(index=index, n=n_i, D=D, c=c, family=fam, units=units)
+        Block(index=index, n=n_i, D=D, rep=fam.rep.coords, c=c,
+              a=np.array(fam.a), b=np.array(fam.b), units=units)
         for index, (n_i, _, _, fam, c, D, units) in enumerate(staged)
     ]
-    iso = np.concatenate([
-        _iso_rows(A, blk.index, np.array(blk.family.a), np.array(blk.family.b),
-                  blk.D.corner.rows)
-        for blk in blocks
-    ])
+    iso = np.concatenate([_iso_rows(A, blk.index, blk.a, blk.b, blk.D.basis)
+                          for blk in blocks])
     iso_inv = linalg.inverse(iso, A.p) if iso.shape == (A.dim, A.dim) else None
     if iso_inv is None:
         raise NonBijective("assembled block map is not invertible")
@@ -268,10 +267,15 @@ def _codomain(p, dim, blocks):
     return Algebra(p, sc, identity=one, validate=False)
 
 
-def codomain_algebra(result):
+def _entry_field(A, blk):
+    """Presentation of the block's entry field in its division basis."""
+    return Subalgebra(A, blk.D.basis, identity_parent=blk.rep).algebra
+
+
+def codomain_algebra(A, result):
     """Presentation of the block direct sum in the flattened coordinates."""
-    return _codomain(result.p, result.dim,
-                     [(blk.n, blk.D.corner.algebra) for blk in result.blocks])
+    return _codomain(A.p, A.dim,
+                     [(blk.n, _entry_field(A, blk)) for blk in result.blocks])
 
 
 def _check_block(A, bi, blk, fail):
@@ -308,35 +312,33 @@ def _check_block(A, bi, blk, fail):
 
 def _check_division_basis(A, bi, blk, fail):
     """The block's entry ring; None (after a failure) unless it is a field."""
-    p, rep, basis = A.p, blk.rep, blk.basis
-    if linalg.rank(basis, p) != blk.d:
+    p = A.p
+    if linalg.rank(blk.D.basis, p) != blk.D.degree:
         return fail(f"block {bi}: division basis is not independent")
     try:
-        corner = Subalgebra(A, basis, identity_parent=rep)
+        D = _entry_field(A, blk)
     except EntryOutsideCorner:
         return fail(f"block {bi}: division basis is not closed under product")
-    D = corner.algebra
     if not D.is_commutative():
         return fail(f"block {bi}: division corner is not commutative")
     # a commutative algebra is a field iff x -> x^p is injective (no
     # nilpotents) and fixes only the prime field
     F = D.frobenius_matrix()
-    fixed = linalg.kernel((F - np.eye(blk.d, dtype=np.int64)) % p, p)
-    if linalg.rank(F, p) != blk.d or fixed.shape[0] != 1:
+    fixed = linalg.kernel((F - np.eye(blk.D.degree, dtype=np.int64)) % p, p)
+    if linalg.rank(F, p) != blk.D.degree or fixed.shape[0] != 1:
         return fail(f"block {bi}: division corner is not a field")
-    return corner
+    return D
 
 
-def check(A, cert, multiplicative=True):
+def check(A, cert):
     """Re-prove every relation of a certificate; returns a list of Failure.
 
-    cert carries the arrays of a report (see _parse_certificate): blocks,
-    each with n, d, rep, c, a, b, units and basis over A's basis, then iso,
-    iso_inverse and layout.  An empty list proves that cert.iso is a unital ring isomorphism from A
-    onto the direct sum of the blocks M_n(D), D a field, and that it is the
-    map the serialized witnesses define.  The stages run in order and stop
-    after the first one that fails, since each works from what the earlier
-    ones certified.  multiplicative=False skips the all-pairs product check.
+    cert is a DecompositionResult, from full_isomorphism or parsed from a
+    report.  An empty list proves that cert.iso is a unital ring isomorphism
+    from A onto the direct sum of the blocks M_n(D), D a field, and that it
+    is the map the serialized witnesses define.  The stages run in order and
+    stop after the first one that fails, since each works from what the
+    earlier ones certified.
     """
     p, n = A.p, A.dim
     fails = []
@@ -345,8 +347,8 @@ def check(A, cert, multiplicative=True):
         fails.append(Failure(relation, message))
 
     members = [_check_block(A, bi, blk, fail) for bi, blk in enumerate(cert.blocks)]
-    corners = [_check_division_basis(A, bi, blk, fail)
-               for bi, blk in enumerate(cert.blocks)]
+    fields = [_check_division_basis(A, bi, blk, fail)
+              for bi, blk in enumerate(cert.blocks)]
     if fails:
         return fails
 
@@ -360,7 +362,7 @@ def check(A, cert, multiplicative=True):
     overlap = A.products(E, E).any(axis=2)
     for i, j in np.argwhere(np.triu(overlap | overlap.T, 1)):
         fail(f"parts {labels[i]} and {labels[j]} are not orthogonal")
-    layout = np.array(_layout((blk.n, blk.d) for blk in cert.blocks)).reshape(-1, 4)
+    layout = _layout((blk.n, blk.D.degree) for blk in cert.blocks)
     if len(layout) != n:
         fail("block dimensions do not sum to the algebra dimension")
     elif cert.layout.shape != layout.shape:
@@ -375,10 +377,10 @@ def check(A, cert, multiplicative=True):
     # the iso matrix is the map the witnesses define
     row = 0
     for bi, blk in enumerate(cert.blocks):
-        size = blk.n * blk.n * blk.d
+        size = blk.n * blk.n * blk.D.degree
         got, row = cert.iso[row:row + size], row + size
         try:
-            rows = _iso_rows(A, bi, blk.a, blk.b, blk.basis)
+            rows = _iso_rows(A, bi, blk.a, blk.b, blk.D.basis)
         except EntryOutsideCorner as exc:
             fail(str(exc))
             continue
@@ -390,8 +392,7 @@ def check(A, cert, multiplicative=True):
         return fails
 
     # the iso is a unital ring isomorphism onto the block direct sum
-    target = _codomain(p, n, [(blk.n, corner.algebra)
-                              for blk, corner in zip(cert.blocks, corners)])
+    target = _codomain(p, n, [(blk.n, D) for blk, D in zip(cert.blocks, fields)])
     iso, inv = cert.iso, cert.iso_inverse
     eye = np.eye(n, dtype=np.int64)
     for name, prod in (("iso * iso_inverse", linalg.matmul_mod(iso, inv, p)),
@@ -407,25 +408,28 @@ def check(A, cert, multiplicative=True):
         if not np.array_equal(images[:, bi], block_one):
             fail(f"central idempotent of block {bi} does not map to its "
                  "block identity", "orthogonality")
-    if multiplicative:
-        # iso(b_i b_j) against iso(b_i) iso(b_j) in the target
-        left = linalg.matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
-        right = target.products(iso.T, iso.T)
-        for i, j in np.argwhere((left != right).any(axis=2))[:1]:
-            fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
+    # iso(b_i b_j) against iso(b_i) iso(b_j) in the target
+    left = linalg.matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+    right = target.products(iso.T, iso.T)
+    for i, j in np.argwhere((left != right).any(axis=2))[:1]:
+        fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
     return fails
 
 
 def verify_isomorphism(A, result, check_multiplicative=True):
-    """Exact re-proof of a result: `check` on the arrays its report carries."""
-    cert = _parse_certificate(A, _certificate_doc(result))
-    fails = check(A, cert, multiplicative=check_multiplicative)
+    """Exact re-proof of a result: `check` on its certificate arrays.
+
+    check_multiplicative is accepted only as True: the all-pairs product
+    check always runs.  The keyword remains for callers that still pass it.
+    """
+    if check_multiplicative is not True:
+        raise ValueError("verification always runs the all-pairs product check")
+    fails = check(A, result)
     failed = {f.relation for f in fails}
     return VerificationReport(
         bijective="bijective" not in failed,
         unit="unit" not in failed,
-        multiplicative=("multiplicative" not in failed
-                        if check_multiplicative else None),
+        multiplicative="multiplicative" not in failed,
         orthogonality="orthogonality" not in failed,
         failures=[f.message for f in fails],
     )
@@ -459,7 +463,7 @@ def flatten(result, grids):
     return np.concatenate(flat)
 
 
-def target_multiply(result, X, Y):
+def target_multiply(A, result, X, Y):
     """Blockwise matrix product with entries multiplied in each block's D."""
     flat_x, flat_y = flatten(result, X), flatten(result, Y)
     out, row = [], 0
@@ -469,7 +473,7 @@ def target_multiply(result, X, Y):
         x = flat_x[row:row + size].reshape(n_i * n_i, d)
         y = flat_y[row:row + size].reshape(n_i * n_i, d)
         # pairs[mu, nu, xi, eta] = x[mu, nu] * y[xi, eta]; keep nu = xi
-        pairs = blk.D.corner.algebra.products(x, y).reshape(n_i, n_i, n_i, n_i, d)
+        pairs = _entry_field(A, blk).products(x, y).reshape(n_i, n_i, n_i, n_i, d)
         out.append(np.einsum("mnneu->meu", pairs).reshape(size) % result.p)
         row += size
     return unflatten(result, np.concatenate(out))
@@ -484,7 +488,7 @@ _BLOCK_KEYS = ("n", "division_degree", "representative_idempotent",
 
 
 def _parse_certificate(A, doc):
-    """The certificate arrays of a report; InvalidDocument on any fault of form."""
+    """The certificate a report carries; InvalidDocument on any fault of form."""
     if not isinstance(doc, dict):
         raise InvalidDocument("report document must be an object")
     for key in ("p", "dim", "blocks", "iso_matrix", "iso_inverse", "layout"):
@@ -509,21 +513,23 @@ def _parse_certificate(A, doc):
         n_i, d = bdoc["n"], bdoc["division_degree"]
         if not (is_doc_int(n_i) and n_i >= 1 and is_doc_int(d) and d >= 1):
             raise InvalidDocument(f"block {bi} has invalid sizes")
-        blocks.append(SimpleNamespace(
-            n=n_i, d=d,
+        blocks.append(Block(
+            index=bi, n=n_i,
             rep=arr(bdoc["representative_idempotent"], (n,),
                     f"block {bi} representative"),
             c=arr(bdoc["central_idempotent"], (n,), f"block {bi} center"),
             a=arr(bdoc["connecting_a"], (n_i, n), f"block {bi} connecting_a"),
             b=arr(bdoc["connecting_b"], (n_i, n), f"block {bi} connecting_b"),
             units=arr(bdoc["matrix_units"], (n_i, n_i, n), f"block {bi} matrix units"),
-            basis=arr(bdoc["division_basis"], (d, n), f"block {bi} division basis"),
+            D=DivisionAlgebra(arr(bdoc["division_basis"], (d, n),
+                                  f"block {bi} division basis"), d),
         ))
-    return SimpleNamespace(
+    return DecompositionResult(
         blocks=blocks,
         iso=arr(doc["iso_matrix"], (n, n), "iso_matrix"),
         iso_inverse=arr(doc["iso_inverse"], (n, n), "iso_inverse"),
         layout=doc_array(doc["layout"], (None, 4), "layout"),
+        p=A.p, dim=n, seed=None,
     )
 
 
@@ -539,37 +545,29 @@ def verify_report_doc(A, doc):
     return [f.message for f in check(A, _parse_certificate(A, doc))]
 
 
-def _certificate_doc(result):
-    """The report document of a result, less its verification flags."""
-    blocks = []
-    for blk in result.blocks:
-        blocks.append({
-            "n": int(blk.n),
-            "division_degree": int(blk.D.degree),
-            "central_idempotent": blk.c.tolist(),
-            "representative_idempotent": blk.family.rep.coords.tolist(),
-            "connecting_a": [v.tolist() for v in blk.family.a],
-            "connecting_b": [v.tolist() for v in blk.family.b],
-            "matrix_units": np.asarray(blk.units.units).tolist(),
-            "division_basis": blk.D.corner.rows.tolist(),
-        })
+def result_to_doc(result, verification):
+    """The report document: the certificate, the seed and the verification flags."""
     return {
         "p": int(result.p),
         "dim": int(result.dim),
         "seed": int(result.seed),
-        "blocks": blocks,
+        "blocks": [{
+            "n": int(blk.n),
+            "division_degree": int(blk.D.degree),
+            "central_idempotent": blk.c.tolist(),
+            "representative_idempotent": blk.rep.tolist(),
+            "connecting_a": blk.a.tolist(),
+            "connecting_b": blk.b.tolist(),
+            "matrix_units": blk.units.tolist(),
+            "division_basis": blk.D.basis.tolist(),
+        } for blk in result.blocks],
         "iso_matrix": result.iso.tolist(),
         "iso_inverse": result.iso_inverse.tolist(),
-        "layout": [list(map(int, entry)) for entry in result.layout],
+        "layout": result.layout.tolist(),
+        "verification": {
+            "bijective": verification.bijective,
+            "unit": verification.unit,
+            "multiplicative": verification.multiplicative,
+            "orthogonality": verification.orthogonality,
+        },
     }
-
-
-def result_to_doc(result, verification):
-    doc = _certificate_doc(result)
-    doc["verification"] = {
-        "bijective": verification.bijective,
-        "unit": verification.unit,
-        "multiplicative": verification.multiplicative,
-        "orthogonality": verification.orthogonality,
-    }
-    return doc

@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text):
+    """argparse type for a count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def canonical_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -78,38 +86,24 @@ def _parse_ext_poly(text):
     return coeffs
 
 
-def _block_summary_lines(result):
-    return [
-        f"block {blk.index}: M_{blk.n}(D), dim D = {blk.D.degree}"
-        for blk in result.blocks
-    ]
-
-
 def cmd_decompose(args):
     A = algebra.from_doc(_load_json(args.input))
     result = blocks.full_isomorphism(A, seed=args.seed, cap=args.max_split_iters)
-    level = args.verify_level or ("full" if A.dim <= 64 else "fast")
-    report = blocks.verify_isomorphism(
-        A, result, check_multiplicative=(level == "full")
-    )
-    doc = blocks.result_to_doc(result, report)
+    report = blocks.verify_isomorphism(A, result)
     if not report.passed:
         for msg in report.failures:
             print(f"verification failed: {msg}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if args.format == "structured":
-        _write_output(doc, args.output)
-        if args.output is not None:
-            for line in _block_summary_lines(result):
-                print(line)
-    else:
-        if args.output is not None:
-            _write_output(doc, args.output)
-        for line in _block_summary_lines(result):
-            print(line)
-        checked = "unit, multiplicative, bijective, orthogonality" \
-            if level == "full" else "unit, bijective, orthogonality"
-        print(f"verification passed ({checked})")
+    # the report goes to -o, or to stdout when structured; the summary to
+    # stdout unless the report is there
+    text = args.format == "text"
+    if args.output is not None or not text:
+        _write_output(blocks.result_to_doc(result, report), args.output)
+    if args.output is not None or text:
+        for blk in result.blocks:
+            print(f"block {blk.index}: M_{blk.n}(D), dim D = {blk.D.degree}")
+    if text:
+        print("verification passed (unit, multiplicative, bijective, orthogonality)")
     return EXIT_OK
 
 
@@ -177,11 +171,8 @@ def build_parser():
     dec.add_argument("input", help="path to the algebra JSON document")
     dec.add_argument("--seed", type=int, default=0,
                      help="seed for all randomized choices (default 0)")
-    dec.add_argument("--max-split-iters", type=int, default=256,
-                     help="attempt cap for the randomized splitter")
-    dec.add_argument("--verify-level", choices=("fast", "full"), default=None,
-                     help="fast skips the all-pairs product check "
-                          "(default: full for dim <= 64)")
+    dec.add_argument("--max-split-iters", type=positive_int, default=256,
+                     help="attempt cap for the randomized splitter (>= 1)")
     dec.add_argument("--format", choices=("text", "structured"),
                      default="text")
     dec.add_argument("-o", "--output", default=None,

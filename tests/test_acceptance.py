@@ -150,7 +150,7 @@ def test_criterion_4_exhaustive_homomorphism(corpus):
     ok = True
     for label, A in corpus:
         res = full_isomorphism(A, seed=0)
-        target = codomain_algebra(res)
+        target = codomain_algebra(A, res)
         images = matmul_mod(res.iso, np.eye(A.dim, dtype=np.int64), A.p)
         for i in range(A.dim):
             for j in range(A.dim):
@@ -169,7 +169,7 @@ def test_criterion_5_matrix_unit_relations(corpus):
     for label, A in corpus:
         res = full_isomorphism(A, seed=0)
         for blk in res.blocks:
-            units = blk.units.units
+            units = blk.units
             n_i = blk.n
             for mu in range(n_i):
                 for nu in range(n_i):

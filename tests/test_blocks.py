@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wedderburn import (
+    Subalgebra,
     build_planted,
     cayley_fixture,
     decompose_identity,
@@ -20,7 +22,7 @@ from wedderburn import (
     verify_isomorphism,
     verify_report_doc,
 )
-from wedderburn import blocks
+from wedderburn import blocks, cli
 from wedderburn.blocks import (
     DivisionAlgebra,
     apply_iso,
@@ -43,6 +45,11 @@ from wedderburn.linalg import matmul_mod
 
 def c3(p=5):
     return group_algebra(cayley_fixture("C3"), p)
+
+
+def entry_one(A, blk):
+    """Identity of the block's entry field, in its division basis."""
+    return Subalgebra(A, blk.D.basis, identity_parent=blk.rep).algebra.one
 
 
 def delta_oracle(A, units):
@@ -114,7 +121,7 @@ def test_matrix_units_pass_delta_oracle():
     for A in (matrix_algebra(7, 2).algebra, scramble(matrix_algebra(5, 3).algebra, seed=1)[0]):
         res = full_isomorphism(A, seed=0)
         for blk in res.blocks:
-            assert delta_oracle(A, blk.units.units)
+            assert delta_oracle(A, blk.units)
 
 
 def test_matrix_units_catch_corruption():
@@ -149,7 +156,7 @@ def test_block_map_of_central_idempotent_is_identity_grid():
     res = full_isomorphism(A, seed=0)
     for blk in res.blocks:
         grid = apply_iso(res, blk.c)[blk.index]
-        done = blk.D.corner.algebra.one
+        done = entry_one(A, blk)
         for mu in range(blk.n):
             for nu in range(blk.n):
                 want = done if mu == nu else np.zeros(blk.D.degree, dtype=int)
@@ -167,10 +174,10 @@ def test_block_map_of_units_gives_elementary_grids():
     A, _ = scramble(matrix_algebra(5, 2).algebra, seed=9)
     res = full_isomorphism(A, seed=0)
     blk = res.blocks[0]
-    done = blk.D.corner.algebra.one
+    done = entry_one(A, blk)
     for mu in range(blk.n):
         for nu in range(blk.n):
-            grid = apply_iso(res, blk.units.units[mu][nu])[0]
+            grid = apply_iso(res, blk.units[mu][nu])[0]
             for s in range(blk.n):
                 for t in range(blk.n):
                     want = done if (s, t) == (mu, nu) else np.zeros(
@@ -184,7 +191,7 @@ def test_block_map_rejects_vectors_outside_the_corner(monkeypatch):
     # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
     def foreign_corner(A, family):
         corner = A.corner(family.members[-1].coords)
-        return DivisionAlgebra(corner=corner, degree=corner.dim)
+        return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
 
     monkeypatch.setattr(blocks, "division_presentation", foreign_corner)
     with pytest.raises(EntryOutsideCorner):
@@ -202,7 +209,7 @@ def test_iso_is_invertible_and_layout_complete():
     assert matmul_mod(res.iso_inverse, res.iso, 5).tolist() == eye.tolist()
     assert len(res.layout) == A.dim
     # layout rows are (block, mu, nu, t) in flattened order
-    assert res.layout[0] == (0, 0, 0, 0)
+    assert res.layout[0].tolist() == [0, 0, 0, 0]
 
 
 def test_blocks_sorted_by_size_then_degree():
@@ -229,7 +236,7 @@ def test_apply_iso_respects_products():
         x = np.array([rng.randrange(5) for _ in range(A.dim)])
         y = np.array([rng.randrange(5) for _ in range(A.dim)])
         lhs = apply_iso(res, A.mul_vec(x, y))
-        rhs = target_multiply(res, apply_iso(res, x), apply_iso(res, y))
+        rhs = target_multiply(A, res, apply_iso(res, x), apply_iso(res, y))
         for gl, gr in zip(lhs, rhs):
             for rl, rr in zip(gl, gr):
                 for el, er in zip(rl, rr):
@@ -240,12 +247,12 @@ def test_iso_inverse_pulls_units_back():
     A = matrix_algebra(7, 2).algebra
     res = full_isomorphism(A, seed=0)
     blk = res.blocks[0]
-    done = blk.D.corner.algebra.one
+    done = entry_one(A, blk)
     zero = np.zeros(blk.D.degree, dtype=int)
     grid = [[done, zero], [zero, zero]]  # elementary E11 in the target
     flat = flatten(res, [grid])
     back = matmul_mod(res.iso_inverse, flat[:, None], 7)[:, 0]
-    assert back.tolist() == blk.units.units[0][0].tolist()
+    assert back.tolist() == blk.units[0][0].tolist()
 
 
 def test_flatten_unflatten_round_trip():
@@ -258,7 +265,8 @@ def test_flatten_unflatten_round_trip():
 
 
 def test_flatten_refuses_non_integer_cells():
-    res = full_isomorphism(c3(), seed=0)
+    A = c3()
+    res = full_isomorphism(A, seed=0)
     assert [(b.n, b.D.degree) for b in res.blocks] == [(1, 1), (1, 2)]
     # once truncated silently to [1, 2, 0]
     with pytest.raises(ShapeMismatch, match="block 0 grid must hold integers"):
@@ -266,7 +274,7 @@ def test_flatten_refuses_non_integer_cells():
     with pytest.raises(ShapeMismatch, match="block 1 grid must hold integers"):
         flatten(res, [[[[1]]], [[["2", "0"]]]])
     with pytest.raises(ShapeMismatch):
-        target_multiply(res, [[[[1]]], [[[2.5, 0]]]], [[[[1]]], [[[1, 0]]]])
+        target_multiply(A, res, [[[[1]]], [[[2.5, 0]]]], [[[[1]]], [[[1, 0]]]])
     assert flatten(res, [[[[1]]], [[[7, -1]]]]).tolist() == [1, 2, 4]
 
 
@@ -286,18 +294,19 @@ def test_codomain_is_associative_and_verifies():
 
     A, _ = scramble(group_algebra(cayley_fixture("S3"), 5), seed=1)
     res = full_isomorphism(A, seed=0)
-    target = codomain_algebra(res)
+    target = codomain_algebra(A, res)
     # re-validate the generated presentation from scratch at full strength
     make_presentation(5, target.sc, identity=target.one)
     rep = verify_isomorphism(A, res)
     assert rep.passed and rep.multiplicative is True
 
 
-def test_fast_verification_skips_multiplicative():
+def test_verification_has_no_fast_level():
     A = c3()
     res = full_isomorphism(A, seed=0)
-    rep = verify_isomorphism(A, res, check_multiplicative=False)
-    assert rep.multiplicative is None and rep.passed
+    with pytest.raises(ValueError, match="all-pairs"):
+        verify_isomorphism(A, res, check_multiplicative=False)
+    assert verify_isomorphism(A, res, check_multiplicative=True).passed
 
 
 def test_verify_catches_corrupted_units():
@@ -307,7 +316,7 @@ def test_verify_catches_corrupted_units():
     # corrupt one unit: the iso matrix is untouched, but the units are part
     # of the certificate
     bad = copy.deepcopy(res)
-    bad.blocks[0].units.units[0][1] = (blk.units.units[0][1] + A.one) % 7
+    bad.blocks[0].units[0][1] = (blk.units[0][1] + A.one) % 7
     rep = verify_isomorphism(A, bad)
     assert not rep.passed
     assert "block 0: matrix unit (0,1) != b[0]*a[1]" in rep.failures
@@ -388,22 +397,22 @@ def _tamper(res, field):
     verifier must report.  Block 0 is M_1(F_49), block 1 is M_2(F_7)."""
     b0, b1 = res.blocks
     if field == "a[mu]":
-        b1.family.a[1] = b1.family.a[1] * 2 % 7
+        b1.a[1] = b1.a[1] * 2 % 7
         return "block 1: a[1]*b[1] != representative"
     if field == "b[mu]":
-        b1.family.b[1] = b1.family.b[1] * 2 % 7
+        b1.b[1] = b1.b[1] * 2 % 7
         return "block 1: b[1]*a[1] is not idempotent"
     if field == "unit":
-        b1.units.units[0, 1] = (b1.units.units[0, 1] + 1) % 7
+        b1.units[0, 1] = (b1.units[0, 1] + 1) % 7
         return "block 1: matrix unit (0,1) != b[0]*a[1]"
     if field == "central idempotent":
         b0.c = (b0.c + 1) % 7
         return "block 0: central idempotent is not the member sum"
     if field == "representative":
-        b0.family.rep.coords = b0.family.rep.coords * 2 % 7
+        b0.rep = b0.rep * 2 % 7
         return "block 0: representative is not idempotent"
     if field == "division basis":
-        b0.D.corner.rows[1] = b0.D.corner.rows[0]
+        b0.D.basis[1] = b0.D.basis[0]
         return "block 0: division basis is not independent"
     if field == "iso row":
         res.iso[4] = (res.iso[4] + 1) % 7  # layout row 4 is (1, 1, 0, 0)
@@ -414,7 +423,7 @@ def _tamper(res, field):
         i = int(np.flatnonzero(res.iso[:, 0])[0])
         return f"iso * iso_inverse differs from the identity at ({i},0)"
     if field == "layout":
-        res.layout[2], res.layout[3] = res.layout[3], res.layout[2]
+        res.layout[[2, 3]] = res.layout[[3, 2]]
         return "layout row 2 is [1, 0, 1, 0], expected [1, 0, 0, 0]"
     raise ValueError(field)
 
@@ -464,6 +473,76 @@ def test_malformed_fields_are_invalid_documents(target, path, value):
     node[path[-1]] = value
     with pytest.raises(InvalidDocument):
         verify_report_doc(from_doc(docs["algebra"]), docs["report"])
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_report_parses_back_to_the_result(p):
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], p).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    parsed = blocks._parse_certificate(A, result_to_doc(res, verify_isomorphism(A, res)))
+    assert len(parsed.blocks) == len(res.blocks)
+    for got, want in zip(parsed.blocks, res.blocks):
+        assert (got.index, got.n, got.D.degree) == (want.index, want.n, want.D.degree)
+        for name in ("rep", "c", "a", "b", "units"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.D.basis, want.D.basis)
+    for name in ("iso", "iso_inverse", "layout"):
+        assert np.array_equal(getattr(parsed, name), getattr(res, name)), name
+    assert blocks.check(A, parsed) == blocks.check(A, res) == []
+    # and the same failures once the certificate is broken
+    _tamper(res, "unit")
+    parsed = blocks._parse_certificate(A, result_to_doc(res, verify_isomorphism(A, res)))
+    assert blocks.check(A, parsed) == blocks.check(A, res) != []
+
+
+def _fuzz_case():
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    return A, result_to_doc(res, verify_isomorphism(A, res))
+
+
+FUZZ_ALGEBRA, FUZZ_REPORT = _fuzz_case()
+
+
+def _paths(node, prefix=()):
+    """Every key and list index of a JSON document, interior nodes included."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield prefix + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], prefix + (key,))
+
+
+DELETE = object()
+FUZZ_VALUES = [True, 1.5, "x", None, [], {}, -1, 2**63, 10**30, FUZZ_ALGEBRA.p, DELETE]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "a.json").write_text(cli.canonical_json(FUZZ_ALGEBRA.to_doc()))
+    return folder / "a.json", folder / "r.json"
+
+
+@given(st.sampled_from(list(_paths(FUZZ_REPORT))), st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_report_verifies_fails_or_is_invalid(fuzz_files, path, value):
+    doc = copy.deepcopy(FUZZ_REPORT)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        assert isinstance(verify_report_doc(FUZZ_ALGEBRA, doc), list)
+    except InvalidDocument:
+        pass
+    # the command line maps each outcome to its exit code, never a traceback
+    alg, rpt = fuzz_files
+    rpt.write_text(cli.canonical_json(doc))
+    assert cli.main(["verify", str(alg), str(rpt)]) in (0, 1, 4)
 
 
 def test_local_ring_is_not_accepted_as_division_field():

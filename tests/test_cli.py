@@ -192,6 +192,17 @@ def test_split_cap_exit_5(tmp_path):
     assert run("decompose", str(s)).returncode == 0
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_split_cap_is_invalid_input(tmp_path, cap):
+    # no seed can help a cap below 1, so it is an argument error, not exit 5
+    m = tmp_path / "m.json"
+    assert run("gen", "matrix", "-n", "2", "-p", "7", "-o", str(m)).returncode == 0
+    r = run("decompose", str(m), "--max-split-iters", cap)
+    assert r.returncode == 4
+    assert "usage:" in r.stderr and "--max-split-iters: must be at least 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_byte_identical_reports(tmp_path, c3_doc):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     run("decompose", str(c3_doc), "--format", "structured", "-o", str(r1))
@@ -214,10 +225,11 @@ def test_verify_level_flag(c3_doc, tmp_path):
     run("decompose", str(c3_doc), "--format", "structured", "-o", str(rep))
     doc = json.loads(rep.read_text())
     assert doc["verification"]["multiplicative"] is True
-    run("decompose", str(c3_doc), "--verify-level", "fast", "--format",
-        "structured", "-o", str(rep))
-    doc = json.loads(rep.read_text())
-    assert doc["verification"]["multiplicative"] is None
+    # one verify level: the all-pairs check always runs, so the flag is gone
+    r = run("decompose", str(c3_doc), "--verify-level", "fast", "--format",
+            "structured", "-o", str(rep))
+    assert r.returncode == 4
+    assert "Traceback" not in r.stderr
 
 
 def test_stdout_output_without_dash_o(c3_doc):

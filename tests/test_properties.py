@@ -40,7 +40,7 @@ def test_iso_is_a_ring_map_on_random_elements(spec, p, seed, rng):
     x = np.array([rng.randrange(p) for _ in range(A.dim)])
     y = np.array([rng.randrange(p) for _ in range(A.dim)])
     lhs = apply_iso(res, A.mul_vec(x, y))
-    rhs = target_multiply(res, apply_iso(res, x), apply_iso(res, y))
+    rhs = target_multiply(A, res, apply_iso(res, x), apply_iso(res, y))
     for gl, gr in zip(lhs, rhs):
         for rl, rr in zip(gl, gr):
             for el, er in zip(rl, rr):
