@@ -1,12 +1,16 @@
 """Associative F_p-algebras presented by structure constants.
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
-constructor checks associativity (as two flattened matrix products, taken a
-block of the first index at a time, not a five-fold loop) and locates the
-two-sided identity, so every Algebra in circulation is genuinely an
-associative unital algebra.
+constructor locates the two-sided identity and then proves associativity:
+first by a left-nucleus certificate (a few drawn elements that associate
+with every basis pair and generate the algebra, O(n^4) each), and when
+that does not conclude, by the blocked check of every basis triple (two
+flattened matrix products a block of the first index at a time, O(n^3)
+memory), which names the first failing triple.  So every Algebra in
+circulation is genuinely an associative unital algebra.
 """
 
+import random
 from itertools import chain
 
 import numpy as np
@@ -14,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     EntryOutsideCorner,
+    InternalInvariantViolation,
     InvalidDocument,
     NoIdentity,
     NotAssociative,
@@ -52,21 +57,76 @@ class Algebra:
                     f"got {len(labels)} labels for dimension {n}"
                 )
         self.labels = labels
+        try:
+            self.one = self._identity(identity, validate)
+        except (InvalidDocument, NoIdentity):
+            if validate:
+                self._check_associativity()  # NotAssociative comes first
+            raise
         if validate:
-            self._check_associativity()
-        if identity is not None:
-            one = linalg.as_mod_array(identity, self.p)
-            if one.shape != (n,):
-                raise InvalidDocument("identity has the wrong length")
-            if validate and not self._is_identity(one):
-                raise NoIdentity("the declared identity is not an identity")
-            self.one = one
-        elif n == 0:
-            self.one = np.zeros(0, dtype=np.int64)
-        else:
-            self.one = self._solve_identity()
+            self._certify_associativity()
 
     # -- construction checks ------------------------------------------------
+
+    def _identity(self, identity, validate):
+        """The declared identity (checked when validating), else the solved one."""
+        n = self.dim
+        if identity is None:
+            if n == 0:
+                return np.zeros(0, dtype=np.int64)
+            return self._solve_identity()
+        one = linalg.as_mod_array(identity, self.p)
+        if one.shape != (n,):
+            raise InvalidDocument("identity has the wrong length")
+        if validate and not self._is_identity(one):
+            raise NoIdentity("the declared identity is not an identity")
+        return one
+
+    def _certify_associativity(self):
+        """Prove associativity from a few elements of the left nucleus.
+
+        The left nucleus N = {g : (g w) z = g (w z) for all w, z} of a
+        unital algebra is a subalgebra containing 1 (Schafer 1966), so if
+        elements of N generate A, then A = N is associative.  Elements g
+        are drawn from a fixed-seed RNG one at a time; g lies in N when
+        (g b_j) b_k = g (b_j b_k) for all j, k, two n^3-entry products.
+        The span of 1 is closed under left multiplication by the accepted
+        g's; once it is all of A the proof is complete.  The randomness
+        only decides how soon that happens.  A g outside N, or a span still
+        short of A after the last draw, hands over to the blocked check,
+        which gives the verdict and the first failing triple.
+        """
+        n, p = self.dim, self.p
+        flat = linalg.Operand(self.sc.reshape(n * n, n), p)
+        span, pivots = linalg.row_echelon(self.one[None, :], p)
+        # F_p^n with n > p needs about log_p n generators; allow two more
+        draws = 2
+        while p ** (draws - 2) < n:
+            draws += 1
+        rng = random.Random(0)
+        lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
+        for _ in range(draws):
+            if span.shape[0] == n:
+                break
+            g = self.random_vec(rng)
+            # left[j, m] = coordinate m of g b_j
+            left = linalg.matmul_mod(g[None, :], self._ltable, p).reshape(n, n)
+            gw_z = linalg.matmul_mod(left, self._ltable, p)  # [j, (k, l)]
+            g_wz = linalg.matmul_mod(flat, left, p)  # [(j, k), l]
+            if not np.array_equal(gw_z.reshape(-1), g_wz.reshape(-1)):
+                self._check_associativity()
+                raise InternalInvariantViolation(
+                    "a drawn element lies outside the left nucleus, yet no "
+                    "basis triple fails to associate"
+                )
+            lefts = np.concatenate([lefts, left], axis=1)
+            # the span is closed under the earlier g's: start from g * span
+            new = linalg.matmul_mod(span, left, p)
+            while new.shape[0]:
+                span, pivots, fresh = linalg.extend_rref(span, pivots, new, p)
+                new = linalg.matmul_mod(fresh, lefts, p).reshape(-1, n)
+        if span.shape[0] < n:
+            self._check_associativity()
 
     def _check_associativity(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
@@ -218,18 +278,30 @@ class Algebra:
             raise NotCommutative("presentation is not commutative")
 
     def frobenius_matrix(self):
-        """Matrix (columns) of x -> x^p; only linear when commutative."""
-        self.require_commutative()
-        n = self.dim
-        F = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            F[:, i] = self.pow_vec(self.basis_vec(i), self.p)
-        return F
+        """Matrix (columns) of x -> x^p; only linear when commutative.
 
-    def basis_vec(self, i):
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[i] = 1
-        return v
+        The p-th powers of all basis vectors are taken together: each
+        square-and-multiply step is one row-wise product of two stacks.
+        """
+        self.require_commutative()
+        n, k = self.dim, self.p
+        acc = np.tile(self.one, (n, 1))
+        base = np.eye(n, dtype=np.int64)
+        while k:
+            if k & 1:
+                acc = self.mul_rows(acc, base)
+            k >>= 1
+            if k:
+                base = self.mul_rows(base, base)
+        return np.ascontiguousarray(acc.T)
+
+    def mul_rows(self, X, Y):
+        """Row-wise products: out[i] = X[i] * Y[i], shape (k, dim)."""
+        n, p = self.dim, self.p
+        # left[i, l, j] = coordinate l of X[i] * b_j
+        left = linalg.matmul_mod(X, self._ltable, p).reshape(-1, n, n)
+        Y = linalg.as_mod_array(Y, p)
+        return linalg._stack_matvec(left.transpose(0, 2, 1), Y, p)
 
     def random_vec(self, rng):
         return np.array([rng.randrange(self.p) for _ in range(self.dim)],

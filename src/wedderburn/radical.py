@@ -114,23 +114,14 @@ def _chain(A):
     return rows, stage_dims
 
 
-def _reduce_against(basis_rref, pivots, V, p):
-    """Reduce rows of V against an RREF basis; zero rows mean membership."""
-    if basis_rref.shape[0] == 0:
-        return V % p
-    return (V - linalg.matmul_mod(V[:, pivots], basis_rref, p)) % p
-
-
 def _verify_two_sided_ideal(A, rows):
-    R, pivots = linalg.rref(rows, A.p)
-    R = R[: len(pivots)]
+    R, pivots = linalg.row_echelon(rows, A.p)
     basis = np.eye(A.dim, dtype=np.int64)
     prods = np.concatenate([
         A.products(basis, rows).reshape(-1, A.dim),  # b_i * r
         A.products(rows, basis).reshape(-1, A.dim),  # r * b_i
     ])
-    residue = _reduce_against(R, pivots, prods, A.p)
-    return not residue.any()
+    return not linalg.reduce_rows(R, pivots, prods, A.p).any()
 
 
 def _verify_nilpotent(A, rows):

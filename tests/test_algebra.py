@@ -16,6 +16,7 @@ from wedderburn import (
     scramble,
 )
 from wedderburn.errors import (
+    InternalInvariantViolation,
     InvalidDocument,
     NoIdentity,
     NotAssociative,
@@ -115,6 +116,116 @@ def test_associativity_check_memory_is_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def corrupted_m2(p=7):
+    """M_2(F_p) with E12 E21 = 2 E11: still unital, no longer associative."""
+    sc = np.array(m2(p).sc)
+    sc[1, 2, 0] = (sc[1, 2, 0] + 1) % p
+    return sc
+
+
+def diagonal_cube(k):
+    """F_p^k in its idempotent basis: b_i b_j = delta_ij b_i."""
+    sc = np.zeros((k, k, k), dtype=np.int64)
+    sc[range(k), range(k), range(k)] = 1
+    return sc
+
+
+def spy_blocked_check(monkeypatch):
+    calls = []
+    blocked = Algebra._check_associativity
+
+    def spy(self):
+        calls.append(self.dim)
+        return blocked(self)
+
+    monkeypatch.setattr(Algebra, "_check_associativity", spy)
+    return calls
+
+
+def count_draws(monkeypatch):
+    draws = []
+    draw = Algebra.random_vec
+
+    def counted(self, rng):
+        draws.append(1)
+        return draw(self, rng)
+
+    monkeypatch.setattr(Algebra, "random_vec", counted)
+    return draws
+
+
+def test_nucleus_draws_that_generate_nothing_reach_the_blocked_check(monkeypatch):
+    # multiples of 1 always lie in the left nucleus but never enlarge the
+    # span of 1, so every draw is accepted, the cap runs out, and the
+    # blocked check has the last word
+    p, sc = 7, corrupted_m2()
+    want = oracle_first_failure(sc.tolist(), p)
+    assert want is not None
+    assert Algebra(p, sc, validate=False).one.tolist() == [1, 0, 0, 1]
+    monkeypatch.setattr(
+        Algebra, "random_vec", lambda self, rng: self.one * rng.randrange(p) % p
+    )
+    calls = spy_blocked_check(monkeypatch)
+    with pytest.raises(NotAssociative) as info:
+        make_presentation(p, sc)
+    assert calls == [4]
+    assert info.value.witness == want
+
+
+def test_element_outside_the_nucleus_hands_over_the_first_witness(monkeypatch):
+    p, sc = 7, corrupted_m2()
+    calls = spy_blocked_check(monkeypatch)
+    with pytest.raises(NotAssociative) as info:
+        make_presentation(p, sc)
+    assert calls == [4]
+    assert info.value.witness == oracle_first_failure(sc.tolist(), p)
+
+
+def test_nucleus_failure_without_a_witness_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(Algebra, "_check_associativity", lambda self: None)
+    with pytest.raises(InternalInvariantViolation):
+        make_presentation(7, corrupted_m2())
+
+
+def test_several_nucleus_generators_certify_without_the_blocked_check(monkeypatch):
+    # one element of F_3^5 has at most 3 distinct coordinates, so it cannot
+    # generate: the certificate needs a second draw
+    def blocked(self):
+        raise AssertionError("the blocked check ran")
+
+    monkeypatch.setattr(Algebra, "_check_associativity", blocked)
+    draws = count_draws(monkeypatch)
+    A = make_presentation(3, diagonal_cube(5))
+    assert A.one.tolist() == [1] * 5
+    assert len(draws) >= 2
+
+
+def test_exhausted_draw_cap_falls_back_and_accepts(monkeypatch):
+    # F_3^6: the cap is ceil(log_3 6) + 2 = 4 draws, and the fixed seed's
+    # four draws leave two coordinates equal, so they generate a proper
+    # subalgebra and the blocked check decides
+    calls = spy_blocked_check(monkeypatch)
+    draws = count_draws(monkeypatch)
+    A = make_presentation(3, diagonal_cube(6))
+    assert calls == [6] and len(draws) == 4
+    assert A.one.tolist() == [1] * 6
+
+
+@pytest.mark.parametrize("identity", [None, [0, 1, 0, 0], [1, 0, 0]])
+def test_non_associative_takes_precedence_over_identity_errors(identity):
+    # no identity at all, a wrong one, and one of the wrong length
+    p, sc = 7, corrupted_m2()
+    if identity is None:
+        sc[0, 0, 0] = 0  # E11 E11 = 0 as well
+        with pytest.raises(NoIdentity):
+            Algebra(p, sc, validate=False)
+    want = oracle_first_failure(sc.tolist(), p)
+    assert want is not None
+    with pytest.raises(NotAssociative) as info:
+        Algebra(p, sc, identity=identity)
+    assert info.value.witness == want
 
 
 def test_accepted_presentations_pass_oracle():
@@ -225,6 +336,14 @@ def test_frobenius_fixed_space_counts_blocks():
         F = A.frobenius_matrix()
         eye = np.eye(A.dim, dtype=int)
         assert len(linalg.kernel((F - eye) % p, p)) == want
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_frobenius_matrix_matches_per_vector_powers(p):
+    A, _ = scramble(group_algebra(cayley_fixture("C4"), p), seed=3)
+    F = A.frobenius_matrix()
+    for i, b in enumerate(np.eye(A.dim, dtype=np.int64)):
+        assert F[:, i].tolist() == A.pow_vec(b, p).tolist()
 
 
 # -- corners and hom spaces --------------------------------------------------

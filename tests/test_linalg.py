@@ -266,6 +266,82 @@ def test_kernel_rows_annihilate():
             assert not matmul_mod(M, K.T, 5).any()
 
 
+def oracle_rref(M, p):
+    """Textbook Gauss-Jordan on Python integers: (nonzero rows, pivots)."""
+    R = [[int(x) % p for x in row] for row in M]
+    pivots, r = [], 0
+    for c in range(len(R[0]) if R else 0):
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for j in range(len(R)):
+            if j != r and R[j][c]:
+                f = R[j][c]
+                R[j] = [(x - f * y) % p for x, y in zip(R[j], R[r])]
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
+def low_rank(rng, m, n, r, p):
+    """Random m x n matrix of rank at most r, with zero and repeated rows."""
+    M = matmul_mod(rng.integers(0, p, (m, r)), rng.integers(0, p, (r, n)), p)
+    M[rng.random(m) < 0.3] = 0
+    M[rng.integers(0, m, m // 4)] = M[rng.integers(0, m, m // 4)]
+    return M
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("m, n, r, chunk", [
+    (1500, 6, 4, None),    # tall: hundreds of rows per chunk, several chunks
+    (600, 40, 25, None),   # centre-system shape: a chunk is about 100 rows
+    (3, 300, 2, 2**8),     # rows wider than a chunk: one row at a time
+    (40, 300, 40, 2**8),
+])
+def test_chunked_elimination_matches_oracle(monkeypatch, p, m, n, r, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(linalg, "_ROW_CHUNK_ENTRIES", chunk)
+    assert m * n > 2 * linalg._ROW_CHUNK_ENTRIES
+    rng = np.random.default_rng(m + n)
+    M = low_rank(rng, m, n, r, p)
+    want, want_pivots = oracle_rref(M.tolist(), p)
+    R, pivots = rref(M, p)
+    assert pivots == want_pivots and R[: len(pivots)].tolist() == want
+    assert row_space_basis(M, p).tolist() == want
+    assert rank(M, p) == len(want_pivots)
+    K = kernel(M, p)
+    free = [c for c in range(n) if c not in set(want_pivots)]
+    assert K.shape == (len(free), n)
+    assert K[:, free].tolist() == np.eye(len(free), dtype=int).tolist()
+    assert not matmul_mod(M, K.T, p).any()
+
+
+@given(
+    st.integers(0, 30),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from([3, 97, 2**31 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_chunks_of_any_size_give_the_same_echelon_form(m, n, chunk, p, seed):
+    rng = np.random.default_rng(seed)
+    M = low_rank(rng, m, n, int(rng.integers(0, n + 1)), p) if m else (
+        np.zeros((0, n), dtype=np.int64))
+    want = (row_space_basis(M, p).tolist(), kernel(M, p).tolist())
+    old = linalg._ROW_CHUNK_ENTRIES
+    linalg._ROW_CHUNK_ENTRIES = chunk
+    try:
+        got = (row_space_basis(M, p).tolist(), kernel(M, p).tolist())
+    finally:
+        linalg._ROW_CHUNK_ENTRIES = old
+    assert got == want
+    assert want[0] == oracle_rref(M.tolist(), p)[0]
+
+
 def test_inverse_round_trip():
     import random
 
