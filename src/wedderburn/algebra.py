@@ -51,6 +51,9 @@ class Algebra:
         self.dim = n
         self.sc = sc
         if labels is not None:
+            if not (isinstance(labels, list)
+                    and all(isinstance(x, str) for x in labels)):
+                raise InvalidDocument("labels must be a list of strings")
             labels = list(labels)
             if len(labels) != n:
                 raise InvalidDocument(
@@ -72,8 +75,6 @@ class Algebra:
         """The declared identity (checked when validating), else the solved one."""
         n = self.dim
         if identity is None:
-            if n == 0:
-                return np.zeros(0, dtype=np.int64)
             return self._solve_identity()
         one = linalg.as_mod_array(identity, self.p)
         if one.shape != (n,):
@@ -99,10 +100,13 @@ class Algebra:
         n, p = self.dim, self.p
         flat = linalg.Operand(self.sc.reshape(n * n, n), p)
         span, pivots = linalg.row_echelon(self.one[None, :], p)
-        # F_p^n with n > p needs about log_p n generators; allow two more
-        draws = 2
-        while p ** (draws - 2) < n:
-            draws += 1
+        # j random elements of F_p^n generate it once p^j >> n^2 (they
+        # must separate all n coordinates: the birthday bound), so allow
+        # 2 ceil(log_p n) + 2 draws
+        log = 0
+        while p**log < n:
+            log += 1
+        draws = 2 * log + 2
         rng = random.Random(0)
         lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
         for _ in range(draws):
@@ -166,11 +170,19 @@ class Algebra:
         )
 
     def _solve_identity(self):
+        """The u with M u = rhs, from the RREF of the tall [M | rhs].
+
+        An identity is unique (u = u u' = u'), so a solvable system has
+        full column rank: it has one exactly when the pivots are the n
+        columns of M, and then u is the last column of the RREF.
+        """
         M, rhs = self._identity_system()
-        u = linalg.solve_batch(M, rhs, self.p)
-        if u is None:
+        R, pivots = linalg.row_echelon(
+            np.concatenate([M, rhs[:, None]], axis=1), self.p
+        )
+        if pivots != list(range(self.dim)):
             raise NoIdentity("presentation has no two-sided identity")
-        return u
+        return R[:, -1].copy()
 
     def _is_identity(self, u):
         M, rhs = self._identity_system()
@@ -197,7 +209,7 @@ class Algebra:
         left = linalg.matmul_mod(X, self._ltable, p)
         left = left.reshape(kx, n, n).transpose(1, 0, 2).reshape(n, kx * n)
         out = linalg.matmul_mod(Y, left, p)
-        return out.reshape(-1, kx, n).transpose(1, 0, 2)
+        return out.reshape(len(out), kx, n).transpose(1, 0, 2)
 
     @property
     def _ltable(self):
@@ -418,44 +430,28 @@ class Subalgebra:
         self.rows = rows
         self.identity_parent = identity_parent
         k = rows.shape[0]
-        p = parent.p
-        if k == 0:
-            self.algebra = Algebra(
-                p,
-                np.zeros((0, 0, 0), dtype=np.int64),
-                identity=np.zeros(0, dtype=np.int64),
-                validate=False,
-            )
-            return
-        # products of basis pairs, then re-expressed in the row basis
+        # products of basis pairs and the identity, in the row basis
         prods = parent.products(rows, rows).reshape(k * k, parent.dim)
-        coeffs = linalg.solve_batch(rows.T, prods.T, p)
+        coeffs = linalg.coordinates(
+            rows, np.concatenate([prods, identity_parent[None, :]]), parent.p
+        )
         if coeffs is None:
-            raise EntryOutsideCorner("subalgebra basis is not closed under product")
-        sc = np.ascontiguousarray(coeffs.T.reshape(k, k, k))
-        one = linalg.solve_batch(rows.T, identity_parent, p)
-        if one is None:
-            raise EntryOutsideCorner("identity does not lie in the subalgebra")
+            raise EntryOutsideCorner(
+                "subalgebra basis is not closed under product or misses "
+                "the identity"
+            )
+        sc = np.ascontiguousarray(coeffs[:-1].reshape(k, k, k))
         # associativity is inherited, skip the quadratic recheck
-        self.algebra = Algebra(p, sc, identity=one, validate=False)
+        self.algebra = Algebra(parent.p, sc, identity=coeffs[-1],
+                               validate=False)
 
     def to_parent(self, coords):
-        if self.rows.shape[0] == 0:
-            return np.zeros(self.parent.dim, dtype=np.int64)
-        return linalg.matmul_mod(
-            coords[None, :], self.rows, self.parent.p
-        )[0]
+        return linalg.matmul_mod(coords[None, :], self.rows, self.parent.p)[0]
 
     def from_parent(self, x):
         """Coordinates in the subalgebra basis, or None if x lies outside."""
-        if self.rows.shape[0] == 0:
-            return None if x.any() else np.zeros(0, dtype=np.int64)
-        sol = linalg.solve_batch(self.rows.T, x, self.parent.p)
-        if sol is None:
-            return None
-        if not np.array_equal(self.to_parent(sol), x % self.parent.p):
-            return None
-        return sol
+        sol = linalg.coordinates(self.rows, x[None, :], self.parent.p)
+        return None if sol is None else sol[0]
 
     @property
     def dim(self):

@@ -203,16 +203,15 @@ def _iso_rows(A, index, a, b, basis):
     n_i, n, d = len(a), A.dim, basis.shape[0]
     right = np.concatenate([A.rmat(v).T for v in b])  # row (nu, j): b_j * b[nu]
     # sandwich[mu, nu, j] = a[mu] * b_j * b[nu]
-    sandwich = A.products(a, right).reshape(n_i, n_i, n, n)
-    rhs = sandwich.transpose(3, 0, 1, 2).reshape(n, n_i * n_i * n)
-    coords = linalg.solve_batch(basis.T, rhs, A.p)
+    sandwich = A.products(a, right).reshape(n_i * n_i, n, n)
+    coords = linalg.coordinates(basis, sandwich.reshape(-1, n), A.p)
     if coords is None:
         for k in range(n_i * n_i):
-            if linalg.solve_batch(basis.T, rhs[:, k * n:(k + 1) * n], A.p) is None:
+            if linalg.coordinates(basis, sandwich[k], A.p) is None:
                 raise EntryOutsideCorner(
                     f"block {index}: entry ({k // n_i},{k % n_i}) escapes the corner"
                 )
-    return coords.reshape(d, n_i, n_i, n).transpose(1, 2, 0, 3).reshape(-1, n)
+    return coords.reshape(n_i, n_i, n, d).transpose(0, 1, 3, 2).reshape(-1, n)
 
 
 def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):

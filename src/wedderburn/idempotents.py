@@ -248,13 +248,13 @@ def equivalence_witness(A, e, f):
         return None
     a = H[0]
     K = A.hom_space(e, f)
-    # columns: a * (basis of eAf); want a*b = f
-    M = linalg.matmul_mod(A.lmat(a), K.T, A.p)
-    beta = linalg.solve_batch(M, f, A.p)
+    # rows: a * (basis of eAf); want a*b = f
+    M = linalg.matmul_mod(K, A.lmat(a).T, A.p)
+    beta = linalg.coordinates(M, f[None, :], A.p)
     if beta is None:
         raise WitnessSolveFailed(
             "a*b = f has no solution; input was not a primitive pair of a "
             "semisimple presentation"
         )
-    b = linalg.matmul_mod(beta[None, :], K, A.p)[0]
+    b = linalg.matmul_mod(beta, K, A.p)[0]
     return EquivalenceWitness(e_id, f_id, a, b)

@@ -13,21 +13,17 @@ def as_mod_array(data, p):
     return np.ascontiguousarray(np.asarray(data, dtype=np.int64) % p)
 
 
-def rref(M, p, pivot_cols=None):
-    """Reduced row echelon form (copy).  Returns (R, pivot_column_list).
-
-    When pivot_cols is given, pivots are confined to the first pivot_cols
-    columns and the rest ride along as an augmented part.
-    """
+def rref(M, p):
+    """Reduced row echelon form (copy), pivot at a time.  Returns
+    (R, pivot_column_list).  Callers go through row_echelon, which runs this
+    only on the residue a row chunk leaves (extend_rref)."""
     R = as_mod_array(M, p)
     if R.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    if pivot_cols is None:
-        pivot_cols = R.shape[1]
     rows = R.shape[0]
     pivots = []
     r = 0
-    for c in range(pivot_cols):
+    for c in range(R.shape[1]):
         if r == rows:
             break
         nz = np.nonzero(R[r:, c])[0]
@@ -114,30 +110,6 @@ def row_space_basis(M, p):
     return row_echelon(M, p)[0].copy()
 
 
-def solve_batch(A, B, p):
-    """Solve A X = B for X (free variables zero).  None if inconsistent.
-
-    B may be a vector (one right-hand side) or a matrix of stacked columns.
-    """
-    A = as_mod_array(A, p)
-    B = as_mod_array(B, p)
-    vector_rhs = B.ndim == 1
-    if vector_rhs:
-        B = B[:, None]
-    m, n = A.shape
-    aug = np.concatenate([A, B], axis=1)
-    R, pivots = rref(aug, p, pivot_cols=n)
-    r = len(pivots)
-    # rows below the pivot rows have zero coefficient part; any nonzero
-    # residue there certifies inconsistency
-    if r < m and np.any(R[r:, n:]):
-        return None
-    X = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for j, c in enumerate(pivots):
-        X[c] = R[j, n:]
-    return X[:, 0] if vector_rhs else X
-
-
 def kernel(M, p):
     """Canonical basis of the right null space, one vector per row.
 
@@ -153,19 +125,34 @@ def kernel(M, p):
     return out
 
 
+def coordinates(B, V, p):
+    """C with C B = V for independent rows B, or None when B is dependent or
+    some row of V lies outside the row space of B.
+
+    One row_echelon of [B | I_k] gives [R | E] with E B = R.  Every pivot of
+    an independent B lies among its own columns, and a row v of its span is
+    v[pivots] R = v[pivots] E B, so C = V[:, pivots] E.  The product C B is
+    compared with V, which refuses the rows outside the span.
+    """
+    B, V = as_mod_array(B, p), as_mod_array(V, p)
+    k, n = B.shape
+    RE, pivots = row_echelon(
+        np.concatenate([B, np.eye(k, dtype=np.int64)], axis=1), p
+    )
+    if pivots and pivots[-1] >= n:
+        return None
+    C = matmul_mod(V[:, pivots], RE[:, n:], p)
+    if not np.array_equal(matmul_mod(C, B, p), V):
+        return None
+    return C
+
+
 def inverse(M, p):
     """Inverse of a square matrix, or None if singular."""
-    M = as_mod_array(M, p)
-    n = M.shape[0]
-    if M.shape != (n, n):
+    n = len(M)
+    if np.shape(M) != (n, n):
         raise ValueError("inverse expects a square matrix")
-    X = solve_batch(M, np.eye(n, dtype=np.int64), p)
-    if X is None:
-        return None
-    # consistency of the batch solve does not by itself certify full rank
-    if not np.array_equal(matmul_mod(M, X, p), np.eye(n, dtype=np.int64)):
-        return None
-    return X
+    return coordinates(M, np.eye(n, dtype=np.int64), p)
 
 
 # float64 products are exact while the inner-product bound stays under 2^53

@@ -203,14 +203,27 @@ def test_several_nucleus_generators_certify_without_the_blocked_check(monkeypatc
 
 
 def test_exhausted_draw_cap_falls_back_and_accepts(monkeypatch):
-    # F_3^6: the cap is ceil(log_3 6) + 2 = 4 draws, and the fixed seed's
-    # four draws leave two coordinates equal, so they generate a proper
-    # subalgebra and the blocked check decides
+    # F_3^6: the cap is 2 ceil(log_3 6) + 2 = 6 draws; multiples of 1 lie in
+    # the left nucleus but generate only the span of 1, so every draw is
+    # spent and the blocked check decides
+    monkeypatch.setattr(
+        Algebra, "random_vec", lambda self, rng: self.one * rng.randrange(3) % 3
+    )
     calls = spy_blocked_check(monkeypatch)
     draws = count_draws(monkeypatch)
     A = make_presentation(3, diagonal_cube(6))
-    assert calls == [6] and len(draws) == 4
+    assert calls == [6] and len(draws) == 6
     assert A.one.tolist() == [1] * 6
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_small_prime_products_certify_without_the_blocked_check(monkeypatch, p):
+    # F_p^k needs random elements separating all k coordinates; the cap of
+    # 2 ceil(log_p k) + 2 draws leaves room for that at every k here
+    calls = spy_blocked_check(monkeypatch)
+    for k in range(2, 40):
+        make_presentation(p, diagonal_cube(k))
+    assert calls == []
 
 
 @pytest.mark.parametrize("identity", [None, [0, 1, 0, 0], [1, 0, 0]])
@@ -409,6 +422,13 @@ def test_doc_round_trip():
     assert doc["p"] == 5 and doc["dim"] == 6
     B = from_doc(doc)
     assert B.p == A.p and np.array_equal(B.sc, A.sc)
+
+
+def test_from_doc_solves_an_undeclared_identity():
+    A, _ = scramble(matrix_algebra(97, 7).algebra, seed=1)
+    doc = A.to_doc()
+    del doc["identity"]
+    assert from_doc(doc).one.tolist() == A.one.tolist()
 
 
 def test_from_doc_validates():

@@ -131,6 +131,18 @@ def test_boolean_among_integers_exit_4(tmp_path, c3_doc):
             assert run("decompose", str(out)).returncode == 4
 
 
+@pytest.mark.parametrize("labels", [5, "ab", [1, 2], {"a": 1}])
+def test_malformed_labels_exit_4(tmp_path, labels):
+    path = tmp_path / "c2.json"
+    assert run("gen", "group", "--cayley", "C2", "-p", "5",
+               "-o", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["labels"] = labels
+    path.write_text(json.dumps(doc))
+    r = run("decompose", str(path))
+    assert r.returncode == 4 and "Traceback" not in r.stderr
+
+
 # an impossible split: the coprime-factor idempotent comes out zero
 _BROKEN_SPLIT = (
     "import sys\n"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wedderburn import linalg
 from wedderburn.linalg import (
     char_poly,
+    coordinates,
     inverse,
     kernel,
     matmul_mod,
@@ -14,7 +15,6 @@ from wedderburn.linalg import (
     rank,
     row_space_basis,
     rref,
-    solve_batch,
 )
 
 
@@ -39,15 +39,6 @@ def random_matrix(rng, m, n, p):
 
 def test_rank_example():
     assert rank(np.array([[1, 2], [2, 4]]), 5) == 1
-
-
-def test_solve_example():
-    x = solve_batch(np.array([[1, 1], [0, 0]]), np.array([3, 0]), 5)
-    assert x.tolist() == [3, 0]
-
-
-def test_solve_inconsistent():
-    assert solve_batch(np.array([[1, 1], [0, 0]]), np.array([3, 1]), 5) is None
 
 
 def test_kernel_example():
@@ -231,28 +222,6 @@ def test_prepared_operand_matches_plain_arrays():
             matmul_mod(A, prepared, 5)
 
 
-def test_solve_batch_consistency():
-    import random
-
-    rng = random.Random(3)
-    p = 7
-    for _ in range(25):
-        m, n, k = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 3)
-        A = random_matrix(rng, m, n, p)
-        X = solve_batch(A, random_matrix(rng, m, k, p), p)
-        if X is not None:
-            assert X.shape == (n, k)
-    # solvable by construction: B = A X0
-    for _ in range(25):
-        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        A = random_matrix(rng, m, n, p)
-        X0 = random_matrix(rng, n, 2, p)
-        B = matmul_mod(A, X0, p)
-        X = solve_batch(A, B, p)
-        assert X is not None
-        assert np.array_equal(matmul_mod(A, X, p), B)
-
-
 def test_kernel_rows_annihilate():
     import random
 
@@ -355,6 +324,66 @@ def test_inverse_round_trip():
     Minv = inverse(M, p)
     assert np.array_equal(matmul_mod(M, Minv, p), np.eye(n, dtype=int))
     assert inverse(np.array([[1, 2], [2, 4]]), 5) is None
+
+
+def oracle_coordinates(B, V, p):
+    """C with C B = V from the oracle RREF of the transposed system
+    [B^T | V^T], or None when B is dependent or V leaves its span."""
+    k, m = len(B), len(V)
+    n = len(B[0])
+    aug = [[B[i][j] for i in range(k)] + [V[i][j] for i in range(m)]
+           for j in range(n)]
+    R, pivots = oracle_rref(aug, p)
+    if pivots != list(range(k)):
+        return None
+    return [[R[t][k + i] for t in range(k)] for i in range(m)]
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("k, n, m", [
+    (60, 80, 30),  # [B | I] runs 140 columns wide: three row chunks
+    (1, 7, 4),
+    (5, 5, 3),     # a square basis: every vector lies in its span
+])
+def test_coordinates_match_oracle(p, k, n, m):
+    rng = np.random.default_rng(k + n + m)
+    B = rng.integers(0, p, (k, n))
+    if k == 60:
+        assert k > linalg._ROW_CHUNK_ENTRIES // (n + k)
+    inside = matmul_mod(rng.integers(0, p, (m, k)), B, p)
+    C = coordinates(B, inside, p)
+    assert C.tolist() == oracle_coordinates(B.tolist(), inside.tolist(), p)
+    # one row in the middle of V leaves the span (unless B is square)
+    outside = inside.copy()
+    outside[m // 2] = (outside[m // 2] + rng.integers(0, p, n)) % p
+    want = oracle_coordinates(B.tolist(), outside.tolist(), p)
+    assert (want is None) == (k < n)
+    got = coordinates(B, outside, p)
+    assert (got is None and want is None) or got.tolist() == want
+    # a dependent basis: its last row is a combination of the others
+    D = B.copy()
+    D[-1] = matmul_mod(rng.integers(0, p, (1, k - 1)), B[:-1], p)[0]
+    assert oracle_coordinates(D.tolist(), inside.tolist(), p) is None
+    assert coordinates(D, inside, p) is None
+
+
+def test_coordinates_of_an_empty_basis():
+    B = np.zeros((0, 3), dtype=np.int64)
+    assert coordinates(B, np.zeros((2, 3)), 7).shape == (2, 0)
+    assert coordinates(B, np.array([[0, 1, 0]]), 7) is None
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_inverse_matches_oracle(p):
+    rng = np.random.default_rng(p % 1000)
+    for n in (1, 2, 5, 30, 90):
+        M = rng.integers(0, p, (n, n))
+        want = oracle_coordinates(M.tolist(), np.eye(n, dtype=int).tolist(), p)
+        got = inverse(M, p)
+        assert (got is None and want is None) or got.tolist() == want
+        S = M.copy()
+        S[0] = 2 * S[-1] % p if n > 1 else 0
+        assert inverse(S, p) is None
 
 
 def test_row_space_basis_is_route_independent():

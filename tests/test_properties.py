@@ -1,11 +1,13 @@
 """Property-based end-to-end checks over randomly drawn inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedderburn import (
     build_planted,
     full_isomorphism,
+    radical_report,
     scramble,
     verify_isomorphism,
 )
@@ -54,3 +56,19 @@ def test_iso_is_a_ring_map_on_random_elements(spec, p, seed, rng):
     zx = matmul_mod(res.iso, x[:, None], p)[:, 0]
     zy = matmul_mod(res.iso, y[:, None], p)[:, 0]
     assert z.tolist() == ((zx + zy) % p).tolist()
+
+
+@pytest.mark.parametrize("p, spec", [
+    (3, [(3, 1)]),
+    (3, [(3, 1), (1, 2)]),
+    (3, [(3, 2)]),
+    (5, [(5, 1)]),
+])
+def test_characteristic_dividing_a_block_size(p, spec):
+    # p | n_i degenerates the trace form on that block, so the radical
+    # chain must run past stage 0 to certify semisimplicity
+    A, _ = scramble(build_planted(spec, p).algebra, seed=1)
+    assert radical_report(A).stage_dims[-1] == 0
+    res = full_isomorphism(A, seed=0)
+    assert sorted((b.n, b.D.degree) for b in res.blocks) == sorted(spec)
+    assert verify_isomorphism(A, res).passed
