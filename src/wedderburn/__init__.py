@@ -27,12 +27,7 @@ from .generators import (
     matrix_algebra,
     scramble,
 )
-from .idempotents import (
-    OrthogonalDecomposition,
-    decompose_identity,
-    equivalence_witness,
-    split_once,
-)
+from .idempotents import decompose_identity, equivalence_witness, split_once
 from .radical import (
     RadicalReport,
     is_semisimple,
@@ -46,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebra",
     "DecompositionResult",
-    "OrthogonalDecomposition",
     "Planted",
     "RadicalReport",
     "Subalgebra",

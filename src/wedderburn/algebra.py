@@ -149,11 +149,12 @@ class Algebra:
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             # lhs[i, j, k, l] = sum_m c[i,j,m] c[m,k,l]
-            lhs = linalg.matmul_mod(flat_left[lo * n : hi * n], self._ltable, p)
-            lhs = lhs.reshape(hi - lo, n, n, n)
+            lhs = linalg.matmul_mod(
+                flat_left.ints[lo * n : hi * n], self._ltable, p
+            ).reshape(hi - lo, n, n, n)
             # rhs[j, k, i, l] = sum_m c[j,k,m] c[i,m,l]
             rhs = linalg.matmul_mod(
-                flat_left, self._rtable[:, lo * n : hi * n], p
+                flat_left, self._rtable.ints[:, lo * n : hi * n], p
             ).reshape(n, n, hi - lo, n).transpose(2, 0, 1, 3)
             if not np.array_equal(lhs, rhs):
                 i, j, k, _ = np.argwhere(lhs != rhs)[0]

@@ -9,9 +9,11 @@ assemble the global linear map sending x to the tuple of block matrices
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
 idempotent and division basis, plus the iso matrix, its inverse and the
-layout.  `check` re-proves every relation of a certificate exactly, without
-re-running any of the search; `verify_isomorphism` runs it on a result and
-`verify_report_doc` on the result parsed from a report document.
+layout.  The search hands plain int64 arrays from stage to stage and does
+not re-check what it builds: `check` is the one proof of every relation of
+a certificate, exact and without re-running any of the search.
+`verify_isomorphism` runs it on a result and `verify_report_doc` on the
+result parsed from a report document.
 """
 
 from dataclasses import dataclass, field
@@ -22,30 +24,12 @@ import numpy as np
 from . import idempotents, linalg, radical
 from .algebra import Algebra, Subalgebra, doc_array, is_doc_int
 from .errors import (
-    CentralityViolation,
     EntryOutsideCorner,
     InvalidDocument,
-    MatrixUnitViolation,
     NonBijective,
     ShapeMismatch,
     WitnessSolveFailed,
 )
-
-
-@dataclass
-class ConnectingFamily:
-    """One equivalence class with its connecting elements.
-
-    members[0] is the class representative (lexicographically smallest
-    coordinate vector in the class); a[mu] lies in rep*A*e_mu and b[mu] in
-    e_mu*A*rep with a[mu]*b[mu] = rep and b[mu]*a[mu] = e_mu; in particular
-    a[0] = b[0] = rep.
-    """
-
-    rep: idempotents.Idempotent
-    members: list
-    a: list
-    b: list
 
 
 class DivisionAlgebra(NamedTuple):
@@ -107,49 +91,36 @@ class Failure(NamedTuple):
     message: str  # names the relation, the block and the indices
 
 
-def group_by_equivalence(A, decomposition):
-    """Partition primitive parts into classes with connecting witnesses."""
+def group_by_equivalence(A, parts):
+    """Partition primitive parts into classes with connecting witnesses.
+
+    Returns one (members, a, b) triple of (n_i, dim) arrays per class, in
+    discovery order.  members[0] is the class representative rep (the
+    lexicographically smallest member); a[mu] lies in rep*A*e_mu and b[mu]
+    in e_mu*A*rep with a[mu]*b[mu] = rep and b[mu]*a[mu] = e_mu, so
+    a[0] = b[0] = rep.
+    """
     classes = []  # lists of part indices, discovery order
-    parts = decomposition.parts
     for idx, part in enumerate(parts):
-        placed = False
         for cls in classes:
-            probe = parts[cls[0]]
-            if A.hom_space(probe.coords, part.coords).shape[0] > 0:
+            if A.hom_space(parts[cls[0]], part).shape[0] > 0:
                 cls.append(idx)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([idx])
     families = []
     for cls in classes:
-        rep_idx = min(cls, key=lambda i: tuple(int(c) for c in parts[i].coords))
-        ordered = [rep_idx] + [i for i in cls if i != rep_idx]
-        members = [parts[i] for i in ordered]
-        rep = members[0]
-        a_list, b_list = [], []
+        rep_idx = min(cls, key=lambda i: parts[i].tolist())
+        members = parts[[rep_idx] + [i for i in cls if i != rep_idx]]
+        witnesses = []
         for member in members:
-            w = idempotents.equivalence_witness(A, member, rep)
+            w = idempotents.equivalence_witness(A, member, members[0])
             if w is None:
                 raise WitnessSolveFailed("class member lost its witness")
-            a_list.append(w.a)
-            b_list.append(w.b)
-        families.append(
-            ConnectingFamily(rep=rep, members=members, a=a_list, b=b_list)
-        )
+            witnesses.append(w)
+        a, b = (np.array(x) for x in zip(*witnesses))
+        families.append((members, a, b))
     return families
-
-
-def central_idempotent(A, family):
-    """Sum of the class members; verified central and idempotent."""
-    c = np.zeros(A.dim, dtype=np.int64)
-    for member in family.members:
-        c = (c + member.coords) % A.p
-    if not np.array_equal(A.mul_vec(c, c), c):
-        raise CentralityViolation("class sum is not idempotent")
-    if not np.array_equal(A.lmat(c), A.rmat(c)):
-        raise CentralityViolation("class sum is not central")
-    return c
 
 
 def _unit_relations(A, units):
@@ -165,21 +136,14 @@ def _unit_relations(A, units):
     ]
 
 
-def matrix_units(A, family, block_identity):
-    """Grid b[mu]*a[nu]; every product relation is checked."""
-    units = A.products(np.array(family.b), np.array(family.a))
-    diag = np.arange(len(units))
-    if not np.array_equal(units[diag, diag].sum(axis=0) % A.p, block_identity):
-        raise MatrixUnitViolation("diagonal units do not sum to the block identity")
-    failed = _unit_relations(A, units)
-    if failed:
-        raise MatrixUnitViolation(failed[0])
-    return units
+def matrix_units(A, a, b):
+    """Grid units[mu, nu] = b[mu]*a[nu]."""
+    return A.products(b, a)
 
 
-def division_presentation(A, family):
+def division_presentation(A, members):
     """The corner at the class representative: the block's entry field."""
-    corner = A.corner(family.rep.coords)
+    corner = A.corner(members[0])
     return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
 
 
@@ -217,21 +181,17 @@ def _iso_rows(A, index, a, b, basis):
 def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
     """End-to-end decomposition with the assembled invertible map."""
     radical.require_semisimple(A)
-    decomposition = idempotents.decompose_identity(A, seed=seed, cap=cap)
-    families = group_by_equivalence(A, decomposition)
-
+    parts = idempotents.decompose_identity(A, seed=seed, cap=cap)
     staged = []
-    for fam in families:
-        c = central_idempotent(A, fam)
-        D = division_presentation(A, fam)
-        units = matrix_units(A, fam, c)
-        staged.append((len(fam.members), D.degree, tuple(int(v) for v in c),
-                       fam, c, D, units))
+    for members, a, b in group_by_equivalence(A, parts):
+        c = members.sum(axis=0) % A.p
+        D = division_presentation(A, members)
+        staged.append((len(members), D.degree, tuple(c.tolist()),
+                       members[0], c, a, b, D, matrix_units(A, a, b)))
     staged.sort(key=lambda s: s[:3])
     blocks = [
-        Block(index=index, n=n_i, D=D, rep=fam.rep.coords, c=c,
-              a=np.array(fam.a), b=np.array(fam.b), units=units)
-        for index, (n_i, _, _, fam, c, D, units) in enumerate(staged)
+        Block(index=index, n=n_i, D=D, rep=rep, c=c, a=a, b=b, units=units)
+        for index, (n_i, _, _, rep, c, a, b, D, units) in enumerate(staged)
     ]
     iso = np.concatenate([_iso_rows(A, blk.index, blk.a, blk.b, blk.D.basis)
                           for blk in blocks])

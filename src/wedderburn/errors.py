@@ -65,10 +65,6 @@ class NotSemisimple(WedderburnError):
         )
 
 
-class NotSemisimpleContext(WedderburnError):
-    """An operation requiring a semisimplicity certificate was invoked without one."""
-
-
 class SplitIterationCapExceeded(WedderburnError):
     """The randomized idempotent split exhausted its attempt budget.
 
@@ -85,18 +81,6 @@ class WitnessSolveFailed(WedderburnError):
 
     Indicates a violated precondition (non-primitive or non-semisimple input).
     """
-
-
-class CentralityViolation(WedderburnError):
-    """A class-sum idempotent failed the centrality check (upstream grouping bug)."""
-
-
-class OrthogonalityViolation(WedderburnError):
-    """Decomposition parts are zero, overlap, or miss their target sum (fatal)."""
-
-
-class MatrixUnitViolation(WedderburnError):
-    """A matrix-unit relation failed (fatal invariant failure)."""
 
 
 class EntryOutsideCorner(WedderburnError):

@@ -62,18 +62,20 @@ def is_prime(n):
 def check_modulus(p):
     """Validate p as a supported field characteristic.
 
-    Raises NotPrime for composites and UnsupportedCharacteristic for p = 2
-    (idempotent splitting needs 2 invertible) or oversized p.
+    Raises UnsupportedCharacteristic for p > MAX_MODULUS (prime or not) and
+    for p = 2 (idempotent splitting needs 2 invertible), NotPrime for other
+    composites.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise NotPrime(f"modulus must be an int, got {type(p).__name__}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        raise UnsupportedCharacteristic("characteristic 2 is not supported")
+    # the range test comes first: trial division of a huge p would not end
     if p > MAX_MODULUS:
         raise UnsupportedCharacteristic(
             f"modulus {p} exceeds the exact-arithmetic limit {MAX_MODULUS}"
         )
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if p == 2:
+        raise UnsupportedCharacteristic("characteristic 2 is not supported")
     return p
 

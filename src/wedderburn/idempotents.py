@@ -18,8 +18,6 @@ from .algebra import Subalgebra
 from .errors import (
     InternalInvariantViolation,
     NotIdempotent,
-    NotSemisimpleContext,
-    OrthogonalityViolation,
     SplitIterationCapExceeded,
     WitnessSolveFailed,
 )
@@ -27,75 +25,10 @@ from .errors import (
 DEFAULT_SPLIT_CAP = 256
 
 
-class Idempotent:
-    """An element of A, held as coordinates checked to square to themselves."""
-
-    def __init__(self, A, coords):
-        coords = linalg.as_mod_array(coords, A.p)
-        A.require_idempotent(coords)
-        self.parent = A
-        self.coords = coords
-
-    def __repr__(self):
-        return f"Idempotent({self.coords.tolist()})"
-
-
 @dataclass
 class Split:
     e1: np.ndarray
     e2: np.ndarray
-
-
-@dataclass
-class OrthogonalDecomposition:
-    """Pairwise-orthogonal nonzero idempotent parts summing to `of`."""
-
-    parts: list
-    of: Idempotent
-
-    def __post_init__(self):
-        A = self.of.parent
-        E = np.array([part.coords for part in self.parts])
-        if not E.any(axis=1).all():
-            raise OrthogonalityViolation("decomposition contains a zero part")
-        cross = A.products(E, E).any(axis=2)
-        np.fill_diagonal(cross, False)
-        if cross.any():
-            i, j = np.argwhere(cross)[0]
-            raise OrthogonalityViolation(f"parts {i} and {j} are not orthogonal")
-        if not np.array_equal(E.sum(axis=0) % A.p, self.of.coords):
-            raise OrthogonalityViolation("parts do not sum to target")
-
-
-@dataclass
-class EquivalenceWitness:
-    """a in f*A*e and b in e*A*f with a*b = f and b*a = e."""
-
-    e: Idempotent
-    f: Idempotent
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = self.e.parent
-        e, f, a, b = self.e.coords, self.f.coords, self.a, self.b
-        checks = (
-            (A.mul_vec(a, b), f, "a*b = f"),
-            (A.mul_vec(b, a), e, "b*a = e"),
-            (A.mul_vec(A.mul_vec(f, a), e), a, "f*a*e = a"),
-            (A.mul_vec(A.mul_vec(e, b), f), b, "e*b*f = b"),
-        )
-        for got, want, label in checks:
-            if not np.array_equal(got, want):
-                raise WitnessSolveFailed(f"witness relation {label} fails")
-
-
-def _require_certified(A):
-    report = getattr(A, "_radical_report", None)
-    if report is None or not report.is_semisimple:
-        raise NotSemisimpleContext(
-            "call require_semisimple before splitting idempotents"
-        )
 
 
 def _eval_in(B, coeffs, x):
@@ -151,17 +84,14 @@ def _split_element(B, x):
 
 
 def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
-    """One splitting step at the idempotent e (coords or Idempotent).
+    """One splitting step at the idempotent e (coordinates) of a semisimple A.
 
     Returns a Split, or None when e is primitive.
     """
-    _require_certified(A)
-    if isinstance(e, Idempotent):
-        e = e.coords
+    radical.require_semisimple(A)
     e = linalg.as_mod_array(e, A.p)
     if not e.any():
         raise NotIdempotent("cannot split the zero idempotent")
-    A.require_idempotent(e)
     if rng is None:
         rng = random.Random(0)
     p = A.p
@@ -210,13 +140,12 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
 
 
 def decompose_identity(A, seed=0, cap=DEFAULT_SPLIT_CAP):
-    """Complete orthogonal primitive decomposition of the identity.
+    """Orthogonal primitive idempotents summing to 1: a (k, dim) array.
 
     Worklist order is deterministic: a split replaces its parent in place
     with the two children (first child next in line), so the final part
     order depends only on (A, seed).
     """
-    radical.require_semisimple(A)
     master = random.Random(seed)
     entries = [A.one.copy()]
     i = 0
@@ -227,23 +156,21 @@ def decompose_identity(A, seed=0, cap=DEFAULT_SPLIT_CAP):
             i += 1
         else:
             entries[i : i + 1] = [outcome.e1, outcome.e2]
-    parts = [Idempotent(A, c) for c in entries]
-    return OrthogonalDecomposition(parts=parts, of=Idempotent(A, A.one))
+    return np.array(entries)
 
 
 def equivalence_witness(A, e, f):
-    """Witness (a, b) with a*b = f, b*a = e, or None when none exists.
+    """(a, b) with a in f*A*e, b in e*A*f, a*b = f and b*a = e, or None.
 
     A zero space f*A*e settles inequivalence; otherwise the first reduced
     basis vector of f*A*e is completed to a witness by solving a linear
-    system over e*A*f.
+    system over e*A*f.  A non-idempotent e or f raises NotIdempotent.
     """
-    e_id = e if isinstance(e, Idempotent) else Idempotent(A, e)
-    f_id = f if isinstance(f, Idempotent) else Idempotent(A, f)
-    e, f = e_id.coords, f_id.coords
+    e, f = linalg.as_mod_array(e, A.p), linalg.as_mod_array(f, A.p)
     if np.array_equal(e, f):
-        return EquivalenceWitness(e_id, f_id, e.copy(), e.copy())
-    H = A.hom_space(f, e)
+        A.require_idempotent(e)
+        return e.copy(), e.copy()
+    H = A.hom_space(f, e)  # refuses a non-idempotent e or f
     if H.shape[0] == 0:
         return None
     a = H[0]
@@ -256,5 +183,4 @@ def equivalence_witness(A, e, f):
             "a*b = f has no solution; input was not a primitive pair of a "
             "semisimple presentation"
         )
-    b = linalg.matmul_mod(beta, K, A.p)[0]
-    return EquivalenceWitness(e_id, f_id, a, b)
+    return a, linalg.matmul_mod(beta, K, A.p)[0]

@@ -169,32 +169,22 @@ class Operand:
 
     matmul_mod wraps a plain array in a fresh Operand on every call; keeping
     one for a matrix used again and again (a multiplication table) converts
-    it once.  Indexing gives a view whose copies are views of these.
+    it once.
     """
 
-    __slots__ = ("p", "ints", "shape", "_parts", "_base")
+    __slots__ = ("p", "ints", "shape", "_parts")
 
     def __init__(self, M, p):
         self.p = p
         self.ints = _reduced(M, p)
         self.shape = self.ints.shape
         self._parts = {}
-        self._base = None
-
-    def __getitem__(self, index):
-        view = Operand.__new__(Operand)
-        view.p, view.ints = self.p, self.ints[index]
-        view.shape, view._parts, view._base = view.ints.shape, {}, (self, index)
-        return view
 
     def parts(self, wide):
         """(M,) as float64, or when wide the limbs (hi, lo, hi + lo)."""
         got = self._parts.get(wide)
         if got is None:
-            if self._base is not None:
-                base, index = self._base
-                got = tuple(x[index] for x in base.parts(wide))
-            elif wide:
+            if wide:
                 hi, lo = self.ints >> 16, self.ints & 0xFFFF
                 got = tuple(x.astype(np.float64) for x in (hi, lo, hi + lo))
             else:

@@ -192,22 +192,23 @@ def test_criterion_6_witness_suite(corpus):
         dec = decompose_identity(A, seed=0)
         fams = group_by_equivalence(A, dec)
         block_of = {}
-        for k, fam in enumerate(fams):
-            for m in fam.members:
-                block_of[tuple(int(c) for c in m.coords)] = k
-        for e in dec.parts:
-            for f in dec.parts:
-                w = equivalence_witness(A, e.coords, f.coords)
+        for k, (members, _, _) in enumerate(fams):
+            for m in members:
+                block_of[tuple(int(c) for c in m)] = k
+        for e in dec:
+            for f in dec:
+                w = equivalence_witness(A, e, f)
                 same = (
-                    block_of[tuple(int(c) for c in e.coords)]
-                    == block_of[tuple(int(c) for c in f.coords)]
+                    block_of[tuple(int(c) for c in e)]
+                    == block_of[tuple(int(c) for c in f)]
                 )
                 if (w is not None) != same:
                     ok = False
                 if w is not None:
-                    if A.mul_vec(w.a, w.b).tolist() != f.coords.tolist():
+                    a, b = w
+                    if A.mul_vec(a, b).tolist() != f.tolist():
                         ok = False
-                    if A.mul_vec(w.b, w.a).tolist() != e.coords.tolist():
+                    if A.mul_vec(b, a).tolist() != e.tolist():
                         ok = False
     report(6, ok, "witness exists iff same block; ab=f and ba=e exact")
 

@@ -26,18 +26,15 @@ from wedderburn import blocks, cli
 from wedderburn.blocks import (
     DivisionAlgebra,
     apply_iso,
-    central_idempotent,
     codomain_algebra,
     flatten,
     group_by_equivalence,
-    matrix_units,
     target_multiply,
     unflatten,
 )
 from wedderburn.errors import (
     EntryOutsideCorner,
     InvalidDocument,
-    MatrixUnitViolation,
     ShapeMismatch,
 )
 from wedderburn.linalg import matmul_mod
@@ -78,20 +75,19 @@ def test_grouping_counts():
     ]:
         A = build()
         fams = group_by_equivalence(A, decompose_identity(A, seed=0))
-        assert sorted(len(f.members) for f in fams) == want
+        assert sorted(len(members) for members, _, _ in fams) == want
 
 
 def test_family_orientation():
     A = matrix_algebra(7, 2).algebra
     fams = group_by_equivalence(A, decompose_identity(A, seed=0))
     assert len(fams) == 1
-    fam = fams[0]
-    rep = fam.rep.coords
-    assert fam.a[0].tolist() == rep.tolist() and fam.b[0].tolist() == rep.tolist()
-    for mu, member in enumerate(fam.members):
-        e = member.coords
-        assert A.mul_vec(fam.a[mu], fam.b[mu]).tolist() == rep.tolist()
-        assert A.mul_vec(fam.b[mu], fam.a[mu]).tolist() == e.tolist()
+    members, a, b = fams[0]
+    rep = members[0]
+    assert a[0].tolist() == rep.tolist() and b[0].tolist() == rep.tolist()
+    for mu, e in enumerate(members):
+        assert A.mul_vec(a[mu], b[mu]).tolist() == rep.tolist()
+        assert A.mul_vec(b[mu], a[mu]).tolist() == e.tolist()
 
 
 def test_central_idempotents_of_f5c3():
@@ -105,18 +101,6 @@ def test_central_idempotents_of_f5c3():
     assert total.tolist() == A.one.tolist()
 
 
-def test_central_idempotent_rejects_broken_family():
-    from wedderburn.errors import CentralityViolation
-
-    A = matrix_algebra(7, 2).algebra
-    fams = group_by_equivalence(A, decompose_identity(A, seed=0))
-    fam = fams[0]
-    broken = copy.copy(fam)
-    broken.members = fam.members[:1]  # drop one member: sum is not central
-    with pytest.raises(CentralityViolation):
-        central_idempotent(A, broken)
-
-
 def test_matrix_units_pass_delta_oracle():
     for A in (matrix_algebra(7, 2).algebra, scramble(matrix_algebra(5, 3).algebra, seed=1)[0]):
         res = full_isomorphism(A, seed=0)
@@ -126,14 +110,16 @@ def test_matrix_units_pass_delta_oracle():
 
 def test_matrix_units_catch_corruption():
     A = matrix_algebra(7, 2).algebra
-    fams = group_by_equivalence(A, decompose_identity(A, seed=0))
-    fam = fams[0]
-    c = central_idempotent(A, fam)
-    bad = copy.copy(fam)
-    bad.a = list(fam.a)
-    bad.a[1] = (fam.a[1] * 2) % 7  # scales a without fixing b
-    with pytest.raises(MatrixUnitViolation):
-        matrix_units(A, bad, c)
+    res = full_isomorphism(A, seed=0)
+    bad = copy.deepcopy(res)
+    blk = bad.blocks[0]
+    blk.a = blk.a.copy()
+    blk.a[1] = (blk.a[1] * 2) % 7  # scales a without fixing b
+    blk.units = blocks.matrix_units(A, blk.a, blk.b)
+    assert not delta_oracle(A, blk.units)
+    rep = verify_isomorphism(A, bad)
+    assert not rep.passed
+    assert "block 0: a[1]*b[1] != representative" in rep.failures
 
 
 def test_unit_relations_are_checked_on_the_units_themselves():
@@ -189,8 +175,8 @@ def test_block_map_of_units_gives_elementary_grids():
 def test_block_map_rejects_vectors_outside_the_corner(monkeypatch):
     # present the block on the corner of a non-representative member: the
     # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
-    def foreign_corner(A, family):
-        corner = A.corner(family.members[-1].coords)
+    def foreign_corner(A, members):
+        corner = A.corner(members[-1])
         return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
 
     monkeypatch.setattr(blocks, "division_presentation", foreign_corner)
@@ -402,6 +388,25 @@ def _tamper(res, field):
     if field == "b[mu]":
         b1.b[1] = b1.b[1] * 2 % 7
         return "block 1: b[1]*a[1] is not idempotent"
+    if field == "a in corner":
+        # a' = a + b keeps a'*b = rep and b*a' = e, but rep*a'*e = a
+        b1.a[1] = (b1.a[1] + b1.b[1]) % 7
+        return "block 1: a[1] is not in rep*A*e[1]"
+    if field == "b in corner":
+        b1.b[1] = (b1.b[1] + b1.a[1]) % 7
+        return "block 1: b[1] is not in e[1]*A*rep"
+    if field == "central":
+        # the representative alone is a consistent block M_1(F_7), whose
+        # member sum is not central
+        b1.n, b1.a, b1.b = 1, b1.a[:1], b1.b[:1]
+        b1.units, b1.c = b1.units[:1, :1], b1.rep.copy()
+        return "block 1: central idempotent is not central"
+    if field == "orthogonal":
+        res.blocks.append(copy.deepcopy(b1))
+        return "parts (1,0) and (2,0) are not orthogonal"
+    if field == "sum to one":
+        del res.blocks[0]
+        return "primitive parts do not sum to the identity"
     if field == "unit":
         b1.units[0, 1] = (b1.units[0, 1] + 1) % 7
         return "block 1: matrix unit (0,1) != b[0]*a[1]"
@@ -429,8 +434,9 @@ def _tamper(res, field):
 
 
 @pytest.mark.parametrize("field", [
-    "a[mu]", "b[mu]", "unit", "central idempotent", "representative",
-    "division basis", "iso row", "iso_inverse", "layout",
+    "a[mu]", "b[mu]", "a in corner", "b in corner", "unit",
+    "central idempotent", "central", "representative", "division basis",
+    "orthogonal", "sum to one", "iso row", "iso_inverse", "layout",
 ])
 def test_one_verifier_names_the_tampered_relation(field):
     A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)

@@ -89,6 +89,16 @@ def test_characteristic_two_exit_3(tmp_path):
     assert r.returncode == 3
 
 
+def test_huge_modulus_exit_3(tmp_path):
+    # p = 2^61 - 1 once hung in the primality test instead of exiting 3
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"p": 2**61 - 1, "structure_constants": [[[1]]]}))
+    r = subprocess.run(CLI + ["decompose", str(doc)], capture_output=True,
+                       text=True, timeout=20)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+
+
 def test_invalid_input_exit_4(tmp_path):
     assert run("decompose", str(tmp_path / "missing.json")).returncode == 4
     bad = tmp_path / "bad.json"
@@ -164,7 +174,6 @@ _FATAL_UNITS = (
 )
 
 _FATAL_ERRORS = (
-    "MatrixUnitViolation", "OrthogonalityViolation", "CentralityViolation",
     "EntryOutsideCorner", "NonBijective", "WitnessSolveFailed",
     "InternalSamplingFailure",
 )

@@ -1,5 +1,7 @@
 """Modulus validation against brute-force oracles."""
 
+import time
+
 import pytest
 
 from wedderburn.errors import NotPrime, UnsupportedCharacteristic
@@ -69,3 +71,14 @@ def test_check_modulus_rejects_two_and_oversized():
         check_modulus(2**31 + 11)
     assert MAX_MODULUS == 2**31 - 1
 
+
+
+def test_huge_modulus_is_refused_before_any_primality_test():
+    # trial division of these would run for hours; the range test answers
+    is_prime.cache_clear()
+    for p in (2**61 - 1, (2**61 - 1) * (2**31 - 1)):  # a prime, an odd composite
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedCharacteristic):
+            check_modulus(p)
+        assert time.perf_counter() - start < 0.5
+    assert is_prime.cache_info().misses == 0
