@@ -8,7 +8,7 @@ of matrix rings -- all in exact modular arithmetic, all re-verified.
 """
 
 from . import errors
-from .algebra import Algebra, Subalgebra, from_doc, make_presentation
+from .algebra import Algebra, from_doc, make_presentation
 from .blocks import (
     DecompositionResult,
     VerificationReport,
@@ -43,7 +43,6 @@ __all__ = [
     "DecompositionResult",
     "Planted",
     "RadicalReport",
-    "Subalgebra",
     "VerificationReport",
     "build_planted",
     "cayley_fixture",

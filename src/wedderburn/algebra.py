@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import linalg
+from . import linalg, poly
 from .errors import (
     EntryOutsideCorner,
     InternalInvariantViolation,
@@ -259,10 +259,23 @@ class Algebra:
             k >>= 1
         return acc
 
+    def powers(self, x):
+        """Rows x^0, x^1, ..., x^dim, by doubling (Keller-Gehrig 1985).
+
+        With K = [x^0 .. x^(k-1)] and S the transpose of L_x^k, K S holds
+        x^k .. x^(2k-1): each step appends it to K and squares S.
+        """
+        n, p = self.dim, self.p
+        K, S = self.one[None, :], np.ascontiguousarray(self.lmat(x).T)
+        while True:
+            K = np.concatenate([K, linalg.matmul_mod(K, S, p)])
+            if len(K) > n:
+                return K[: n + 1]
+            S = linalg.matmul_mod(S, S, p)
+
     def min_poly_vec(self, x):
         """Minimal polynomial of the element x (monic, lowest-first)."""
-        # q(x) = 0 iff q(L_x) = 0 because left multiplication is faithful
-        return linalg.min_poly(self.lmat(x), self.p)
+        return min_poly_of_powers(self.powers(x), self.p)
 
     def trace_vector(self):
         """t with t_i = trace of left multiplication by b_i."""
@@ -334,15 +347,38 @@ class Algebra:
         """
         self.require_idempotent(f)
         self.require_idempotent(e)
+        return self._hom_rows(f, e)
+
+    def _hom_rows(self, f, e):
+        """hom_space without the checks, for callers holding idempotents."""
         proj = linalg.matmul_mod(self.rmat(e), self.lmat(f), self.p)
         return linalg.row_space_basis(proj.T, self.p)
 
     def corner(self, e):
-        """The algebra e*A*e with identity e, as a Subalgebra view."""
+        """(rows, B): the basis of e*A*e and the algebra B it presents,
+        with identity e."""
         self.require_idempotent(e)
-        proj = linalg.matmul_mod(self.rmat(e), self.lmat(e), self.p)
-        rows = linalg.row_space_basis(proj.T, self.p)
-        return Subalgebra(self, rows, identity_parent=e % self.p)
+        rows = self._hom_rows(e, e)
+        return rows, self.subalgebra(rows, e % self.p)
+
+    def subalgebra(self, rows, one):
+        """The algebra presented on the basis `rows` (A's coordinates) with
+        identity `one`, which may differ from A's.  EntryOutsideCorner unless
+        the rows span a subalgebra that contains `one`."""
+        k = rows.shape[0]
+        # products of basis pairs and the identity, in the row basis
+        prods = self.products(rows, rows).reshape(k * k, self.dim)
+        coeffs = linalg.coordinates(
+            rows, np.concatenate([prods, one[None, :]]), self.p
+        )
+        if coeffs is None:
+            raise EntryOutsideCorner(
+                "subalgebra basis is not closed under product or misses "
+                "the identity"
+            )
+        sc = np.ascontiguousarray(coeffs[:-1].reshape(k, k, k))
+        # associativity is inherited, skip the quadratic recheck
+        return Algebra(self.p, sc, identity=coeffs[-1], validate=False)
 
     def __repr__(self):
         return f"Algebra(p={self.p}, dim={self.dim})"
@@ -359,6 +395,17 @@ class Algebra:
         if self.labels is not None:
             doc["labels"] = list(self.labels)
         return doc
+
+
+def min_poly_of_powers(K, p):
+    """Minimal polynomial (monic, lowest-first) of x from K = powers(x).
+
+    The kernel of K^T holds the q with q(x) = 0.  Its first row belongs to
+    the first free column d, the least power that depends on the lower
+    ones; it is monic of degree d and zero past d, so it is the minimal
+    polynomial.
+    """
+    return poly.normalize(linalg.kernel(K.T, p)[0], p)
 
 
 def make_presentation(p, structure_constants, identity=None, labels=None):
@@ -416,44 +463,3 @@ def doc_array(x, shape, what, error=InvalidDocument):
         if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
             raise error(f"{what} must hold integers, not booleans")
     return arr.astype(np.int64)
-
-
-class Subalgebra:
-    """A unital subalgebra (its identity may differ from the parent's).
-
-    Rows of `rows` are parent coordinates of the chosen basis; `algebra` is
-    the abstract presentation in that basis.  Use to_parent/from_parent to
-    move coordinates across the inclusion.
-    """
-
-    def __init__(self, parent, rows, identity_parent):
-        self.parent = parent
-        self.rows = rows
-        self.identity_parent = identity_parent
-        k = rows.shape[0]
-        # products of basis pairs and the identity, in the row basis
-        prods = parent.products(rows, rows).reshape(k * k, parent.dim)
-        coeffs = linalg.coordinates(
-            rows, np.concatenate([prods, identity_parent[None, :]]), parent.p
-        )
-        if coeffs is None:
-            raise EntryOutsideCorner(
-                "subalgebra basis is not closed under product or misses "
-                "the identity"
-            )
-        sc = np.ascontiguousarray(coeffs[:-1].reshape(k, k, k))
-        # associativity is inherited, skip the quadratic recheck
-        self.algebra = Algebra(parent.p, sc, identity=coeffs[-1],
-                               validate=False)
-
-    def to_parent(self, coords):
-        return linalg.matmul_mod(coords[None, :], self.rows, self.parent.p)[0]
-
-    def from_parent(self, x):
-        """Coordinates in the subalgebra basis, or None if x lies outside."""
-        sol = linalg.coordinates(self.rows, x[None, :], self.parent.p)
-        return None if sol is None else sol[0]
-
-    @property
-    def dim(self):
-        return self.rows.shape[0]

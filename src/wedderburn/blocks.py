@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import idempotents, linalg, radical
-from .algebra import Algebra, Subalgebra, doc_array, is_doc_int
+from .algebra import Algebra, doc_array, is_doc_int
 from .errors import (
     EntryOutsideCorner,
     InvalidDocument,
@@ -103,7 +103,7 @@ def group_by_equivalence(A, parts):
     classes = []  # lists of part indices, discovery order
     for idx, part in enumerate(parts):
         for cls in classes:
-            if A.hom_space(parts[cls[0]], part).shape[0] > 0:
+            if A._hom_rows(parts[cls[0]], part).shape[0] > 0:
                 cls.append(idx)
                 break
         else:
@@ -143,8 +143,8 @@ def matrix_units(A, a, b):
 
 def division_presentation(A, members):
     """The corner at the class representative: the block's entry field."""
-    corner = A.corner(members[0])
-    return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
+    basis = A._hom_rows(members[0], members[0])
+    return DivisionAlgebra(basis=basis, degree=len(basis))
 
 
 def _layout(shapes):
@@ -228,7 +228,7 @@ def _codomain(p, dim, blocks):
 
 def _entry_field(A, blk):
     """Presentation of the block's entry field in its division basis."""
-    return Subalgebra(A, blk.D.basis, identity_parent=blk.rep).algebra
+    return A.subalgebra(blk.D.basis, blk.rep)
 
 
 def codomain_algebra(A, result):

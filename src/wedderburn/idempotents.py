@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, poly, radical
-from .algebra import Subalgebra
+from .algebra import min_poly_of_powers
 from .errors import (
     InternalInvariantViolation,
     NotIdempotent,
@@ -31,23 +31,17 @@ class Split:
     e2: np.ndarray
 
 
-def _eval_in(B, coeffs, x):
-    """Evaluate a polynomial at the element x of B (Horner, exact)."""
-    acc = np.zeros(B.dim, dtype=np.int64)
-    for c in coeffs[::-1]:
-        acc = (B.mul_vec(acc, x) + int(c) * B.one) % B.p
-    return acc
-
-
-def _coprime_split(B, x, g, h):
+def _coprime_split(B, K, g, h):
     """Idempotent from m = g*h coprime, where m is the minimal poly of x.
 
-    With s*g + t*h = 1, the element (s*g)(x) squares to itself: modulo m the
-    two summands are orthogonal idempotent projections onto ker h(x) and
-    ker g(x).  Nontriviality follows from minimality of m.
+    K holds the powers of x as rows.  With s*g + t*h = 1, the element
+    (s*g)(x) squares to itself: modulo m the two summands are orthogonal
+    idempotent projections onto ker h(x) and ker g(x).  Nontriviality
+    follows from minimality of m.
     """
     _, s, t = poly.bezout(g, h, B.p)
-    eps = _eval_in(B, poly.mul(s, g, B.p), x)
+    sg = poly.mul(s, g, B.p)  # degree below deg m <= dim: rows of K suffice
+    eps = linalg.matmul_mod(sg[None, :], K[: len(sg)], B.p)[0]
     if not np.array_equal(B.mul_vec(eps, eps), eps):
         raise InternalInvariantViolation("split produced a non-idempotent")
     if not eps.any():
@@ -57,9 +51,8 @@ def _coprime_split(B, x, g, h):
     return eps
 
 
-def _fixed_space(sub):
+def _fixed_space(Z):
     """Frobenius fixed space (rows, local coords) of a commutative algebra."""
-    Z = sub.algebra
     F = Z.frobenius_matrix()
     return linalg.kernel((F - np.eye(Z.dim, dtype=np.int64)) % Z.p, Z.p)
 
@@ -71,7 +64,8 @@ def _split_element(B, x):
     when m is a power of one irreducible, so x gives nothing to split.
     """
     p = B.p
-    m = B.min_poly_vec(x)
+    K = B.powers(x)
+    m = min_poly_of_powers(K, p)
     factors = poly.berlekamp_factor(m, p)
     if len(factors) < 2:
         return factors, None
@@ -80,7 +74,7 @@ def _split_element(B, x):
     for _ in range(mult0 - 1):
         g = poly.mul(g, g0, p)
     h = poly.exact_div(m, g, p)
-    return factors, _coprime_split(B, x, g, h)
+    return factors, _coprime_split(B, K, g, h)
 
 
 def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
@@ -96,34 +90,32 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
         rng = random.Random(0)
     p = A.p
 
-    B_sub = A.corner(e)
-    B = B_sub.algebra
+    rows, B = A.corner(e)
     if B.dim == 1:
         return None
 
-    center_rows = B.center_basis()
-    Z_sub = Subalgebra(B, center_rows, identity_parent=B.one)
-    fixed = _fixed_space(Z_sub)
+    center = B.center_basis()
+    Z = B.subalgebra(center, B.one)
+    fixed = _fixed_space(Z)
     if fixed.shape[0] > 1:
         # a fixed vector outside the scalar line has a squarefree minimal
         # polynomial that splits into distinct linear factors
-        one_Z = Z_sub.from_parent(B.one)
         v = None
         for row in fixed:
-            if linalg.rank(np.stack([one_Z, row]), p) == 2:
+            if linalg.rank(np.stack([Z.one, row]), p) == 2:
                 v = row
                 break
         if v is None:
             raise InternalInvariantViolation(
                 "fixed space exceeds the scalar line but no witness"
             )
-        factors, eps_z = _split_element(Z_sub.algebra, v)
+        factors, eps_z = _split_element(Z, v)
         if eps_z is None or any(mult != 1 for _, mult in factors):
             raise InternalInvariantViolation(
                 "central fixed vector has a non-split minimal polynomial"
             )
-        eps_b = Z_sub.to_parent(eps_z)
-    elif Z_sub.dim == B.dim:
+        eps_b = linalg.matmul_mod(eps_z[None, :], center, p)[0]
+    elif Z.dim == B.dim:
         # commutative corner with a one-dimensional fixed space: it has one
         # simple factor, so it is a finite field and e is primitive
         return None
@@ -135,7 +127,7 @@ def split_once(A, e, rng=None, cap=DEFAULT_SPLIT_CAP):
                 break
         else:
             raise SplitIterationCapExceeded(cap)
-    e1 = B_sub.to_parent(eps_b)
+    e1 = linalg.matmul_mod(eps_b[None, :], rows, p)[0]
     return Split(e1, (e - e1) % p)
 
 
@@ -167,14 +159,15 @@ def equivalence_witness(A, e, f):
     system over e*A*f.  A non-idempotent e or f raises NotIdempotent.
     """
     e, f = linalg.as_mod_array(e, A.p), linalg.as_mod_array(f, A.p)
+    A.require_idempotent(e)
     if np.array_equal(e, f):
-        A.require_idempotent(e)
         return e.copy(), e.copy()
-    H = A.hom_space(f, e)  # refuses a non-idempotent e or f
+    A.require_idempotent(f)
+    H = A._hom_rows(f, e)
     if H.shape[0] == 0:
         return None
     a = H[0]
-    K = A.hom_space(e, f)
+    K = A._hom_rows(e, f)
     # rows: a * (basis of eAf); want a*b = f
     M = linalg.matmul_mod(K, A.lmat(a).T, A.p)
     beta = linalg.coordinates(M, f[None, :], A.p)

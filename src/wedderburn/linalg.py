@@ -5,8 +5,6 @@ All matrices carry canonical representatives in [0, p).
 
 import numpy as np
 
-from .errors import InternalInvariantViolation
-
 
 def as_mod_array(data, p):
     """Copy data into a C-contiguous int64 array reduced mod p."""
@@ -242,42 +240,6 @@ def matmul_mod(A, B, p):
         _reduce_in_place(part, p)
         C = part
     return C
-
-
-def min_poly(M, p):
-    """Minimal polynomial of a square matrix, lowest-degree-first, monic.
-
-    Incremental power stack: reduce each M^k against the span of the lower
-    powers while tracking the combination, so the first dependency read off
-    is exactly the minimal polynomial.
-    """
-    M = as_mod_array(M, p)
-    n = M.shape[0]
-    if n == 0:
-        return np.array([1], dtype=np.int64)  # empty matrix: min poly 1
-    stored = []  # (pivot_index, reduced_vec, combo_coeffs)
-    current = np.eye(n, dtype=np.int64)
-    for k in range(n + 1):
-        v = current.reshape(-1).copy()
-        combo = np.zeros(k + 1, dtype=np.int64)
-        combo[k] = 1
-        for piv, w, wc in stored:
-            f = int(v[piv])
-            if f:
-                v = (v - f * w) % p
-                combo[: len(wc)] = (combo[: len(wc)] - f * wc) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return combo
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), p - 2, p)
-        v = (v * inv) % p
-        combo = (combo * inv) % p
-        stored.append((piv, v, combo))
-        current = matmul_mod(current, M, p)
-    raise InternalInvariantViolation(
-        "minimal polynomial search exceeded the dimension bound"
-    )
 
 
 def _inv_mod(t, p):

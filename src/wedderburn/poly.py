@@ -154,13 +154,6 @@ def pow_mod(base, e, modulus, p):
     return result
 
 
-def eval_poly(c, x, p):
-    acc = 0
-    for coef in c[::-1]:
-        acc = (acc * x + int(coef)) % p
-    return acc
-
-
 def derivative(c, p):
     if len(c) == 1:
         return np.zeros(1, dtype=np.int64)

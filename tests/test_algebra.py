@@ -1,11 +1,14 @@
 """Structure-constant presentations: validation, products, corners, documents."""
 
+import functools
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wedderburn import algebra
+from wedderburn import algebra, linalg
 from wedderburn import (
     Algebra,
     cayley_fixture,
@@ -16,6 +19,7 @@ from wedderburn import (
     scramble,
 )
 from wedderburn.errors import (
+    EntryOutsideCorner,
     InternalInvariantViolation,
     InvalidDocument,
     NoIdentity,
@@ -326,6 +330,58 @@ def test_min_poly_vec():
     assert A.min_poly_vec(g).tolist() == [4, 0, 0, 1]
 
 
+def test_min_poly_of_companion_matrix():
+    # companion matrix of T^3 + 2T + 1 over F_5, as an element of M_3(F_5)
+    C = np.array([[0, 0, -1], [1, 0, -2], [0, 1, 0]]) % 5
+    A = matrix_algebra(5, 3).algebra
+    assert A.min_poly_vec(C.reshape(-1)).tolist() == [1, 2, 0, 1]
+
+
+def test_min_poly_of_identity_and_zero():
+    A = matrix_algebra(7, 3).algebra
+    assert A.min_poly_vec(A.one).tolist() == [6, 1]  # T - 1
+    assert A.min_poly_vec(np.zeros(A.dim, dtype=np.int64)).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_powers_match_repeated_products(p):
+    A, _ = scramble(matrix_algebra(p, 2).algebra, seed=2)
+    x = A.random_vec(random.Random(p))
+    want = [A.one]
+    for _ in range(A.dim):
+        want.append(A.mul_vec(want[-1], x))
+    assert A.powers(x).tolist() == np.array(want).tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _min_poly_algebra(kind, p):
+    if kind == "S3":
+        return group_algebra(cayley_fixture("S3"), p)
+    return matrix_algebra(p, int(kind[1:])).algebra
+
+
+@given(st.sampled_from(["M1", "M2", "M3", "S3"]),
+       st.sampled_from([5, 13, 2**31 - 1]),
+       st.sampled_from([0, 1, 3]),  # how many coordinates stay zero
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_min_poly_annihilates(kind, p, zeros, rng):
+    # oracle without powers(): q(x) = 0 by repeated mul_vec, q monic, and
+    # 1, x, ..., x^(deg q - 1) independent
+    A = _min_poly_algebra(kind, p)
+    x = A.random_vec(rng)
+    x[rng.sample(range(A.dim), min(zeros, A.dim - 1))] = 0
+    q = A.min_poly_vec(x)
+    assert q[-1] == 1 and len(q) <= A.dim + 1
+    power, acc, lower = A.one, np.zeros(A.dim, dtype=np.int64), []
+    for c in q:
+        acc = (acc + int(c) * power) % p
+        lower.append(power)
+        power = A.mul_vec(power, x)
+    assert not acc.any()
+    assert linalg.rank(np.array(lower[:-1]), p) == len(q) - 1
+
+
 def test_center_of_matrix_algebra_is_scalars():
     A = m2()
     Z = A.center_basis()
@@ -341,8 +397,6 @@ def test_center_of_group_algebra_of_abelian_group_is_everything():
 
 
 def test_frobenius_fixed_space_counts_blocks():
-    from wedderburn import linalg
-
     # over F_5, C3 splits into 2 blocks; over F_7 into 3
     for p, want in [(5, 2), (7, 3)]:
         A = c3_algebra(p)
@@ -365,24 +419,25 @@ def test_frobenius_matrix_matches_per_vector_powers(p):
 def test_corner_of_e11():
     A = m2()
     e11 = np.array([1, 0, 0, 0])
-    sub = A.corner(e11)
-    assert sub.dim == 1
-    assert sub.rows.tolist() == [[1, 0, 0, 0]]
-    assert sub.identity_parent.tolist() == e11.tolist()
+    rows, B = A.corner(e11)
+    assert B.dim == 1
+    assert rows.tolist() == [[1, 0, 0, 0]]
+    # the corner's identity is e11
+    assert linalg.matmul_mod(B.one[None], rows, 7).tolist() == [e11.tolist()]
     # corner algebra is the ground field
-    assert sub.algebra.sc.tolist() == [[[1]]]
+    assert B.sc.tolist() == [[[1]]]
 
 
 def test_corner_of_identity_is_whole_algebra():
     A = m2()
-    sub = A.corner(A.one)
-    assert sub.dim == 4
+    rows, B = A.corner(A.one)
+    assert B.dim == 4 and rows.tolist() == np.eye(4, dtype=int).tolist()
 
 
 def test_corner_of_zero_is_zero_algebra():
     A = m2()
-    sub = A.corner(np.zeros(4, dtype=int))
-    assert sub.dim == 0
+    rows, B = A.corner(np.zeros(4, dtype=int))
+    assert B.dim == 0 and rows.shape == (0, 4)
 
 
 def test_corner_requires_idempotent():
@@ -406,11 +461,24 @@ def test_hom_space_between_diagonal_idempotents():
 
 def test_subalgebra_round_trip():
     A = m2()
-    sub = A.corner(np.array([1, 0, 0, 0]))
-    local = sub.from_parent(np.array([3, 0, 0, 0]))
-    assert local.tolist() == [3]
-    assert sub.to_parent(local).tolist() == [3, 0, 0, 0]
-    assert sub.from_parent(np.array([0, 1, 0, 0])) is None  # outside
+    rows, _ = A.corner(np.array([1, 0, 0, 0]))
+    local = linalg.coordinates(rows, [[3, 0, 0, 0]], 7)
+    assert local.tolist() == [[3]]
+    assert linalg.matmul_mod(local, rows, 7).tolist() == [[3, 0, 0, 0]]
+    assert linalg.coordinates(rows, [[0, 1, 0, 0]], 7) is None  # outside
+
+
+def test_subalgebra_presents_the_span_and_refuses_non_closed_rows():
+    A = m2()
+    # the diagonal matrices: F_7 x F_7, identity the whole one
+    diag = np.array([[1, 0, 0, 0], [0, 0, 0, 1]])
+    D = A.subalgebra(diag, A.one)
+    assert D.is_commutative() and D.one.tolist() == [1, 1]
+    assert D.sc.tolist() == [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    with pytest.raises(EntryOutsideCorner):  # E12 * E21 = E11
+        A.subalgebra(np.array([[0, 1, 0, 0], [0, 0, 1, 0]]), A.one)
+    with pytest.raises(EntryOutsideCorner):  # the identity is outside
+        A.subalgebra(diag[:1], A.one)
 
 
 # -- documents ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedderburn import (
-    Subalgebra,
+    Algebra,
     build_planted,
     cayley_fixture,
     decompose_identity,
@@ -22,7 +22,7 @@ from wedderburn import (
     verify_isomorphism,
     verify_report_doc,
 )
-from wedderburn import blocks, cli
+from wedderburn import blocks, cli, idempotents
 from wedderburn.blocks import (
     DivisionAlgebra,
     apply_iso,
@@ -46,7 +46,7 @@ def c3(p=5):
 
 def entry_one(A, blk):
     """Identity of the block's entry field, in its division basis."""
-    return Subalgebra(A, blk.D.basis, identity_parent=blk.rep).algebra.one
+    return A.subalgebra(blk.D.basis, blk.rep).one
 
 
 def delta_oracle(A, units):
@@ -76,6 +76,33 @@ def test_grouping_counts():
         A = build()
         fams = group_by_equivalence(A, decompose_identity(A, seed=0))
         assert sorted(len(members) for members, _, _ in fams) == want
+
+
+def test_grouping_probes_skip_the_idempotent_check(monkeypatch):
+    # the parts come from decompose_identity: only the public witness checks
+    # its inputs, once per idempotent (once in all on the e == f shortcut)
+    A = group_algebra(cayley_fixture("S3"), 5)
+    parts = decompose_identity(A, seed=0)
+    check, witness = Algebra.require_idempotent, idempotents.equivalence_witness
+    calls, inside = {"probe": 0, "witness": 0}, []
+
+    def counted_check(self, e):
+        calls["witness" if inside else "probe"] += 1
+        return check(self, e)
+
+    def counted_witness(A, e, f):
+        inside.append(True)
+        try:
+            return witness(A, e, f)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Algebra, "require_idempotent", counted_check)
+    monkeypatch.setattr(idempotents, "equivalence_witness", counted_witness)
+    fams = group_by_equivalence(A, parts)
+    assert calls["probe"] == 0
+    members = sum(len(m) for m, _, _ in fams)
+    assert calls["witness"] == 2 * members - len(fams)
 
 
 def test_family_orientation():
@@ -176,8 +203,8 @@ def test_block_map_rejects_vectors_outside_the_corner(monkeypatch):
     # present the block on the corner of a non-representative member: the
     # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
     def foreign_corner(A, members):
-        corner = A.corner(members[-1])
-        return DivisionAlgebra(basis=corner.rows, degree=corner.dim)
+        rows, _ = A.corner(members[-1])
+        return DivisionAlgebra(basis=rows, degree=len(rows))
 
     monkeypatch.setattr(blocks, "division_presentation", foreign_corner)
     with pytest.raises(EntryOutsideCorner):

@@ -1,10 +1,18 @@
 """Command-line surface: exit codes, round trips, determinism, sidecars."""
 
+import contextlib
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from wedderburn import blocks, cayley_fixture, cli, group_algebra
 
 CLI = [sys.executable, "-m", "wedderburn.cli"]
 
@@ -153,12 +161,13 @@ def test_malformed_labels_exit_4(tmp_path, labels):
     assert r.returncode == 4 and "Traceback" not in r.stderr
 
 
-# an impossible split: the coprime-factor idempotent comes out zero
+# an impossible split: Bezout coefficients s = t = 0 make the coprime-factor
+# idempotent (s*g)(x) zero
 _BROKEN_SPLIT = (
     "import sys\n"
-    "import numpy as np\n"
-    "from wedderburn import cli, idempotents\n"
-    "idempotents._eval_in = lambda B, coeffs, x: np.zeros(B.dim, dtype=np.int64)\n"
+    "from wedderburn import cli, poly\n"
+    "zero = lambda p: poly.constant(0, p)\n"
+    "poly.bezout = lambda g, h, p: (poly.constant(1, p), zero(p), zero(p))\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
@@ -291,3 +300,51 @@ def test_verify_non_closed_division_basis_under_optimize(tmp_path):
     )
     assert v.returncode == 1
     assert "block 0: division basis is not closed under product" in v.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _s3_documents():
+    """(algebra, report) JSON texts of a valid decomposition of F_5[S3]."""
+    A = group_algebra(cayley_fixture("S3"), 5)
+    res = blocks.full_isomorphism(A, seed=0)
+    report = blocks.result_to_doc(res, blocks.verify_isomorphism(A, res))
+    return json.dumps(A.to_doc()), json.dumps(report)
+
+
+@st.composite
+def mutated_reports(draw):
+    """The S3/F_5 report with one field, at any depth, deleted or replaced
+    by a wrong type, a wrong shape, a boolean or 2^70."""
+    doc = json.loads(_s3_documents()[1])
+    parent, key, node = None, None, doc
+    while (isinstance(node, (dict, list)) and node
+           and (parent is None or draw(st.booleans()))):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    kind = draw(st.sampled_from(["delete", "type", "shape", "bool", "huge"]))
+    if kind == "delete":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = draw(st.sampled_from(["x", 1.5, None, {}]))
+    elif kind == "shape":
+        parent[key] = draw(st.sampled_from([[], [node], node[:-1]]
+                                           if isinstance(node, list)
+                                           else [[], [node]]))
+    else:
+        parent[key] = draw(st.booleans()) if kind == "bool" else 2**70
+    return doc
+
+
+@given(mutated_reports())
+@settings(max_examples=200, deadline=None)
+def test_verify_survives_mutated_reports(doc):
+    algebra_text, _ = _s3_documents()
+    with tempfile.TemporaryDirectory() as tmp:
+        alg, rep = Path(tmp, "s3.json"), Path(tmp, "rep.json")
+        alg.write_text(algebra_text)
+        rep.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main(["verify", str(alg), str(rep)])
+    assert 0 <= code <= 6

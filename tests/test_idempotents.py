@@ -26,8 +26,8 @@ from wedderburn.idempotents import Split, _fixed_space
 
 def is_field_corner(A, e):
     """Independently rebuild e*A*e and run the field test on it."""
-    corner = A.corner(e)
-    return corner.algebra.is_commutative() and _fixed_space(corner).shape[0] == 1
+    _, B = A.corner(e)
+    return B.is_commutative() and _fixed_space(B).shape[0] == 1
 
 
 def check_decomposition(A, dec):

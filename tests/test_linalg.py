@@ -11,7 +11,6 @@ from wedderburn.linalg import (
     inverse,
     kernel,
     matmul_mod,
-    min_poly,
     rank,
     row_space_basis,
     rref,
@@ -56,17 +55,6 @@ def test_rref_sees_hidden_dependence():
     R, pivots = rref(np.array([[1, 2, 3], [2, 4, 1]]), 5)
     assert pivots == [0]
     assert R.tolist() == [[1, 2, 3], [0, 0, 0]]
-
-
-def test_min_poly_of_companion_matrix():
-    # companion matrix of T^3 + 2T + 1 over F_5
-    C = np.array([[0, 0, -1], [1, 0, -2], [0, 1, 0]]) % 5
-    assert min_poly(C, 5).tolist() == [1, 2, 0, 1]
-
-
-def test_min_poly_of_identity_and_zero():
-    assert min_poly(np.eye(3, dtype=int), 7).tolist() == [6, 1]  # T - 1
-    assert min_poly(np.zeros((3, 3), dtype=int), 7).tolist() == [0, 1]
 
 
 def test_char_poly_degree_and_known_matrix():
@@ -414,20 +402,3 @@ def test_rref_properties(m, n, p, rng):
     for r, c in enumerate(pivots):
         col = R[:, c]
         assert col[r] == 1 and not np.delete(col, r).any()
-
-
-@given(st.integers(1, 4), st.sampled_from([5, 13]), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_min_poly_annihilates(n, p, rng):
-    M = random_matrix(rng, n, n, p)
-    q = min_poly(M, p)
-    assert q[-1] == 1  # monic
-    acc = np.zeros((n, n), dtype=np.int64)
-    power = np.eye(n, dtype=np.int64)
-    for c in q:
-        acc = (acc + int(c) * power) % p
-        power = matmul_mod(power, M, p)
-    assert not acc.any()
-    # and the characteristic polynomial is a multiple of it (degree check)
-    assert len(q) <= n + 1
-

@@ -100,9 +100,8 @@ def test_gcd_and_bezout():
     assert lhs.tolist() == [1, 1]
 
 
-def test_eval_and_derivative():
+def test_derivative():
     f = np.array([1, 2, 3])  # 1 + 2T + 3T^2
-    assert poly.eval_poly(f, 2, 5) == (1 + 4 + 12) % 5
     assert poly.derivative(f, 5).tolist() == [2, 6 % 5]
 
 
