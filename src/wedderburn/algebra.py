@@ -23,7 +23,6 @@ from .errors import (
     NoIdentity,
     NotAssociative,
     NotCommutative,
-    NotIdempotent,
 )
 from .field import check_modulus
 
@@ -246,36 +245,21 @@ class Algebra:
         flat = linalg.matmul_mod(y[None, :], self._rtable, self.p)
         return np.ascontiguousarray(flat.reshape(n, n).T)
 
-    def pow_vec(self, x, k):
-        """Coordinates of x**k for k >= 0 (x**0 is the identity)."""
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = self.one.copy()
-        base = x % self.p
-        while k > 0:
-            if k & 1:
-                acc = self.mul_vec(acc, base)
-            base = self.mul_vec(base, base)
-            k >>= 1
-        return acc
+    def powers(self, x, one):
+        """Rows one, x, x^2, ..., x^dim, by doubling (Keller-Gehrig 1985).
 
-    def powers(self, x):
-        """Rows x^0, x^1, ..., x^dim, by doubling (Keller-Gehrig 1985).
-
-        With K = [x^0 .. x^(k-1)] and S the transpose of L_x^k, K S holds
-        x^k .. x^(2k-1): each step appends it to K and squares S.
+        `one` is the zeroth power: A's identity, or the identity e of a
+        corner e*A*e that holds x.  With K = [x^0 .. x^(k-1)] and S the
+        transpose of L_x^k, K S holds x^k .. x^(2k-1): each step appends
+        it to K and squares S.
         """
         n, p = self.dim, self.p
-        K, S = self.one[None, :], np.ascontiguousarray(self.lmat(x).T)
+        K, S = one[None, :], np.ascontiguousarray(self.lmat(x).T)
         while True:
             K = np.concatenate([K, linalg.matmul_mod(K, S, p)])
             if len(K) > n:
                 return K[: n + 1]
             S = linalg.matmul_mod(S, S, p)
-
-    def min_poly_vec(self, x):
-        """Minimal polynomial of the element x (monic, lowest-first)."""
-        return min_poly_of_powers(self.powers(x), self.p)
 
     def trace_vector(self):
         """t with t_i = trace of left multiplication by b_i."""
@@ -335,31 +319,12 @@ class Algebra:
 
     # -- subalgebras ----------------------------------------------------------
 
-    def require_idempotent(self, e):
-        if not np.array_equal(self.mul_vec(e, e), e % self.p):
-            raise NotIdempotent(f"{e.tolist()} squared is not itself")
-
-    def hom_space(self, f, e):
-        """Canonical basis (rows) of f*A*e, the image of x -> f x e.
-
-        The projector onto that space is rmat(e) @ lmat(f); its column space
-        has a unique reduced-echelon basis, which is what gets returned.
-        """
-        self.require_idempotent(f)
-        self.require_idempotent(e)
-        return self._hom_rows(f, e)
-
     def _hom_rows(self, f, e):
-        """hom_space without the checks, for callers holding idempotents."""
+        """Canonical basis (rows) of f*A*e for idempotents f and e: the
+        reduced-echelon basis of the image of x -> f x e, whose projector
+        is rmat(e) @ lmat(f).  Unchecked: the callers hold idempotents."""
         proj = linalg.matmul_mod(self.rmat(e), self.lmat(f), self.p)
         return linalg.row_space_basis(proj.T, self.p)
-
-    def corner(self, e):
-        """(rows, B): the basis of e*A*e and the algebra B it presents,
-        with identity e."""
-        self.require_idempotent(e)
-        rows = self._hom_rows(e, e)
-        return rows, self.subalgebra(rows, e % self.p)
 
     def subalgebra(self, rows, one):
         """The algebra presented on the basis `rows` (A's coordinates) with
@@ -398,7 +363,7 @@ class Algebra:
 
 
 def min_poly_of_powers(K, p):
-    """Minimal polynomial (monic, lowest-first) of x from K = powers(x).
+    """Minimal polynomial (monic, lowest-first) of x from K = powers(x, one).
 
     The kernel of K^T holds the q with q(x) = 0.  Its first row belongs to
     the first free column d, the least power that depends on the lower

@@ -1,10 +1,10 @@
 """Block structure of a semisimple algebra and the explicit isomorphism.
 
-Pipeline: group the primitive idempotents into equivalence classes, form
-the central idempotent of each class, build connecting elements and matrix
-units, present each corner e1*A*e1 as the entry field of its block, and
-assemble the global linear map sending x to the tuple of block matrices
-(a_mu * x * b_nu).
+Pipeline: the central idempotent c of each block and one primitive
+idempotent e <= c come from `idempotents`; the corner e*A*e is the block's
+entry field D; a D-basis b of the left ideal A*e and its dual basis a in
+e*A give the connecting elements and the matrix units b[mu]*a[nu]; and the
+global linear map sends x to the tuple of block matrices (a_mu * x * b_nu).
 
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
@@ -16,12 +16,13 @@ a certificate, exact and without re-running any of the search.
 result parsed from a report document.
 """
 
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import idempotents, linalg, radical
+from . import idempotents, linalg
 from .algebra import Algebra, doc_array, is_doc_int
 from .errors import (
     EntryOutsideCorner,
@@ -58,6 +59,9 @@ class Block:
     units: np.ndarray  # (n, n, dim)
 
 
+_FLAGS = ("bijective", "unit", "multiplicative", "orthogonality")
+
+
 @dataclass
 class VerificationReport:
     """Flags for the map itself; a failed certificate relation (witnesses,
@@ -71,8 +75,7 @@ class VerificationReport:
 
     @property
     def passed(self):
-        flags = [self.bijective, self.unit, self.multiplicative, self.orthogonality]
-        return all(flags) and not self.failures
+        return all(getattr(self, name) for name in _FLAGS) and not self.failures
 
 
 @dataclass
@@ -83,44 +86,12 @@ class DecompositionResult:
     layout: np.ndarray  # int64 (dim, 4): rows (block index, mu, nu, D-basis index)
     p: int
     dim: int
-    seed: int  # None when parsed from a report
+    seed: int
 
 
 class Failure(NamedTuple):
     relation: str  # a VerificationReport flag name, or "certificate"
     message: str  # names the relation, the block and the indices
-
-
-def group_by_equivalence(A, parts):
-    """Partition primitive parts into classes with connecting witnesses.
-
-    Returns one (members, a, b) triple of (n_i, dim) arrays per class, in
-    discovery order.  members[0] is the class representative rep (the
-    lexicographically smallest member); a[mu] lies in rep*A*e_mu and b[mu]
-    in e_mu*A*rep with a[mu]*b[mu] = rep and b[mu]*a[mu] = e_mu, so
-    a[0] = b[0] = rep.
-    """
-    classes = []  # lists of part indices, discovery order
-    for idx, part in enumerate(parts):
-        for cls in classes:
-            if A._hom_rows(parts[cls[0]], part).shape[0] > 0:
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-    families = []
-    for cls in classes:
-        rep_idx = min(cls, key=lambda i: parts[i].tolist())
-        members = parts[[rep_idx] + [i for i in cls if i != rep_idx]]
-        witnesses = []
-        for member in members:
-            w = idempotents.equivalence_witness(A, member, members[0])
-            if w is None:
-                raise WitnessSolveFailed("class member lost its witness")
-            witnesses.append(w)
-        a, b = (np.array(x) for x in zip(*witnesses))
-        families.append((members, a, b))
-    return families
 
 
 def _unit_relations(A, units):
@@ -141,10 +112,35 @@ def matrix_units(A, a, b):
     return A.products(b, a)
 
 
-def division_presentation(A, members):
-    """The corner at the class representative: the block's entry field."""
-    basis = A._hom_rows(members[0], members[0])
-    return DivisionAlgebra(basis=basis, degree=len(basis))
+def dual_basis(A, c, e, D):
+    """Connecting elements (a, b) of the block c at its primitive idempotent e.
+
+    D is the basis of the entry field e*A*e.  b[0] = e, and b[1:] are the
+    rows of (c-e)*A*e taken in order while b[nu]*D adds rank: a basis of
+    the left ideal A*e as a right D-module.  The pairing e*A x A*e -> D is
+    perfect, so a[mu] in e*A*c with a[mu]*b[nu] = delta(mu,nu) e is the
+    one solution of one linear system, and a[0] = e.
+    """
+    p = A.p
+    span, pivots = linalg.row_echelon(D, p)
+    b = [e]
+    rest = A._hom_rows((c - e) % p, e)
+    for v, vD in zip(rest, A.products(rest, D)):
+        span, pivots, fresh = linalg.extend_rref(span, pivots, vD, p)
+        if len(fresh):
+            b.append(v)
+    b = np.array(b)
+    n = len(b)
+    W = A._hom_rows(e, c)
+    # row r: w_r * b[nu] for nu = 0 .. n-1; target row mu: delta(mu,nu) e
+    pairing = A.products(W, b).reshape(len(W), n * A.dim)
+    alpha = linalg.coordinates(pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
+    if alpha is None:
+        raise WitnessSolveFailed(
+            "a*b = delta*e has no solution: e is not a primitive idempotent "
+            "of a semisimple block"
+        )
+    return linalg.matmul_mod(alpha, W, p), b
 
 
 def _layout(shapes):
@@ -179,15 +175,23 @@ def _iso_rows(A, index, a, b, basis):
 
 
 def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
-    """End-to-end decomposition with the assembled invertible map."""
-    radical.require_semisimple(A)
-    parts = idempotents.decompose_identity(A, seed=seed, cap=cap)
+    """End-to-end decomposition with the assembled invertible map.
+
+    Per block: its central idempotent c, one primitive idempotent e <= c
+    (at most cap draws, from a generator seeded by seed and the block's
+    place), the entry field e*A*e, and the dual basis that gives the
+    connecting elements and matrix units.
+    """
+    C, degrees = idempotents.block_idempotents(A)
+    master = random.Random(seed)
     staged = []
-    for members, a, b in group_by_equivalence(A, parts):
-        c = members.sum(axis=0) % A.p
-        D = division_presentation(A, members)
-        staged.append((len(members), D.degree, tuple(c.tolist()),
-                       members[0], c, a, b, D, matrix_units(A, a, b)))
+    for c, d in zip(C, degrees):
+        rng = random.Random(master.getrandbits(64))
+        e = idempotents.primitive_idempotent(A, c, d, rng, cap)
+        D = DivisionAlgebra(basis=A._hom_rows(e, e), degree=d)
+        a, b = dual_basis(A, c, e, D.basis)
+        staged.append((len(a), d, tuple(c.tolist()),
+                       e, c, a, b, D, matrix_units(A, a, b)))
     staged.sort(key=lambda s: s[:3])
     blocks = [
         Block(index=index, n=n_i, D=D, rep=rep, c=c, a=a, b=b, units=units)
@@ -383,15 +387,15 @@ def verify_isomorphism(A, result, check_multiplicative=True):
     """
     if check_multiplicative is not True:
         raise ValueError("verification always runs the all-pairs product check")
-    fails = check(A, result)
+    return _report(check(A, result))
+
+
+def _report(fails):
+    """The VerificationReport of check's failures: a flag is false exactly
+    when a failure names its relation."""
     failed = {f.relation for f in fails}
-    return VerificationReport(
-        bijective="bijective" not in failed,
-        unit="unit" not in failed,
-        multiplicative="multiplicative" not in failed,
-        orthogonality="orthogonality" not in failed,
-        failures=[f.message for f in fails],
-    )
+    return VerificationReport(**{name: name not in failed for name in _FLAGS},
+                              failures=[f.message for f in fails])
 
 
 def apply_iso(result, x):
@@ -450,13 +454,21 @@ def _parse_certificate(A, doc):
     """The certificate a report carries; InvalidDocument on any fault of form."""
     if not isinstance(doc, dict):
         raise InvalidDocument("report document must be an object")
-    for key in ("p", "dim", "blocks", "iso_matrix", "iso_inverse", "layout"):
+    for key in ("p", "dim", "seed", "blocks", "iso_matrix", "iso_inverse",
+                "layout", "verification"):
         if key not in doc:
             raise InvalidDocument(f"report document missing {key!r}")
     for key, what, value in (("p", "modulus", A.p), ("dim", "dimension", A.dim)):
         if not is_doc_int(doc[key]) or doc[key] != value:
             raise InvalidDocument(f"report {what} {doc[key]!r} does not match "
                                   f"the algebra {what} {value}")
+    if not is_doc_int(doc["seed"]):
+        raise InvalidDocument(f"report seed {doc['seed']!r} is not an integer")
+    flags = doc["verification"]
+    if not (isinstance(flags, dict) and set(flags) == set(_FLAGS)
+            and all(isinstance(v, bool) for v in flags.values())):
+        raise InvalidDocument("report field 'verification' must map exactly "
+                              f"{', '.join(_FLAGS)} to booleans")
     if not isinstance(doc["blocks"], list) or not doc["blocks"]:
         raise InvalidDocument("report field 'blocks' must be a non-empty list")
     n = A.dim
@@ -488,7 +500,7 @@ def _parse_certificate(A, doc):
         iso=arr(doc["iso_matrix"], (n, n), "iso_matrix"),
         iso_inverse=arr(doc["iso_inverse"], (n, n), "iso_inverse"),
         layout=doc_array(doc["layout"], (None, 4), "layout"),
-        p=A.p, dim=n, seed=None,
+        p=A.p, dim=n, seed=doc["seed"],
     )
 
 
@@ -496,12 +508,19 @@ def verify_report_doc(A, doc):
     """Re-prove a serialized report against its algebra document.
 
     Returns the list of failed-relation messages (empty means the report
-    verifies); they are the ones verify_isomorphism reports for the same
-    arrays.  Structural problems (missing fields, wrong shapes or types,
-    mismatched modulus) raise InvalidDocument instead, since they are input
-    errors rather than disproofs.
+    verifies): the ones verify_isomorphism reports for the same arrays, then
+    one per verification flag of the report that differs from the flag
+    those failures give.  Structural problems (missing fields, wrong shapes
+    or types, mismatched modulus) raise InvalidDocument instead, since they
+    are input errors rather than disproofs.
     """
-    return [f.message for f in check(A, _parse_certificate(A, doc))]
+    found = _report(check(A, _parse_certificate(A, doc)))
+    claimed = doc["verification"]
+    return found.failures + [
+        f"report flag {name} is {str(claimed[name]).lower()}, but the check "
+        f"finds {str(getattr(found, name)).lower()}"
+        for name in _FLAGS if claimed[name] != getattr(found, name)
+    ]
 
 
 def result_to_doc(result, verification):
@@ -523,10 +542,5 @@ def result_to_doc(result, verification):
         "iso_matrix": result.iso.tolist(),
         "iso_inverse": result.iso_inverse.tolist(),
         "layout": result.layout.tolist(),
-        "verification": {
-            "bijective": verification.bijective,
-            "unit": verification.unit,
-            "multiplicative": verification.multiplicative,
-            "orthogonality": verification.orthogonality,
-        },
+        "verification": {name: getattr(verification, name) for name in _FLAGS},
     }

@@ -172,7 +172,8 @@ def build_parser():
     dec.add_argument("--seed", type=int, default=0,
                      help="seed for all randomized choices (default 0)")
     dec.add_argument("--max-split-iters", type=positive_int, default=256,
-                     help="attempt cap for the randomized splitter (>= 1)")
+                     help="cap on the random draws per block that the "
+                          "primitive idempotent search may take (>= 1)")
     dec.add_argument("--format", choices=("text", "structured"),
                      default="text")
     dec.add_argument("-o", "--output", default=None,

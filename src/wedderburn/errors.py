@@ -43,10 +43,6 @@ class NoIdentity(WedderburnError):
     """The presentation admits no two-sided multiplicative identity."""
 
 
-class NotIdempotent(WedderburnError):
-    """An element assumed to satisfy e*e = e does not."""
-
-
 class NotCommutative(WedderburnError):
     """A presentation assumed commutative has asymmetric structure constants."""
 
@@ -66,18 +62,19 @@ class NotSemisimple(WedderburnError):
 
 
 class SplitIterationCapExceeded(WedderburnError):
-    """The randomized idempotent split exhausted its attempt budget.
+    """The primitive idempotent search of one block used up its draws.
 
     Las Vegas failure: never a wrong answer, retry with another seed.
     """
 
     def __init__(self, cap):
         self.cap = cap
-        super().__init__(f"idempotent split failed after {cap} random attempts")
+        super().__init__(f"no primitive idempotent after {cap} random draws "
+                         "in one block")
 
 
 class WitnessSolveFailed(WedderburnError):
-    """The equivalence-witness system was inconsistent.
+    """The dual-basis system for the connecting elements was inconsistent.
 
     Indicates a violated precondition (non-primitive or non-semisimple input).
     """

