@@ -31,6 +31,14 @@ GROUPS = ["C2", "C3", "C4", "S3", "D4", "Q8"]
 GROUP_PRIMES = [3, 5, 7, 97]
 PLANTED_SPEC = [(2, 1), (1, 2), (1, 1)]
 PLANTED_PRIMES = [7, 97, 2**31 - 1]
+# p | n_i: the trace form is degenerate on that block, so stage zero of the
+# radical chain does not settle semisimplicity on its own
+DIVIDING_SPECS = {
+    "p=3 [(3, 1), (1, 2)]": (3, [(3, 1), (1, 2)]),
+    "p=5 [(5, 1), (2, 1)]": (5, [(5, 1), (2, 1)]),
+    "p=3 [(3, 2)]": (3, [(3, 2)]),
+    "p=3 [(3, 1), (3, 1), (2, 2)]": (3, [(3, 1), (3, 1), (2, 2)]),
+}
 
 
 def report_digest(A):
@@ -50,8 +58,8 @@ def group_case(name, p, scrambled):
     return scramble(A, seed=1)[0] if scrambled else A
 
 
-def planted_case(p):
-    return scramble(build_planted(PLANTED_SPEC, p).algebra, seed=1)[0]
+def planted_case(p, spec=PLANTED_SPEC):
+    return scramble(build_planted(spec, p).algebra, seed=1)[0]
 
 
 GOLDEN = {
@@ -106,6 +114,10 @@ GOLDEN = {
     "planted p=7": "fdbe0e4cc17849d6e0f7d5b89a9e601aeb69936ae666dc73a25c8cca5c9df12f",
     "planted p=97": "0f7ce45259618a093025ea716d57b77d6520c64232db8db57d05362ca4046eb9",
     "planted p=2147483647": "087d23ccc47572c391d8f73f1c47f760c17f740c3a43662f1d3f7f19e6592676",
+    "dividing p=3 [(3, 1), (1, 2)]": "66c940324549824a9884b75bf00994fb070c7a7f7c235baee563b2adee70784a",
+    "dividing p=5 [(5, 1), (2, 1)]": "5f3cb1e732e67666926a6122bf1244bc02155f15c149e721f65a18b6ef87b0f6",
+    "dividing p=3 [(3, 2)]": "90cc0cb6cc0835caa923f7bf88e99c0241fba68a0f78266427b2f016c476df0c",
+    "dividing p=3 [(3, 1), (3, 1), (2, 2)]": "a43dca3c9d52bdcace5deb3e6ea11e4ac8b22b375d428c34972ee021ecb70002",
 }
 
 
@@ -120,3 +132,9 @@ def test_group_report_digest(name, p, scrambled):
 @pytest.mark.parametrize("p", PLANTED_PRIMES)
 def test_planted_report_digest(p):
     assert report_digest(planted_case(p)) == GOLDEN[f"planted p={p}"]
+
+
+@pytest.mark.parametrize("key", DIVIDING_SPECS)
+def test_dividing_report_digest(key):
+    p, spec = DIVIDING_SPECS[key]
+    assert report_digest(planted_case(p, spec)) == GOLDEN[f"dividing {key}"]

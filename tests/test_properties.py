@@ -8,10 +8,12 @@ from wedderburn import (
     build_planted,
     full_isomorphism,
     radical_report,
+    result_to_doc,
     scramble,
     verify_isomorphism,
 )
 from wedderburn.blocks import apply_iso, target_multiply
+from wedderburn.cli import canonical_json
 from wedderburn.linalg import matmul_mod
 
 # keep the total dimension small so a drawn example stays fast
@@ -58,12 +60,15 @@ def test_iso_is_a_ring_map_on_random_elements(spec, p, seed, rng):
     assert z.tolist() == ((zx + zy) % p).tolist()
 
 
-@pytest.mark.parametrize("p, spec", [
+DIVIDING = [
     (3, [(3, 1)]),
     (3, [(3, 1), (1, 2)]),
     (3, [(3, 2)]),
     (5, [(5, 1)]),
-])
+]
+
+
+@pytest.mark.parametrize("p, spec", DIVIDING)
 def test_characteristic_dividing_a_block_size(p, spec):
     # p | n_i degenerates the trace form on that block, so the radical
     # chain must run past stage 0 to certify semisimplicity
@@ -72,3 +77,17 @@ def test_characteristic_dividing_a_block_size(p, spec):
     res = full_isomorphism(A, seed=0)
     assert sorted((b.n, b.D.degree) for b in res.blocks) == sorted(spec)
     assert verify_isomorphism(A, res).passed
+
+
+@pytest.mark.parametrize("p, spec", DIVIDING)
+def test_dividing_report_does_not_depend_on_a_cached_radical(p, spec):
+    # the same report, byte for byte, whether or not the radical was
+    # computed before the decomposition
+    def report(A):
+        res = full_isomorphism(A, seed=0)
+        return canonical_json(result_to_doc(res, verify_isomorphism(A, res)))
+
+    fresh, _ = scramble(build_planted(spec, p).algebra, seed=1)
+    known, _ = scramble(build_planted(spec, p).algebra, seed=1)
+    assert radical_report(known).stage_dims[-1] == 0
+    assert report(fresh) == report(known)
