@@ -94,7 +94,8 @@ class Algebra:
         g's; once it is all of A the proof is complete.  The randomness
         only decides how soon that happens.  A g outside N, or a span still
         short of A after the last draw, hands over to the blocked check,
-        which gives the verdict and the first failing triple.
+        which gives the verdict and the first failing triple.  A completed
+        proof keeps the accepted g's, which generate A, for center_basis.
         """
         n, p = self.dim, self.p
         flat = linalg.Operand(self.sc.reshape(n * n, n), p)
@@ -107,6 +108,7 @@ class Algebra:
             log += 1
         draws = 2 * log + 2
         rng = random.Random(0)
+        gens = []
         lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
         for _ in range(draws):
             if span.shape[0] == n:
@@ -122,6 +124,7 @@ class Algebra:
                     "a drawn element lies outside the left nucleus, yet no "
                     "basis triple fails to associate"
                 )
+            gens.append(g)
             lefts = np.concatenate([lefts, left], axis=1)
             # the span is closed under the earlier g's: start from g * span
             new = linalg.matmul_mod(span, left, p)
@@ -130,6 +133,8 @@ class Algebra:
                 new = linalg.matmul_mod(fresh, lefts, p).reshape(-1, n)
         if span.shape[0] < n:
             self._check_associativity()
+        else:
+            self._generators = np.array(gens, dtype=np.int64).reshape(-1, n)
 
     def _check_associativity(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
@@ -274,11 +279,23 @@ class Algebra:
         ).reshape(n, n)
 
     def center_basis(self):
-        """Canonical basis (rows) of {z : zx = xz for all x}."""
-        n = self.dim
-        diff = (self.sc - self.sc.transpose(1, 0, 2)) % self.p
-        M = np.ascontiguousarray(diff.transpose(1, 2, 0)).reshape(n * n, n)
-        return linalg.kernel(M, self.p)
+        """Canonical basis (rows) of {z : zx = xz for all x}.
+
+        z is central iff it commutes with each of a set of generators: the
+        elements the associativity certificate accepted, or else (the
+        blocked check decided, or the presentation was not validated) the
+        basis vectors.  Row (g, k) of the system is coordinate k of
+        z*g - g*z, so the kernel is k*dim x dim for k generators.
+        """
+        n, p = self.dim, self.p
+        G = getattr(self, "_generators", None)
+        if G is None:
+            G = np.eye(n, dtype=np.int64)
+        # diff[g, j, k] = coordinate k of b_j*g - g*b_j
+        diff = (linalg.matmul_mod(G, self._rtable, p)
+                - linalg.matmul_mod(G, self._ltable, p)) % p
+        M = np.ascontiguousarray(diff.reshape(-1, n, n).transpose(0, 2, 1))
+        return linalg.kernel(M.reshape(-1, n), p)
 
     def is_commutative(self):
         return np.array_equal(self.sc, self.sc.transpose(1, 0, 2))

@@ -40,8 +40,17 @@ def _component(B, one, K, rest, part):
 
 
 def _fixed_space(Z):
-    """Frobenius fixed space (rows, local coords) of a commutative algebra."""
+    """Frobenius fixed space (rows, local coords) of a commutative algebra.
+
+    x -> x^p is injective exactly when Z has no nonzero nilpotent, which
+    the centre of a semisimple algebra never has; a Z that has one is
+    refused.
+    """
     F = Z.frobenius_matrix()
+    if linalg.rank(F, Z.p) < Z.dim:
+        raise InternalInvariantViolation(
+            "the centre has a nonzero nilpotent: the algebra is not semisimple"
+        )
     return linalg.kernel((F - np.eye(Z.dim, dtype=np.int64)) % Z.p, Z.p)
 
 
@@ -55,6 +64,13 @@ def block_idempotents(A):
     k > p.  Deterministic: no seed is involved.
     """
     radical.require_semisimple(A)
+    return _block_idempotents(A)
+
+
+def _block_idempotents(A):
+    """block_idempotents without the semisimplicity gate, for a search whose
+    result is checked.  A centre with a nonzero nilpotent raises
+    InternalInvariantViolation."""
     p = A.p
     center = A.center_basis()
     Z = A.subalgebra(center, A.one)

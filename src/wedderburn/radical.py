@@ -17,6 +17,14 @@ step has to be taken on faith:
 If the explicit check ever failed the input would be refused rather than
 guessed at.  For p > dim the chain is the single trace-form stage.
 
+Stage 0 costs O(dim^3); the stages past it cost O(dim^5) in practice.
+trace_kernel keeps stage 0 on the presentation, and the chain starts from
+it.  When it leaves semisimplicity open (needs_deep_chain),
+blocks.full_isomorphism first tries the decomposition, whose checked
+certificate proves semisimplicity on its own, and runs the rest of the
+chain only when that fails: to certify the radical it rejects with, or to
+certify that it is zero.
+
 A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
 the current basis.  It is computed in bulk: one matmul_mod gives the left
 multiplication matrices of all m basis elements, one 2-D matmul_mod per run
@@ -89,20 +97,36 @@ def _char_coeff_form(A, rows, k):
     return B
 
 
+def trace_kernel(A):
+    """Stage 0 of the chain: canonical basis (rows) of the kernel of the
+    trace form (c_1 is minus the trace), in O(dim^3).  Cached on the
+    presentation, so the chain starts from it and never computes it twice."""
+    rows = getattr(A, "_trace_kernel", None)
+    if rows is None:
+        null = linalg.kernel(A.gram_matrix(), A.p)
+        if null.shape[0] == 0:
+            rows = np.zeros((0, A.dim), dtype=np.int64)
+        else:
+            rows = linalg.row_space_basis(null, A.p)
+        A._trace_kernel = rows
+    return rows
+
+
+def needs_deep_chain(A):
+    """True when the cheap facts leave semisimplicity open: no report is
+    cached, stage 0 is nonzero, and p <= dim, so the chain would go on to
+    its char_poly stages.  Otherwise radical_report runs none of them."""
+    return (getattr(A, "_radical_report", None) is None and A.p <= A.dim
+            and trace_kernel(A).shape[0] > 0)
+
+
 def _chain(A):
     p, n = A.p, A.dim
-    rows = np.eye(n, dtype=np.int64)
-    stage_dims = []
-    k = 1
+    rows = trace_kernel(A)
+    stage_dims = [rows.shape[0]]
+    k = p
     while k <= n and rows.shape[0] > 0:
-        if k == 1:
-            # c_1 is (minus) the trace, so stage zero is the plain trace form
-            B = linalg.matmul_mod(
-                linalg.matmul_mod(rows, A.gram_matrix(), p), rows.T, p
-            )
-        else:
-            B = _char_coeff_form(A, rows, k)
-        null = linalg.kernel(B, p)
+        null = linalg.kernel(_char_coeff_form(A, rows, k), p)
         if null.shape[0] == 0:
             rows = np.zeros((0, n), dtype=np.int64)
         else:

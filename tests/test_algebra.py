@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wedderburn import algebra, linalg
 from wedderburn import (
     Algebra,
+    build_planted,
     cayley_fixture,
     from_doc,
     group_algebra,
@@ -413,6 +414,45 @@ def test_center_of_matrix_algebra_is_scalars():
 def test_center_of_group_algebra_of_abelian_group_is_everything():
     A = c3_algebra()
     assert len(A.center_basis()) == 3 and A.is_commutative()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scramble(group_algebra(cayley_fixture("S3"), 5), seed=2)[0],
+    lambda: scramble(group_algebra(cayley_fixture("Q8"), 3), seed=1)[0],
+    lambda: scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)[0],
+    lambda: scramble(matrix_algebra(3, 4).algebra, seed=1)[0],
+], ids=["S3 p=5", "Q8 p=3", "planted p=7", "M_4(F_3)"])
+def test_center_from_the_certificate_generators(monkeypatch, build):
+    # the generators the associativity certificate accepted give the same
+    # canonical basis as the dim^2 x dim system of the basis vectors
+    A = build()
+    assert 0 < len(A._generators) < A.dim
+    unvalidated = Algebra(A.p, A.sc, identity=A.one, validate=False)
+    assert getattr(unvalidated, "_generators", None) is None
+    shapes = []
+    kernel = linalg.kernel
+
+    def spy(M, p):
+        shapes.append(M.shape)
+        return kernel(M, p)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    assert A.center_basis().tolist() == unvalidated.center_basis().tolist()
+    n = A.dim
+    assert shapes == [(len(A._generators) * n, n), (n * n, n)]
+
+
+def test_center_after_the_blocked_check_uses_the_basis(monkeypatch):
+    # multiples of 1 are accepted but generate only the span of 1, so the
+    # blocked check decides and no generators are kept: the centre of
+    # M_2(F_3) is still only the scalars
+    monkeypatch.setattr(
+        Algebra, "random_vec", lambda self, rng: self.one * rng.randrange(3) % 3
+    )
+    calls = spy_blocked_check(monkeypatch)
+    A = m2(3)
+    assert calls == [4] and getattr(A, "_generators", None) is None
+    assert A.center_basis().tolist() == [[1, 0, 0, 1]]
 
 
 def test_frobenius_fixed_space_counts_blocks():

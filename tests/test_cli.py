@@ -222,6 +222,21 @@ def test_split_cap_exit_5(tmp_path):
     assert run("decompose", str(s)).returncode == 0
 
 
+def test_search_failures_exit_5_and_6_after_the_chain(tmp_path):
+    # 3 | 3 leaves semisimplicity open after the trace form, so the search
+    # runs before the chain; once the chain certifies a zero radical, its
+    # failures exit as they do on any semisimple input
+    m = tmp_path / "m33.json"
+    assert run("gen", "matrix", "-n", "3", "-p", "3", "-o", str(m)).returncode == 0
+    r = run("decompose", str(m), "--seed", "2", "--max-split-iters", "1")
+    assert r.returncode == 5 and "after 1 random draws" in r.stderr
+    assert run("decompose", str(m), "--seed", "2").returncode == 0
+    r = subprocess.run([sys.executable, "-c", _BROKEN_SPLIT, "decompose", str(m)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 6
+    assert "internal error: split produced zero" in r.stderr
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_non_positive_split_cap_is_invalid_input(tmp_path, cap):
     # no seed can help a cap below 1, so it is an argument error, not exit 5

@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from wedderburn import (
+    build_planted,
     cayley_fixture,
+    cli,
     direct_sum,
+    full_isomorphism,
     group_algebra,
     make_presentation,
     matrix_algebra,
+    radical,
     radical_basis,
     radical_report,
     require_semisimple,
     scramble,
+    verify_isomorphism,
 )
-from wedderburn.errors import NotSemisimple
+from wedderburn import blocks, idempotents
+from wedderburn.algebra import Algebra
+from wedderburn.errors import (
+    InternalInvariantViolation,
+    NotSemisimple,
+    SplitIterationCapExceeded,
+)
 from wedderburn.generators import FIXTURE_NAMES
 
 
@@ -190,3 +201,199 @@ def test_char_coeff_form_matches_the_pairwise_definition(monkeypatch, chunk_entr
             for x in rows
         ]
         assert radical._char_coeff_form(A, rows, k).tolist() == want
+
+
+# -- where the chain runs ------------------------------------------------------
+
+
+def upper_triangular(n, p):
+    """T_n(F_p), basis E_ij for i <= j: its centre is F_p, its radical the
+    strictly upper triangular part."""
+    idx = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {ij: k for k, ij in enumerate(idx)}
+    sc = np.zeros((len(idx),) * 3, dtype=np.int64)
+    for i, j in idx:
+        for k, l in idx:
+            if j == k:
+                sc[pos[i, j], pos[k, l], pos[i, l]] = 1
+    return make_presentation(p, sc)
+
+
+def path_algebra(p):
+    """Paths e1, e2, alpha, beta, beta*alpha; x*y is x after y.
+
+    alpha is a loop at vertex 1 with alpha^2 = 0 and beta an arrow out of
+    it.  The centre is F_p and the radical is spanned by alpha, beta and
+    beta*alpha, but the corner at vertex 1 is the local ring
+    F_p[alpha]/(alpha^2), which no draw splits.
+    """
+    e1, e2, alpha, beta, beta_alpha = range(5)
+    sc = np.zeros((5, 5, 5), dtype=np.int64)
+    for x, y, xy in [(e1, e1, e1), (e2, e2, e2), (e1, alpha, alpha),
+                     (alpha, e1, alpha), (e2, beta, beta), (beta, e1, beta),
+                     (e2, beta_alpha, beta_alpha), (beta_alpha, e1, beta_alpha),
+                     (beta, alpha, beta_alpha)]:
+        sc[x, y, xy] = 1
+    return make_presentation(p, sc)
+
+
+def spy_chain(monkeypatch):
+    """Record each char_poly stage of the chain, by the dimension of the
+    stage it starts from."""
+    calls = []
+    real = radical._char_coeff_form
+
+    def counting(A, rows, k):
+        calls.append(len(rows))
+        return real(A, rows, k)
+
+    monkeypatch.setattr(radical, "_char_coeff_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, spec", [
+    (5, [(5, 1), (2, 1), (1, 2)]),
+    (3, [(3, 1), (3, 1), (2, 2)]),
+    (3, [(3, 2), (2, 1), (1, 1)]),
+])
+def test_verified_certificate_proves_semisimplicity_without_the_chain(
+        monkeypatch, p, spec):
+    A, _ = scramble(build_planted(spec, p).algebra, seed=1)
+    assert radical.needs_deep_chain(A)  # stage 0 alone leaves it open
+    calls = spy_chain(monkeypatch)
+    res = full_isomorphism(A, seed=0)
+    assert verify_isomorphism(A, res).passed
+    assert calls == []
+
+
+def test_scrambled_m9_over_f3_skips_the_chain(monkeypatch):
+    # the chain alone took seconds here: every stage-0 pair of this
+    # dim-81 algebra is one char_poly
+    A, _ = scramble(matrix_algebra(3, 9).algebra, seed=1)
+    calls = spy_chain(monkeypatch)
+    res = full_isomorphism(A, seed=0)
+    assert [(blk.n, blk.D.degree) for blk in res.blocks] == [(9, 1)]
+    assert verify_isomorphism(A, res).passed
+    assert calls == []
+
+
+REJECTIONS = {
+    "T_3(F_3)": lambda: upper_triangular(3, 3),
+    "path algebra over F_3": lambda: path_algebra(3),
+    "M_3(F_3) + F_3[S3]": lambda: scramble(direct_sum([
+        matrix_algebra(3, 3).algebra, group_algebra(cayley_fixture("S3"), 3),
+    ]), seed=4)[0],
+    "M_4(F_3) + F_3[C3]": lambda: scramble(direct_sum([
+        matrix_algebra(3, 4).algebra, group_algebra(cayley_fixture("C3"), 3),
+    ]), seed=4)[0],
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_rejection_runs_the_chain_and_matches_a_fresh_report(monkeypatch, name):
+    want = radical_report(REJECTIONS[name]())
+    A = REJECTIONS[name]()
+    calls = spy_chain(monkeypatch)
+    grams = []
+    gram = Algebra.gram_matrix
+
+    def counted(self):
+        grams.append(1)
+        return gram(self)
+
+    monkeypatch.setattr(Algebra, "gram_matrix", counted)
+    with pytest.raises(NotSemisimple) as info:
+        full_isomorphism(A, seed=0)
+    assert calls and len(grams) == 1  # the chain starts from stage 0 as kept
+    assert info.value.radical_basis.tolist() == want.rows.tolist()
+    got = radical_report(A)  # the fallback's report, cached: no second chain
+    assert len(calls) == len(want.stage_dims) - 1
+    assert got.rows.tolist() == want.rows.tolist()
+    assert got.stage_dims == want.stage_dims
+    assert got.nilpotency_index == want.nilpotency_index
+
+
+@pytest.mark.parametrize("name", ["M_3(F_3) + F_3[S3]", "M_4(F_3) + F_3[C3]"])
+def test_nilpotent_centre_is_refused_before_any_draw(monkeypatch, name):
+    # F_3[S3] and F_3[C3] are local rings whose centres hold nilpotents
+    A = REJECTIONS[name]()
+    draws = []
+    draw = Algebra.random_vec
+
+    def counted(self, rng):
+        draws.append(1)
+        return draw(self, rng)
+
+    monkeypatch.setattr(Algebra, "random_vec", counted)
+    with pytest.raises(InternalInvariantViolation, match="nilpotent"):
+        idempotents._block_idempotents(A)
+    with pytest.raises(NotSemisimple):
+        full_isomorphism(A, seed=0)
+    assert draws == []
+
+
+@pytest.mark.parametrize("name", ["T_3(F_3)", "path algebra over F_3"])
+def test_reduced_centre_reaches_the_search(name):
+    # the centre is F_3, so the centre split cannot see the radical
+    C, degrees = idempotents._block_idempotents(REJECTIONS[name]())
+    assert len(C) == 1 and degrees == [1]
+
+
+def test_path_algebra_is_rejected_for_every_seed(monkeypatch):
+    # some seeds land in the corner F_3[alpha]/(alpha^2), which no draw
+    # splits: they spend the optimistic cap and then run the chain
+    capped = []
+    search = blocks._search
+
+    def spy(A, seed, cap):
+        try:
+            return search(A, seed, cap)
+        except SplitIterationCapExceeded as exc:
+            capped.append(exc.cap)
+            raise
+
+    monkeypatch.setattr(blocks, "_search", spy)
+    for seed in range(8):
+        with pytest.raises(NotSemisimple) as info:
+            full_isomorphism(path_algebra(3), seed=seed)
+        assert len(info.value.radical_basis) == 3
+    assert capped and set(capped) == {blocks._OPTIMISTIC_CAP}
+
+
+def test_search_errors_surface_after_the_chain_certifies_zero(monkeypatch):
+    # seed 2 needs a second draw in M_3(F_3); the optimistic attempt fails,
+    # the chain certifies a zero radical, and the search runs again with
+    # the caller's cap, so the caller sees that cap exceeded
+    A = matrix_algebra(3, 3).algebra
+    calls = spy_chain(monkeypatch)
+    with pytest.raises(SplitIterationCapExceeded) as info:
+        full_isomorphism(A, seed=2, cap=1)
+    assert info.value.cap == 1 and calls == [9]
+    assert radical_report(A).is_semisimple
+    res = full_isomorphism(A, seed=2)  # the report is cached now
+    assert verify_isomorphism(A, res).passed and calls == [9]
+
+
+def test_a_failed_check_sends_the_search_to_the_chain(monkeypatch):
+    # only a certificate that check accepts stands in for the chain
+    A, _ = scramble(build_planted([(3, 1), (1, 2)], 3).algebra, seed=1)
+    calls = spy_chain(monkeypatch)
+    monkeypatch.setattr(blocks, "check", lambda A, cert: [
+        blocks.Failure("certificate", "forced failure")])
+    res = full_isomorphism(A, seed=0)
+    assert calls == [radical.trace_kernel(A).shape[0]]
+    monkeypatch.undo()
+    assert verify_isomorphism(A, res).passed
+
+
+@pytest.mark.parametrize("name", ["T_3(F_3)", "path algebra over F_3"])
+def test_cli_rejection_exit_2_prints_the_certified_radical(
+        tmp_path, capsys, name):
+    want = radical_report(REJECTIONS[name]()).rows
+    doc = tmp_path / "a.json"
+    doc.write_text(cli.canonical_json(REJECTIONS[name]().to_doc()))
+    assert cli.main(["decompose", str(doc)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"not semisimple: radical has dimension {len(want)}",
+        *(f"  radical basis element: {row.tolist()}" for row in want),
+    ]
