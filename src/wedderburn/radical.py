@@ -103,11 +103,7 @@ def trace_kernel(A):
     presentation, so the chain starts from it and never computes it twice."""
     rows = getattr(A, "_trace_kernel", None)
     if rows is None:
-        null = linalg.kernel(A.gram_matrix(), A.p)
-        if null.shape[0] == 0:
-            rows = np.zeros((0, A.dim), dtype=np.int64)
-        else:
-            rows = linalg.row_space_basis(null, A.p)
+        rows = linalg.row_space_basis(linalg.kernel(A.gram_matrix(), A.p), A.p)
         A._trace_kernel = rows
     return rows
 
