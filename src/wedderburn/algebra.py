@@ -308,10 +308,15 @@ class Algebra:
         """Matrix (columns) of x -> x^p; only linear when commutative.
 
         The p-th powers of all basis vectors are taken together: each
-        square-and-multiply step is one row-wise product of two stacks.
+        square-and-multiply step is one row-wise product of two stacks.  In
+        dimension one, where b*b = c*b, the chain gives one * c^p = one * c
+        (Fermat), so F is that scalar.
         """
         self.require_commutative()
         n, k = self.dim, self.p
+        if n == 1:
+            return np.array([[self.one[0] * self.sc[0, 0, 0] % k]],
+                            dtype=np.int64)
         acc = np.tile(self.one, (n, 1))
         base = np.eye(n, dtype=np.int64)
         while k:

@@ -10,7 +10,7 @@ from .errors import NotPrime, UnsupportedCharacteristic
 
 # Largest modulus the exact kernels accept: matmul_mod splits entries below
 # 2^31 into 16-bit limbs (the high one under 2^15), and the int64 sums in
-# char_poly and poly.mul bound products of residues by (p-1)^2 < 2^62.
+# char_poly bound products of residues by (p-1)^2 < 2^62.
 MAX_MODULUS = 2**31 - 1
 
 

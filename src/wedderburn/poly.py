@@ -1,12 +1,16 @@
 """Polynomial arithmetic over F_p and Berlekamp factorization.
 
-Polynomials are int64 numpy arrays of coefficients, lowest degree first,
-with no trailing zeros (the zero polynomial is the single coefficient [0]).
-Everything here is deterministic: the factor splitter's quadratic-residue
-probe draws its shifts from an internally seeded generator.
+At the boundary a polynomial is a C-contiguous int64 numpy array of
+coefficients, lowest degree first, with no trailing zeros (the zero
+polynomial is the single coefficient [0]).  Each public function converts
+its arguments once to lists of Python ints, computes on those, exactly at
+any p, and returns int64 arrays.  Everything is deterministic: the factor
+splitter's quadratic-residue probe draws its shifts from an internally
+seeded generator.
 """
 
 import random
+from itertools import zip_longest
 
 import numpy as np
 
@@ -21,13 +25,34 @@ _PROBE_CAP = 256
 
 NEG_INF = float("-inf")
 
+# -- the boundary: int64 arrays outside, normalized int lists inside --------
+
+
+def _trim(c):
+    """Drop trailing zeros in place; the zero polynomial stays [0]."""
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    return c
+
+
+def _ints(c, p):
+    """c (an array or a sequence of ints) as a normalized list of residues."""
+    return _trim([x % p for x in np.asarray(c, dtype=np.int64).tolist()] or [0])
+
+
+def _array(c):
+    return np.array(c, dtype=np.int64)
+
+
+def _divisor(b, p):
+    b = _ints(b, p)
+    if is_zero(b):
+        raise DivisionByZero("polynomial division by zero")
+    return b
+
 
 def normalize(c, p):
-    c = np.asarray(c, dtype=np.int64) % p
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.ascontiguousarray(c[: int(nz[-1]) + 1])
+    return _array(_ints(c, p))
 
 
 def is_zero(c):
@@ -44,158 +69,232 @@ def constant(value, p):
     return normalize([value], p)
 
 
-def add(a, b, p):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return normalize(out, p)
+# -- arithmetic on normalized lists -------------------------------------------
 
 
-def sub(a, b, p):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.int64)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return normalize(out, p)
+def _add(a, b, p):
+    return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def mul(a, b, p):
-    if is_zero(a) or is_zero(b):
-        return np.zeros(1, dtype=np.int64)
-    if min(len(a), len(b)) * (p - 1) ** 2 < 2**63:
-        return normalize(np.convolve(a, b) % p, p)
-    # one int64 convolution sum would overflow: split a into 16-bit limbs,
-    # so each sum holds products below 2^47 (exact for < 2^16 terms)
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    high = np.convolve(a >> 16, b) % p
-    return normalize((high * 2**16 + np.convolve(a & 0xFFFF, b)) % p, p)
+def _sub(a, b, p):
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def scalar_mul(k, a, p):
-    return normalize(np.asarray(a, dtype=np.int64) * (k % p), p)
+def _convolve(a, b):
+    """Coefficients of a*b, not yet reduced mod p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def divmod_poly(a, b, p):
-    """Quotient and remainder of a by b (b nonzero)."""
-    a = normalize(a, p)
-    b = normalize(b, p)
-    if is_zero(b):
-        raise DivisionByZero("polynomial division by zero")
+def _mul(a, b, p):
+    return _trim([x % p for x in _convolve(a, b)])
+
+
+def _scale(k, a, p):
+    return _trim([k * x % p for x in a])
+
+
+def _divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b."""
     db = len(b) - 1
-    if degree(a) < db:
-        return np.zeros(1, dtype=np.int64), a
-    rem = a.copy()
-    q = np.zeros(len(a) - db, dtype=np.int64)
-    lead_inv = pow(int(b[-1]), p - 2, p)
+    if len(a) <= db or is_zero(a):
+        return [0], a
+    rem = a[:]
+    q = [0] * (len(a) - db)
+    lead_inv = pow(b[-1], p - 2, p)
     for i in range(len(a) - db - 1, -1, -1):
-        coef = int(rem[i + db]) * lead_inv % p
+        coef = rem[i + db] * lead_inv % p
         if coef:
             q[i] = coef
-            rem[i : i + db + 1] = (rem[i : i + db + 1] - coef * b) % p
-    return normalize(q, p), normalize(rem, p)
+            for j in range(db):
+                rem[i + j] = (rem[i + j] - coef * b[j]) % p
+    # each step clears rem[i + db], so only the db low coefficients remain
+    return q, _trim(rem[:db] or [0])
 
 
-def exact_div(a, b, p):
-    q, r = divmod_poly(a, b, p)
+def _rem(a, b, p):
+    return _divmod(a, b, p)[1]
+
+
+def _exact_div(a, b, p):
+    q, r = _divmod(a, b, p)
     if not is_zero(r):
         raise InternalInvariantViolation("exact_div called on a non-divisor")
     return q
 
 
+def _monic(a, p):
+    lead = a[-1]
+    if lead in (0, 1):
+        return a
+    return _scale(pow(lead, p - 2, p), a, p)
+
+
+def _gcd(a, b, p):
+    while not is_zero(b):
+        a, b = b, _rem(a, b, p)
+    return _monic(a, p)
+
+
+def _mul_mod(a, b, f, p):
+    """a*b mod a monic f; a coefficient is reduced mod p only when read."""
+    out = _convolve(a, b)
+    d = len(f) - 1
+    for i in range(len(out) - 1, d - 1, -1):
+        coef = out[i] % p
+        if coef:
+            for j in range(d):
+                out[i - d + j] -= coef * f[j]
+    return _trim([x % p for x in out[:d]] or [0])
+
+
+def _pow_mod(base, e, modulus, p):
+    f = _monic(modulus, p)  # the same residues, without a leading inverse
+    result, acc = _rem([1], f, p), _rem(base, f, p)
+    while e > 0:
+        if e & 1:
+            result = _mul_mod(result, acc, f, p)
+        e >>= 1
+        if e:
+            acc = _mul_mod(acc, acc, f, p)
+    return result
+
+
+def _derivative(c, p):
+    return _trim([k * x % p for k, x in enumerate(c)][1:] or [0])
+
+
+def _pth_root(c, p):
+    if len(c) > 1 and (len(c) - 1) % p:
+        raise InternalInvariantViolation("pth_root of a polynomial not in T^p")
+    return c[::p]
+
+
+# -- the public functions -----------------------------------------------------
+
+
+def add(a, b, p):
+    return _array(_add(_ints(a, p), _ints(b, p), p))
+
+
+def sub(a, b, p):
+    return _array(_sub(_ints(a, p), _ints(b, p), p))
+
+
+def mul(a, b, p):
+    return _array(_mul(_ints(a, p), _ints(b, p), p))
+
+
+def divmod_poly(a, b, p):
+    """Quotient and remainder of a by b (b nonzero)."""
+    q, r = _divmod(_ints(a, p), _divisor(b, p), p)
+    return _array(q), _array(r)
+
+
+def exact_div(a, b, p):
+    return _array(_exact_div(_ints(a, p), _divisor(b, p), p))
+
+
 def monic(a, p):
-    a = normalize(a, p)
-    if is_zero(a):
-        return a
-    lead = int(a[-1])
-    if lead == 1:
-        return a
-    return scalar_mul(pow(lead, p - 2, p), a, p)
+    return _array(_monic(_ints(a, p), p))
 
 
 def gcd(a, b, p):
-    a = normalize(a, p)
-    b = normalize(b, p)
-    while not is_zero(b):
-        a, b = b, divmod_poly(a, b, p)[1]
-    return monic(a, p)
+    return _array(_gcd(_ints(a, p), _ints(b, p), p))
 
 
 def bezout(a, b, p):
     """(g, s, t) with s*a + t*b = g = monic gcd(a, b)."""
-    r0, r1 = normalize(a, p), normalize(b, p)
-    s0, s1 = constant(1, p), constant(0, p)
-    t0, t1 = constant(0, p), constant(1, p)
+    r0, r1 = _ints(a, p), _ints(b, p)
+    s0, s1 = [1], [0]
+    t0, t1 = [0], [1]
     while not is_zero(r1):
-        q, r = divmod_poly(r0, r1, p)
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if is_zero(r0):
-        return r0, s0, t0
-    lead_inv = pow(int(r0[-1]), p - 2, p)
-    return (
-        scalar_mul(lead_inv, r0, p),
-        scalar_mul(lead_inv, s0, p),
-        scalar_mul(lead_inv, t0, p),
-    )
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    if not is_zero(r0):
+        lead_inv = pow(r0[-1], p - 2, p)
+        r0, s0, t0 = (_scale(lead_inv, c, p) for c in (r0, s0, t0))
+    return _array(r0), _array(s0), _array(t0)
 
 
 def pow_mod(base, e, modulus, p):
-    """base**e reduced mod the polynomial `modulus`."""
-    result = constant(1, p)
-    acc = divmod_poly(base, modulus, p)[1]
-    while e > 0:
-        if e & 1:
-            result = divmod_poly(mul(result, acc, p), modulus, p)[1]
-        acc = divmod_poly(mul(acc, acc, p), modulus, p)[1]
-        e >>= 1
-    return result
+    """base**e reduced mod the polynomial `modulus` (nonzero)."""
+    return _array(_pow_mod(_ints(base, p), e, _divisor(modulus, p), p))
 
 
 def derivative(c, p):
-    if len(c) == 1:
-        return np.zeros(1, dtype=np.int64)
-    ks = np.arange(1, len(c), dtype=np.int64)
-    return normalize(c[1:] * ks % p, p)
+    return _array(_derivative(_ints(c, p), p))
 
 
 def pth_root(c, p):
     """p-th root of a polynomial in T^p (coefficients are Frobenius-fixed)."""
-    if degree(c) != NEG_INF and degree(c) % p:
-        raise InternalInvariantViolation("pth_root of a polynomial not in T^p")
-    return normalize(c[::p], p)
+    return _array(_pth_root(_ints(c, p), p))
 
 
-def _frobenius_fixed_space(f, p):
+def _frobenius_fixed_space(f, tp, p):
     """Basis of {v in F_p[T]/(f) : v^p = v}, one row per basis vector.
 
-    Its dimension equals the number of distinct irreducible factors of f
-    (multiplicities do not change it).
+    tp is T^p mod f.  The dimension equals the number of distinct
+    irreducible factors of f (multiplicities do not change it).
     """
-    n = int(degree(f))
-    tp = pow_mod(np.array([0, 1], dtype=np.int64), p, f, p)
+    f = _monic(f, p)
+    n = len(f) - 1
     Q = np.zeros((n, n), dtype=np.int64)
-    col = constant(1, p)
+    col = [1]
     for j in range(n):
         Q[: len(col), j] = col
-        col = divmod_poly(mul(col, tp, p), f, p)[1]
+        col = _mul_mod(col, tp, f, p)
     return mat_kernel((Q - np.eye(n, dtype=np.int64)) % p, p)
+
+
+def _t_to_the_p(f, p):
+    return _ints(pow_mod([0, 1], p, f, p), p)
+
+
+def _is_irreducible(f, p):
+    if len(f) <= 2:
+        return len(f) == 2  # a nonzero constant or zero is not irreducible
+    fp = _derivative(f, p)
+    if is_zero(fp) or len(_gcd(f, fp, p)) > 1:
+        return False
+    return len(_frobenius_fixed_space(f, _t_to_the_p(f, p), p)) == 1
 
 
 def is_irreducible(f, p):
     """Certify irreducibility: squarefree with a single distinct factor."""
-    f = normalize(f, p)
-    d = degree(f)
-    if d is NEG_INF or d < 1:
-        return False
-    if d == 1:
-        return True
-    fp = derivative(f, p)
-    if is_zero(fp) or degree(gcd(f, fp, p)) > 0:
-        return False
-    return len(_frobenius_fixed_space(f, p)) == 1
+    return _is_irreducible(_ints(f, p), p)
+
+
+def _split(f, p, rng, tp):
+    """split_squarefree on a list; tp is T^p mod some multiple of f, or None."""
+    if len(f) <= 2:
+        return [f]
+    tp = _t_to_the_p(f, p) if tp is None else _rem(tp, f, p)
+    fixed = _frobenius_fixed_space(f, tp, p)
+    if len(fixed) == 1:
+        return [f]
+    # pick a non-constant fixed vector: reduced mod each irreducible factor it
+    # is a scalar, and not the same scalar for all of them
+    v = next((_ints(row, p) for row in fixed if row[1:].any()), None)
+    if v is None:
+        raise InternalInvariantViolation(
+            "fixed space of dim > 1 must contain a non-constant"
+        )
+    for _ in range(_PROBE_CAP):
+        shift = _add(v, [rng.randrange(p)], p)
+        w = _ints(pow_mod(shift, (p - 1) // 2, f, p), p)
+        g = _gcd(_sub(w, [1], p), f, p)
+        if 1 < len(g) < len(f):
+            return _split(g, p, rng, tp) + _split(_exact_div(f, g, p), p, rng, tp)
+    raise InternalSamplingFailure(
+        f"quadratic-residue probe failed to split after {_PROBE_CAP} attempts"
+    )
 
 
 def split_squarefree(f, p, rng):
@@ -203,63 +302,39 @@ def split_squarefree(f, p, rng):
 
     f and its divisors are squarefree, so a part is returned only when it is
     irreducible: at degree <= 1, or with a one-dimensional Frobenius fixed
-    space (the test is_irreducible makes).
+    space (the test is_irreducible makes).  T^p mod f is computed once and
+    reduced mod each part.
     """
-    if degree(f) <= 1:
-        return [f]
-    fixed = _frobenius_fixed_space(f, p)
-    if len(fixed) == 1:
-        return [f]
-    # pick a non-constant fixed vector: reduced mod each irreducible factor it
-    # is a scalar, and not the same scalar for all of them
-    v = None
-    for row in fixed:
-        if np.any(row[1:]):
-            v = normalize(row, p)
-            break
-    if v is None:
-        raise InternalInvariantViolation(
-            "fixed space of dim > 1 must contain a non-constant"
-        )
-    for _ in range(_PROBE_CAP):
-        shift = add(v, constant(rng.randrange(p), p), p)
-        w = pow_mod(shift, (p - 1) // 2, f, p)
-        g = gcd(sub(w, constant(1, p), p), f, p)
-        dg = degree(g)
-        if dg != NEG_INF and 0 < dg < degree(f):
-            return split_squarefree(g, p, rng) + split_squarefree(
-                exact_div(f, g, p), p, rng
-            )
-    raise InternalSamplingFailure(
-        f"quadratic-residue probe failed to split after {_PROBE_CAP} attempts"
-    )
+    return [_array(g) for g in _split(_ints(f, p), p, rng, None)]
+
+
+def _squarefree(f, p):
+    """squarefree_decomposition of a monic list."""
+    if len(f) == 1:
+        return []
+    fp = _derivative(f, p)
+    if is_zero(fp):
+        return [(g, m * p) for g, m in _squarefree(_pth_root(f, p), p)]
+    c = _gcd(f, fp, p)
+    w = _exact_div(f, c, p)
+    out = []
+    i = 1
+    while len(w) > 1:
+        y = _gcd(w, c, p)
+        z = _exact_div(w, y, p)
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = _exact_div(c, y, p)
+        i += 1
+    if len(c) > 1:
+        out.extend((g, m * p) for g, m in _squarefree(_pth_root(c, p), p))
+    return out
 
 
 def squarefree_decomposition(f, p):
     """[(g, m)] with f = prod g^m, the g monic squarefree and pairwise coprime."""
-    f = monic(f, p)
-    out = []
-    if degree(f) is NEG_INF or degree(f) == 0:
-        return out
-    fp = derivative(f, p)
-    if is_zero(fp):
-        return [(g, m * p) for g, m in squarefree_decomposition(pth_root(f, p), p)]
-    c = gcd(f, fp, p)
-    w = exact_div(f, c, p)
-    i = 1
-    while degree(w) > 0:
-        y = gcd(w, c, p)
-        z = exact_div(w, y, p)
-        if degree(z) > 0:
-            out.append((z, i))
-        w = y
-        c = exact_div(c, y, p)
-        i += 1
-    if degree(c) > 0:
-        out.extend(
-            (g, m * p) for g, m in squarefree_decomposition(pth_root(c, p), p)
-        )
-    return out
+    return [(_array(g), m) for g, m in _squarefree(_monic(_ints(f, p), p), p)]
 
 
 def berlekamp_factor(f, p):
@@ -270,33 +345,24 @@ def berlekamp_factor(f, p):
     Deterministic: the only randomness is the internally seeded probe, and
     it only changes the discovery order, never the result.
     """
-    f = normalize(f, p)
+    f = _ints(f, p)
     if is_zero(f):
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(0x5EED)
     found = {}
-    for g, m in squarefree_decomposition(f, p):
-        for h in split_squarefree(g, p, rng):
-            key = tuple(int(x) for x in h)
-            found[key] = found.get(key, 0) + m
-    return sorted(
-        ((np.array(k, dtype=np.int64), m) for k, m in found.items()),
-        key=lambda fm: (len(fm[0]), tuple(int(x) for x in fm[0])),
-    )
+    for g, m in _squarefree(_monic(f, p), p):
+        for h in _split(g, p, rng, None):
+            found[tuple(h)] = found.get(tuple(h), 0) + m
+    order = sorted(found, key=lambda h: (len(h), h))
+    return [(_array(h), found[h]) for h in order]
 
 
 def find_irreducible(d, p):
     """First monic irreducible of degree d over F_p in coefficient lex order."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if d == 1:
-        return np.array([0, 1], dtype=np.int64)
-    coeffs = np.zeros(d + 1, dtype=np.int64)
-    coeffs[-1] = 1
-    while True:
-        cand = normalize(coeffs, p)
-        if is_irreducible(cand, p):
-            return cand
+    coeffs = [0] * d + [1]
+    while not _is_irreducible(coeffs, p):
         # odometer increment over the d low coefficients
         for i in range(d):
             coeffs[i] += 1
@@ -307,3 +373,4 @@ def find_irreducible(d, p):
             raise InternalInvariantViolation(
                 "no irreducible of the requested degree found"
             )
+    return _array(coeffs)

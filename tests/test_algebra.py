@@ -464,18 +464,24 @@ def test_frobenius_fixed_space_counts_blocks():
         assert len(linalg.kernel((F - eye) % p, p)) == want
 
 
-@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
 def test_frobenius_matrix_matches_per_vector_powers(p):
-    A, _ = scramble(group_algebra(cayley_fixture("C4"), p), seed=3)
-    F = A.frobenius_matrix()
-    for i, b in enumerate(np.eye(A.dim, dtype=np.int64)):
-        # b^p by square-and-multiply, one mul_vec at a time
-        acc, base, k = A.one, b, p
-        while k:
-            if k & 1:
-                acc = A.mul_vec(acc, base)
-            base, k = A.mul_vec(base, base), k >> 1
-        assert F[:, i].tolist() == acc.tolist()
+    # one-dimensional presentations c000 = c with any identity u, also the
+    # zero algebra, non-idempotent identities and u*c != 1
+    r = random.Random(p).randrange(2, p)
+    algebras = [scramble(group_algebra(cayley_fixture("C4"), p), seed=3)[0]]
+    algebras += [Algebra(p, [[[c]]], identity=[u], validate=False)
+                 for c in (0, 1, r) for u in (0, 1, r)]
+    for A in algebras:
+        F = A.frobenius_matrix()
+        for i, b in enumerate(np.eye(A.dim, dtype=np.int64)):
+            # b^p by square-and-multiply, one mul_vec at a time
+            acc, base, k = A.one, b, p
+            while k:
+                if k & 1:
+                    acc = A.mul_vec(acc, base)
+                base, k = A.mul_vec(base, base), k >> 1
+            assert F[:, i].tolist() == acc.tolist(), (A.sc.tolist(), A.one)
 
 
 # -- corners and hom spaces --------------------------------------------------

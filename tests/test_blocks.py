@@ -281,8 +281,8 @@ def test_flatten_refuses_non_integer_cells():
 
 
 def test_round_trip_at_the_largest_modulus():
-    # p = 2^31 - 1: the polynomial products of the splitting stage need
-    # more than one int64 convolution pass there
+    # p = 2^31 - 1, the largest modulus: products of two residues come
+    # near 2^62, in the splitting stage and in every matmul_mod
     p = 2**31 - 1
     spec = [(3, 1), (2, 2), (1, 3)]
     A, _ = scramble(build_planted(spec, p).algebra, seed=0)
@@ -649,3 +649,22 @@ def test_local_ring_is_not_accepted_as_division_field():
                          "multiplicative": True, "orthogonality": True},
     }
     assert verify_report_doc(A, doc) == ["block 0: division corner is not a field"]
+
+
+def test_doubled_representative_of_a_one_dimensional_field_is_refused():
+    # block 0 is M_1(F_p): doubling its representative breaks every relation
+    # of the block, and the entry field presented on it has identity 2, whose
+    # Frobenius image 2 fixes nothing, so the field test fails as well
+    p = 2**31 - 1
+    A, _ = scramble(build_planted([(2, 1), (1, 1)], p).algebra, seed=1)
+    bad = full_isomorphism(A, seed=0)
+    assert [(b.n, b.D.degree) for b in bad.blocks] == [(1, 1), (2, 1)]
+    bad.blocks[0].rep = bad.blocks[0].rep * 2 % p
+    assert [(f.relation, f.message) for f in blocks.check(A, bad)] == [
+        ("certificate", "block 0: representative is not idempotent"),
+        ("certificate", "block 0: a[0], b[0] differ from the representative"),
+        ("certificate", "block 0: a[0]*b[0] != representative"),
+        ("certificate", "block 0: a[0] is not in rep*A*e[0]"),
+        ("certificate", "block 0: b[0] is not in e[0]*A*rep"),
+        ("certificate", "block 0: division corner is not a field"),
+    ]

@@ -126,19 +126,42 @@ def test_pow_mod():
     assert got.tolist() == [4]
 
 
-@given(st.sampled_from([3, 5, 7]), st.randoms(use_true_random=False))
+def contract(c):
+    """c as the public functions promise it: a C-contiguous int64 array,
+    lowest degree first, with no trailing zero (zero is [0])."""
+    assert isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1
+    assert c.flags.c_contiguous and len(c) >= 1
+    assert c[-1] != 0 or c.tolist() == [0]
+    return c
+
+
+@given(st.sampled_from([3, 5, 7, 65537, 2**31 - 1]),
+       st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_divmod_round_trip(p, rng):
     f = np.array([rng.randrange(p) for _ in range(rng.randrange(1, 7))])
-    g = poly.normalize(
+    g = contract(poly.normalize(
         np.array([rng.randrange(p) for _ in range(rng.randrange(1, 4))]), p
-    )
+    ))
     if poly.is_zero(g):
         g = np.array([1])
-    q, r = poly.divmod_poly(f, g, p)
-    back = poly.add(poly.mul(q, g, p), r, p)
+    q, r = map(contract, poly.divmod_poly(f, g, p))
+    back = contract(poly.add(contract(poly.mul(q, g, p)), r, p))
     assert back.tolist() == poly.normalize(f, p).tolist()
     assert poly.degree(r) < poly.degree(g) or poly.is_zero(r)
+    # s*f + t*g = d, the monic gcd
+    d, s, t = map(contract, poly.bezout(f, g, p))
+    assert d.tolist() == contract(poly.gcd(f, g, p)).tolist()
+    assert d.tolist() == [0] or d[-1] == 1
+    lhs = poly.add(poly.mul(s, f, p), poly.mul(t, g, p), p)
+    assert contract(lhs).tolist() == d.tolist()
+    assert contract(poly.sub(lhs, d, p)).tolist() == [0]
+    # f^e mod g against e rounds of multiply-and-reduce
+    e = rng.randrange(6)
+    want = poly.divmod_poly(poly.constant(1, p), g, p)[1]
+    for _ in range(e):
+        want = poly.divmod_poly(poly.mul(want, f, p), g, p)[1]
+    assert contract(poly.pow_mod(f, e, g, p)).tolist() == want.tolist()
 
 
 def test_divmod_rejects_zero_divisor_even_unnormalized():
