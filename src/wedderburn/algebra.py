@@ -327,6 +327,17 @@ class Algebra:
                 base = self.mul_rows(base, base)
         return np.ascontiguousarray(acc.T)
 
+    def frobenius_fixed_space(self):
+        """Basis (rows) of {x : x^p = x}, or None when x -> x^p drops rank.
+
+        x -> x^p is injective exactly when there is no nonzero nilpotent; a
+        commutative algebra is then a field iff the fixed space is F_p.
+        """
+        F = self.frobenius_matrix()
+        if linalg.rank(F, self.p) < self.dim:
+            return None
+        return linalg.kernel((F - np.eye(self.dim, dtype=np.int64)) % self.p, self.p)
+
     def mul_rows(self, X, Y):
         """Row-wise products: out[i] = X[i] * Y[i], shape (k, dim)."""
         n, p = self.dim, self.p
@@ -393,6 +404,20 @@ def min_poly_of_powers(K, p):
     polynomial.
     """
     return poly.normalize(linalg.kernel(K.T, p)[0], p)
+
+
+def matrix_ring(D, n):
+    """M_n(D), unvalidated, on the basis E[mu,nu]*d_t in (mu, nu, t) order.
+
+    (E[mu,nu] d_s)(E[xi,eta] d_t) = delta(nu,xi) E[mu,eta] (d_s d_t), and
+    the identity is the sum of the E[mu,mu] times D's identity.
+    """
+    eye = np.eye(n, dtype=np.int64)
+    size = n * n * D.dim
+    sc = np.einsum("ma,nx,eb,stu->mnsxetabu", eye, eye, eye, D.sc)
+    one = np.einsum("mn,t->mnt", eye, D.one)
+    return Algebra(D.p, sc.reshape(size, size, size), identity=one.reshape(size),
+                   validate=False)
 
 
 def make_presentation(p, structure_constants, identity=None, labels=None):

@@ -21,6 +21,10 @@ not re-check what it builds: `check` is the one proof of every relation of
 a certificate, exact and without re-running any of the search, and no
 verdict of it is kept.  `verify_isomorphism` runs it on a result and
 `verify_report_doc` on the result parsed from a report document.
+
+The target is an external direct sum, so `check` proves multiplicativity
+and `target_multiply` multiplies one block at a time, each in that block's
+`algebra.matrix_ring`; only `codomain_algebra` presents the whole sum.
 """
 
 import random
@@ -29,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import idempotents, linalg, radical
-from .algebra import Algebra, doc_array, is_doc_int
+from . import generators, idempotents, linalg, radical
+from .algebra import doc_array, is_doc_int, matrix_ring
 from .errors import (
     EntryOutsideCorner,
     InvalidDocument,
@@ -254,23 +258,6 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
     return _search(A, seed, cap)
 
 
-def _codomain(p, dim, blocks):
-    """Presentation of the direct sum of M_n(D) over (n, D-algebra) pairs."""
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    one = np.zeros(dim, dtype=np.int64)
-    offset = 0
-    for n_i, D in blocks:
-        size = n_i * n_i * D.dim
-        eye = np.eye(n_i, dtype=np.int64)
-        # (E[mu,nu] x_s) (E[xi,eta] x_t) = delta(nu,xi) E[mu,eta] (x_s x_t)
-        cube = np.einsum("ma,nx,eb,stu->mnsxetabu", eye, eye, eye, D.sc)
-        block = slice(offset, offset + size)
-        sc[block, block, block] = cube.reshape(size, size, size)
-        one[block] = np.einsum("mn,t->mnt", eye, D.one).reshape(size)
-        offset += size
-    return Algebra(p, sc, identity=one, validate=False)
-
-
 def _entry_field(A, blk):
     """Presentation of the block's entry field in its division basis."""
     return A.subalgebra(blk.D.basis, blk.rep)
@@ -278,8 +265,8 @@ def _entry_field(A, blk):
 
 def codomain_algebra(A, result):
     """Presentation of the block direct sum in the flattened coordinates."""
-    return _codomain(A.p, A.dim,
-                     [(blk.n, _entry_field(A, blk)) for blk in result.blocks])
+    return generators.direct_sum([matrix_ring(_entry_field(A, blk), blk.n)
+                                  for blk in result.blocks])
 
 
 def _check_block(A, bi, blk, fail):
@@ -325,11 +312,8 @@ def _check_division_basis(A, bi, blk, fail):
         return fail(f"block {bi}: division basis is not closed under product")
     if not D.is_commutative():
         return fail(f"block {bi}: division corner is not commutative")
-    # a commutative algebra is a field iff x -> x^p is injective (no
-    # nilpotents) and fixes only the prime field
-    F = D.frobenius_matrix()
-    fixed = linalg.kernel((F - np.eye(blk.D.degree, dtype=np.int64)) % p, p)
-    if linalg.rank(F, p) != blk.D.degree or fixed.shape[0] != 1:
+    fixed = D.frobenius_fixed_space()
+    if fixed is None or len(fixed) != 1:
         return fail(f"block {bi}: division corner is not a field")
     return D
 
@@ -396,26 +380,30 @@ def check(A, cert):
         return fails
 
     # the iso is a unital ring isomorphism onto the block direct sum
-    target = _codomain(p, n, [(blk.n, D) for blk, D in zip(cert.blocks, fields)])
+    rings = [matrix_ring(D, blk.n) for blk, D in zip(cert.blocks, fields)]
+    one = np.concatenate([R.one for R in rings])
     iso, inv = cert.iso, cert.iso_inverse
     eye = np.eye(n, dtype=np.int64)
     for name, prod in (("iso * iso_inverse", linalg.matmul_mod(iso, inv, p)),
                        ("iso_inverse * iso", linalg.matmul_mod(inv, iso, p))):
         for i, j in np.argwhere(prod != eye)[:1]:
             fail(f"{name} differs from the identity at ({i},{j})", "bijective")
-    if not np.array_equal(linalg.matmul_mod(iso, A.one[:, None], p)[:, 0],
-                          target.one):
+    if not np.array_equal(linalg.matmul_mod(iso, A.one[:, None], p)[:, 0], one):
         fail("image of the identity is not the block identity", "unit")
     images = linalg.matmul_mod(iso, np.array([blk.c for blk in cert.blocks]).T, p)
     for bi in range(len(cert.blocks)):
-        block_one = np.where(layout[:, 0] == bi, target.one, 0)
+        block_one = np.where(layout[:, 0] == bi, one, 0)
         if not np.array_equal(images[:, bi], block_one):
             fail(f"central idempotent of block {bi} does not map to its "
                  "block identity", "orthogonality")
-    # iso(b_i b_j) against iso(b_i) iso(b_j) in the target
+    # iso(b_i b_j) against iso(b_i) iso(b_j), one block of the target at a time
     left = linalg.matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
-    right = target.products(iso.T, iso.T)
-    for i, j in np.argwhere((left != right).any(axis=2))[:1]:
+    differ, row = np.zeros((n, n), dtype=bool), 0
+    for R in rings:
+        rows = iso[row:row + R.dim].T
+        differ |= (left[:, :, row:row + R.dim] != R.products(rows, rows)).any(axis=2)
+        row += R.dim
+    for i, j in np.argwhere(differ)[:1]:
         fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
     return fails
 
@@ -441,8 +429,8 @@ def _report(fails):
 
 def apply_iso(result, x):
     """Flat target coordinates of x, reshaped per block into entry grids."""
-    flat = linalg.matmul_mod(result.iso, np.asarray(x, dtype=np.int64)[:, None],
-                             result.p)[:, 0]
+    x = doc_array(x, (result.dim,), "element", ShapeMismatch)
+    flat = linalg.matmul_mod(result.iso, x[:, None], result.p)[:, 0]
     return unflatten(result, flat)
 
 
@@ -472,14 +460,9 @@ def target_multiply(A, result, X, Y):
     flat_x, flat_y = flatten(result, X), flatten(result, Y)
     out, row = [], 0
     for blk in result.blocks:
-        n_i, d = blk.n, blk.D.degree
-        size = n_i * n_i * d
-        x = flat_x[row:row + size].reshape(n_i * n_i, d)
-        y = flat_y[row:row + size].reshape(n_i * n_i, d)
-        # pairs[mu, nu, xi, eta] = x[mu, nu] * y[xi, eta]; keep nu = xi
-        pairs = _entry_field(A, blk).products(x, y).reshape(n_i, n_i, n_i, n_i, d)
-        out.append(np.einsum("mnneu->meu", pairs).reshape(size) % result.p)
-        row += size
+        R = matrix_ring(_entry_field(A, blk), blk.n)
+        out.append(R.mul_vec(flat_x[row:row + R.dim], flat_y[row:row + R.dim]))
+        row += R.dim
     return unflatten(result, np.concatenate(out))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, poly
-from .algebra import Algebra
+from .algebra import Algebra, is_doc_int, matrix_ring
 from .errors import (
     InternalSamplingFailure,
     InvalidCayley,
@@ -44,16 +44,16 @@ def validate_cayley(doc):
     m = doc["order"]
     ident = doc["identity"]
     table = doc["table"]
-    if not isinstance(m, int) or m < 1:
+    if not is_doc_int(m) or m < 1:
         raise InvalidCayley("order must be a positive integer")
-    if not isinstance(ident, int) or not 0 <= ident < m:
+    if not is_doc_int(ident) or not 0 <= ident < m:
         raise InvalidCayley("identity index out of range")
     if (not isinstance(table, list) or len(table) != m
             or any(not isinstance(row, list) or len(row) != m for row in table)):
         raise InvalidCayley(f"table must be {m}x{m}")
     for row in table:
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < m:
+            if not is_doc_int(v) or not 0 <= v < m:
                 raise InvalidCayley("table entries must be indices in range")
     for g in range(m):
         if sorted(table[g]) != list(range(m)):
@@ -193,7 +193,7 @@ def matrix_algebra(p, n, ext_poly=None):
             f"extension polynomial {f.tolist()} factors over F_{p}"
         )
     d = int(d)
-    # residue products T^(s+t) mod f
+    # F_p[T]/(f) on the basis T^t: T^s * T^t = T^(s+t) mod f
     prod_tbl = np.zeros((d, d, d), dtype=np.int64)
     for s in range(d):
         for t in range(d):
@@ -201,29 +201,14 @@ def matrix_algebra(p, n, ext_poly=None):
             m[s + t] = 1
             r = poly.divmod_poly(m, f, p)[1]
             prod_tbl[s, t, : len(r)] = r
-    dim = n * n * d
-
-    def pos(a, b, t):
-        return (a * n + b) * d + t
-
-    sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for s in range(d):
-                    for t in range(d):
-                        for u in range(d):
-                            v = prod_tbl[s, t, u]
-                            if v:
-                                sc[pos(a, b, s), pos(b, c, t), pos(a, c, u)] = v
-    one = np.zeros(dim, dtype=np.int64)
-    for a in range(n):
-        one[pos(a, a, 0)] = 1
+    field = Algebra(p, prod_tbl, identity=np.eye(d, dtype=np.int64)[0],
+                    validate=False)
+    ring = matrix_ring(field, n)
     labels = [
         f"E[{a},{b}]T^{t}" if d > 1 else f"E[{a},{b}]"
         for a in range(n) for b in range(n) for t in range(d)
     ]
-    algebra = Algebra(p, sc, identity=one, labels=labels)
+    algebra = Algebra(p, ring.sc, identity=ring.one, labels=labels)
     return Planted(spec=[(n, d)], algebra=algebra)
 
 

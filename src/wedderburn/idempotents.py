@@ -46,12 +46,12 @@ def _fixed_space(Z):
     the centre of a semisimple algebra never has; a Z that has one is
     refused.
     """
-    F = Z.frobenius_matrix()
-    if linalg.rank(F, Z.p) < Z.dim:
+    fixed = Z.frobenius_fixed_space()
+    if fixed is None:
         raise InternalInvariantViolation(
             "the centre has a nonzero nilpotent: the algebra is not semisimple"
         )
-    return linalg.kernel((F - np.eye(Z.dim, dtype=np.int64)) % Z.p, Z.p)
+    return fixed
 
 
 def block_idempotents(A):

@@ -462,6 +462,9 @@ def test_frobenius_fixed_space_counts_blocks():
         F = A.frobenius_matrix()
         eye = np.eye(A.dim, dtype=int)
         assert len(linalg.kernel((F - eye) % p, p)) == want
+        assert len(A.frobenius_fixed_space()) == want
+    # F_3[C3] = F_3[x]/(x - 1)^3 has nilpotents, so x -> x^3 drops rank
+    assert c3_algebra(3).frobenius_fixed_space() is None
 
 
 @pytest.mark.parametrize("p", [3, 5, 2**31 - 1])

@@ -278,6 +278,13 @@ def test_flatten_refuses_non_integer_cells():
     with pytest.raises(ShapeMismatch):
         target_multiply(A, res, [[[[1]]], [[[2.5, 0]]]], [[[[1]]], [[[1, 0]]]])
     assert flatten(res, [[[[1]]], [[[7, -1]]]]).tolist() == [1, 2, 4]
+    # an element of A is parsed the same way: once truncated to [1, 0, 0]
+    with pytest.raises(ShapeMismatch, match="element must hold integers"):
+        apply_iso(res, [1.7, 0.2, 0.9])
+    with pytest.raises(ShapeMismatch, match="element must hold integers, not booleans"):
+        apply_iso(res, [1, True, 0])
+    with pytest.raises(ShapeMismatch, match="element has shape"):
+        apply_iso(res, [1, 2])
 
 
 def test_round_trip_at_the_largest_modulus():
@@ -465,6 +472,29 @@ def test_one_verifier_names_the_tampered_relation(field):
     assert message in msgs
     # the in-process verifier runs the same check on the same arrays
     assert ver.failures == msgs
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_final_stage_multiplies_in_each_target_block(monkeypatch, k):
+    # block k's entry field comes back as x o y = 2xy (identity 4 = 1/2 mod
+    # 7): every earlier stage passes, so only the final stage can see it
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    real = blocks._check_division_basis
+
+    def rescaled(A, bi, blk, fail):
+        D = real(A, bi, blk, fail)
+        return Algebra(7, 2 * D.sc, identity=4 * D.one) if bi == k else D
+
+    monkeypatch.setattr(blocks, "_check_division_basis", rescaled)
+    ver = verify_isomorphism(A, res)
+    assert ver.failures == [
+        "image of the identity is not the block identity",
+        f"central idempotent of block {k} does not map to its block identity",
+        "multiplicativity fails at basis pair (0,0)",
+    ]
+    assert ver.bijective
+    assert not (ver.unit or ver.orthogonality or ver.multiplicative)
 
 
 MALFORMED = {

@@ -1,5 +1,7 @@
 """Fixture generators: Cayley tables, matrix algebras, sums, scrambles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ def test_validate_cayley_rejects_broken_tables():
         validate_cayley({**good, "identity": 1})
     with pytest.raises(InvalidCayley):
         validate_cayley({**good, "table": [[0, 1], [1, 0]]})  # wrong shape
+    # JSON booleans are not integers, though Python's bool is an int
+    trivial = {"order": 1, "identity": 0, "table": [[0]]}
+    for doc in ({**trivial, "order": True}, {**trivial, "identity": False},
+                {"order": 2, "identity": 0, "table": [[False, True], [True, False]]}):
+        with pytest.raises(InvalidCayley):
+            validate_cayley(doc)
 
 
 def test_group_algebra_matches_table():
@@ -95,6 +103,19 @@ def test_matrix_algebra_over_extension():
     assert A.mul_vec(np.array([0, 1]), np.array([0, 1])).tolist() == [4, 4]
     with pytest.raises(ReduciblePolynomial):
         matrix_algebra(5, 1, ext_poly=[4, 0, 1])  # T^2 - 4 = (T-2)(T+2)
+    # M_2(F_25) on E[a,b]T^s in (a, b, s) order:
+    # E[a,b]T^s * E[c,d]T^t = delta(b,c) E[a,d] (T^(s+t) mod f)
+    P = matrix_algebra(5, 2, ext_poly=[1, 1, 1])
+    A = P.algebra
+    assert P.spec == [(2, 2)] and A.dim == 8
+    residue = {0: [1, 0], 1: [0, 1], 2: [4, 4]}  # T^k mod T^2 + T + 1
+    basis = dict(zip(itertools.product(range(2), repeat=3), np.eye(8, dtype=int)))
+    for (a, b, s), x in basis.items():
+        for (c, d, t), y in basis.items():
+            want = np.zeros((2, 2, 2), dtype=int)
+            if b == c:
+                want[a, d] = residue[s + t]
+            assert A.mul_vec(x, y).tolist() == want.reshape(-1).tolist()
 
 
 def test_direct_sum_shape_and_identity():
