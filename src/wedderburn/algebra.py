@@ -8,6 +8,13 @@ that does not conclude, by the blocked check of every basis triple (two
 flattened matrix products a block of the first index at a time, O(n^3)
 memory), which names the first failing triple.  So every Algebra in
 circulation is genuinely an associative unital algebra.
+
+An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
+over c, row i the flattened matrix of left multiplication by b_i.  The
+other shapes of c a product needs are reshape views of it that share its
+float copies, so c is converted once: the pair table, whose row (i, j)
+holds b_i b_j, and the cube, whose matrix i takes a row vector y to b_i y
+(so y against the cube gives right multiplication by y).
 """
 
 import random
@@ -49,6 +56,9 @@ class Algebra:
             raise InvalidDocument("dimension must be at least 1")
         self.dim = n
         self.sc = sc
+        # row i holds the flattened matrix of left multiplication by b_i;
+        # every product with the structure constants reads a view of it
+        self._ltable = linalg.Operand(sc.reshape(n, n * n), self.p)
         if labels is not None:
             if not (isinstance(labels, list)
                     and all(isinstance(x, str) for x in labels)):
@@ -98,7 +108,7 @@ class Algebra:
         proof keeps the accepted g's, which generate A, for center_basis.
         """
         n, p = self.dim, self.p
-        flat = linalg.Operand(self.sc.reshape(n * n, n), p)
+        flat = self._ltable.reshape(n * n, n)
         span, pivots = linalg.row_echelon(self.one[None, :], p)
         # j random elements of F_p^n generate it once p^j >> n^2 (they
         # must separate all n coordinates: the birthday bound), so allow
@@ -139,61 +149,58 @@ class Algebra:
     def _check_associativity(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
 
-        Row block i of flat_left times the left table gives the coordinates
-        of (b_i b_j) b_k; flat_left times column block i of the right table
-        gives those of b_i (b_j b_k).  Each block holds at most about
-        _CHECK_ENTRIES of the n^4 entries, so memory stays O(n^3), and the
-        blocks go in order of i, so the witness is the first failing triple.
+        Row block i of the pair table (row (i, j) holds b_i b_j) times the
+        left table gives the coordinates of (b_i b_j) b_k; the pair table
+        times the block's matrices i of the cube c, each taking y to b_i y,
+        gives those of b_i (b_j b_k), in the same (i, j, k) order.
+        Each block holds at most about _CHECK_ENTRIES of the n^4 entries, so
+        memory stays O(n^3), and the blocks go in order of i, so the witness
+        is the first failing triple.
         """
         n, p = self.dim, self.p
         if n == 0:
             return
-        flat_left = linalg.Operand(self.sc.reshape(n * n, n), p)
+        flat = self._ltable.reshape(n * n, n)
         step = max(1, _CHECK_ENTRIES // n**3)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             # lhs[i, j, k, l] = sum_m c[i,j,m] c[m,k,l]
             lhs = linalg.matmul_mod(
-                flat_left.ints[lo * n : hi * n], self._ltable, p
+                flat.ints[lo * n : hi * n], self._ltable, p
             ).reshape(hi - lo, n, n, n)
-            # rhs[j, k, i, l] = sum_m c[j,k,m] c[i,m,l]
-            rhs = linalg.matmul_mod(
-                flat_left, self._rtable.ints[:, lo * n : hi * n], p
-            ).reshape(n, n, hi - lo, n).transpose(2, 0, 1, 3)
+            # rhs[i, j, k, l] = sum_m c[j,k,m] c[i,m,l]
+            rhs = linalg.matmul_mod(flat, self.sc[lo:hi], p).reshape(
+                hi - lo, n, n, n
+            )
             if not np.array_equal(lhs, rhs):
                 i, j, k, _ = np.argwhere(lhs != rhs)[0]
                 raise NotAssociative((int(lo + i), int(j), int(k)))
 
-    def _identity_system(self):
-        n = self.dim
-        left = np.ascontiguousarray(self.sc.transpose(1, 2, 0)).reshape(n * n, n)
-        right = np.ascontiguousarray(self.sc.transpose(0, 2, 1)).reshape(n * n, n)
-        target = np.eye(n, dtype=np.int64).reshape(-1)
-        return (
-            np.concatenate([left, right]),
-            np.concatenate([target, target]),
-        )
-
     def _solve_identity(self):
-        """The u with M u = rhs, from the RREF of the tall [M | rhs].
+        """The two-sided identity, solved from u b_j = b_j for all j.
 
-        An identity is unique (u = u u' = u'), so a solvable system has
-        full column rank: it has one exactly when the pivots are the n
-        columns of M, and then u is the last column of the RREF.
+        A two-sided identity makes x -> L_x injective (x = x 1), so then the
+        left system has full column rank and its one solution is the only
+        candidate.  The rows [c[:, j, :]^T | e_j] are folded into one RREF a
+        j at a time until the n unknowns are pinned; the candidate is then
+        tested on both sides.
         """
-        M, rhs = self._identity_system()
-        R, pivots = linalg.row_echelon(
-            np.concatenate([M, rhs[:, None]], axis=1), self.p
-        )
-        if pivots != list(range(self.dim)):
+        n, p = self.dim, self.p
+        eye = np.eye(n, dtype=np.int64)
+        R, pivots = np.zeros((0, n + 1), dtype=np.int64), []
+        for j in range(n):
+            rows = np.concatenate([self.sc[:, j, :].T, eye[:, j : j + 1]], axis=1)
+            R, pivots, _ = linalg.extend_rref(R, pivots, rows, p)
+            if len(pivots) == n or (pivots and pivots[-1] == n):
+                break
+        if pivots != list(range(n)) or not self._is_identity(R[:, -1]):
             raise NoIdentity("presentation has no two-sided identity")
         return R[:, -1].copy()
 
     def _is_identity(self, u):
-        M, rhs = self._identity_system()
-        return np.array_equal(
-            linalg.matmul_mod(M, u[:, None], self.p)[:, 0], rhs
-        )
+        eye = np.eye(self.dim, dtype=np.int64)
+        return (np.array_equal(self.lmat(u), eye)
+                and np.array_equal(self.rmat(u), eye))
 
     # -- raw coordinate operations -------------------------------------------
 
@@ -205,38 +212,13 @@ class Algebra:
         """All pairwise products: out[i, j] = X[i] * Y[j], shape (kx, ky, dim).
 
         Two matmul_mod calls: X against the n x n^2 multiplication table,
-        then Y against the result, so the shorter stack should be X.
+        then Y against the stack whose matrix i takes y to X[i]*y, one per
+        row of X, so the shorter stack should be X.
         """
         n, p = self.dim, self.p
-        X = linalg.as_mod_array(X, p)
-        kx = X.shape[0]
-        # left[j, (i, k)] = coordinate k of X[i] * b_j
-        left = linalg.matmul_mod(X, self._ltable, p)
-        left = left.reshape(kx, n, n).transpose(1, 0, 2).reshape(n, kx * n)
-        out = linalg.matmul_mod(Y, left, p)
-        return out.reshape(len(out), kx, n).transpose(1, 0, 2)
-
-    @property
-    def _ltable(self):
-        # row i holds the flattened matrix of left multiplication by b_i
-        table = getattr(self, "_ltable_cache", None)
-        if table is None:
-            n = self.dim
-            table = linalg.Operand(self.sc.reshape(n, n * n), self.p)
-            self._ltable_cache = table
-        return table
-
-    @property
-    def _rtable(self):
-        # row i holds the flattened matrix of right multiplication by b_i
-        table = getattr(self, "_rtable_cache", None)
-        if table is None:
-            n = self.dim
-            table = linalg.Operand(
-                self.sc.transpose(1, 0, 2).reshape(n, n * n), self.p
-            )
-            self._rtable_cache = table
-        return table
+        # left[i, j, k] = coordinate k of X[i] * b_j
+        left = linalg.matmul_mod(X, self._ltable, p).reshape(len(X), n, n)
+        return linalg.matmul_mod(Y, left, p)
 
     def lmat(self, x):
         """Matrix of left multiplication by x; column j is x*b_j."""
@@ -247,7 +229,8 @@ class Algebra:
     def rmat(self, y):
         """Matrix of right multiplication by y; column i is b_i*y."""
         n = self.dim
-        flat = linalg.matmul_mod(y[None, :], self._rtable, self.p)
+        # flat[i, 0, k] = coordinate k of b_i*y
+        flat = linalg.matmul_mod(y[None, :], self._ltable.reshape(n, n, n), self.p)
         return np.ascontiguousarray(flat.reshape(n, n).T)
 
     def powers(self, x, one):
@@ -275,7 +258,7 @@ class Algebra:
         n = self.dim
         t = self.trace_vector()
         return linalg.matmul_mod(
-            self.sc.reshape(n * n, n), t[:, None], self.p
+            self._ltable.reshape(n * n, n), t[:, None], self.p
         ).reshape(n, n)
 
     def center_basis(self):
@@ -291,10 +274,11 @@ class Algebra:
         G = getattr(self, "_generators", None)
         if G is None:
             G = np.eye(n, dtype=np.int64)
-        # diff[g, j, k] = coordinate k of b_j*g - g*b_j
-        diff = (linalg.matmul_mod(G, self._rtable, p)
-                - linalg.matmul_mod(G, self._ltable, p)) % p
-        M = np.ascontiguousarray(diff.reshape(-1, n, n).transpose(0, 2, 1))
+        # right[j, g, k] = coordinate k of b_j*g, left[g, j, k] of g*b_j
+        right = linalg.matmul_mod(G, self._ltable.reshape(n, n, n), p)
+        left = linalg.matmul_mod(G, self._ltable, p).reshape(-1, n, n)
+        # row (g, k), column j: coordinate k of b_j*g - g*b_j
+        M = (right.transpose(1, 2, 0) - left.transpose(0, 2, 1)) % p
         return linalg.kernel(M.reshape(-1, n), p)
 
     def is_commutative(self):

@@ -117,16 +117,20 @@ class Failure(NamedTuple):
 
 
 def _unit_relations(A, units):
-    """Messages for every failed E[mu,nu] * E[xi,eta] = delta(nu,xi) E[mu,eta]."""
+    """Messages for every failed E[mu,nu] * E[xi,eta] = delta(nu,xi) E[mu,eta].
+
+    One row mu of units at a time, so the products held are n^3 of the n^4.
+    """
     n_i = units.shape[0]
     flat = units.reshape(n_i * n_i, A.dim)
-    diff = A.products(flat, flat).reshape(n_i, n_i, n_i, n_i, A.dim)
     diag = np.arange(n_i)
-    diff[:, diag, diag] -= units[:, None]
-    return [
-        f"unit relation ({mu},{nu})*({xi},{eta}) fails"
-        for mu, nu, xi, eta in np.argwhere(diff.any(axis=4))
-    ]
+    msgs = []
+    for mu in range(n_i):
+        diff = A.products(units[mu], flat).reshape(n_i, n_i, n_i, A.dim)
+        diff[diag, diag] -= units[mu]
+        msgs += [f"unit relation ({mu},{nu})*({xi},{eta}) fails"
+                 for nu, xi, eta in np.argwhere(diff.any(axis=3))]
+    return msgs
 
 
 def matrix_units(A, a, b):
@@ -183,7 +187,9 @@ def _iso_rows(A, index, a, b, basis):
     basis; its rows are those coordinates for x running over A's basis.
     """
     n_i, n, d = len(a), A.dim, basis.shape[0]
-    right = np.concatenate([A.rmat(v).T for v in b])  # row (nu, j): b_j * b[nu]
+    # right[j, nu] = b_j * b[nu], then row (nu, j)
+    right = linalg.matmul_mod(b, A._ltable.reshape(n, n, n), A.p)
+    right = right.transpose(1, 0, 2).reshape(n_i * n, n)
     # sandwich[mu, nu, j] = a[mu] * b_j * b[nu]
     sandwich = A.products(a, right).reshape(n_i * n_i, n, n)
     coords = linalg.coordinates(basis, sandwich.reshape(-1, n), A.p)
@@ -397,7 +403,7 @@ def check(A, cert):
             fail(f"central idempotent of block {bi} does not map to its "
                  "block identity", "orthogonality")
     # iso(b_i b_j) against iso(b_i) iso(b_j), one block of the target at a time
-    left = linalg.matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+    left = linalg.matmul_mod(A._ltable.reshape(n * n, n), iso.T, p).reshape(n, n, n)
     differ, row = np.zeros((n, n), dtype=bool), 0
     for R in rings:
         rows = iso[row:row + R.dim].T

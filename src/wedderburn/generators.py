@@ -272,18 +272,10 @@ def scramble(A, seed):
         raise InternalSamplingFailure(
             f"no invertible matrix found in {SCRAMBLE_DRAW_CAP} draws"
         )
-    St = np.ascontiguousarray(S.T)
-    X = linalg.matmul_mod(St, A.sc.reshape(n, n * n), p).reshape(n, n, n)
-    Xt = np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(n, n * n)
-    Y = (
-        linalg.matmul_mod(St, Xt, p)
-        .reshape(n, n, n)
-        .transpose(1, 0, 2)
-    )
-    Z = linalg.matmul_mod(
-        np.ascontiguousarray(Y).reshape(n * n, n),
-        np.ascontiguousarray(Sinv.T),
-        p,
-    ).reshape(n, n, n)
+    # X[a, j, k] = sum_i S[i, a] c[i, j, k], then Y[a, b, k] = sum_j
+    # S[j, b] X[a, j, k] as a stacked product, then Z = Y in the new basis
+    X = linalg.matmul_mod(S.T, A._ltable, p).reshape(n, n, n)
+    Y = linalg.matmul_mod(S.T, X, p)
+    Z = linalg.matmul_mod(Y.reshape(n * n, n), Sinv.T, p).reshape(n, n, n)
     one = linalg.matmul_mod(Sinv, A.one[:, None], p)[:, 0]
     return Algebra(p, Z, identity=one), S

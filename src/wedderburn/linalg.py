@@ -167,7 +167,8 @@ class Operand:
 
     matmul_mod wraps a plain array in a fresh Operand on every call; keeping
     one for a matrix used again and again (a multiplication table) converts
-    it once.
+    it once.  reshape gives a view of the same entries in another shape that
+    shares those copies: one conversion serves every shape.
     """
 
     __slots__ = ("p", "ints", "shape", "_parts")
@@ -177,6 +178,13 @@ class Operand:
         self.ints = _reduced(M, p)
         self.shape = self.ints.shape
         self._parts = {}
+
+    def reshape(self, *shape):
+        """This operand's entries in another shape, sharing its float copies."""
+        view = Operand.__new__(Operand)
+        view.p, view.ints = self.p, self.ints.reshape(shape)
+        view.shape, view._parts = view.ints.shape, self._parts
+        return view
 
     def parts(self, wide):
         """(M,) as float64, or when wide the limbs (hi, lo, hi + lo)."""
@@ -188,7 +196,7 @@ class Operand:
             else:
                 got = (self.ints.astype(np.float64),)
             self._parts[wide] = got
-        return got
+        return tuple(x.reshape(self.shape) for x in got)
 
 
 def _reduced(M, p):
@@ -202,7 +210,9 @@ def _reduced(M, p):
 def matmul_mod(A, B, p):
     """Exact A @ B mod p on float64 BLAS, for any odd p < 2^31.
 
-    A and B are arrays (any integers; reduced here) or Operands.  While
+    A and B are arrays (any integers; reduced here) or Operands.  A is a
+    matrix (m, k) and B a matrix (k, n) or a stack (..., k, n), which gives
+    the stack (..., m, n) of the products A @ B[...].  While
     K (p-1)^2 < 2^53 one float64 product is exact.  Beyond that both sides
     are split into 16-bit limbs and each K-slice of at most _LIMB_SLICE
     terms takes three exact products (Karatsuba), recombined mod p in int64.
@@ -211,8 +221,8 @@ def matmul_mod(A, B, p):
     B = B if isinstance(B, Operand) else Operand(B, p)
     if A.p != p or B.p != p:
         raise ValueError("operand prepared for another modulus")
-    if len(A.shape) != 2 or len(B.shape) != 2:
-        raise ValueError("matmul_mod expects 2-D operands")
+    if len(A.shape) != 2 or len(B.shape) < 2:
+        raise ValueError("matmul_mod expects a matrix times a matrix or a stack")
     K = A.shape[1]
     if K * (p - 1) * (p - 1) < _FLOAT_SAFE:
         (a,), (b,) = A.parts(False), B.parts(False)
@@ -223,9 +233,9 @@ def matmul_mod(A, B, p):
     C = 0  # wide means K >= 1, so the loop runs
     for s in range(0, K, _LIMB_SLICE):
         k = slice(s, s + _LIMB_SLICE)
-        hh = ah[:, k] @ bh[k]
-        ll = al[:, k] @ bl[k]
-        cross = asum[:, k] @ bsum[k]
+        hh = ah[:, k] @ bh[..., k, :]
+        ll = al[:, k] @ bl[..., k, :]
+        cross = asum[:, k] @ bsum[..., k, :]
         cross -= hh
         cross -= ll
         # C + hh 2^32 + cross 2^16 + ll by Horner; every int64 stays < 2^53

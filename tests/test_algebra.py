@@ -267,6 +267,44 @@ def test_wrong_declared_identity_rejected():
         Algebra(5, c3_algebra().sc, identity=[0, 1, 0])
 
 
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+def test_solved_identity_is_the_declared_one(p):
+    # an identity is unique, so solving must find the generator's declared one
+    for A in (c3_algebra(p), m2(p),
+              scramble(build_planted([(2, 1), (1, 2), (3, 1)], p).algebra, seed=3)[0]):
+        solved = Algebra(p, A.sc)
+        assert solved.one.tolist() == A.one.tolist()
+
+
+def left_identities_cube(n):
+    """b_i * b_j = b_j: every basis vector is a left identity."""
+    sc = np.zeros((n, n, n), dtype=np.int64)
+    sc[:, np.arange(n), np.arange(n)] = 1
+    return sc
+
+
+def upper_row_cube():
+    """span(E11, E12) in M_2: E11 is a left identity, E12 * E11 = 0."""
+    sc = np.zeros((2, 2, 2), dtype=np.int64)
+    sc[0, 0, 0] = sc[0, 1, 1] = 1
+    return sc
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+@pytest.mark.parametrize("sc, one", [
+    (left_identities_cube(3), [1, 0, 0]),
+    (left_identities_cube(3).transpose(1, 0, 2), [1, 0, 0]),  # b_i * b_j = b_i
+    (upper_row_cube(), [1, 0]),
+])
+def test_one_sided_identities_are_no_identity(p, sc, one):
+    # all three are associative, with a one-sided identity but no two-sided one
+    assert oracle_associative(sc.tolist(), p)
+    with pytest.raises(NoIdentity):
+        Algebra(p, sc)
+    with pytest.raises(NoIdentity):
+        Algebra(p, sc, identity=one)
+
+
 def test_label_length_checked():
     with pytest.raises(InvalidDocument):
         Algebra(5, c3_algebra().sc, labels=["a", "b"])
@@ -310,7 +348,7 @@ def test_products_at_the_largest_prime_match_oracle():
             for t, y in enumerate(Y):
                 assert prods[s, t].tolist() == oracle_mul(
                     sc, x.tolist(), y.tolist(), p)
-    assert set(A._ltable._parts) == {True} and set(A._rtable._parts) == {True}
+    assert set(A._ltable._parts) == {True}
 
 
 def test_lmat_rmat_columns_are_products():

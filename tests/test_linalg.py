@@ -210,6 +210,56 @@ def test_prepared_operand_matches_plain_arrays():
             matmul_mod(A, prepared, 5)
 
 
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+@pytest.mark.parametrize("limb_slice", [linalg._LIMB_SLICE, 16])
+def test_stacked_matmul_matches_int_oracle(monkeypatch, p, limb_slice):
+    # slices of 16 terms split K = 40 into three on the limb path
+    monkeypatch.setattr(linalg, "_LIMB_SLICE", limb_slice)
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, p, (3, 40))
+    cube = rng.integers(0, p, (6, 40, 7))
+    A[0], cube[0, :, 0] = p - 1, p - 1
+    stacks = (
+        cube,
+        cube[1:5, :, 2:6],  # a non-contiguous slice
+        cube.reshape(2, 3, 40, 7),  # two stack axes
+        linalg.Operand(cube, p),
+        linalg.Operand(cube.reshape(6 * 40, 7), p).reshape(6, 40, 7),
+    )
+    for B in stacks:
+        ints = B.ints if isinstance(B, linalg.Operand) else B
+        got = matmul_mod(A, B, p)
+        assert got.shape == ints.shape[:-2] + (3, ints.shape[-1])
+        flat_got = got.reshape(-1, 3, ints.shape[-1])
+        for s, Bs in enumerate(ints.reshape(-1, 40, ints.shape[-1])):
+            assert flat_got[s].tolist() == int_oracle(A, Bs, p)
+    with pytest.raises(ValueError):
+        matmul_mod(cube, A.T, p)  # the first operand must be a matrix
+    with pytest.raises(ValueError):
+        matmul_mod(A, cube[0, :, 0], p)
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+def test_operand_reshape_shares_the_base_float_parts(p):
+    rng = np.random.default_rng(6)
+    base = linalg.Operand(rng.integers(0, p, (5, 25)), p)
+    pairs, cube = base.reshape(25, 5), base.reshape(5, 5, 5)
+    assert np.shares_memory(cube.ints, base.ints)
+    # the first conversion, made through a view, is the base's as well
+    x = rng.integers(0, p, (1, 5))
+    assert matmul_mod(x, cube, p).reshape(5, 5).tolist() == [
+        int_oracle(x, base.ints.reshape(5, 5, 5)[i], p)[0] for i in range(5)
+    ]
+    assert matmul_mod(pairs, x.T, p).tolist() == int_oracle(
+        base.ints.reshape(25, 5), x.T, p)
+    wide = 5 * (p - 1) ** 2 >= linalg._FLOAT_SAFE
+    for view in (pairs, cube):
+        got, want = view.parts(wide), base.parts(wide)
+        assert len(got) == len(want) == (3 if wide else 1)
+        for g, w in zip(got, want):
+            assert g.shape == view.shape and np.shares_memory(g, w)
+
+
 def test_kernel_rows_annihilate():
     import random
 
