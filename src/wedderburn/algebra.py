@@ -1,7 +1,9 @@
 """Associative F_p-algebras presented by structure constants.
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
-constructor locates the two-sided identity and then proves associativity:
+validating constructor refuses entries of c or of a declared identity that
+are not integers (see doc_array), locates the two-sided identity and then
+proves associativity:
 first by a left-nucleus certificate (a few drawn elements that associate
 with every basis pair and generate the algebra, O(n^4) each), and when
 that does not conclude, by the blocked check of every basis triple (two
@@ -46,6 +48,9 @@ class Algebra:
     def __init__(self, p, structure_constants, identity=None, labels=None,
                  validate=True):
         self.p = check_modulus(p)
+        if validate:
+            structure_constants = doc_array(structure_constants, (None,) * 3,
+                                            "structure constants")
         sc = linalg.as_mod_array(structure_constants, self.p)
         if sc.ndim != 3 or not (sc.shape[0] == sc.shape[1] == sc.shape[2]):
             raise InvalidDocument(
@@ -85,6 +90,8 @@ class Algebra:
         n = self.dim
         if identity is None:
             return self._solve_identity()
+        if validate:
+            identity = doc_array(identity, (None,), "identity")
         one = linalg.as_mod_array(identity, self.p)
         if one.shape != (n,):
             raise InvalidDocument("identity has the wrong length")
@@ -423,10 +430,7 @@ def from_doc(doc):
                     "structure constants")
     if "dim" in doc and not (is_doc_int(doc["dim"]) and arr.shape[0] == doc["dim"]):
         raise InvalidDocument("declared dim disagrees with the constants cube")
-    identity = doc.get("identity")
-    if identity is not None:
-        identity = doc_array(identity, (None,), "identity")
-    return Algebra(p, arr, identity=identity, labels=doc.get("labels"))
+    return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"))
 
 
 def is_doc_int(x):
@@ -458,4 +462,4 @@ def doc_array(x, shape, what, error=InvalidDocument):
             leaves = chain.from_iterable(leaves)
         if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
             raise error(f"{what} must hold integers, not booleans")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)

@@ -3,8 +3,8 @@
 Pipeline: the central idempotent c of each block and one primitive
 idempotent e <= c come from `idempotents`; the corner e*A*e is the block's
 entry field D; a D-basis b of the left ideal A*e and its dual basis a in
-e*A give the connecting elements and the matrix units b[mu]*a[nu]; and the
-global linear map sends x to the tuple of block matrices (a_mu * x * b_nu).
+e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
+inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
 
 The search presumes A semisimple.  Where the trace form settles that, or a
 radical report is cached, the radical decides first.  Otherwise the search
@@ -180,26 +180,15 @@ def _layout(shapes):
     ], dtype=np.int64).reshape(-1, 4)
 
 
-def _iso_rows(A, index, a, b, basis):
-    """Iso matrix rows of one block, in layout order (mu, nu, t).
-
-    Entry (mu, nu) of the image of x is a[mu] * x * b[nu] in the division
-    basis; its rows are those coordinates for x running over A's basis.
-    """
-    n_i, n, d = len(a), A.dim, basis.shape[0]
-    # right[j, nu] = b_j * b[nu], then row (nu, j)
-    right = linalg.matmul_mod(b, A._ltable.reshape(n, n, n), A.p)
-    right = right.transpose(1, 0, 2).reshape(n_i * n, n)
-    # sandwich[mu, nu, j] = a[mu] * b_j * b[nu]
-    sandwich = A.products(a, right).reshape(n_i * n_i, n, n)
-    coords = linalg.coordinates(basis, sandwich.reshape(-1, n), A.p)
-    if coords is None:
-        for k in range(n_i * n_i):
-            if linalg.coordinates(basis, sandwich[k], A.p) is None:
-                raise EntryOutsideCorner(
-                    f"block {index}: entry ({k // n_i},{k % n_i}) escapes the corner"
-                )
-    return coords.reshape(n_i, n_i, n, d).transpose(0, 1, 3, 2).reshape(-1, n)
+def _witness(A, blocks):
+    """W, the iso inverse: column (block, mu, nu, t) is b[mu]*d_t*a[nu]."""
+    cols = []
+    for blk in blocks:
+        # bda[mu, t, nu] = b[mu] * d_t * a[nu]
+        bd = A.products(blk.b, blk.D.basis).reshape(-1, A.dim)
+        bda = A.products(bd, blk.a).reshape(blk.n, blk.D.degree, blk.n, A.dim)
+        cols.append(bda.transpose(0, 2, 1, 3).reshape(-1, A.dim))
+    return np.concatenate(cols).T
 
 
 def _search(A, seed, cap):
@@ -212,29 +201,26 @@ def _search(A, seed, cap):
     """
     C, degrees = idempotents._block_idempotents(A)
     master = random.Random(seed)
-    staged = []
+    found = []
     for c, d in zip(C, degrees):
         rng = random.Random(master.getrandbits(64))
         e = idempotents.primitive_idempotent(A, c, d, rng, cap)
         D = DivisionAlgebra(basis=A._hom_rows(e, e), degree=d)
         a, b = dual_basis(A, c, e, D.basis)
-        staged.append((len(a), d, tuple(c.tolist()),
-                       e, c, a, b, D, matrix_units(A, a, b)))
-    staged.sort(key=lambda s: s[:3])
-    blocks = [
-        Block(index=index, n=n_i, D=D, rep=rep, c=c, a=a, b=b, units=units)
-        for index, (n_i, _, _, rep, c, a, b, D, units) in enumerate(staged)
-    ]
-    iso = np.concatenate([_iso_rows(A, blk.index, blk.a, blk.b, blk.D.basis)
-                          for blk in blocks])
-    iso_inv = linalg.inverse(iso, A.p) if iso.shape == (A.dim, A.dim) else None
-    if iso_inv is None:
+        found.append(Block(index=None, n=len(a), D=D, rep=e, c=c, a=a, b=b,
+                           units=matrix_units(A, a, b)))
+    found.sort(key=lambda blk: (blk.n, blk.D.degree, blk.c.tolist()))
+    for index, blk in enumerate(found):
+        blk.index = index
+    W = _witness(A, found)
+    iso = linalg.inverse(W, A.p) if W.shape == (A.dim, A.dim) else None
+    if iso is None:
         raise NonBijective("assembled block map is not invertible")
     return DecompositionResult(
-        blocks=blocks,
+        blocks=found,
         iso=iso,
-        iso_inverse=iso_inv,
-        layout=_layout((blk.n, blk.D.degree) for blk in blocks),
+        iso_inverse=W,
+        layout=_layout((blk.n, blk.D.degree) for blk in found),
         p=A.p,
         dim=A.dim,
         seed=seed,
@@ -333,6 +319,18 @@ def check(A, cert):
     is the map the serialized witnesses define.  The stages run in order and
     stop after the first one that fails, since each works from what the
     earlier ones certified.
+
+    Stage 3 solves nothing.  Once stages 1-2 pass, the witness matrix W
+    (column (block, mu, nu, t) is b[mu]*d_t*a[nu]) is square, and its one
+    inverse is phi: x -> (a[mu]*x*b[nu]) in the division bases.  (1) The
+    field test makes s -> rep*s^p injective on span D, and it kills
+    s - rep*s, so s = rep*s = s*rep (D is commutative) is in rep*A*rep.
+    (2) The parts are orthogonal, sum to 1 and lie under central c's, so A
+    is the sum of the e_mu*A*e_nu within blocks, each mapped onto rep*A*rep
+    by x -> a[mu]*x*b[nu], with inverse y -> b[mu]*y*a[nu].  (3) As the
+    layout has sum n^2*d = dim A, span D = rep*A*rep.  (4) phi(W) = 1, as
+    a[xi]*b[mu] = delta(xi,mu) rep and rep*d*rep = d.  So row r of iso is
+    row r of phi exactly when row r of iso*W is e_r.
     """
     p, n = A.p, A.dim
     fails = []
@@ -369,19 +367,12 @@ def check(A, cert):
         return fails
 
     # the iso matrix is the map the witnesses define
-    row = 0
-    for bi, blk in enumerate(cert.blocks):
-        size = blk.n * blk.n * blk.D.degree
-        got, row = cert.iso[row:row + size], row + size
-        try:
-            rows = _iso_rows(A, bi, blk.a, blk.b, blk.D.basis)
-        except EntryOutsideCorner as exc:
-            fail(str(exc))
-            continue
-        differ = (got != rows).reshape(blk.n, blk.n, -1)
-        for mu, nu in np.argwhere(differ.any(axis=2)):
-            fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
-                 "match the connecting elements")
+    eye = np.eye(n, dtype=np.int64)
+    iso_W = linalg.matmul_mod(cert.iso, _witness(A, cert.blocks), p)
+    wrong = (iso_W != eye).any(axis=1)
+    for bi, mu, nu in dict.fromkeys(map(tuple, layout[wrong, :3].tolist())):
+        fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
+             "match the connecting elements")
     if fails:
         return fails
 
@@ -389,7 +380,6 @@ def check(A, cert):
     rings = [matrix_ring(D, blk.n) for blk, D in zip(cert.blocks, fields)]
     one = np.concatenate([R.one for R in rings])
     iso, inv = cert.iso, cert.iso_inverse
-    eye = np.eye(n, dtype=np.int64)
     for name, prod in (("iso * iso_inverse", linalg.matmul_mod(iso, inv, p)),
                        ("iso_inverse * iso", linalg.matmul_mod(inv, iso, p))):
         for i, j in np.argwhere(prod != eye)[:1]:

@@ -1,7 +1,8 @@
 """Command-line surface: decompose, verify, gen.
 
 Exit codes: 0 success; 1 failed verification; 2 not semisimple (radical
-printed); 3 unsupported characteristic; 4 invalid input (including argument
+printed); 3 unsupported characteristic, or an input too large for memory
+(a MemoryError, one line on stderr); 4 invalid input (including argument
 errors); 5 split iteration cap exhausted (retry with another seed); 6 an
 internal invariant failed (a bug, not bad input).
 All randomized behavior is a pure function of (input, seed); structured
@@ -227,6 +228,9 @@ def main(argv=None):
         return EXIT_NOT_SEMISIMPLE
     except UnsupportedCharacteristic as exc:
         print(f"unsupported characteristic: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except MemoryError as exc:
+        print(f"unsupported size: out of memory ({exc})", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except SplitIterationCapExceeded as exc:
         print(f"{exc}; retry with a different --seed", file=sys.stderr)

@@ -81,7 +81,8 @@ class WitnessSolveFailed(WedderburnError):
 
 
 class EntryOutsideCorner(WedderburnError):
-    """A block-map entry fell outside the corner division algebra (fatal)."""
+    """Basis rows span no subalgebra holding the given identity.  Only
+    Algebra.subalgebra raises it; check reports it on a division basis."""
 
 
 class NonBijective(WedderburnError):

@@ -77,6 +77,21 @@ def test_rejects_non_cube():
         make_presentation(5, np.zeros((2, 3, 2), dtype=int))
 
 
+@pytest.mark.parametrize("sc, identity", [
+    ([[[1.7]]], None),
+    ([[[True]]], None),
+    ([[["1"]]], None),
+    (np.array([[[1.0]]]), None),
+    ([[[1]]], [1.5]),
+    ([[[1]]], [True]),
+], ids=["float", "bool", "string", "float array", "float identity",
+        "bool identity"])
+def test_rejects_non_integer_entries(sc, identity):
+    # refused, not truncated or coerced to 1
+    with pytest.raises(InvalidDocument):
+        make_presentation(5, sc, identity=identity)
+
+
 def test_rejects_non_associative_and_oracle_agrees():
     sc = np.array(m2().sc)
     sc[1, 2, 0] = (sc[1, 2, 0] + 1) % 7  # corrupt one constant

@@ -1,6 +1,7 @@
 """Block assembly: block data, units, entry maps, the global isomorphism."""
 
 import copy
+import functools
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from wedderburn import (
     verify_isomorphism,
     verify_report_doc,
 )
-from wedderburn import blocks, cli
+from wedderburn import blocks, cli, linalg
 from wedderburn.blocks import (
     apply_iso,
     codomain_algebra,
@@ -30,7 +31,6 @@ from wedderburn.blocks import (
     unflatten,
 )
 from wedderburn.errors import (
-    EntryOutsideCorner,
     InvalidDocument,
     ShapeMismatch,
 )
@@ -190,14 +190,79 @@ def test_block_map_of_units_gives_elementary_grids():
                     assert grid[s][t].tolist() == want.tolist()
 
 
-def test_block_map_rejects_vectors_outside_the_corner():
-    # present the block on the corner of a non-representative member: the
-    # sandwiches a[mu]*x*b[nu] lie in rep*A*rep, outside that corner
+def test_division_basis_of_another_members_corner_is_refused():
+    # present the block on the corner of a non-representative member: that
+    # corner is a field, but it misses the representative, the identity of
+    # the corner that holds every entry a[mu]*x*b[nu]
     A = matrix_algebra(7, 2).algebra
-    blk = full_isomorphism(A, seed=0).blocks[0]
+    res = full_isomorphism(A, seed=0)
+    blk = res.blocks[0]
     other = blk.units[-1, -1]
-    with pytest.raises(EntryOutsideCorner):
-        blocks._iso_rows(A, 0, blk.a, blk.b, A._hom_rows(other, other))
+    blk.D = blk.D._replace(basis=A._hom_rows(other, other))
+    assert [f.message for f in blocks.check(A, res)] == [
+        "block 0: division basis is not closed under product"
+    ]
+
+
+def iso_rows_oracle(A, blk):
+    """Iso rows of one block in layout order (mu, nu, t), by a coordinate
+    solve: entry (mu, nu) of the image of b_j is a[mu]*b_j*b[nu] in the
+    division basis.  None when some entry lies outside its span."""
+    eye = np.eye(A.dim, dtype=np.int64)
+    rows = []
+    for mu in range(blk.n):
+        left = A.products(blk.a[mu][None], eye)[0]  # a[mu]*b_j
+        for nu in range(blk.n):
+            sandwich = A.products(left, blk.b[nu][None])[:, 0]
+            coords = linalg.coordinates(blk.D.basis, sandwich, A.p)
+            if coords is None:
+                return None
+            rows.append(coords.T)
+    return np.concatenate(rows)
+
+
+def iso_failures_oracle(A, cert):
+    """The iso stage's messages, block by block from iso_rows_oracle."""
+    msgs, row = [], 0
+    for bi, blk in enumerate(cert.blocks):
+        size = blk.n * blk.n * blk.D.degree
+        got, row = cert.iso[row:row + size], row + size
+        want = iso_rows_oracle(A, blk)
+        if want is None:
+            msgs.append(f"block {bi}: an entry escapes the corner")
+            continue
+        differ = (got != want).reshape(blk.n, blk.n, -1).any(axis=2)
+        msgs += [f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
+                 "match the connecting elements" for mu, nu in np.argwhere(differ)]
+    return msgs
+
+
+@functools.lru_cache(maxsize=None)
+def _iso_case(p):
+    """Scrambled M_2(F_p) + M_1(F_{p^2}) + F_p and its decomposition."""
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (1, 1)], p).algebra, seed=4)
+    return A, full_isomorphism(A, seed=0)
+
+
+@pytest.mark.parametrize("p", [7, 97, 2**31 - 1])
+def test_search_iso_is_the_per_block_solve(p):
+    A, res = _iso_case(p)
+    want = np.concatenate([iso_rows_oracle(A, blk) for blk in res.blocks])
+    assert np.array_equal(res.iso, want)
+
+
+@pytest.mark.parametrize("p", [7, 97, 2**31 - 1])
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_iso_stage_matches_the_per_block_solve(p, data):
+    # the check reads wrong rows off iso * W; the oracle solves them afresh
+    A, res = _iso_case(p)
+    bad = copy.deepcopy(res)
+    cell = st.tuples(st.integers(0, A.dim - 1), st.integers(0, A.dim - 1),
+                     st.integers(1, p - 1))
+    for i, j, delta in data.draw(st.lists(cell, min_size=1, max_size=4)):
+        bad.iso[i, j] = (bad.iso[i, j] + delta) % p
+    assert [f.message for f in blocks.check(A, bad)] == iso_failures_oracle(A, bad)
 
 
 # -- the global isomorphism -------------------------------------------------------

@@ -207,6 +207,29 @@ def test_internal_invariant_violation_exit_6(c3_doc, command, message):
     assert "Traceback" not in r.stderr
 
 
+# generators.matrix_algebra failing as numpy does on a 348 GiB request
+_OUT_OF_MEMORY = (
+    "import sys\n"
+    "from wedderburn import cli, generators\n"
+    "def matrix_algebra(*args):\n"
+    "    raise MemoryError('Unable to allocate 348. GiB for an array')\n"
+    "generators.matrix_algebra = matrix_algebra\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_out_of_memory_exits_3_with_one_line():
+    # not exit 1, which means "verification failed", and no traceback
+    r = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY, "gen", "matrix", "-n", "60",
+         "-p", "7"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 3
+    assert r.stderr == ("unsupported size: out of memory (Unable to allocate "
+                        "348. GiB for an array)\n")
+
+
 def test_split_cap_exit_5(tmp_path):
     m = tmp_path / "m.json"
     f25 = tmp_path / "f25.json"
