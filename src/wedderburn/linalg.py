@@ -153,22 +153,33 @@ def inverse(M, p):
     return coordinates(M, np.eye(n, dtype=np.int64), p)
 
 
-# float64 products are exact while the inner-product bound stays under 2^53
+# float64 products are exact while every inner product stays under 2^53,
+# int64 ones while it stays under 2^63
 _FLOAT_SAFE = 2**53
-_INT64_SAFE = 2**62
-# entries below 2^31 split into 16-bit limbs hi < 2^15, lo < 2^16; the
-# largest limb product sum, (hi + lo)(hi' + lo') < (3 * 2^15)^2 per term,
-# stays exact over this many terms
-_LIMB_SLICE = 2**19
+_INT64_SAFE = 2**63
+# products of at most this many multiply-adds (m k n times the stack size)
+# run on numpy's int64 matmul, which makes no float copy.  Timed on the
+# products the perfbench workloads make (one BLAS thread), it beats BLAS up
+# to about 2^13 of them at p = 97, and up to about 2^15 at p > 2^27, where
+# both kernels split B into limbs
+_SMALL_MACS = 2**13
+# the int64 sums of exact K-slice products (each < 2^53) are reduced mod p
+# after this many slices, so they stay under 2^63
+_REDUCE_EVERY = 2**9
 
 
 class Operand:
     """A matrix reduced mod p, with the float64 copies matmul_mod feeds BLAS.
 
-    matmul_mod wraps a plain array in a fresh Operand on every call; keeping
-    one for a matrix used again and again (a multiplication table) converts
-    it once.  reshape gives a view of the same entries in another shape that
-    shares those copies: one conversion serves every shape.
+    A copy is made the first time a product needs it and kept: the entries
+    whole (both operands of a float product, and the left operand of a limb
+    product), and the two 16-bit limbs M >> 16 and M & 0xFFFF (the right
+    operand of a limb product).  A product small enough for the int64
+    kernel reads the ints and makes no copy.  matmul_mod converts a plain
+    array afresh on every call; keeping an Operand for a matrix used again
+    and again (a multiplication table) converts it once.  reshape gives a
+    view of the same entries in another shape that shares those copies:
+    one conversion serves every shape.
     """
 
     __slots__ = ("p", "ints", "shape", "_parts")
@@ -186,69 +197,111 @@ class Operand:
         view.shape, view._parts = view.ints.shape, self._parts
         return view
 
-    def parts(self, wide):
-        """(M,) as float64, or when wide the limbs (hi, lo, hi + lo)."""
-        got = self._parts.get(wide)
+    def parts(self, limbs):
+        """(M,) as float64, or when limbs (M >> 16, M & 0xFFFF) as float64."""
+        got = self._parts.get(limbs)
         if got is None:
-            if wide:
-                hi, lo = self.ints >> 16, self.ints & 0xFFFF
-                got = tuple(x.astype(np.float64) for x in (hi, lo, hi + lo))
-            else:
-                got = (self.ints.astype(np.float64),)
-            self._parts[wide] = got
+            got = self._parts[limbs] = _float_parts(self.ints, limbs)
         return tuple(x.reshape(self.shape) for x in got)
 
 
+def _float_parts(M, limbs):
+    """The float64 copies of M: whole, or its two 16-bit limbs."""
+    if limbs:
+        return (M >> 16).astype(np.float64), (M & 0xFFFF).astype(np.float64)
+    return (M.astype(np.float64),)
+
+
+def _ints(X, p):
+    """The reduced int64 entries of an array or an Operand for p."""
+    if isinstance(X, Operand):
+        if X.p != p:
+            raise ValueError("operand prepared for another modulus")
+        return X.ints
+    return _reduced(X, p)
+
+
+def _parts(X, ints, limbs):
+    """X.parts(limbs), cached for an Operand, made afresh for an array."""
+    return X.parts(limbs) if isinstance(X, Operand) else _float_parts(ints, limbs)
+
+
 def _reduced(M, p):
-    """M itself when it is already an int64 array with entries in [0, p)."""
+    """M itself when it is already an int64 array with entries in [0, p):
+    one unsigned scan, since a negative entry reads as at least 2^63."""
     if (isinstance(M, np.ndarray) and M.dtype == np.int64
-            and (M.size == 0 or (M.min() >= 0 and M.max() < p))):
+            and (M.size == 0 or M.view(np.uint64).max() < p)):
         return M
     return as_mod_array(M, p)
 
 
 def matmul_mod(A, B, p):
-    """Exact A @ B mod p on float64 BLAS, for any odd p < 2^31.
+    """Exact A @ B mod p for any odd p < 2^31.
 
     A and B are arrays (any integers; reduced here) or Operands.  A is a
-    matrix (m, k) and B a matrix (k, n) or a stack (..., k, n), which gives
-    the stack (..., m, n) of the products A @ B[...].  While
-    K (p-1)^2 < 2^53 one float64 product is exact.  Beyond that both sides
-    are split into 16-bit limbs and each K-slice of at most _LIMB_SLICE
-    terms takes three exact products (Karatsuba), recombined mod p in int64.
+    matrix (m, K) and B a matrix (K, n) or a stack (..., K, n), which gives
+    the stack (..., m, n) of the products A @ B[...].  The kernel:
+
+    - at most _SMALL_MACS multiply-adds over the whole stack: numpy's int64
+      matmul on the reduced entries, one product while K (p-1)^2 < 2^63,
+      else two against the 16-bit limbs hi = B >> 16 and lo = B & 0xFFFF
+      of B, (A @ hi mod p) 2^16 + A @ lo, exact while
+      (p-1) 2^16 + K (p-1)(2^16-1) < 2^63 (K <= 2^16 at p = 2^31-1).
+      Past that bound a small product goes on to BLAS;
+    - else while K (p-1)^2 < 2^53: one float64 BLAS product;
+    - else A stays whole in float64 (entries below 2^31 are exact there)
+      and B is split into its limbs.  Each K-slice of
+      S = (2^53-1) // ((p-1)(2^16-1)) terms (64 at 2^31-1, 128 at 2^30+3)
+      takes two exact float products; their int64 sums are reduced every
+      _REDUCE_EVERY slices, and (hi mod p) 2^16 + lo ends it mod p.
     """
-    A = A if isinstance(A, Operand) else Operand(A, p)
-    B = B if isinstance(B, Operand) else Operand(B, p)
-    if A.p != p or B.p != p:
-        raise ValueError("operand prepared for another modulus")
-    if len(A.shape) != 2 or len(B.shape) < 2:
-        raise ValueError("matmul_mod expects a matrix times a matrix or a stack")
-    K = A.shape[1]
+    a, b = _ints(A, p), _ints(B, p)
+    if a.ndim != 2 or b.ndim < 2 or b.shape[-2] != a.shape[1]:
+        raise ValueError("matmul_mod expects a matrix (m, k) times a matrix "
+                         "or a stack (..., k, n)")
+    K = a.shape[1]
+    if a.shape[0] * b.size <= _SMALL_MACS:
+        if K * (p - 1) * (p - 1) < _INT64_SAFE:
+            C = a @ b
+            _reduce_in_place(C, p)
+            return C
+        if (p - 1) * 2**16 + K * (p - 1) * 0xFFFF < _INT64_SAFE:
+            C = a @ (b >> 16)
+            _reduce_in_place(C, p)
+            C <<= 16
+            C += a @ (b & 0xFFFF)
+            _reduce_in_place(C, p)
+            return C
+    (fa,) = _parts(A, a, False)
     if K * (p - 1) * (p - 1) < _FLOAT_SAFE:
-        (a,), (b,) = A.parts(False), B.parts(False)
-        C = (a @ b).astype(np.int64)
+        (fb,) = _parts(B, b, False)
+        C = (fa @ fb).astype(np.int64)
         _reduce_in_place(C, p)
         return C
-    (ah, al, asum), (bh, bl, bsum) = A.parts(True), B.parts(True)
-    C = 0  # wide means K >= 1, so the loop runs
-    for s in range(0, K, _LIMB_SLICE):
-        k = slice(s, s + _LIMB_SLICE)
-        hh = ah[:, k] @ bh[..., k, :]
-        ll = al[:, k] @ bl[..., k, :]
-        cross = asum[:, k] @ bsum[..., k, :]
-        cross -= hh
-        cross -= ll
-        # C + hh 2^32 + cross 2^16 + ll by Horner; every int64 stays < 2^53
-        part = hh.astype(np.int64)
-        _reduce_in_place(part, p)
-        part <<= 16
-        part += cross.astype(np.int64)
-        _reduce_in_place(part, p)
-        part <<= 16
-        part += ll.astype(np.int64)
-        part += C
-        _reduce_in_place(part, p)
-        C = part
+    hi, lo = _parts(B, b, True)
+    step = _limb_slice(p)
+    C = _sliced_product(fa, hi, step, p)
+    _reduce_in_place(C, p)
+    C <<= 16  # < 2^47, and the lo sum stays < 2^62 + p
+    C += _sliced_product(fa, lo, step, p)
+    _reduce_in_place(C, p)
+    return C
+
+
+def _limb_slice(p):
+    """Terms per K-slice on the limb path: a whole entry times a limb is at
+    most (p-1)(2^16-1), and a slice of them sums below 2^53."""
+    return (_FLOAT_SAFE - 1) // ((p - 1) * 0xFFFF)
+
+
+def _sliced_product(a, b, step, p):
+    """a @ b in int64, one exact float64 product per K-slice of `step`
+    terms; the running sum is reduced mod p every _REDUCE_EVERY slices."""
+    C = (a[:, :step] @ b[..., :step, :]).astype(np.int64)
+    for j, s in enumerate(range(step, a.shape[1], step), 1):
+        if j % _REDUCE_EVERY == 0:
+            _reduce_in_place(C, p)
+        C += (a[:, s : s + step] @ b[..., s : s + step, :]).astype(np.int64)
     return C
 
 

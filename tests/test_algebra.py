@@ -340,30 +340,39 @@ def test_mul_matches_oracle():
             assert A.mul_vec(x, y).tolist() == want
 
 
-def test_products_at_the_largest_prime_match_oracle():
-    # scrambled entries fill [0, p), so every product takes the limb path
+def test_products_at_the_largest_prime_match_oracle(monkeypatch):
+    # scrambled entries fill [0, p), so on BLAS every product takes the
+    # limb path; the same products run once on the int64 kernel
     p = 2**31 - 1
-    A, _ = scramble(group_algebra(cayley_fixture("S3"), p), seed=4)
-    sc = A.sc.tolist()
-    rng = np.random.default_rng(2)
-    X = rng.integers(0, p, (3, A.dim))
-    Y = rng.integers(0, p, (2, A.dim))
-    for _ in range(2):  # the second round runs on the cached limb tables
-        for x in X:
-            L, R = A.lmat(x), A.rmat(x)
-            for j in range(A.dim):
-                e = [int(t == j) for t in range(A.dim)]
-                assert L[:, j].tolist() == oracle_mul(sc, x.tolist(), e, p)
-                assert R[:, j].tolist() == oracle_mul(sc, e, x.tolist(), p)
-            for y in Y:
-                want = oracle_mul(sc, x.tolist(), y.tolist(), p)
-                assert A.mul_vec(x, y).tolist() == want
-        prods = A.products(X, Y)
-        for s, x in enumerate(X):
-            for t, y in enumerate(Y):
-                assert prods[s, t].tolist() == oracle_mul(
-                    sc, x.tolist(), y.tolist(), p)
-    assert set(A._ltable._parts) == {True}
+    for macs in (2**62, 0):
+        monkeypatch.setattr(linalg, "_SMALL_MACS", macs)
+        A, _ = scramble(group_algebra(cayley_fixture("S3"), p), seed=4)
+        sc = A.sc.tolist()
+        rng = np.random.default_rng(2)
+        X = rng.integers(0, p, (3, A.dim))
+        Y = rng.integers(0, p, (2, A.dim))
+        for _ in range(2):  # on BLAS the second round reads the cached copies
+            for x in X:
+                L, R = A.lmat(x), A.rmat(x)
+                for j in range(A.dim):
+                    e = [int(t == j) for t in range(A.dim)]
+                    assert L[:, j].tolist() == oracle_mul(sc, x.tolist(), e, p)
+                    assert R[:, j].tolist() == oracle_mul(sc, e, x.tolist(), p)
+                for y in Y:
+                    want = oracle_mul(sc, x.tolist(), y.tolist(), p)
+                    assert A.mul_vec(x, y).tolist() == want
+            prods = A.products(X, Y)
+            for s, x in enumerate(X):
+                for t, y in enumerate(Y):
+                    assert prods[s, t].tolist() == oracle_mul(
+                        sc, x.tolist(), y.tolist(), p)
+        if macs:  # the int64 kernel makes no float copy of the table
+            assert not A._ltable._parts
+        else:
+            # its two limbs as a right operand, and its entries whole as
+            # the left operand of the associativity certificate
+            assert set(A._ltable._parts) == {False, True}
+            assert len(A._ltable.parts(True)) == 2
 
 
 def test_lmat_rmat_columns_are_products():

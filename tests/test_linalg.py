@@ -133,21 +133,37 @@ def test_char_poly_rejects_non_square():
 # -- randomized oracle checks --------------------------------------------
 
 
-def test_matmul_matches_oracle_small_and_large_p():
+@pytest.fixture
+def kernels(monkeypatch):
+    """Iterate over it to run a test body on each kernel of matmul_mod:
+    first every product counts as small (numpy's int64 matmul), then none
+    does (float64 BLAS, whole or on limbs)."""
+
+    def each():
+        for macs in (2**62, 0):
+            monkeypatch.setattr(linalg, "_SMALL_MACS", macs)
+            yield
+
+    return each
+
+
+def test_matmul_matches_oracle_small_and_large_p(kernels):
     import random
 
-    rng = random.Random(7)
-    for p in (5, 97, 2**31 - 1):  # last one forces the limb path
-        for _ in range(5):
-            A = random_matrix(rng, 3, 4, p)
-            B = random_matrix(rng, 4, 2, p)
-            assert matmul_mod(A, B, p).tolist() == oracle_matmul(A, B, p)
+    for _ in kernels():
+        rng = random.Random(7)
+        for p in (5, 97, 2**31 - 1):  # last one forces the limb paths
+            for _ in range(5):
+                A = random_matrix(rng, 3, 4, p)
+                B = random_matrix(rng, 4, 2, p)
+                assert matmul_mod(A, B, p).tolist() == oracle_matmul(A, B, p)
 
 
-def test_matmul_handles_unreduced_inputs():
+def test_matmul_handles_unreduced_inputs(kernels):
     A = np.array([[-1, 6]])
     B = np.array([[2], [7]])
-    assert matmul_mod(A, B, 5).tolist() == oracle_matmul(A % 5, B % 5, 5)
+    for _ in kernels():
+        assert matmul_mod(A, B, 5).tolist() == oracle_matmul(A % 5, B % 5, 5)
 
 
 def int_oracle(A, B, p):
@@ -160,104 +176,151 @@ def int_oracle(A, B, p):
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**30 + 3])
 @pytest.mark.parametrize("K", [1, 63, 64, 65, 257])
-def test_matmul_wide_primes_match_int_oracle(p, K):
+def test_matmul_wide_primes_match_int_oracle(kernels, p, K):
     rng = np.random.default_rng(K)
     A = rng.integers(0, p, (5, K))
     B = rng.integers(0, p, (K, 3))
     # the largest residues make every limb product as big as it gets
     A[0], B[:, 0] = p - 1, p - 1
-    assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
-    # unreduced and negative entries are reduced first
     A2 = A - 3 * p * rng.integers(0, 2, A.shape)
     B2 = B + p * rng.integers(0, 3, B.shape)
-    assert matmul_mod(A2, B2, p).tolist() == int_oracle(A, B, p)
+    for _ in kernels():
+        assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
+        # unreduced and negative entries are reduced first
+        assert matmul_mod(A2, B2, p).tolist() == int_oracle(A, B, p)
 
 
-def test_matmul_zero_size_operands():
-    for p in (5, 2**31 - 1):
-        for m, k, n in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)):
-            C = matmul_mod(np.ones((m, k), dtype=np.int64),
-                           np.ones((k, n), dtype=np.int64), p)
-            assert C.shape == (m, n) and C.dtype == np.int64 and not C.any()
+def test_matmul_zero_size_operands(kernels):
+    for _ in kernels():
+        for p in (5, 2**31 - 1):
+            for m, k, n in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)):
+                C = matmul_mod(np.ones((m, k), dtype=np.int64),
+                               np.ones((k, n), dtype=np.int64), p)
+                assert C.shape == (m, n) and C.dtype == np.int64 and not C.any()
 
 
 def test_matmul_sums_limb_products_over_k_slices(monkeypatch):
-    # slices of 16 terms: K = 257 takes 17 slices, each recombined mod p
-    monkeypatch.setattr(linalg, "_LIMB_SLICE", 16)
-    p = 2**31 - 1
+    # on the BLAS limb path a K-slice holds S terms, so these K take one to
+    # five slices, whose int64 sums are recombined mod p once
+    monkeypatch.setattr(linalg, "_SMALL_MACS", 0)
     rng = np.random.default_rng(3)
-    for K in (15, 16, 17, 257):
-        A = rng.integers(0, p, (4, K))
-        B = rng.integers(0, p, (K, 6))
-        assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
+    for p, S in ((2**31 - 1, 64), (2**30 + 3, 128)):
+        assert linalg._limb_slice(p) == S
+        for K in (S - 1, S, S + 1, 4 * S + 1):
+            A = rng.integers(0, p, (4, K))
+            B = rng.integers(0, p, (K, 6))
+            A[0], B[:, 0] = p - 1, p - 1
+            # odd terms (p - 2)(2^16 - 1), a lo limb of all ones: S + 1 of
+            # them sum to an odd number past 2^53, which float64 rounds
+            A[1], B[:, 1] = p - 2, (p - 1) // 2**16 * 2**16 - 1
+            assert matmul_mod(A, B, p).tolist() == int_oracle(A, B, p)
 
 
-def test_prepared_operand_matches_plain_arrays():
+def test_int64_limb_path_is_exact_at_its_largest_k(monkeypatch):
+    # every entry p - 1: (p-1) 2^16 + K (p-1)(2^16-1) < 2^63 admits
+    # K = 65536 at p = 2^31 - 1, and the sum K (p-1)^2 is K mod p
+    monkeypatch.setattr(linalg, "_SMALL_MACS", 2**62)
+    p = 2**31 - 1
+    K = (2**63 - 1 - (p - 1) * 2**16) // ((p - 1) * 0xFFFF)
+    assert K == 2**16
+    for k, on_int64 in ((K, True), (K + 1, False)):
+        B = linalg.Operand(np.full((k, 1), p - 1), p)
+        assert matmul_mod(np.full((1, k), p - 1), B, p).tolist() == [[k % p]]
+        # past the bound the product leaves int64 for BLAS limbs
+        assert (not B._parts) == on_int64
+
+
+@pytest.mark.parametrize("slices", [2**9 + 1, 2**10 + 1])
+def test_limb_sums_are_reduced_every_few_hundred_slices(monkeypatch, slices):
+    # every entry p - 1 at p = 2^31 - 1: each 64-term slice of the lo limbs
+    # sums to nearly 2^53, so 2^10 + 1 slices pass 2^63 unless the running
+    # sums are reduced on the way
+    monkeypatch.setattr(linalg, "_SMALL_MACS", 0)
+    p = 2**31 - 1
+    K = slices * linalg._limb_slice(p)
+    A, B = np.full((1, K), p - 1), np.full((K, 1), p - 1)
+    assert matmul_mod(A, B, p).tolist() == [[K % p]]
+
+
+def test_prepared_operand_matches_plain_arrays(kernels):
     rng = np.random.default_rng(11)
-    for p in (97, 2**31 - 1):
-        A = rng.integers(0, p, (6, 40))
-        B = rng.integers(-p, 2 * p, (40, 9))
-        want = int_oracle(A, B % p, p)
-        prepared = linalg.Operand(B, p)
-        assert matmul_mod(A, prepared, p).tolist() == want
-        assert matmul_mod(linalg.Operand(A, p), prepared, p).tolist() == want
-        # slices of the reduced ints, as the blocked associativity check takes
-        assert matmul_mod(A, prepared.ints[:, 2:5], p).tolist() == [
-            row[2:5] for row in want
-        ]
-        assert matmul_mod(linalg.Operand(A, p).ints[1:3], B, p).tolist() == want[1:3]
-        with pytest.raises(ValueError):
-            matmul_mod(A, prepared, 5)
+    for _ in kernels():
+        for p in (97, 2**31 - 1):
+            A = rng.integers(0, p, (6, 40))
+            B = rng.integers(-p, 2 * p, (40, 9))
+            want = int_oracle(A, B % p, p)
+            prepared = linalg.Operand(B, p)
+            assert matmul_mod(A, prepared, p).tolist() == want
+            assert matmul_mod(linalg.Operand(A, p), prepared, p).tolist() == want
+            # slices of the reduced ints, as the blocked associativity check takes
+            assert matmul_mod(A, prepared.ints[:, 2:5], p).tolist() == [
+                row[2:5] for row in want
+            ]
+            assert matmul_mod(linalg.Operand(A, p).ints[1:3], B, p).tolist() == want[1:3]
+            with pytest.raises(ValueError):
+                matmul_mod(A, prepared, 5)
 
 
 @pytest.mark.parametrize("p", [97, 2**31 - 1])
-@pytest.mark.parametrize("limb_slice", [linalg._LIMB_SLICE, 16])
-def test_stacked_matmul_matches_int_oracle(monkeypatch, p, limb_slice):
-    # slices of 16 terms split K = 40 into three on the limb path
-    monkeypatch.setattr(linalg, "_LIMB_SLICE", limb_slice)
+@pytest.mark.parametrize("K", [40, 129])
+def test_stacked_matmul_matches_int_oracle(kernels, p, K):
+    # K = 129 takes three K-slices on the BLAS limb path at 2^31 - 1
     rng = np.random.default_rng(5)
-    A = rng.integers(0, p, (3, 40))
-    cube = rng.integers(0, p, (6, 40, 7))
+    A = rng.integers(0, p, (3, K))
+    cube = rng.integers(0, p, (6, K, 7))
     A[0], cube[0, :, 0] = p - 1, p - 1
     stacks = (
         cube,
         cube[1:5, :, 2:6],  # a non-contiguous slice
-        cube.reshape(2, 3, 40, 7),  # two stack axes
+        cube.reshape(2, 3, K, 7),  # two stack axes
         linalg.Operand(cube, p),
-        linalg.Operand(cube.reshape(6 * 40, 7), p).reshape(6, 40, 7),
+        linalg.Operand(cube.reshape(6 * K, 7), p).reshape(6, K, 7),
     )
-    for B in stacks:
-        ints = B.ints if isinstance(B, linalg.Operand) else B
-        got = matmul_mod(A, B, p)
-        assert got.shape == ints.shape[:-2] + (3, ints.shape[-1])
-        flat_got = got.reshape(-1, 3, ints.shape[-1])
-        for s, Bs in enumerate(ints.reshape(-1, 40, ints.shape[-1])):
-            assert flat_got[s].tolist() == int_oracle(A, Bs, p)
-    with pytest.raises(ValueError):
-        matmul_mod(cube, A.T, p)  # the first operand must be a matrix
-    with pytest.raises(ValueError):
-        matmul_mod(A, cube[0, :, 0], p)
+    for _ in kernels():
+        for B in stacks:
+            ints = B.ints if isinstance(B, linalg.Operand) else B
+            got = matmul_mod(A, B, p)
+            assert got.shape == ints.shape[:-2] + (3, ints.shape[-1])
+            flat_got = got.reshape(-1, 3, ints.shape[-1])
+            for s, Bs in enumerate(ints.reshape(-1, K, ints.shape[-1])):
+                assert flat_got[s].tolist() == int_oracle(A, Bs, p)
+        with pytest.raises(ValueError):
+            matmul_mod(cube, A.T, p)  # the first operand must be a matrix
+        with pytest.raises(ValueError):
+            matmul_mod(A, cube[0, :, 0], p)
+        with pytest.raises(ValueError):
+            matmul_mod(A[:, 1:], cube, p)  # inner dimensions differ
 
 
 @pytest.mark.parametrize("p", [97, 2**31 - 1])
-def test_operand_reshape_shares_the_base_float_parts(p):
+def test_operand_reshape_shares_the_base_float_parts(monkeypatch, p):
     rng = np.random.default_rng(6)
     base = linalg.Operand(rng.integers(0, p, (5, 25)), p)
     pairs, cube = base.reshape(25, 5), base.reshape(5, 5, 5)
     assert np.shares_memory(cube.ints, base.ints)
-    # the first conversion, made through a view, is the base's as well
     x = rng.integers(0, p, (1, 5))
+    # the int64 kernel reads the ints and makes no float copy
+    assert matmul_mod(x, cube, p).reshape(5, 5).tolist() == [
+        int_oracle(x, base.ints.reshape(5, 5, 5)[i], p)[0] for i in range(5)
+    ]
+    assert not base._parts
+    # on BLAS the first conversion, made through a view, is the base's as well
+    monkeypatch.setattr(linalg, "_SMALL_MACS", 0)
     assert matmul_mod(x, cube, p).reshape(5, 5).tolist() == [
         int_oracle(x, base.ints.reshape(5, 5, 5)[i], p)[0] for i in range(5)
     ]
     assert matmul_mod(pairs, x.T, p).tolist() == int_oracle(
         base.ints.reshape(25, 5), x.T, p)
-    wide = 5 * (p - 1) ** 2 >= linalg._FLOAT_SAFE
+    # a right operand on limbs keeps its two limbs, and a left operand
+    # keeps its entries whole: on the plain float path both are whole
+    limbs = 5 * (p - 1) ** 2 >= linalg._FLOAT_SAFE
+    assert set(base._parts) == {False, limbs}
     for view in (pairs, cube):
-        got, want = view.parts(wide), base.parts(wide)
-        assert len(got) == len(want) == (3 if wide else 1)
-        for g, w in zip(got, want):
-            assert g.shape == view.shape and np.shares_memory(g, w)
+        for key, count in ((False, 1), (limbs, 2 if limbs else 1)):
+            got, want = view.parts(key), base.parts(key)
+            assert len(got) == len(want) == count
+            for g, w in zip(got, want):
+                assert g.shape == view.shape and np.shares_memory(g, w)
 
 
 def test_kernel_rows_annihilate():

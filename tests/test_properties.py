@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wedderburn import (
     build_planted,
     full_isomorphism,
+    is_prime,
+    linalg,
     radical_report,
     result_to_doc,
     scramble,
@@ -21,18 +23,47 @@ block_shapes = st.lists(
     st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3
 ).filter(lambda spec: sum(n * n * d for n, d in spec) <= 12)
 
-# small, middle and wide primes: at 2^30 + 3 and 2^31 - 1 every matmul_mod
-# product (the associativity certificate's too) runs on 16-bit limbs
-primes = st.sampled_from([3, 5, 13, 65537, 2**30 + 3, 2**31 - 1])
+
+def next_odd_prime(n):
+    """The least odd prime >= n; at most 2^31 - 1 (a prime) for n below it."""
+    n = max(n, 3)
+    while not is_prime(n):
+        n += 1
+    return n
 
 
-@given(block_shapes, primes, st.integers(0, 500))
-@settings(max_examples=30, deadline=None)
-def test_round_trip_any_planted_spec(spec, p, seed):
+# odd primes from the whole range, spread over bit lengths: the least prime
+# at or above a number of 2..31 bits, so small p (which can divide a block
+# size) are drawn as often as wide ones
+primes = st.integers(2, 31).flatmap(
+    lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)
+).map(next_odd_prime)
+
+
+def round_trip(spec, p, seed):
     A, _ = scramble(build_planted(spec, p).algebra, seed=seed)
     res = full_isomorphism(A, seed=0)
     assert sorted((b.n, b.D.degree) for b in res.blocks) == sorted(spec)
     assert verify_isomorphism(A, res).passed
+
+
+@given(block_shapes, primes, st.integers(0, 500))
+@example([(2, 1), (1, 2)], 2**31 - 1, 0)  # the top of the range, every run
+@settings(max_examples=30, deadline=None)
+def test_round_trip_any_planted_spec(spec, p, seed):
+    round_trip(spec, p, seed)
+
+
+@given(block_shapes, primes, st.integers(0, 500))
+@example([(2, 1), (1, 2)], 2**31 - 1, 0)
+@settings(max_examples=15, deadline=None)
+def test_round_trip_on_the_blas_kernels(spec, p, seed):
+    # at dim <= 12 almost every product is small enough for the int64
+    # kernel; with it off they all run on float64 BLAS, on 16-bit limbs
+    # once K (p-1)^2 reaches 2^53
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_SMALL_MACS", 0)
+        round_trip(spec, p, seed)
 
 
 @given(
