@@ -23,6 +23,7 @@ from wedderburn import (
     verify_report_doc,
 )
 from wedderburn import blocks, cli, linalg
+from wedderburn.algebra import matrix_ring
 from wedderburn.blocks import (
     apply_iso,
     codomain_algebra,
@@ -561,6 +562,246 @@ def test_final_stage_multiplies_in_each_target_block(monkeypatch, k):
     assert ver.bijective
     assert not (ver.unit or ver.orthogonality or ver.multiplicative)
 
+
+def check_block_oracle(A, bi, blk, fail):
+    """The block stage of check_oracle: seven `products` calls, of which
+    only the diagonals are compared, and the n^4 unit relations always."""
+    p, rep, a, b, c = A.p, blk.rep, blk.a, blk.b, blk.c
+    diag = np.arange(blk.n)
+    if not np.array_equal(A.mul_vec(rep, rep), rep):
+        fail(f"block {bi}: representative is not idempotent")
+    if not (np.array_equal(a[0], rep) and np.array_equal(b[0], rep)):
+        fail(f"block {bi}: a[0], b[0] differ from the representative")
+    ba = A.products(b, a)
+    e = ba[diag, diag]
+    rep_a = A.products(rep[None], a)[0]
+    e_b = A.products(e, b)[diag, diag]
+    for got, want, what in (
+        (A.products(a, b)[diag, diag], rep, "a[{0}]*b[{0}] != representative"),
+        (A.products(e, e)[diag, diag], e, "b[{0}]*a[{0}] is not idempotent"),
+        (A.products(rep_a, e)[diag, diag], a, "a[{0}] is not in rep*A*e[{0}]"),
+        (A.products(e_b, rep[None])[:, 0], b, "b[{0}] is not in e[{0}]*A*rep"),
+    ):
+        for mu in np.flatnonzero((got != want).any(axis=1)):
+            fail(f"block {bi}: " + what.format(mu))
+    for mu, nu in np.argwhere((blk.units != ba).any(axis=2)):
+        fail(f"block {bi}: matrix unit ({mu},{nu}) != b[{mu}]*a[{nu}]")
+    for msg in blocks._unit_relations(A, blk.units):
+        fail(f"block {bi}: {msg}")
+    if not np.array_equal(e.sum(axis=0) % p, c):
+        fail(f"block {bi}: central idempotent is not the member sum")
+    if not np.array_equal(A.lmat(c), A.rmat(c)):
+        fail(f"block {bi}: central idempotent is not central")
+    return e
+
+
+def check_oracle(A, cert):
+    """`blocks.check` with every stage run in full, the reference for its
+    cheap proofs: the unit relations always, the inverse by its two
+    products, and multiplicativity on all dim^2 basis pairs, each block's
+    products taken in its matrix_ring."""
+    p, n = A.p, A.dim
+    fails = []
+
+    def fail(message, relation="certificate"):
+        fails.append(blocks.Failure(relation, message))
+
+    members = [check_block_oracle(A, bi, blk, fail)
+               for bi, blk in enumerate(cert.blocks)]
+    fields = [blocks._check_division_basis(A, bi, blk, fail)
+              for bi, blk in enumerate(cert.blocks)]
+    if fails:
+        return fails
+    labels = [f"({bi},{mu})" for bi, blk in enumerate(cert.blocks)
+              for mu in range(blk.n)]
+    E = np.concatenate(members)
+    if not np.array_equal(E.sum(axis=0) % p, A.one):
+        fail("primitive parts do not sum to the identity")
+    overlap = A.products(E, E).any(axis=2)
+    for i, j in np.argwhere(np.triu(overlap | overlap.T, 1)):
+        fail(f"parts {labels[i]} and {labels[j]} are not orthogonal")
+    layout = blocks._layout((blk.n, blk.D.degree) for blk in cert.blocks)
+    if len(layout) != n:
+        fail("block dimensions do not sum to the algebra dimension")
+    elif cert.layout.shape != layout.shape:
+        fail(f"layout has {len(cert.layout)} rows, expected {n}")
+    else:
+        for r in np.flatnonzero((cert.layout != layout).any(axis=1))[:1]:
+            fail(f"layout row {r} is {cert.layout[r].tolist()}, "
+                 f"expected {layout[r].tolist()}")
+    if fails:
+        return fails
+    eye = np.eye(n, dtype=np.int64)
+    iso_W = matmul_mod(cert.iso, blocks._witness(A, cert.blocks), p)
+    wrong = (iso_W != eye).any(axis=1)
+    for bi, mu, nu in dict.fromkeys(map(tuple, layout[wrong, :3].tolist())):
+        fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
+             "match the connecting elements")
+    if fails:
+        return fails
+    rings = [matrix_ring(D, blk.n) for blk, D in zip(cert.blocks, fields)]
+    one = np.concatenate([R.one for R in rings])
+    iso, inv = cert.iso, cert.iso_inverse
+    for name, prod in (("iso * iso_inverse", matmul_mod(iso, inv, p)),
+                       ("iso_inverse * iso", matmul_mod(inv, iso, p))):
+        for i, j in np.argwhere(prod != eye)[:1]:
+            fail(f"{name} differs from the identity at ({i},{j})", "bijective")
+    if not np.array_equal(matmul_mod(iso, A.one[:, None], p)[:, 0], one):
+        fail("image of the identity is not the block identity", "unit")
+    images = matmul_mod(iso, np.array([blk.c for blk in cert.blocks]).T, p)
+    for bi in range(len(cert.blocks)):
+        block_one = np.where(layout[:, 0] == bi, one, 0)
+        if not np.array_equal(images[:, bi], block_one):
+            fail(f"central idempotent of block {bi} does not map to its "
+                 "block identity", "orthogonality")
+    left = matmul_mod(A._ltable.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+    differ, row = np.zeros((n, n), dtype=bool), 0
+    for R in rings:
+        rows = iso[row:row + R.dim].T
+        differ |= (left[:, :, row:row + R.dim] != R.products(rows, rows)).any(axis=2)
+        row += R.dim
+    for i, j in np.argwhere(differ)[:1]:
+        fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
+    return fails
+
+
+def _tamper_drawn(A, res, draw):
+    """One drawn corruption of res in place: an entry of a, b, a matrix
+    unit, c, rep, iso or iso_inverse moved by a nonzero delta, or a row of
+    a or b in the largest block plus a multiple of another row (the units
+    kept, or recomputed from the new a and b)."""
+    p, dim = A.p, A.dim
+    kind = draw(st.sampled_from(["a", "b", "units", "c", "rep", "iso",
+                                 "iso_inverse", "mix"]))
+    delta = draw(st.integers(1, p - 1))
+    if kind in ("iso", "iso_inverse"):
+        M = getattr(res, kind)
+    elif kind == "mix":
+        blk = max(res.blocks, key=lambda blk: blk.n)
+        M = getattr(blk, draw(st.sampled_from(["a", "b"])))
+        mu, nu = draw(st.integers(0, blk.n - 1)), draw(st.integers(0, blk.n - 1))
+        M[mu] = (M[mu] + delta * M[nu]) % p
+        if draw(st.booleans()):
+            blk.units = blocks.matrix_units(A, blk.a, blk.b)
+        return
+    else:
+        blk = res.blocks[draw(st.integers(0, len(res.blocks) - 1))]
+        M = getattr(blk, kind).reshape(-1, dim)
+    i, j = draw(st.integers(0, len(M) - 1)), draw(st.integers(0, dim - 1))
+    M[i, j] = (M[i, j] + delta) % p
+
+
+@functools.lru_cache(maxsize=None)
+def _report_case(p):
+    A, res = _iso_case(p)
+    return A, result_to_doc(res, verify_isomorphism(A, res))
+
+
+@pytest.mark.parametrize("p", [7, 97, 2**31 - 1])
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_check_names_what_the_full_check_names(p, data):
+    # the cheap proofs stand in for full stages only where those would pass.
+    # The certificate is parsed from its report, so that no two of its
+    # fields share an array (the search passes e = c for a block of n = 1)
+    A, doc = _report_case(p)
+    bad = blocks._parse_certificate(A, doc)
+    _tamper_drawn(A, bad, data.draw)
+    assert blocks.check(A, bad) == check_oracle(A, bad)
+
+
+def test_off_diagonal_pairing_fails_the_unit_relations():
+    # a[1] + a[0] pairs with b[1] to rep and lies in rep*A, but it pairs
+    # with b[0] to rep as well; with the units recomputed from it every
+    # diagonal relation holds, and only the unit relations can see it
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    bad = full_isomorphism(A, seed=0)
+    blk = bad.blocks[1]
+    blk.a[1] = (blk.a[1] + blk.a[0]) % 7
+    blk.units = blocks.matrix_units(A, blk.a, blk.b)
+    fails = blocks.check(A, bad)
+    assert fails == check_oracle(A, bad)
+    assert [f.message for f in fails] == [
+        "block 1: unit relation (0,1)*(0,0) fails",
+        "block 1: unit relation (0,1)*(0,1) fails",
+        "block 1: unit relation (1,1)*(0,0) fails",
+        "block 1: unit relation (1,1)*(0,1) fails",
+        "block 1: central idempotent is not the member sum",
+    ]
+
+
+def test_tampered_iso_inverse_column_is_named():
+    A, res = _iso_case(97)
+    bad = copy.deepcopy(res)
+    bad.iso_inverse[:, 3] = (bad.iso_inverse[:, 3] + 1) % 97
+    fails = blocks.check(A, bad)
+    assert fails == check_oracle(A, bad)
+    assert fails == [
+        ("bijective", "iso * iso_inverse differs from the identity at (0,3)"),
+        ("bijective", "iso_inverse * iso differs from the identity at (0,0)"),
+    ]
+
+
+def test_another_presentation_of_the_entry_field_fails_multiplicativity(monkeypatch):
+    # block 0's entry field F_49 comes back transported along x -> x P, a
+    # linear bijection that fixes its identity but is no field automorphism:
+    # the unit and every other stage pass, so only multiplicativity fails
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    real = blocks._check_division_basis
+
+    def transported(A, bi, blk, fail):
+        D = real(A, bi, blk, fail)
+        if bi:
+            return D
+        assert D.one.tolist() == [5, 5]
+        P = np.array([[2, 0], [6, 1]])  # I + (1, -1)^T (1, 0): fixes (5, 5)
+        prods = np.einsum("sa,tb,abc->stc", P, P, D.sc) % 7
+        sc = np.einsum("stc,cu->stu", prods, linalg.inverse(P, 7)) % 7
+        return Algebra(7, sc, identity=D.one, validate=False)
+
+    monkeypatch.setattr(blocks, "_check_division_basis", transported)
+    fails = blocks.check(A, res)
+    assert fails == check_oracle(A, res)
+    assert fails == [
+        ("multiplicative", "multiplicativity fails at basis pair (0,0)")]
+
+
+def _spy(monkeypatch, *names):
+    """Record each call of the named blocks functions, in order."""
+    calls = []
+    for name in names:
+        real = getattr(blocks, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(blocks, name, spy)
+    return calls
+
+
+def test_clean_certificate_runs_no_unit_relations_and_no_pair_products(monkeypatch):
+    # a validated algebra keeps its certificate's generators: lemma 1 proves
+    # multiplicativity from them, and lemma 2 the unit relations from a*b
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
+    assert A._generators.shape[0] <= 3
+    res = full_isomorphism(A, seed=0)
+    calls = _spy(monkeypatch, "_unit_relations", "_all_pairs")
+    assert blocks.check(A, res) == []
+    assert calls == []
+
+
+def test_pair_products_run_without_generators(monkeypatch):
+    # an unvalidated presentation has no certificate generators, so every
+    # basis pair is multiplied, and the clean certificate passes that too
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
+    res = full_isomorphism(A, seed=0)
+    bare = Algebra(7, A.sc, identity=A.one, validate=False)
+    assert not hasattr(bare, "_generators")
+    calls = _spy(monkeypatch, "_unit_relations", "_all_pairs")
+    assert blocks.check(bare, res) == []
+    assert calls == ["_all_pairs"]
 
 MALFORMED = {
     "connecting_a=5": ("report", ("blocks", 0, "connecting_a"), 5),
