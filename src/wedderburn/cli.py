@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import algebra, blocks, generators
+from . import algebra, blocks, generators, idempotents
 from .errors import (
     InvalidCayley,
     InvalidDocument,
@@ -172,7 +172,8 @@ def build_parser():
     dec.add_argument("input", help="path to the algebra JSON document")
     dec.add_argument("--seed", type=int, default=0,
                      help="seed for all randomized choices (default 0)")
-    dec.add_argument("--max-split-iters", type=positive_int, default=256,
+    dec.add_argument("--max-split-iters", type=positive_int,
+                     default=idempotents.DEFAULT_SPLIT_CAP,
                      help="cap on the random draws per block that the "
                           "primitive idempotent search may take (>= 1)")
     dec.add_argument("--format", choices=("text", "structured"),

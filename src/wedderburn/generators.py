@@ -28,7 +28,6 @@ class Planted:
 
     spec: list  # sorted list of (n_i, d_i)
     algebra: Algebra
-    scramble_matrix: np.ndarray = None
 
 
 # -- Cayley tables ---------------------------------------------------------------

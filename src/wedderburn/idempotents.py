@@ -6,6 +6,10 @@ the spectral idempotents of its basis rows refine {1} into the k block
 idempotents.  Inside a block, the descent follows one branch: it keeps the
 least primary component of a random element of the corner until the
 corner is the block's entry field.  Neither step builds a corner algebra.
+
+Both steps factor a minimal polynomial with poly.factor, which returns the
+monic irreducible factors sorted by (degree, coefficients): the centre
+takes every (linear) factor, the descent the first.
 """
 
 import random
@@ -82,28 +86,20 @@ def _block_idempotents(A):
             break
         K = Z.powers(v, Z.one)
         m = min_poly_of_powers(K, p)
-        roots = poly.split_squarefree(m, p, rng)
-        if any(poly.degree(g) != 1 for g in roots):
+        roots = poly.factor(m, p, rng)
+        if any(poly.degree(g) != 1 or k != 1 for g, k in roots):
             raise InternalInvariantViolation(
-                "central fixed vector has a non-split minimal polynomial"
+                "central fixed vector has a minimal polynomial without "
+                "distinct linear factors"
             )
         if len(roots) < 2:
             continue
-        roots.sort(key=lambda g: int(g[0]))  # the probes find them in any order
         spectral = np.array([_component(Z, Z.one, K, poly.exact_div(m, g, p), g)
-                             for g in roots])
+                             for g, _ in roots])
         prods = Z.products(parts, spectral).reshape(-1, Z.dim)
         parts = prods[prods.any(axis=1)]
     degrees = [linalg.rank(Z.lmat(c), p) for c in parts]
     return linalg.matmul_mod(parts, center, p), degrees
-
-
-def _least_factor(m, p, rng):
-    """(g, k): the irreducible factor g of m least in (degree, coefficient)
-    order, and its multiplicity k."""
-    return min(((g, k) for s, k in poly.squarefree_decomposition(m, p)
-                for g in poly.split_squarefree(s, p, rng)),
-               key=lambda gk: (len(gk[0]), gk[0].tolist()))
 
 
 def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
@@ -114,10 +110,11 @@ def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
     x = e*y*e for a random y; the powers e, x, x^2, ... are computed in A,
     and the first relation among them is the minimal polynomial m of x in
     e*A*e.  Unless m is primary, e moves to the primary component of its
-    least irreducible factor.  A block M_1(D) returns c without a draw.
+    least irreducible factor.  A block M_1(D) returns a copy of c without a
+    draw, so the caller may keep e and c as separate fields.
     """
     p = A.p
-    e, size, draws = c, len(A._hom_rows(c, c)), 0
+    e, size, draws = c.copy(), len(A._hom_rows(c, c)), 0
     while size > d:
         if draws == cap:
             raise SplitIterationCapExceeded(cap)
@@ -125,7 +122,7 @@ def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
         x = A.mul_vec(A.mul_vec(e, A.random_vec(rng)), e)
         K = A.powers(x, e)
         m = min_poly_of_powers(K, p)
-        g, k = _least_factor(m, p, rng)
+        g, k = poly.factor(m, p, rng)[0]
         part = g
         for _ in range(k - 1):
             part = poly.mul(part, g, p)

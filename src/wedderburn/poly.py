@@ -4,12 +4,11 @@ At the boundary a polynomial is a C-contiguous int64 numpy array of
 coefficients, lowest degree first, with no trailing zeros (the zero
 polynomial is the single coefficient [0]).  Each public function converts
 its arguments once to lists of Python ints, computes on those, exactly at
-any p, and returns int64 arrays.  Everything is deterministic: the factor
-splitter's quadratic-residue probe draws its shifts from an internally
-seeded generator.
+any p, and returns int64 arrays.  factor draws its probe's shifts from the
+caller's random.Random; they change only the order in which the factors
+are found, never the factors.
 """
 
-import random
 from itertools import zip_longest
 
 import numpy as np
@@ -272,7 +271,12 @@ def is_irreducible(f, p):
 
 
 def _split(f, p, rng, tp):
-    """split_squarefree on a list; tp is T^p mod some multiple of f, or None."""
+    """Distinct irreducible factors of a squarefree monic list f, unsorted.
+
+    A part is returned only when irreducible: at degree <= 1, or with a
+    one-dimensional Frobenius fixed space.  tp is T^p mod a multiple of f,
+    or None; it is computed once and reduced mod each part.
+    """
     if len(f) <= 2:
         return [f]
     tp = _t_to_the_p(f, p) if tp is None else _rem(tp, f, p)
@@ -297,19 +301,8 @@ def _split(f, p, rng, tp):
     )
 
 
-def split_squarefree(f, p, rng):
-    """Distinct irreducible factors of a squarefree monic f (unsorted).
-
-    f and its divisors are squarefree, so a part is returned only when it is
-    irreducible: at degree <= 1, or with a one-dimensional Frobenius fixed
-    space (the test is_irreducible makes).  T^p mod f is computed once and
-    reduced mod each part.
-    """
-    return [_array(g) for g in _split(_ints(f, p), p, rng, None)]
-
-
 def _squarefree(f, p):
-    """squarefree_decomposition of a monic list."""
+    """[(g, m)] with f = prod g^m, the g squarefree and pairwise coprime."""
     if len(f) == 1:
         return []
     fp = _derivative(f, p)
@@ -332,29 +325,22 @@ def _squarefree(f, p):
     return out
 
 
-def squarefree_decomposition(f, p):
-    """[(g, m)] with f = prod g^m, the g monic squarefree and pairwise coprime."""
-    return [(_array(g), m) for g, m in _squarefree(_monic(_ints(f, p), p), p)]
-
-
-def berlekamp_factor(f, p):
-    """Full factorization of f into monic irreducibles with multiplicity.
+def factor(f, p, rng):
+    """Factorization of a nonzero f into monic irreducibles with multiplicity.
 
     Returns a list of (factor, multiplicity) sorted by (degree, coefficient
-    tuple).  Each factor is irreducible by the test that ends its split.
-    Deterministic: the only randomness is the internally seeded probe, and
-    it only changes the discovery order, never the result.
+    tuple).  Each squarefree part, in the order _squarefree gives them, is
+    split with shifts drawn from rng; the draws change only the order in
+    which the factors are found, never the result.
     """
     f = _ints(f, p)
     if is_zero(f):
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(0x5EED)
-    found = {}
-    for g, m in _squarefree(_monic(f, p), p):
-        for h in _split(g, p, rng, None):
-            found[tuple(h)] = found.get(tuple(h), 0) + m
-    order = sorted(found, key=lambda h: (len(h), h))
-    return [(_array(h), found[h]) for h in order]
+    # the parts are pairwise coprime, so each factor is found once
+    found = [(h, m) for g, m in _squarefree(_monic(f, p), p)
+             for h in _split(g, p, rng, None)]
+    found.sort(key=lambda hm: (len(hm[0]), hm[0]))
+    return [(_array(h), m) for h, m in found]
 
 
 def find_irreducible(d, p):

@@ -26,12 +26,11 @@ chain only when that fails: to certify the radical it rejects with, or to
 certify that it is zero.
 
 A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
-the current basis.  It is computed in bulk: one matmul_mod gives the left
-multiplication matrices of all m basis elements, one 2-D matmul_mod per run
-of pairs (s, t..t') gives their products, and the pairs go through
+the current basis.  It is computed in bulk: one Algebra.products call gives
+the products x_s x_t, and their left multiplication matrices go through
 linalg.char_poly as stacks of at most _CHUNK_ENTRIES entries, so a stage
-makes one char_poly call per chunk and its memory does not grow with m^2.
-The explicit ideal and nilpotency checks use Algebra.products.
+makes one char_poly call per chunk and the matrices it holds do not grow
+with m^2.  The explicit ideal and nilpotency checks use Algebra.products.
 """
 
 from dataclasses import dataclass, field
@@ -68,32 +67,20 @@ _CHUNK_ENTRIES = 2**20
 def _char_coeff_form(A, rows, k):
     """Gram matrix of (x, y) -> c_k(xy) on the span of the given rows.
 
-    L_{xy} = L_x L_y has the characteristic polynomial of its transpose
-    L_y^T L_x^T, and row block s of T below is L_{x_s}^T, so each pair
-    (s, t >= s) is one block of a 2-D product T[t-block rows] @ T[s-block].
-    The pairs are taken in chunks and each chunk is one stacked char_poly.
+    One A.products call gives x_s x_t for all pairs; those with s <= t go
+    against the multiplication table in chunks, each chunk one stack of the
+    matrices L_{x_s x_t}^T (same characteristic polynomial as L_{x_s x_t})
+    and one char_poly call.
     """
     m, n, p = rows.shape[0], A.dim, A.p
-    T = linalg.matmul_mod(rows, A._ltable, p).reshape(m * n, n)
     su, tu = np.triu_indices(m)
-    coeffs = np.empty(su.size, dtype=np.int64)
+    prods = A.products(rows, rows)[su, tu]
+    B = np.zeros((m, m), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (n * n))
     for lo in range(0, su.size, step):
-        hi = min(lo + step, su.size)
-        stack = np.empty((hi - lo, n, n), dtype=np.int64)
-        pos = lo
-        while pos < hi:
-            # the pairs (s, t), (s, t+1), ... that fall into this chunk
-            s, t = int(su[pos]), int(tu[pos])
-            cnt = min(hi - pos, m - t)
-            stack[pos - lo : pos - lo + cnt] = linalg.matmul_mod(
-                T[t * n : (t + cnt) * n], T[s * n : (s + 1) * n], p
-            ).reshape(cnt, n, n)
-            pos += cnt
-        coeffs[lo:hi] = linalg.char_poly(stack, p)[:, n - k]
-    B = np.zeros((m, m), dtype=np.int64)
-    B[su, tu] = coeffs
-    B[tu, su] = coeffs
+        s, t = su[lo : lo + step], tu[lo : lo + step]
+        stack = linalg.matmul_mod(prods[lo : lo + step], A._ltable, p)
+        B[s, t] = B[t, s] = linalg.char_poly(stack.reshape(-1, n, n), p)[:, n - k]
     return B
 
 

@@ -702,12 +702,29 @@ def _report_case(p):
 @settings(max_examples=40, derandomize=True, deadline=None)
 def test_check_names_what_the_full_check_names(p, data):
     # the cheap proofs stand in for full stages only where those would pass.
-    # The certificate is parsed from its report, so that no two of its
-    # fields share an array (the search passes e = c for a block of n = 1)
+    # The certificate is parsed from its report, as verify sees it
     A, doc = _report_case(p)
     bad = blocks._parse_certificate(A, doc)
     _tamper_drawn(A, bad, data.draw)
     assert blocks.check(A, bad) == check_oracle(A, bad)
+
+
+def test_block_fields_hold_their_own_arrays():
+    # e = c for a block of n = 1, but as a copy: an in-place edit of c is
+    # seen by the check as a bad central idempotent, and by nothing else
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (1, 1)], 7).algebra, seed=4)
+    res = full_isomorphism(A, seed=0)
+    assert [blk.n for blk in res.blocks].count(1) == 2
+    for bi, blk in enumerate(res.blocks):
+        fields = [blk.rep, blk.c, blk.a, blk.b, blk.units, blk.D.basis]
+        for i, x in enumerate(fields):
+            assert not any(np.shares_memory(x, y) for y in fields[i + 1 :])
+        bad = copy.deepcopy(res)
+        c = bad.blocks[bi].c
+        c[0] = (c[0] + 1) % 7
+        fails = blocks.check(A, bad)
+        assert fails and fails == check_oracle(A, bad)
+        assert all("central idempotent" in f.message for f in fails), fails
 
 
 def test_off_diagonal_pairing_fails_the_unit_relations():

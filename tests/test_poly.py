@@ -76,7 +76,7 @@ def oracle_factor(f, p):
 
 
 def berlekamp_multiset(f, p):
-    got = poly.berlekamp_factor(np.array(f), p)
+    got = poly.factor(np.array(f), p, random.Random(0))
     return sorted((tuple(int(c) for c in g), m) for g, m in got)
 
 
@@ -311,12 +311,32 @@ def test_squarefree_decomposition_reassembles():
         for _ in range(10):
             deg = rng.randrange(1, 6)
             f = np.array([rng.randrange(p) for _ in range(deg)] + [1])
-            parts = poly.squarefree_decomposition(f, p)
+            parts = poly.factor(f, p, random.Random(0))
             acc = np.array([1])
             for g, m in parts:
+                assert poly.is_irreducible(g, p)
                 for _ in range(m):
                     acc = poly.mul(acc, g, p)
             assert acc.tolist() == f.tolist()
+
+
+@given(st.sampled_from([3, 5, 97, 2**31 - 1]), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_factor_is_sorted_and_independent_of_the_draws(p, rng):
+    # the shifts come from the caller's generator; they may change the order
+    # in which the probe finds the factors, never the sorted result
+    f = np.array([1])
+    for _ in range(rng.randrange(1, 4)):
+        g = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
+        for _ in range(rng.randrange(1, 3)):
+            f = poly.mul(f, np.array(g), p)
+    got = [(g.tolist(), m) for g, m in poly.factor(f, p, random.Random(1))]
+    assert got == sorted(got, key=lambda gm: (len(gm[0]), gm[0]))
+    for seed in (2, 3):
+        again = poly.factor(f, p, random.Random(seed))
+        assert [(g.tolist(), m) for g, m in again] == got
+    with pytest.raises(ValueError):
+        poly.factor(np.array([0]), p, random.Random(0))
 
 
 def test_find_irreducible_is_deterministic_and_irreducible():
