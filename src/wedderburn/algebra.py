@@ -2,10 +2,11 @@
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
 validating constructor refuses entries of c or of a declared identity that
-are not integers (see doc_array), locates the two-sided identity and then
-proves associativity:
+are not integers (see doc_array: one typed pass over nested lists), locates
+the two-sided identity and then proves associativity:
 first by a left-nucleus certificate (a few drawn elements that associate
-with every basis pair and generate the algebra, O(n^4) each), and when
+with every basis pair, O(n^4) each, and generate the algebra: the span of 1
+grows under the first two together), and when
 that does not conclude, by the blocked check of every basis triple (two
 flattened matrix products a block of the first index at a time, O(n^3)
 memory), which names the first failing triple.  So every Algebra in
@@ -51,7 +52,8 @@ class Algebra:
         if validate:
             structure_constants = doc_array(structure_constants, (None,) * 3,
                                             "structure constants")
-        sc = linalg.as_mod_array(structure_constants, self.p)
+        # a cube already int64 in [0, p) is kept as it is, not copied
+        sc = np.ascontiguousarray(linalg._reduced(structure_constants, self.p))
         if sc.ndim != 3 or not (sc.shape[0] == sc.shape[1] == sc.shape[2]):
             raise InvalidDocument(
                 f"structure constants must be a cube, got shape {sc.shape}"
@@ -105,14 +107,16 @@ class Algebra:
         The left nucleus N = {g : (g w) z = g (w z) for all w, z} of a
         unital algebra is a subalgebra containing 1 (Schafer 1966), so if
         elements of N generate A, then A = N is associative.  Elements g
-        are drawn from a fixed-seed RNG one at a time; g lies in N when
-        (g b_j) b_k = g (b_j b_k) for all j, k, two n^3-entry products.
-        The span of 1 is closed under left multiplication by the accepted
-        g's; once it is all of A the proof is complete.  The randomness
-        only decides how soon that happens.  A g outside N, or a span still
-        short of A after the last draw, hands over to the blocked check,
-        which gives the verdict and the first failing triple.  A completed
-        proof keeps the accepted g's, which generate A, for center_basis.
+        are drawn from a fixed-seed RNG, each tested as drawn: g lies in N
+        when (g b_j) b_k = g (b_j b_k) for all j, k, two n^3-entry products.
+        The span of 1 is closed under the accepted g's a level at a time,
+        each fold's new rows times [L_g1 | L_g2 | ...], from the second g on
+        (the cap is at least two draws); once it is all of A the proof is
+        complete.  The randomness only decides how soon that happens.  A g
+        outside N, or a span still short of A after the last draw, hands
+        over to the blocked check, which gives the verdict and the first
+        failing triple.  A completed proof keeps the accepted g's, which
+        generate A, for center_basis.
         """
         n, p = self.dim, self.p
         flat = self._ltable.reshape(n * n, n)
@@ -127,6 +131,7 @@ class Algebra:
         rng = random.Random(0)
         gens = []
         lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
+        closed = 0  # columns of lefts the span is closed under
         for _ in range(draws):
             if span.shape[0] == n:
                 break
@@ -143,8 +148,11 @@ class Algebra:
                 )
             gens.append(g)
             lefts = np.concatenate([lefts, left], axis=1)
-            # the span is closed under the earlier g's: start from g * span
-            new = linalg.matmul_mod(span, left, p)
+            if len(gens) == 1:
+                continue  # the first closure runs under g1 and g2 together
+            # start from the span times the g's it is not yet closed under
+            new = linalg.matmul_mod(span, lefts[:, closed:], p).reshape(-1, n)
+            closed = lefts.shape[1]
             while new.shape[0]:
                 span, pivots, fresh = linalg.extend_rref(span, pivots, new, p)
                 new = linalg.matmul_mod(fresh, lefts, p).reshape(-1, n)
@@ -441,9 +449,14 @@ def is_doc_int(x):
 def doc_array(x, shape, what, error=InvalidDocument):
     """int64 array of a document field with the given shape (None: any size).
 
-    Booleans, floats and strings are refused, not truncated or coerced; a
-    ragged, non-integer or misshapen x raises `error`.
+    A nested list of Python ints converts in one typed pass (_int_lists);
+    anything else, arrays included, takes numpy's reading, which words every
+    refusal.  Booleans, floats and strings are refused, not truncated or
+    coerced; a ragged, non-integer or misshapen x raises `error`.
     """
+    arr = _int_lists(x, shape)
+    if arr is not None:
+        return arr
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError):
@@ -463,3 +476,25 @@ def doc_array(x, shape, what, error=InvalidDocument):
         if not _BOOL_TYPES.isdisjoint(map(type, leaves)):
             raise error(f"{what} must hold integers, not booleans")
     return arr.astype(np.int64, copy=False)
+
+
+def _int_lists(x, shape):
+    """x as int64 when it is a nested list of that shape whose leaves are
+    Python ints (bool is not int here) that fit in int64; else None.  A walk
+    of the lengths, a scan of the leaf types and one np.fromiter."""
+    rows, dims = [x], []
+    for want in shape:
+        if dims:
+            rows = list(chain.from_iterable(rows))
+        if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1
+                or want not in (None, len(rows[0]))):
+            return None
+        dims.append(len(rows[0]))
+    # the leaves are read twice and never held in one list
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(rows), np.int64,
+                           len(rows) * dims[-1]).reshape(dims)
+    except OverflowError:
+        return None

@@ -3,10 +3,11 @@
 import functools
 import random
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wedderburn import algebra, linalg
 from wedderburn import (
@@ -26,6 +27,7 @@ from wedderburn.errors import (
     NoIdentity,
     NotAssociative,
     NotCommutative,
+    ShapeMismatch,
 )
 
 
@@ -243,6 +245,68 @@ def test_small_prime_products_certify_without_the_blocked_check(monkeypatch, p):
     for k in range(2, 40):
         make_presentation(p, diagonal_cube(k))
     assert calls == []
+
+
+def cyclic_cube(m):
+    """F_p[C_m] on the group basis: b_i b_j = b_{i+j mod m}."""
+    sc = np.zeros((m, m, m), dtype=np.int64)
+    for i in range(m):
+        sc[i, range(m), (i + np.arange(m)) % m] = 1
+    return sc
+
+
+# the generators the certificate accepts on scrambled
+# build_planted([(4, 1), (4, 1), (3, 2)], 97) (scramble seed 1), pinned when
+# the span of 1 was closed under each accepted draw on its own
+PLANTED_GENERATORS = [
+    [49, 53, 5, 33, 65, 62, 51, 38, 61, 45, 74, 27, 64, 17, 36, 17, 96, 12,
+     79, 32, 68, 90, 77, 18, 39, 12, 93, 9, 87, 42, 60, 71, 12, 45, 55, 40,
+     78, 81, 26, 70, 61, 56, 66, 33, 7, 70, 1, 11, 92, 51],
+    [90, 85, 80, 0, 78, 63, 42, 31, 93, 41, 90, 8, 24, 72, 28, 30, 18, 69,
+     57, 11, 10, 40, 65, 62, 13, 38, 70, 37, 90, 15, 70, 42, 69, 26, 77, 70,
+     75, 36, 56, 11, 76, 49, 40, 73, 30, 37, 23, 24, 23, 4],
+]
+
+
+def test_certificate_closes_its_first_two_generators_together(monkeypatch):
+    # closing the span under g1 alone and then under g2 took 18 folds here
+    # (one of them seeding the span of 1); under both at once, level by
+    # level, it takes at most half that, and the same two draws conclude
+    A, _ = scramble(build_planted([(4, 1), (4, 1), (3, 2)], 97).algebra, seed=1)
+    assert A.dim == 50
+    folds, inside = [], []
+    extend, certify = linalg.extend_rref, Algebra._certify_associativity
+
+    def counted_extend(*args):
+        if inside:
+            folds.append(1)
+        return extend(*args)
+
+    def counted_certify(self):
+        inside.append(1)
+        try:
+            return certify(self)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(linalg, "extend_rref", counted_extend)
+    monkeypatch.setattr(Algebra, "_certify_associativity", counted_certify)
+    calls = spy_blocked_check(monkeypatch)
+    B = make_presentation(97, A.sc, identity=A.one)
+    assert calls == []
+    assert 0 < len(folds) <= 18 // 2
+    assert B._generators.tolist() == PLANTED_GENERATORS
+
+
+def test_one_generator_algebra_closes_under_its_first_two_draws(monkeypatch):
+    # F_3[C9] is generated by one element, yet the first closure waits for a
+    # second draw; both are kept and give the centre (F_3^5, which needs
+    # four draws, is test_several_nucleus_generators_...)
+    calls = spy_blocked_check(monkeypatch)
+    A = make_presentation(3, cyclic_cube(9))
+    assert calls == [] and len(A._generators) == 2
+    bare = Algebra(3, A.sc, identity=A.one, validate=False)
+    assert A.center_basis().tolist() == bare.center_basis().tolist()
 
 
 @pytest.mark.parametrize("identity", [None, [0, 1, 0, 0], [1, 0, 0]])
@@ -645,3 +709,106 @@ def test_from_doc_validates():
     doc["structure_constants"][0][0][0] = "x"
     with pytest.raises(InvalidDocument):
         from_doc(doc)
+
+
+def doc_array_oracle(x, shape, what, error=InvalidDocument):
+    """doc_array as it was before its typed pass: numpy reads every input,
+    then a second scan of the leaves looks for booleans."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):
+        raise error(f"{what} is not an integer array") from None
+    if arr.dtype.kind != "i" and arr.size:
+        raise error(f"{what} must hold integers, not {arr.dtype}")
+    if arr.ndim != len(shape) or any(
+        want is not None and want != got for want, got in zip(shape, arr.shape)
+    ):
+        want = tuple("*" if n is None else n for n in shape)
+        raise error(f"{what} has shape {arr.shape}, expected {want}")
+    if arr.ndim and arr.size and not isinstance(x, np.ndarray):
+        leaves = x
+        for _ in range(arr.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+            raise error(f"{what} must hold integers, not booleans")
+    return arr.astype(np.int64, copy=False)
+
+
+INJECTED = [True, False, 1.5, "1", None, np.int64(3), 2**63, -(2**63) - 1]
+
+
+@st.composite
+def doc_fields(draw):
+    """(x, shape): a rectangular nested list of depth 1-3 with an injected
+    leaf, a ragged row at some depth, an empty level, or none of these; and
+    the shape asked for, right or wrong."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    leaf = st.integers(-(2**63), 2**63 - 1) | st.integers(-2, 100)
+
+    def build(level):
+        if level == len(dims):
+            return draw(leaf)
+        return [build(level + 1) for _ in range(dims[level])]
+
+    x = build(0)
+    # a list at a drawn depth, reached by drawn indices
+    node, level = x, 0
+    for _ in range(draw(st.integers(0, len(dims) - 1))):
+        if not node:
+            break
+        node, level = node[draw(st.integers(0, len(node) - 1))], level + 1
+    spot = draw(st.integers(0, max(0, len(node) - 1)))
+    kind = draw(st.sampled_from(["clean", "inject", "ragged", "empty"]))
+    if kind == "inject":
+        while level < len(dims) - 1 and node:
+            node, level = node[spot % len(node)], level + 1
+        bad = draw(st.sampled_from(INJECTED))
+        if node:
+            node[spot % len(node)] = bad
+        else:
+            node.append(bad)
+    elif kind == "ragged":
+        how = draw(st.sampled_from(["drop", "add", "deepen"]))
+        if how == "drop" and node:
+            node.pop()
+        elif how == "deepen" and node:
+            # a leaf where a row should be, or a row where a leaf should be
+            node[spot] = [node[spot]] if level == len(dims) - 1 else draw(leaf)
+        else:
+            node.append(node[0][:] if node and isinstance(node[0], list)
+                        else draw(leaf))
+    elif kind == "empty":
+        node.clear()
+    shape = draw(st.sampled_from([
+        (None,) * len(dims),
+        tuple(dims),
+        (None,) * (len(dims) + 1),
+        (None,) * max(1, len(dims) - 1),
+        tuple(dims[:-1]) + (dims[-1] + 1,),
+    ]))
+    return x, shape
+
+
+def conversion(f, x, shape, error):
+    """The array f makes of x, or the class and message of what it raises."""
+    try:
+        arr = f(x, shape, "field", error)
+    except (InvalidDocument, ShapeMismatch) as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tolist()
+
+
+@given(doc_fields())
+@example(([[2**63, -1]], (None, None)))  # numpy reads float64
+@example(([[1, True]], (None, None, None)))  # the shape is refused first
+@example(([[], []], (None, None, None)))  # an empty level stops numpy
+@example(([[[]]], (None, None, None)))
+@example(([[1, 2], (3, 4)], (None, None)))  # a tuple takes numpy's reading
+@settings(max_examples=400, deadline=None)
+def test_doc_array_matches_the_numpy_reading(case):
+    # the typed pass gives the same array, or the same refusal in the same
+    # words, under both error classes the callers pass
+    x, shape = case
+    for error in (InvalidDocument, ShapeMismatch):
+        assert (conversion(algebra.doc_array, x, shape, error)
+                == conversion(doc_array_oracle, x, shape, error))

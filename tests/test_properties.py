@@ -1,10 +1,14 @@
 """Property-based end-to-end checks over randomly drawn inputs."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wedderburn import (
+    Algebra,
+    algebra,
     build_planted,
     full_isomorphism,
     is_prime,
@@ -89,6 +93,27 @@ def test_iso_is_a_ring_map_on_random_elements(spec, p, seed, rng):
     zx = matmul_mod(res.iso, x[:, None], p)[:, 0]
     zy = matmul_mod(res.iso, y[:, None], p)[:, 0]
     assert z.tolist() == ((zx + zy) % p).tolist()
+
+
+@given(st.integers(2**30, 2**31 - 1).map(next_odd_prime), st.integers(0, 500))
+@example(2**31 - 1, 0)
+@settings(max_examples=10, deadline=None)
+def test_wide_prime_document_round_trip(p, seed):
+    # a scrambled cube at p > 2^30 holds entries above 2^30: after JSON they
+    # take doc_array's typed pass, and the certificate concludes on its own
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], p).algebra, seed=seed)
+    doc = json.loads(json.dumps(A.to_doc()))
+    shape = (A.dim,) * 3
+    assert algebra._int_lists(doc["structure_constants"], shape) is not None
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        blocked = Algebra._check_associativity
+        patch.setattr(Algebra, "_check_associativity",
+                      lambda self: calls.append(self.dim) or blocked(self))
+        B = algebra.from_doc(doc)
+    assert calls == []
+    assert B.p == p and B.sc.tolist() == A.sc.tolist()
+    assert B.one.tolist() == A.one.tolist()
 
 
 DIVIDING = [
