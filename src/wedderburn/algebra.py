@@ -2,11 +2,11 @@
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
 validating constructor refuses entries of c or of a declared identity that
-are not integers (see doc_array: one typed pass over nested lists), locates
-the two-sided identity and then proves associativity:
+are not integers (see doc_array), locates the two-sided identity and then
+proves associativity:
 first by a left-nucleus certificate (a few drawn elements that associate
-with every basis pair, O(n^4) each, and generate the algebra: the span of 1
-grows under the first two together), and when
+with every basis pair, O(n^4) each, and generate the algebra; unless it is
+commutative, the span of 1 grows under the first two together), and when
 that does not conclude, by the blocked check of every basis triple (two
 flattened matrix products a block of the first index at a time, O(n^3)
 memory), which names the first failing triple.  So every Algebra in
@@ -44,7 +44,8 @@ _CHECK_ENTRIES = 2**17
 
 
 class Algebra:
-    """Finite-dimensional associative unital algebra over F_p."""
+    """Finite-dimensional associative unital algebra over F_p; a reduced
+    C-contiguous int64 cube is kept as `sc`, uncopied, and set read-only."""
 
     def __init__(self, p, structure_constants, identity=None, labels=None,
                  validate=True):
@@ -52,8 +53,8 @@ class Algebra:
         if validate:
             structure_constants = doc_array(structure_constants, (None,) * 3,
                                             "structure constants")
-        # a cube already int64 in [0, p) is kept as it is, not copied
         sc = np.ascontiguousarray(linalg._reduced(structure_constants, self.p))
+        sc.flags.writeable = False
         if sc.ndim != 3 or not (sc.shape[0] == sc.shape[1] == sc.shape[2]):
             raise InvalidDocument(
                 f"structure constants must be a cube, got shape {sc.shape}"
@@ -109,14 +110,14 @@ class Algebra:
         elements of N generate A, then A = N is associative.  Elements g
         are drawn from a fixed-seed RNG, each tested as drawn: g lies in N
         when (g b_j) b_k = g (b_j b_k) for all j, k, two n^3-entry products.
-        The span of 1 is closed under the accepted g's a level at a time,
-        each fold's new rows times [L_g1 | L_g2 | ...], from the second g on
-        (the cap is at least two draws); once it is all of A the proof is
-        complete.  The randomness only decides how soon that happens.  A g
-        outside N, or a span still short of A after the last draw, hands
-        over to the blocked check, which gives the verdict and the first
-        failing triple.  A completed proof keeps the accepted g's, which
-        generate A, for center_basis.
+        The span of 1 is closed a level at a time under the accepted g's
+        (new rows times [L_g1 | L_g2 | ...]); under g1 alone it is
+        commutative, so unless A is, the first closure waits for g2.  Once
+        it is all of A the proof is complete.  The randomness only decides
+        how soon that happens.  A g outside N, or a span still short of A
+        after the last draw, hands over to the blocked check, which gives
+        the verdict and the first failing triple.  A completed proof keeps
+        the accepted g's, which generate A, for center_basis.
         """
         n, p = self.dim, self.p
         flat = self._ltable.reshape(n * n, n)
@@ -131,7 +132,6 @@ class Algebra:
         rng = random.Random(0)
         gens = []
         lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
-        closed = 0  # columns of lefts the span is closed under
         for _ in range(draws):
             if span.shape[0] == n:
                 break
@@ -148,14 +148,15 @@ class Algebra:
                 )
             gens.append(g)
             lefts = np.concatenate([lefts, left], axis=1)
-            if len(gens) == 1:
-                continue  # the first closure runs under g1 and g2 together
-            # start from the span times the g's it is not yet closed under
-            new = linalg.matmul_mod(span, lefts[:, closed:], p).reshape(-1, n)
-            closed = lefts.shape[1]
-            while new.shape[0]:
-                span, pivots, fresh = linalg.extend_rref(span, pivots, new, p)
-                new = linalg.matmul_mod(fresh, lefts, p).reshape(-1, n)
+            # g1 alone spans a commutative algebra: g^a g^b = g^(a+b)
+            if len(gens) == 1 and not self.is_commutative():
+                continue
+            # the span is closed under the earlier g's, unless it is still 1
+            new = linalg.matmul_mod(span, left if len(span) > 1 else lefts, p)
+            while new.size:
+                span, pivots, fresh = linalg.extend_rref(
+                    span, pivots, new.reshape(-1, n), p)
+                new = linalg.matmul_mod(fresh, lefts, p)
         if span.shape[0] < n:
             self._check_associativity()
         else:
@@ -297,7 +298,9 @@ class Algebra:
         return linalg.kernel(M.reshape(-1, n), p)
 
     def is_commutative(self):
-        return np.array_equal(self.sc, self.sc.transpose(1, 0, 2))
+        # a slice at a time: O(n^2) memory, and an early exit on a mismatch
+        return all(np.array_equal(self.sc[i], self.sc[:, i])
+                   for i in range(self.dim))
 
     def require_commutative(self):
         if not self.is_commutative():
@@ -449,26 +452,25 @@ def is_doc_int(x):
 def doc_array(x, shape, what, error=InvalidDocument):
     """int64 array of a document field with the given shape (None: any size).
 
-    A nested list of Python ints converts in one typed pass (_int_lists);
-    anything else, arrays included, takes numpy's reading, which words every
-    refusal.  Booleans, floats and strings are refused, not truncated or
-    coerced; a ragged, non-integer or misshapen x raises `error`.
+    Nested lists of Python ints take one typed pass (_int_lists); anything
+    else takes numpy's reading, which words every refused leaf.  Booleans,
+    floats and strings are refused, not truncated or coerced; a ragged,
+    non-integer or misshapen x raises `error`.
     """
-    arr = _int_lists(x, shape)
-    if arr is not None:
-        return arr
-    try:
-        arr = np.asarray(x)
-    except (TypeError, ValueError):
-        raise error(f"{what} is not an integer array") from None
-    if arr.dtype.kind != "i" and arr.size:
-        raise error(f"{what} must hold integers, not {arr.dtype}")
+    arr = typed = _int_lists(x, len(shape))
+    if typed is None:
+        try:
+            arr = np.asarray(x)
+        except (TypeError, ValueError):
+            raise error(f"{what} is not an integer array") from None
+        if arr.dtype.kind != "i" and arr.size:
+            raise error(f"{what} must hold integers, not {arr.dtype}")
     if arr.ndim != len(shape) or any(
         want is not None and want != got for want, got in zip(shape, arr.shape)
     ):
         want = tuple("*" if n is None else n for n in shape)
         raise error(f"{what} has shape {arr.shape}, expected {want}")
-    if arr.ndim and arr.size and not isinstance(x, np.ndarray):
+    if typed is None and arr.ndim and arr.size and not isinstance(x, np.ndarray):
         # numpy reads [1, true] as the integers [1, 1]: look at the leaves
         leaves = x
         for _ in range(arr.ndim - 1):
@@ -478,19 +480,17 @@ def doc_array(x, shape, what, error=InvalidDocument):
     return arr.astype(np.int64, copy=False)
 
 
-def _int_lists(x, shape):
-    """x as int64 when it is a nested list of that shape whose leaves are
-    Python ints (bool is not int here) that fit in int64; else None.  A walk
-    of the lengths, a scan of the leaf types and one np.fromiter."""
+def _int_lists(x, depth):
+    """x as int64 if it is a rectangular nested list of that depth of Python
+    ints (not bools) within int64, else None: one walk of the lengths, one
+    scan of the leaf types and one np.fromiter, never listing the leaves."""
     rows, dims = [x], []
-    for want in shape:
+    for _ in range(depth):
         if dims:
             rows = list(chain.from_iterable(rows))
-        if (set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1
-                or want not in (None, len(rows[0]))):
+        if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
             return None
         dims.append(len(rows[0]))
-    # the leaves are read twice and never held in one list
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         return None
     try:

@@ -127,6 +127,21 @@ def test_witness_is_first_failure_in_first_middle_and_last_block(monkeypatch, a)
     assert info.value.witness == want
 
 
+def test_a_reduced_cube_is_kept_read_only():
+    # no copy is made, so a later write to the caller's array must fail
+    # rather than leave the table's float copies out of step
+    sc = np.array(m2().sc)
+    A = make_presentation(7, sc)
+    assert A.sc is sc
+    with pytest.raises(ValueError):
+        sc[0, 0, 0] = 1
+    # an unreduced cube is copied and reduced, and the caller's stays writable
+    raw = np.array(m2().sc) + 7
+    B = make_presentation(7, raw)
+    assert B.sc is not raw and B.sc.tolist() == A.sc.tolist()
+    raw[0, 0, 0] = 0
+
+
 def test_associativity_check_memory_is_cubic():
     # dim 64: one n^4 int64 array alone would be 128 MiB
     sc = matrix_algebra(97, 8).algebra.sc.copy()
@@ -298,15 +313,16 @@ def test_certificate_closes_its_first_two_generators_together(monkeypatch):
     assert B._generators.tolist() == PLANTED_GENERATORS
 
 
-def test_one_generator_algebra_closes_under_its_first_two_draws(monkeypatch):
-    # F_3[C9] is generated by one element, yet the first closure waits for a
-    # second draw; both are kept and give the centre (F_3^5, which needs
-    # four draws, is test_several_nucleus_generators_...)
+@pytest.mark.parametrize("p, m", [(3, 9), (97, 10)])
+def test_one_generator_algebra_closes_under_its_first_draw(monkeypatch, p, m):
+    # F_p[C_m] is commutative, so the span of 1 is closed under g1 at once
+    # and g1, which generates it, concludes alone: no second nucleus test
     calls = spy_blocked_check(monkeypatch)
-    A = make_presentation(3, cyclic_cube(9))
-    assert calls == [] and len(A._generators) == 2
-    bare = Algebra(3, A.sc, identity=A.one, validate=False)
-    assert A.center_basis().tolist() == bare.center_basis().tolist()
+    A, _ = scramble(Algebra(p, cyclic_cube(m), validate=False), seed=1)
+    B = make_presentation(p, A.sc, identity=A.one)
+    assert calls == [] and len(B._generators) == 1
+    bare = Algebra(p, B.sc, identity=B.one, validate=False)
+    assert B.center_basis().tolist() == bare.center_basis().tolist()
 
 
 @pytest.mark.parametrize("identity", [None, [0, 1, 0, 0], [1, 0, 0]])

@@ -103,8 +103,7 @@ def test_wide_prime_document_round_trip(p, seed):
     # take doc_array's typed pass, and the certificate concludes on its own
     A, _ = scramble(build_planted([(2, 1), (1, 2)], p).algebra, seed=seed)
     doc = json.loads(json.dumps(A.to_doc()))
-    shape = (A.dim,) * 3
-    assert algebra._int_lists(doc["structure_constants"], shape) is not None
+    assert algebra._int_lists(doc["structure_constants"], 3) is not None
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         blocked = Algebra._check_associativity
