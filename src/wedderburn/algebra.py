@@ -9,8 +9,16 @@ with every basis pair, O(n^4) each, and generate the algebra; unless it is
 commutative, the span of 1 grows under the first two together), and when
 that does not conclude, by the blocked check of every basis triple (two
 flattened matrix products a block of the first index at a time, O(n^3)
-memory), which names the first failing triple.  So every Algebra in
-circulation is genuinely an associative unital algebra.
+memory), which names the first failing triple.
+
+from_doc is the one exception: it checks all the rest but leaves
+associativity pending, since `wedderburn verify` proves it more cheaply
+from the isomorphism (see blocks.check).  Every entry point that needs it
+(decomposition, radical, centre, direct sum) calls require_associative
+first, which runs the certificate once; subalgebras of a pending algebra
+are pending too.  So every other Algebra in circulation is genuinely an
+associative unital algebra, and a pending one is proved so or refused with
+NotAssociative before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
 over c, row i the flattened matrix of left multiplication by b_i.  The
@@ -48,7 +56,7 @@ class Algebra:
     C-contiguous int64 cube is kept as `sc`, uncopied, and set read-only."""
 
     def __init__(self, p, structure_constants, identity=None, labels=None,
-                 validate=True):
+                 validate=True, _pending=False):
         self.p = check_modulus(p)
         if validate:
             structure_constants = doc_array(structure_constants, (None,) * 3,
@@ -77,14 +85,24 @@ class Algebra:
                     f"got {len(labels)} labels for dimension {n}"
                 )
         self.labels = labels
+        # associativity not yet proved (from_doc); an unvalidated algebra
+        # inherits it from the algebra it was built from
+        self._pending = _pending
         try:
             self.one = self._identity(identity, validate)
         except (InvalidDocument, NoIdentity):
             if validate:
                 self._check_associativity()  # NotAssociative comes first
             raise
-        if validate:
+        if validate and not _pending:
             self._certify_associativity()
+
+    def require_associative(self):
+        """Prove associativity now if it is pending: the certificate runs
+        once, and NotAssociative names the first failing triple."""
+        if self._pending:
+            self._certify_associativity()
+            self._pending = False
 
     # -- construction checks ------------------------------------------------
 
@@ -286,6 +304,7 @@ class Algebra:
         basis vectors.  Row (g, k) of the system is coordinate k of
         z*g - g*z, so the kernel is k*dim x dim for k generators.
         """
+        self.require_associative()
         n, p = self.dim, self.p
         G = getattr(self, "_generators", None)
         if G is None:
@@ -377,8 +396,9 @@ class Algebra:
                 "the identity"
             )
         sc = np.ascontiguousarray(coeffs[:-1].reshape(k, k, k))
-        # associativity is inherited, skip the quadratic recheck
-        return Algebra(self.p, sc, identity=coeffs[-1], validate=False)
+        # associativity is inherited, proved or pending: skip the recheck
+        return Algebra(self.p, sc, identity=coeffs[-1], validate=False,
+                       _pending=self._pending)
 
     def __repr__(self):
         return f"Algebra(p={self.p}, dim={self.dim})"
@@ -419,7 +439,7 @@ def matrix_ring(D, n):
     sc = np.einsum("ma,nx,eb,stu->mnsxetabu", eye, eye, eye, D.sc)
     one = np.einsum("mn,t->mnt", eye, D.one)
     return Algebra(D.p, sc.reshape(size, size, size), identity=one.reshape(size),
-                   validate=False)
+                   validate=False, _pending=D._pending)
 
 
 def make_presentation(p, structure_constants, identity=None, labels=None):
@@ -428,7 +448,14 @@ def make_presentation(p, structure_constants, identity=None, labels=None):
 
 
 def from_doc(doc):
-    """Reconstruct (and fully re-validate) an Algebra from its document."""
+    """Reconstruct an Algebra from its document, with associativity pending.
+
+    Form, integer type, shape and the identity are checked as by
+    make_presentation (a failing identity check still reports a failing
+    triple first).  Associativity is left to require_associative, which
+    every entry point that needs it calls first, or to a passing
+    blocks.check, which proves it from the isomorphism.
+    """
     if not isinstance(doc, dict):
         raise InvalidDocument("algebra document must be an object")
     for key in ("p", "structure_constants"):
@@ -441,7 +468,8 @@ def from_doc(doc):
                     "structure constants")
     if "dim" in doc and not (is_doc_int(doc["dim"]) and arr.shape[0] == doc["dim"]):
         raise InvalidDocument("declared dim disagrees with the constants cube")
-    return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"))
+    return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"),
+                   _pending=True)
 
 
 def is_doc_int(x):

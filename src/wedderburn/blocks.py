@@ -31,7 +31,9 @@ multiplicativity from the generators the associativity certificate
 accepted (lemma 1), the unit relations from the whole a*b pairing
 (lemma 2), and the inverse by comparing it with the witness matrix.  The
 full stage runs only where a cheap fact fails, to name the failure; the
-proofs are in `check`'s docstring.
+proofs are in `check`'s docstring.  On an algebra whose associativity
+algebra.from_doc left pending, a passing `check` proves it from the
+isomorphism, and a failing one runs the certificate first.
 """
 
 import random
@@ -46,6 +48,7 @@ from .errors import (
     EntryOutsideCorner,
     InvalidDocument,
     NonBijective,
+    NotAssociative,
     ShapeMismatch,
     WedderburnError,
     WitnessSolveFailed,
@@ -246,6 +249,7 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
     if it certifies a zero radical, the search runs again with cap, so its
     errors are the ones a semisimple input gives.
     """
+    A.require_associative()
     if radical.needs_deep_chain(A):
         try:
             result = _search(A, seed, min(cap, _OPTIMISTIC_CAP))
@@ -315,7 +319,11 @@ def _check_block(A, bi, blk, fail):
 
 
 def _check_division_basis(A, bi, blk, fail):
-    """The block's entry ring; None (after a failure) unless it is a field."""
+    """The block's entry ring; None (after a failure) unless it is a field.
+
+    D's structure constants come from A's products, so while A's
+    associativity is pending, so is D's, and the blocked check over all
+    d^3 triples proves it (see check)."""
     p = A.p
     if linalg.rank(blk.D.basis, p) != blk.D.degree:
         return fail(f"block {bi}: division basis is not independent")
@@ -323,6 +331,11 @@ def _check_division_basis(A, bi, blk, fail):
         D = _entry_field(A, blk)
     except EntryOutsideCorner:
         return fail(f"block {bi}: division basis is not closed under product")
+    if D._pending:
+        try:
+            D._check_associativity()
+        except NotAssociative:
+            return fail(f"block {bi}: division corner is not associative")
     if not D.is_commutative():
         return fail(f"block {bi}: division corner is not commutative")
     fixed = D.frobenius_fixed_space()
@@ -345,7 +358,20 @@ def check(A, cert):
 
     Three relations are proved from cheaper facts that imply them.  Where a
     cheap fact fails, the full stage runs to name the failure, so every
-    message is the full stage's own.  A is associative throughout.
+    message is the full stage's own.  The lemmas take A as associative: the
+    certificate has proved it, unless it is pending (algebra.from_doc).
+
+    Associativity from the isomorphism.  On a pending A, lemma 1 is not
+    used (its generators come from the certificate), every basis pair is
+    multiplied, and each entry field D passes the blocked associativity
+    check: D's constants come from A's products, so nothing else proves
+    it.  If then no stage fails, iso is linear and bijective (iso*W = I
+    with W square), and iso(b_i*b_j) = iso(b_i)*iso(b_j) for every basis
+    pair, hence for all pairs, onto T, the sum of the M_n(D), which is
+    associative because every D is.  So A, isomorphic to T, is associative,
+    and every lemma that assumed it holds after the fact.  A failure on a
+    pending A proves nothing about associativity: verify_isomorphism and
+    verify_report_doc then run the certificate first (certify_on_failure).
 
     Lemma 1 (multiplicativity from generators).  S = {x : iso(x*y) =
     iso(x)*iso(y) for all y} is a subspace, and it is closed under
@@ -354,9 +380,9 @@ def check(A, cert):
     stage 4 holds, 1 is in S.  The elements the associativity certificate
     accepted (A._generators) generate A, so S = A once it holds each of
     them, tested against every basis vector: k*dim products, not dim^2.
-    Without generators (the blocked check decided, or A was not
-    validated), and whenever an earlier relation of stage 4 fails, every
-    basis pair is multiplied.
+    Without generators (the blocked check decided, A was not validated, or
+    its associativity is pending), and whenever an earlier relation of
+    stage 4 fails, every basis pair is multiplied.
 
     Lemma 2 (unit relations from the pairing).  If units = b*a in full,
     a*b = delta*rep in full and rep*a = a, then
@@ -445,7 +471,8 @@ def check(A, cert):
         if not np.array_equal(images[:, bi], block_one):
             fail(f"central idempotent of block {bi} does not map to its "
                  "block identity", "orthogonality")
-    G = getattr(A, "_generators", None)  # lemma 1, else every basis pair
+    # lemma 1, else every basis pair (a pending A has no generators)
+    G = getattr(A, "_generators", None)
     if fails or G is None or _defects(A, iso, targets, G).any():
         for i, j in _all_pairs(A, iso, targets):
             fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
@@ -514,13 +541,36 @@ def verify_isomorphism(A, result, check_multiplicative=True):
 
     There is one level: multiplicativity is always proved for all basis
     pairs, by lemma 1 of `check` from the certificate's generators, or else
-    pair by pair.  check_multiplicative is accepted only as True; the
-    keyword remains for callers that still pass it.
+    pair by pair.  On an A whose associativity is pending, a passing check
+    proves it, and a failing one runs the certificate first, so a
+    non-associative A raises NotAssociative.  check_multiplicative is
+    accepted only as True; the keyword remains for callers that still pass
+    it.
     """
     if check_multiplicative is not True:
         raise ValueError("verification always proves the all-pairs product "
                          "relation; there is no partial level")
-    return _report(check(A, result))
+    return _report(certify_on_failure(A, lambda: check(A, result)))
+
+
+def certify_on_failure(A, verdict):
+    """verdict(), a list of failures, with A's associativity proved first
+    whenever it returns any or raises.
+
+    On an algebra whose associativity is pending, such a failure may only
+    reflect constants that do not associate; require_associative then
+    raises NotAssociative with the first failing triple ahead of it.  A
+    passing verdict of check proves associativity itself, so it runs no
+    certificate.
+    """
+    try:
+        fails = verdict()
+    except Exception:
+        A.require_associative()
+        raise
+    if fails:
+        A.require_associative()
+    return fails
 
 
 def _report(fails):
@@ -641,8 +691,14 @@ def verify_report_doc(A, doc):
     one per verification flag of the report that differs from the flag
     those failures give.  Structural problems (missing fields, wrong shapes
     or types, mismatched modulus) raise InvalidDocument instead, since they
-    are input errors rather than disproofs.
+    are input errors rather than disproofs.  On an A whose associativity is
+    pending (from_doc), any failure or exception comes after the
+    certificate: a non-associative A raises NotAssociative.
     """
+    return certify_on_failure(A, lambda: _report_messages(A, doc))
+
+
+def _report_messages(A, doc):
     found = _report(check(A, _parse_certificate(A, doc)))
     claimed = doc["verification"]
     return found.failures + [

@@ -109,9 +109,11 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
+    # associativity stays pending: a passing check proves it, and any
+    # failure, an unreadable report included, proves or refuses it first
     A = algebra.from_doc(_load_json(args.algebra))
-    report_doc = _load_json(args.report)
-    msgs = blocks.verify_report_doc(A, report_doc)
+    msgs = blocks.certify_on_failure(
+        A, lambda: blocks.verify_report_doc(A, _load_json(args.report)))
     if msgs:
         print(f"verification failed: {msgs[0]}")
         for msg in msgs[1:]:

@@ -215,6 +215,8 @@ def direct_sum(parts):
     """Block-diagonal sum of presentations over the same prime field."""
     if not parts:
         raise ValueError("direct_sum needs at least one part")
+    for part in parts:  # a non-associative part names its own triple
+        part.require_associative()
     p = parts[0].p
     for part in parts[1:]:
         if part.p != p:

@@ -67,6 +67,7 @@ def block_idempotents(A):
     basis rows of the fixed space together separate the k blocks, even when
     k > p.  Deterministic: no seed is involved.
     """
+    A.require_associative()
     radical.require_semisimple(A)
     return _block_idempotents(A)
 
@@ -113,6 +114,7 @@ def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
     least irreducible factor.  A block M_1(D) returns a copy of c without a
     draw, so the caller may keep e and c as separate fields.
     """
+    A.require_associative()
     p = A.p
     e, size, draws = c.copy(), len(A._hom_rows(c, c)), 0
     while size > d:

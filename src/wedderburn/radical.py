@@ -148,6 +148,7 @@ def _verify_nilpotent(A, rows):
 
 def radical_report(A):
     """Compute and certify the radical.  Cached on the presentation."""
+    A.require_associative()
     cached = getattr(A, "_radical_report", None)
     if cached is not None:
         return cached

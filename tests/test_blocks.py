@@ -16,13 +16,15 @@ from wedderburn import (
     from_doc,
     full_isomorphism,
     group_algebra,
+    make_presentation,
     matrix_algebra,
+    radical_report,
     result_to_doc,
     scramble,
     verify_isomorphism,
     verify_report_doc,
 )
-from wedderburn import blocks, cli, linalg
+from wedderburn import blocks, cli, idempotents, linalg
 from wedderburn.algebra import matrix_ring
 from wedderburn.blocks import (
     apply_iso,
@@ -33,6 +35,8 @@ from wedderburn.blocks import (
 )
 from wedderburn.errors import (
     InvalidDocument,
+    NoIdentity,
+    NotAssociative,
     ShapeMismatch,
 )
 from wedderburn.linalg import matmul_mod
@@ -977,6 +981,168 @@ def test_mutated_report_verifies_fails_or_is_invalid(fuzz_files, path, value):
     alg, rpt = fuzz_files
     rpt.write_text(cli.canonical_json(doc))
     assert cli.main(["verify", str(alg), str(rpt)]) in (0, 1, 4)
+
+
+@pytest.fixture(scope="module")
+def algebra_fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("algebra_fuzz")
+    (folder / "r.json").write_text(cli.canonical_json(FUZZ_REPORT))
+    return folder / "a.json", folder / "r.json"
+
+
+@given(st.sampled_from(["structure_constants", "identity"]),
+       st.integers(0, FUZZ_ALGEBRA.dim**3 - 1), st.integers(1, FUZZ_ALGEBRA.p - 1))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_mutated_algebra_never_verifies(algebra_fuzz_files, name, index, shift):
+    # one structure constant or one identity entry moved, the valid report
+    # kept: an iso that passes fixes every product b_i*b_j and the
+    # identity, so no such document verifies.  Exactly the ones that
+    # make_presentation refuses exit 4, since a failing verify runs the
+    # certificate first; the others exit 1
+    doc = FUZZ_ALGEBRA.to_doc()
+    flat = np.array(doc[name])
+    flat.reshape(-1)[index % flat.size] += shift
+    doc[name] = (flat % FUZZ_ALGEBRA.p).tolist()
+    try:
+        make_presentation(doc["p"], doc["structure_constants"], identity=doc["identity"])
+        want = 1
+    except (NotAssociative, NoIdentity):
+        want = 4
+    alg, rpt = algebra_fuzz_files
+    alg.write_text(cli.canonical_json(doc))
+    assert cli.main(["verify", str(alg), str(rpt)]) == want
+
+
+def _spy_certificate(monkeypatch):
+    """Records the dimension of each algebra the certificate runs on."""
+    events = []
+    certify = Algebra._certify_associativity
+
+    def spy(self):
+        events.append(("certificate", self.dim))
+        return certify(self)
+
+    monkeypatch.setattr(Algebra, "_certify_associativity", spy)
+    return events
+
+
+def test_passing_verify_of_a_document_runs_no_certificate(monkeypatch):
+    # the passing check proves associativity from the isomorphism: every
+    # basis pair multiplied, and each entry field by the blocked check
+    A = from_doc(FUZZ_ALGEBRA.to_doc())
+    events = _spy_certificate(monkeypatch)
+    blocked = Algebra._check_associativity
+    monkeypatch.setattr(Algebra, "_check_associativity",
+                        lambda self: events.append(("blocked", self.dim)) or blocked(self))
+    calls = _spy(monkeypatch, "_all_pairs")
+    assert verify_report_doc(A, FUZZ_REPORT) == []
+    assert calls == ["_all_pairs"]
+    assert events == [("blocked", b["division_degree"]) for b in FUZZ_REPORT["blocks"]]
+    assert A._pending and getattr(A, "_generators", None) is None
+
+
+@pytest.mark.parametrize("how", ["failure", "flag", "exception"])
+def test_failing_verify_of_a_document_runs_the_certificate_once_first(monkeypatch, how):
+    report = copy.deepcopy(FUZZ_REPORT)
+    if how == "failure":
+        report["iso_matrix"][0][0] = (report["iso_matrix"][0][0] + 1) % FUZZ_ALGEBRA.p
+    elif how == "flag":
+        report["verification"]["unit"] = False
+    else:
+        report["layout"] = 7
+    A = from_doc(FUZZ_ALGEBRA.to_doc())
+    events = _spy_certificate(monkeypatch)
+    real = blocks.check
+    monkeypatch.setattr(blocks, "check",
+                        lambda *args: events.append("check") or real(*args))
+    if how == "exception":
+        with pytest.raises(InvalidDocument):
+            verify_report_doc(A, report)
+        assert events == [("certificate", A.dim)]
+    else:
+        msgs = verify_report_doc(A, report)
+        assert msgs and events == ["check", ("certificate", A.dim)]
+    assert not A._pending and len(A._generators) > 0
+    # proved once: a second failing verify runs no certificate
+    events.clear()
+    if how != "exception":
+        assert verify_report_doc(A, report) == msgs and events == ["check"]
+
+
+def _first_steps():
+    """Entry points that rest on associativity, each for a from_doc algebra."""
+    part = from_doc(FUZZ_ALGEBRA.to_doc())
+    C, degrees = idempotents.block_idempotents(FUZZ_ALGEBRA)
+    return {
+        "full_isomorphism": lambda A: full_isomorphism(A, seed=0),
+        "radical_report": radical_report,
+        "block_idempotents": idempotents.block_idempotents,
+        "primitive_idempotent": lambda A: idempotents.primitive_idempotent(
+            A, C[0], degrees[0], random.Random(0)),
+        "center_basis": lambda A: A.center_basis(),
+        "direct_sum": lambda A: direct_sum([A, part]),
+    }
+
+
+class _Certified(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["full_isomorphism", "radical_report",
+                                  "block_idempotents", "primitive_idempotent",
+                                  "center_basis", "direct_sum"])
+def test_entry_points_run_the_pending_certificate_first(monkeypatch, name):
+    step = _first_steps()[name]
+    A = from_doc(FUZZ_ALGEBRA.to_doc())
+    products = []
+    matmul = linalg.matmul_mod
+    monkeypatch.setattr(linalg, "matmul_mod",
+                        lambda *args: products.append(1) or matmul(*args))
+
+    def stop(self):
+        raise _Certified
+
+    # the certificate comes before any product of the entry point itself
+    monkeypatch.setattr(Algebra, "_certify_associativity", stop)
+    with pytest.raises(_Certified):
+        step(A)
+    assert products == []
+    # once proved, the entry point does not prove it again
+    monkeypatch.undo()
+    events = _spy_certificate(monkeypatch)
+    step(A)
+    step(A)
+    n = A.dim
+    if name == "direct_sum":  # each pending part once, then the eager sum
+        assert events == [("certificate", n)] * 2 + [("certificate", 2 * n)] * 2
+    else:
+        assert events == [("certificate", n)]
+
+
+def test_pending_entry_field_must_associate():
+    # 1, x, y with x^2 = y^2 = 0 and x*y = y*x = x: unital and commutative,
+    # but (x*y)*y = x while x*(y*y) = 0.  On a pending algebra the entry
+    # field's own blocked check fails, and verifying runs the certificate
+    sc = np.zeros((3, 3, 3), dtype=int)
+    sc[0, :, :] = sc[:, 0, :] = np.eye(3, dtype=int)
+    sc[1, 2, 1] = sc[2, 1, 1] = 1
+    A = from_doc({"p": 5, "structure_constants": sc.tolist(), "identity": [1, 0, 0]})
+    one, eye = [1, 0, 0], np.eye(3, dtype=np.int64)
+    doc = {
+        "p": 5, "dim": 3, "seed": 0,
+        "blocks": [{"n": 1, "division_degree": 3, "representative_idempotent": one,
+                    "central_idempotent": one, "connecting_a": [one],
+                    "connecting_b": [one], "matrix_units": [[one]],
+                    "division_basis": eye.tolist()}],
+        "iso_matrix": eye.tolist(), "iso_inverse": eye.tolist(),
+        "layout": [[0, 0, 0, t] for t in range(3)],
+        "verification": dict.fromkeys(blocks._FLAGS, True),
+    }
+    cert = blocks._parse_certificate(A, doc)
+    assert ("certificate", "block 0: division corner is not associative") in blocks.check(A, cert)
+    with pytest.raises(NotAssociative) as info:
+        verify_report_doc(A, doc)
+    assert info.value.witness == (1, 2, 2)
 
 
 def test_local_ring_is_not_accepted_as_division_field():

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wedderburn import blocks, cayley_fixture, cli, group_algebra
+from wedderburn import (
+    blocks,
+    cayley_fixture,
+    cli,
+    group_algebra,
+    make_presentation,
+    matrix_algebra,
+)
+from wedderburn.errors import NotAssociative
 
 CLI = [sys.executable, "-m", "wedderburn.cli"]
 
@@ -386,3 +394,57 @@ def test_verify_survives_mutated_reports(doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = cli.main(["verify", str(alg), str(rep)])
     assert 0 <= code <= 6
+
+
+# -- a non-associative algebra document -----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _corrupted_m2_texts():
+    """M_2(F_7) with E12 E21 = 2 E11 and its identity (unital, not
+    associative), the message make_presentation gives it, and a valid report
+    of the true M_2(F_7), as JSON texts."""
+    A = matrix_algebra(7, 2).algebra
+    doc = A.to_doc()
+    doc["structure_constants"][1][2][0] = (doc["structure_constants"][1][2][0] + 1) % 7
+    with pytest.raises(NotAssociative) as info:
+        make_presentation(7, doc["structure_constants"], identity=doc["identity"])
+    res = blocks.full_isomorphism(A, seed=0)
+    report = blocks.result_to_doc(res, blocks.verify_isomorphism(A, res))
+    return json.dumps(doc), f"invalid input: {info.value}\n", json.dumps(report)
+
+
+def _non_associative_argv(tmp_path, command):
+    bad_text, _, report_text = _corrupted_m2_texts()
+    bad, rep, part = tmp_path / "bad.json", tmp_path / "rep.json", tmp_path / "m2.json"
+    bad.write_text(bad_text)
+    report = json.loads(report_text)
+    if command == "verify malformed":
+        report["blocks"][0]["connecting_a"] = 5
+    rep.write_text(json.dumps(report))
+    part.write_text(cli.canonical_json(matrix_algebra(7, 2).algebra.to_doc()))
+    return {
+        "decompose": ["decompose", str(bad)],
+        "verify valid": ["verify", str(bad), str(rep)],
+        "verify malformed": ["verify", str(bad), str(rep)],
+        "verify missing": ["verify", str(bad), str(tmp_path / "missing.json")],
+        "gen sum": ["gen", "sum", str(part), str(bad), "-o", str(tmp_path / "s.json")],
+    }[command]
+
+
+NON_ASSOCIATIVE_COMMANDS = ["decompose", "verify valid", "verify malformed",
+                            "verify missing", "gen sum"]
+
+
+@pytest.mark.parametrize("command", NON_ASSOCIATIVE_COMMANDS)
+def test_non_associative_document_exits_4_with_its_first_triple(tmp_path, capsys,
+                                                                command):
+    # whatever the report (valid, malformed or missing) and whatever the
+    # command, the first failing basis triple is the verdict, as
+    # make_presentation names it
+    argv = _non_associative_argv(tmp_path, command)
+    _, message, _ = _corrupted_m2_texts()
+    assert message.startswith("invalid input: associativity fails at basis triple (")
+    assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert out.err == message and out.out == ""
