@@ -322,8 +322,8 @@ def _check_division_basis(A, bi, blk, fail):
     """The block's entry ring; None (after a failure) unless it is a field.
 
     D's structure constants come from A's products, so while A's
-    associativity is pending, so is D's, and the blocked check over all
-    d^3 triples proves it (see check)."""
+    associativity is pending, so is D's, and D's own certificate proves it
+    (see check)."""
     p = A.p
     if linalg.rank(blk.D.basis, p) != blk.D.degree:
         return fail(f"block {bi}: division basis is not independent")
@@ -333,7 +333,7 @@ def _check_division_basis(A, bi, blk, fail):
         return fail(f"block {bi}: division basis is not closed under product")
     if D._pending:
         try:
-            D._check_associativity()
+            D.require_associative()
         except NotAssociative:
             return fail(f"block {bi}: division corner is not associative")
     if not D.is_commutative():
@@ -363,15 +363,18 @@ def check(A, cert):
 
     Associativity from the isomorphism.  On a pending A, lemma 1 is not
     used (its generators come from the certificate), every basis pair is
-    multiplied, and each entry field D passes the blocked associativity
-    check: D's constants come from A's products, so nothing else proves
-    it.  If then no stage fails, iso is linear and bijective (iso*W = I
-    with W square), and iso(b_i*b_j) = iso(b_i)*iso(b_j) for every basis
-    pair, hence for all pairs, onto T, the sum of the M_n(D), which is
-    associative because every D is.  So A, isomorphic to T, is associative,
-    and every lemma that assumed it holds after the fact.  A failure on a
-    pending A proves nothing about associativity: verify_isomorphism and
-    verify_report_doc then run the certificate first (certify_on_failure).
+    multiplied, and each entry field D passes its own associativity
+    certificate: D's constants come from A's products, so nothing else
+    proves it.  If then no stage fails, iso is linear and bijective
+    (iso*W = I with W square), and iso(b_i*b_j) = iso(b_i)*iso(b_j) for
+    every basis pair, hence for all pairs, onto T, the sum of the M_n(D),
+    which is associative because every D is.  (D's certificate takes D.one,
+    the block representative, as D's identity; that holds too, as iso
+    carries A's identity to T's, which the unit relation makes the sum of
+    the E_mm*D.one.)  So A, isomorphic to T, is associative, and every
+    lemma that assumed it holds after the fact.  A failure on a pending A
+    proves nothing about associativity: verify_isomorphism and
+    verify_report_doc then run the certificate first (_certify_on_failure).
 
     Lemma 1 (multiplicativity from generators).  S = {x : iso(x*y) =
     iso(x)*iso(y) for all y} is a subspace, and it is closed under
@@ -550,10 +553,10 @@ def verify_isomorphism(A, result, check_multiplicative=True):
     if check_multiplicative is not True:
         raise ValueError("verification always proves the all-pairs product "
                          "relation; there is no partial level")
-    return _report(certify_on_failure(A, lambda: check(A, result)))
+    return _report(_certify_on_failure(A, lambda: check(A, result)))
 
 
-def certify_on_failure(A, verdict):
+def _certify_on_failure(A, verdict):
     """verdict(), a list of failures, with A's associativity proved first
     whenever it returns any or raises.
 
@@ -695,7 +698,7 @@ def verify_report_doc(A, doc):
     pending (from_doc), any failure or exception comes after the
     certificate: a non-associative A raises NotAssociative.
     """
-    return certify_on_failure(A, lambda: _report_messages(A, doc))
+    return _certify_on_failure(A, lambda: _report_messages(A, doc))
 
 
 def _report_messages(A, doc):
