@@ -14,39 +14,77 @@ def as_mod_array(data, p):
 def rref(M, p):
     """Reduced row echelon form (copy), pivot at a time.  Returns
     (R, pivot_column_list).  Callers go through row_echelon, which runs this
-    only on the residue a row chunk leaves (extend_rref)."""
+    only on the residue a row chunk leaves (extend_rref).
+
+    Reduction is delayed (after Dumas, Giorgi & Pernet, FFLAS-FFPACK): a
+    pivot step reduces mod p only its column (the multipliers f) and the
+    pivot row, and subtracts f * row from the unreduced int64 entries.  An
+    entry never grows and falls by at most (p-1)^2 per update, so it stays
+    in int64 while the columns right of the pivot, the only ones a later
+    step writes, are reduced every L = (2^63 - p) // (p-1)^2 - 1 updates,
+    and the whole matrix once at the end: never in between at p = 97,
+    every 6 updates at 2^30+3, after each one at 2^31-1.  A column that is
+    zero off the pivot makes no update.  At a column that is zero below the
+    current row the matrix is reduced, and one scan skips the run of such
+    columns.  One row is just scaled by its leading entry.
+    """
     R = as_mod_array(M, p)
     if R.ndim != 2:
         raise ValueError("rref expects a 2-D matrix")
-    rows = R.shape[0]
-    pivots = []
-    r = 0
-    for c in range(R.shape[1]):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
+    rows, cols = R.shape
+    if rows == 1:
+        nz = R[0].nonzero()[0]
+        if nz.size and R[0, nz[0]] != 1:
+            R *= pow(int(R[0, nz[0]]), p - 2, p)
+            R %= p
+        return R, nz[:1].tolist()
+    lag = (_INT64_SAFE - p) // ((p - 1) * (p - 1)) - 1
+    pivots, r, c, pending, dirty = [], 0, 0, 0, False
+    while r < rows and c < cols:
+        f = R[:, c] % p
+        if f[r]:
+            i = r
+        else:
+            nz = f[r:].nonzero()[0]
+            if nz.size == 0:
+                if dirty:
+                    R %= p
+                    pending, dirty = 0, False
+                live = R[r:, c + 1:].any(axis=0).nonzero()[0]
+                if live.size == 0:
+                    break
+                c += 1 + int(live[0])
+                continue
+            i = r + int(nz[0])
             R[[r, i]] = R[[i, r]]
-        piv = int(R[r, c])
+            f[r], f[i] = f[i], 0
+        piv = int(f[r])
+        row = R[r, c:]
+        if pending:
+            row %= p
         if piv != 1:
-            R[r] = (R[r] * pow(piv, p - 2, p)) % p
-        colvals = R[:, c].copy()
-        colvals[r] = 0
-        hit = np.nonzero(colvals)[0]
-        if hit.size:
-            R[hit] = (R[hit] - colvals[hit, None] * R[r]) % p
+            row *= pow(piv, p - 2, p)
+            row %= p
+        f[r] = 0
         pivots.append(c)
-        r += 1
+        if f.any():
+            R[:, c:] -= np.multiply.outer(f, row)
+            pending, dirty = pending + 1, True
+            if pending == lag:
+                R[:, c + 1:] %= p
+                pending = 0
+        r, c = r + 1, c + 1
+    if dirty:
+        R %= p
     return R, pivots
 
 
 # int64 entries of one row chunk of a tall system (32 KB): a chunk is
 # reduced against the RREF so far with one matmul_mod, and only its nonzero
-# residue goes through the pivot-at-a-time rref (on n^2 x n centre systems
-# at n = 34 and 52, 2^11..2^13 entries were the fastest, 2^15 3x slower)
+# residue goes through the pivot-at-a-time rref.  The tall systems are the
+# centre's k dim x dim commutator kernels (k generators, two on the
+# benchmark's inputs): 2^10..2^15 entries time alike at dims up to 50, and
+# at dim 144 2^12..2^13 are the fastest, 2^10 and 2^15 about 1.3x slower
 _ROW_CHUNK_ENTRIES = 2**12
 
 

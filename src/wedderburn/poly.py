@@ -64,10 +64,6 @@ def degree(c):
     return len(c) - 1
 
 
-def constant(value, p):
-    return normalize([value], p)
-
-
 # -- arithmetic on normalized lists -------------------------------------------
 
 
@@ -176,14 +172,6 @@ def _pth_root(c, p):
 # -- the public functions -----------------------------------------------------
 
 
-def add(a, b, p):
-    return _array(_add(_ints(a, p), _ints(b, p), p))
-
-
-def sub(a, b, p):
-    return _array(_sub(_ints(a, p), _ints(b, p), p))
-
-
 def mul(a, b, p):
     return _array(_mul(_ints(a, p), _ints(b, p), p))
 
@@ -200,10 +188,6 @@ def exact_div(a, b, p):
 
 def monic(a, p):
     return _array(_monic(_ints(a, p), p))
-
-
-def gcd(a, b, p):
-    return _array(_gcd(_ints(a, p), _ints(b, p), p))
 
 
 def bezout(a, b, p):
@@ -225,15 +209,6 @@ def bezout(a, b, p):
 def pow_mod(base, e, modulus, p):
     """base**e reduced mod the polynomial `modulus` (nonzero)."""
     return _array(_pow_mod(_ints(base, p), e, _divisor(modulus, p), p))
-
-
-def derivative(c, p):
-    return _array(_derivative(_ints(c, p), p))
-
-
-def pth_root(c, p):
-    """p-th root of a polynomial in T^p (coefficients are Frobenius-fixed)."""
-    return _array(_pth_root(_ints(c, p), p))
 
 
 def _frobenius_fixed_space(f, tp, p):

@@ -174,8 +174,8 @@ def test_malformed_labels_exit_4(tmp_path, labels):
 _BROKEN_SPLIT = (
     "import sys\n"
     "from wedderburn import cli, poly\n"
-    "zero = lambda p: poly.constant(0, p)\n"
-    "poly.bezout = lambda g, h, p: (poly.constant(1, p), zero(p), zero(p))\n"
+    "zero = lambda p: poly._array([0])\n"
+    "poly.bezout = lambda g, h, p: (poly._array([1]), zero(p), zero(p))\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 

@@ -515,3 +515,72 @@ def test_rref_properties(m, n, p, rng):
     for r, c in enumerate(pivots):
         col = R[:, c]
         assert col[r] == 1 and not np.delete(col, r).any()
+
+
+# -- rref with delayed reduction --------------------------------------------
+
+# rref reduces between pivots never at p = 97, every 6 updates at 2^30+3 and
+# after each one at 2^31-1
+RREF_PRIMES = [3, 97, 2**30 + 3, 2**31 - 1]
+
+
+def assert_rref_matches_oracle(M, p):
+    R, pivots = rref(M, p)
+    want, want_pivots = oracle_rref(np.asarray(M).tolist(), p)
+    assert pivots == want_pivots
+    assert R.shape == np.shape(M) and R.dtype == np.int64
+    assert R[: len(pivots)].tolist() == want
+    assert not R[len(pivots):].any()
+
+
+@given(
+    st.integers(1, 80),
+    st.integers(1, 60),
+    st.integers(0, 60),
+    st.lists(st.integers(0, 59), max_size=12),
+    st.sampled_from(RREF_PRIMES),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_oracle_on_rank_deficient_matrices(m, n, r, zero_cols, p,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    M = low_rank(rng, m, n, min(r, m, n), p)
+    M[:, [c for c in zero_cols if c < n]] = 0
+    assert_rref_matches_oracle(M, p)
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_rref_of_one_row(p):
+    R, pivots = rref(np.zeros((1, 5), dtype=np.int64), p)
+    assert pivots == [] and R.tolist() == [[0] * 5]
+    row = np.array([[0, 0, p - 1, 2, 1]])
+    R, pivots = rref(row, p)
+    # -1 leads, so the row is negated
+    assert pivots == [2] and R.tolist() == [[0, 0, 1, p - 2, p - 1]]
+    assert_rref_matches_oracle(row - 3 * p, p)
+    assert rref(np.array([[0, 1, p - 1]]), p)[0].tolist() == [[0, 1, p - 1]]
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+@pytest.mark.parametrize("shape", [(4, 6), (1, 1), (0, 3), (3, 0)])
+def test_rref_of_a_zero_matrix(p, shape):
+    R, pivots = rref(np.zeros(shape, dtype=np.int64), p)
+    assert pivots == [] and R.shape == shape and not R.any()
+
+
+@pytest.mark.parametrize("p", [2**30 + 3, 2**31 - 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_of_full_rank_entries_near_p(p, seed):
+    # entries p-4 .. p-1: the first rank-1 update subtracts products near
+    # (p-1)^2.  At 2^31-1 a few unreduced updates in a row leave int64, so
+    # the reduction after each one must run; at 2^30+3 the one every 6
+    # updates runs in the middle of the loop
+    M = p - 1 - np.random.default_rng(seed).integers(0, 4, (12, 12))
+    R, pivots = rref(M, p)
+    assert pivots == list(range(12))
+    assert R.tolist() == np.eye(12, dtype=np.int64).tolist()
+    assert_rref_matches_oracle(M, p)
+    # the same rows with a dependent one at the end
+    M[-1] = matmul_mod(np.arange(1, 12)[None, :], M[:-1], p)[0]
+    assert_rref_matches_oracle(M, p)
