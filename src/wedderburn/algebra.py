@@ -2,23 +2,24 @@
 
 A presentation is a cube c with b_i * b_j = sum_k c[i,j,k] b_k.  The
 validating constructor refuses entries of c or of a declared identity that
-are not integers (see doc_array), locates the two-sided identity and then
-proves associativity:
-first by a left-nucleus certificate (a few drawn elements that associate
-with every basis pair, O(n^4) each, and generate the algebra; unless it is
-commutative, the span of 1 grows under the first two together), and when
-that does not conclude, by the blocked check of every basis triple (two
-flattened matrix products a block of the first index at a time, O(n^3)
-memory), which names the first failing triple.
+are not integers (see doc_array) and locates the two-sided identity; it
+checks nothing more.  Associativity, the one ring axiom a cube of constants
+does not give for free, stays pending until require_associative proves it,
+once, for every presentation: first by a left-nucleus certificate (a few
+drawn elements that associate with every basis pair, O(n^4) each, and
+generate the algebra; unless it is commutative, the span of 1 grows under
+the first two together), and when that does not conclude, by the blocked
+check of every basis triple (two flattened matrix products a block of the
+first index at a time, O(n^3) memory), which names the first failing
+triple.
 
-from_doc is the one exception: it checks all the rest but leaves
-associativity pending, since `wedderburn verify` proves it more cheaply
-from the isomorphism (see blocks.check).  Every entry point that needs it
-(decomposition, radical, centre, direct sum) calls require_associative
-first, which runs the certificate once; subalgebras of a pending algebra
-are pending too.  So every other Algebra in circulation is genuinely an
-associative unital algebra, and a pending one is proved so or refused with
-NotAssociative before anything rests on it.
+make_presentation calls it at once.  Every entry point that rests on
+associativity (decomposition, radical, idempotents, centre, direct sum)
+calls it before its first product, and a passing `wedderburn verify`
+proves associativity from the isomorphism instead (see blocks.check).
+Subalgebras and matrix rings built without validation inherit the state
+of the algebra they come from.  So a pending Algebra is proved associative
+or refused with NotAssociative before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
 over c, row i the flattened matrix of left multiplication by b_i.  The
@@ -52,8 +53,10 @@ _CHECK_ENTRIES = 2**17
 
 
 class Algebra:
-    """Finite-dimensional associative unital algebra over F_p; a reduced
-    C-contiguous int64 cube is kept as `sc`, uncopied, and set read-only."""
+    """Finite-dimensional unital algebra over F_p, associative once
+    require_associative has passed; a reduced C-contiguous int64 cube is
+    kept as `sc`, uncopied, and set read-only.  A validated one checks form
+    and the identity, and leaves associativity pending."""
 
     def __init__(self, p, structure_constants, identity=None, labels=None,
                  validate=True, _pending=False):
@@ -85,17 +88,15 @@ class Algebra:
                     f"got {len(labels)} labels for dimension {n}"
                 )
         self.labels = labels
-        # associativity not yet proved (from_doc); an unvalidated algebra
-        # inherits it from the algebra it was built from
-        self._pending = _pending
+        # associativity not yet proved; an unvalidated algebra inherits
+        # the state of the algebra it was built from
+        self._pending = validate or _pending
         try:
             self.one = self._identity(identity, validate)
         except (InvalidDocument, NoIdentity):
             if validate:
                 self._check_associativity()  # NotAssociative comes first
             raise
-        if validate and not _pending:
-            self._certify_associativity()
 
     def require_associative(self):
         """Prove associativity now if it is pending: the certificate runs
@@ -300,9 +301,10 @@ class Algebra:
 
         z is central iff it commutes with each of a set of generators: the
         elements the associativity certificate accepted, or else (the
-        blocked check decided, or the presentation was not validated) the
-        basis vectors.  Row (g, k) of the system is coordinate k of
-        z*g - g*z, so the kernel is k*dim x dim for k generators.
+        blocked check decided, or associativity was inherited from the
+        algebra this one was built from) the basis vectors.  Row (g, k) of
+        the system is coordinate k of z*g - g*z, so the kernel is
+        k*dim x dim for k generators.
         """
         self.require_associative()
         n, p = self.dim, self.p
@@ -443,15 +445,18 @@ def matrix_ring(D, n):
 
 
 def make_presentation(p, structure_constants, identity=None, labels=None):
-    """Validated constructor; see Algebra for the contract."""
-    return Algebra(p, structure_constants, identity=identity, labels=labels)
+    """Validated constructor that proves associativity at once: the
+    Algebra's checks, then require_associative."""
+    A = Algebra(p, structure_constants, identity=identity, labels=labels)
+    A.require_associative()
+    return A
 
 
 def from_doc(doc):
     """Reconstruct an Algebra from its document, with associativity pending.
 
-    Form, integer type, shape and the identity are checked as by
-    make_presentation (a failing identity check still reports a failing
+    Form, integer type, shape and the identity are checked as by the
+    Algebra constructor (a failing identity check still reports a failing
     triple first).  Associativity is left to require_associative, which
     every entry point that needs it calls first, or to a passing
     blocks.check, which proves it from the isomorphism.
@@ -468,8 +473,7 @@ def from_doc(doc):
                     "structure constants")
     if "dim" in doc and not (is_doc_int(doc["dim"]) and arr.shape[0] == doc["dim"]):
         raise InvalidDocument("declared dim disagrees with the constants cube")
-    return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"),
-                   _pending=True)
+    return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"))
 
 
 def is_doc_int(x):

@@ -31,9 +31,10 @@ multiplicativity from the generators the associativity certificate
 accepted (lemma 1), the unit relations from the whole a*b pairing
 (lemma 2), and the inverse by comparing it with the witness matrix.  The
 full stage runs only where a cheap fact fails, to name the failure; the
-proofs are in `check`'s docstring.  On an algebra whose associativity
-algebra.from_doc left pending, a passing `check` proves it from the
-isomorphism, and a failing one runs the certificate first.
+proofs are in `check`'s docstring.  On an algebra whose associativity is
+still pending (a document read by algebra.from_doc), a passing `check`
+proves it from the isomorphism, and a failing one runs the certificate
+first.
 """
 
 import random
@@ -321,9 +322,10 @@ def _check_block(A, bi, blk, fail):
 def _check_division_basis(A, bi, blk, fail):
     """The block's entry ring; None (after a failure) unless it is a field.
 
-    D's structure constants come from A's products, so while A's
-    associativity is pending, so is D's, and D's own certificate proves it
-    (see check)."""
+    D's structure constants come from A's products, so D inherits A's
+    associativity, proved or pending.  D.require_associative runs D's own
+    certificate while it is pending (see check) and does nothing once it is
+    proved."""
     p = A.p
     if linalg.rank(blk.D.basis, p) != blk.D.degree:
         return fail(f"block {bi}: division basis is not independent")
@@ -331,11 +333,10 @@ def _check_division_basis(A, bi, blk, fail):
         D = _entry_field(A, blk)
     except EntryOutsideCorner:
         return fail(f"block {bi}: division basis is not closed under product")
-    if D._pending:
-        try:
-            D.require_associative()
-        except NotAssociative:
-            return fail(f"block {bi}: division corner is not associative")
+    try:
+        D.require_associative()
+    except NotAssociative:
+        return fail(f"block {bi}: division corner is not associative")
     if not D.is_commutative():
         return fail(f"block {bi}: division corner is not commutative")
     fixed = D.frobenius_fixed_space()
@@ -359,7 +360,8 @@ def check(A, cert):
     Three relations are proved from cheaper facts that imply them.  Where a
     cheap fact fails, the full stage runs to name the failure, so every
     message is the full stage's own.  The lemmas take A as associative: the
-    certificate has proved it, unless it is pending (algebra.from_doc).
+    certificate has proved it, unless it is still pending (as it is for a
+    document read by algebra.from_doc).
 
     Associativity from the isomorphism.  On a pending A, lemma 1 is not
     used (its generators come from the certificate), every basis pair is

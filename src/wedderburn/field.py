@@ -14,32 +14,28 @@ from .errors import NotPrime, UnsupportedCharacteristic
 MAX_MODULUS = 2**31 - 1
 
 
-# Miller-Rabin with these bases is exact below this bound (3215031751 itself
-# is the first composite that passes all four), which exceeds MAX_MODULUS
-_MR_BASES = (2, 3, 5, 7)
-_MR_EXACT_BELOW = 3215031751
+# Miller-Rabin with the first twelve prime bases is exact below this bound,
+# the least composite that passes all twelve (Sorenson & Webster, Math. Comp.
+# 2017); it exceeds 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 @lru_cache(maxsize=1024)
 def is_prime(n):
-    """Deterministic primality check.
+    """Deterministic primality check by Miller-Rabin with _MR_BASES.
 
-    Miller-Rabin with bases 2, 3, 5, 7 below _MR_EXACT_BELOW, trial division
-    above it.  Cached: every Algebra constructor checks its modulus.
+    ValueError from _MR_EXACT_BELOW up, where those bases no longer decide.
+    Cached: every Algebra constructor checks its modulus.
     """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is past the exact primality test's bound")
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    if n >= _MR_EXACT_BELOW:
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -68,7 +64,7 @@ def check_modulus(p):
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise NotPrime(f"modulus must be an int, got {type(p).__name__}")
-    # the range test comes first: trial division of a huge p would not end
+    # the range test comes first: an unsupported p needs no primality test
     if p > MAX_MODULUS:
         raise UnsupportedCharacteristic(
             f"modulus {p} exceeds the exact-arithmetic limit {MAX_MODULUS}"

@@ -3,6 +3,13 @@
 Group algebras from Cayley tables, matrix algebras over F_p and its
 extensions, direct sums, and invertible basis scrambles.  A planted
 construction records the block multiset the decomposition must recover.
+
+Each hands out a validated presentation with associativity pending, as
+every constructor does: a checked Cayley table, a matrix ring over a field
+and a change of basis are associative by construction, so nothing here
+re-proves them.  direct_sum proves each of its parts (so a bad part names
+its own failing triple) but not the sum, which is associative when they
+are.
 """
 
 import random

@@ -319,10 +319,19 @@ def factor(f, p, rng):
 
 
 def find_irreducible(d, p):
-    """First monic irreducible of degree d over F_p in coefficient lex order."""
+    """First monic irreducible of degree d over F_p in coefficient lex order.
+
+    The order walks the p binomials x^d + c first.  Some x^d - a is
+    irreducible exactly when every prime factor of d divides p - 1, and
+    p = 1 mod 4 whenever 4 | d (Lidl & Niederreiter, Finite Fields,
+    Thm 3.75); otherwise the walk starts at x^d + x, where it would arrive
+    after all p of them.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
     coeffs = [0] * d + [1]
+    if not _has_irreducible_binomial(d, p):
+        coeffs[1] = 1
     while not _is_irreducible(coeffs, p):
         # odometer increment over the d low coefficients
         for i in range(d):
@@ -335,3 +344,19 @@ def find_irreducible(d, p):
                 "no irreducible of the requested degree found"
             )
     return _array(coeffs)
+
+
+def _has_irreducible_binomial(d, p):
+    """Whether some x^d - a with a != 0 is irreducible over F_p (Thm 3.75,
+    with a of order p - 1)."""
+    if d % 4 == 0 and p % 4 != 1:
+        return False
+    r, m = 2, d
+    while m > 1:
+        if m % r == 0:
+            if (p - 1) % r:
+                return False
+            while m % r == 0:
+                m //= r
+        r += 1
+    return True

@@ -154,6 +154,20 @@ def test_associativity_check_memory_is_cubic():
     assert peak < 48 * 2**20
 
 
+def test_certificate_memory_is_cubic():
+    # the constructor leaves associativity pending; make_presentation's
+    # certificate holds n^3-entry products, never an n^4 one
+    sc = matrix_algebra(97, 8).algebra.sc.copy()
+    tracemalloc.start()
+    try:
+        A = make_presentation(97, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not A._pending
+    assert peak < 48 * 2**20
+
+
 def corrupted_m2(p=7):
     """M_2(F_p) with E12 E21 = 2 E11: still unital, no longer associative."""
     sc = np.array(m2(p).sc)
@@ -427,6 +441,7 @@ def test_products_at_the_largest_prime_match_oracle(monkeypatch):
     for macs in (2**62, 0):
         monkeypatch.setattr(linalg, "_SMALL_MACS", macs)
         A, _ = scramble(group_algebra(cayley_fixture("S3"), p), seed=4)
+        A.require_associative()
         sc = A.sc.tolist()
         rng = np.random.default_rng(2)
         X = rng.integers(0, p, (3, A.dim))
@@ -568,6 +583,7 @@ def test_center_from_the_certificate_generators(monkeypatch, build):
     # the generators the associativity certificate accepted give the same
     # canonical basis as the dim^2 x dim system of the basis vectors
     A = build()
+    A.require_associative()
     assert 0 < len(A._generators) < A.dim
     unvalidated = Algebra(A.p, A.sc, identity=A.one, validate=False)
     assert getattr(unvalidated, "_generators", None) is None
@@ -593,6 +609,7 @@ def test_center_after_the_blocked_check_uses_the_basis(monkeypatch):
     )
     calls = spy_blocked_check(monkeypatch)
     A = m2(3)
+    A.require_associative()
     assert calls == [4] and getattr(A, "_generators", None) is None
     assert A.center_basis().tolist() == [[1, 0, 0, 1]]
 

@@ -806,6 +806,7 @@ def test_clean_certificate_runs_no_unit_relations_and_no_pair_products(monkeypat
     # a validated algebra keeps its certificate's generators: lemma 1 proves
     # multiplicativity from them, and lemma 2 the unit relations from a*b
     A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
+    A.require_associative()
     assert A._generators.shape[0] <= 3
     res = full_isomorphism(A, seed=0)
     calls = _spy(monkeypatch, "_unit_relations", "_all_pairs")
@@ -1075,7 +1076,7 @@ def test_failing_verify_of_a_document_runs_the_certificate_once_first(monkeypatc
 
 
 def _first_steps():
-    """Entry points that rest on associativity, each for a from_doc algebra."""
+    """Entry points that rest on associativity, each for a pending algebra."""
     part = from_doc(FUZZ_ALGEBRA.to_doc())
     C, degrees = idempotents.block_idempotents(FUZZ_ALGEBRA)
     return {
@@ -1093,12 +1094,13 @@ class _Certified(Exception):
     pass
 
 
-@pytest.mark.parametrize("name", ["full_isomorphism", "radical_report",
-                                  "block_idempotents", "primitive_idempotent",
-                                  "center_basis", "direct_sum"])
-def test_entry_points_run_the_pending_certificate_first(monkeypatch, name):
+ENTRY_POINTS = ["full_isomorphism", "radical_report", "block_idempotents",
+                "primitive_idempotent", "center_basis", "direct_sum"]
+
+
+def _certificate_comes_first(monkeypatch, name, A):
     step = _first_steps()[name]
-    A = from_doc(FUZZ_ALGEBRA.to_doc())
+    assert A._pending
     products = []
     matmul = linalg.matmul_mod
     monkeypatch.setattr(linalg, "matmul_mod",
@@ -1118,10 +1120,22 @@ def test_entry_points_run_the_pending_certificate_first(monkeypatch, name):
     step(A)
     step(A)
     n = A.dim
-    if name == "direct_sum":  # each pending part once, then the eager sum
-        assert events == [("certificate", n)] * 2 + [("certificate", 2 * n)] * 2
+    if name == "direct_sum":  # each pending part once, and not the sum
+        assert events == [("certificate", n)] * 2
     else:
         assert events == [("certificate", n)]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_run_the_pending_certificate_first(monkeypatch, name):
+    _certificate_comes_first(monkeypatch, name, from_doc(FUZZ_ALGEBRA.to_doc()))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_certify_a_generated_algebra_first(monkeypatch, name):
+    # the same algebra as generated: the generators leave it pending too
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    _certificate_comes_first(monkeypatch, name, A)
 
 
 def test_pending_entry_field_must_associate():

@@ -82,3 +82,17 @@ def test_huge_modulus_is_refused_before_any_primality_test():
             check_modulus(p)
         assert time.perf_counter() - start < 0.5
     assert is_prime.cache_info().misses == 0
+
+
+def test_is_prime_is_exact_and_prompt_past_32_bits():
+    # 3825123056546413051 is a strong pseudoprime to every prime base up to
+    # 23; 2^64 - 59 is the largest prime below 2^64
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**64 - 59) and not is_prime(2**64 + 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    assert time.perf_counter() - start < 0.5
+    # the least composite the twelve bases pass is refused, not misjudged
+    with pytest.raises(ValueError):
+        is_prime(318665857834031151167461)

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from wedderburn import (
+    Algebra,
     build_planted,
     cayley_fixture,
     direct_sum,
     full_isomorphism,
     group_algebra,
+    make_presentation,
     matrix_algebra,
     scramble,
     verify_isomorphism,
 )
+from wedderburn import cli
 from wedderburn.errors import (
     InvalidCayley,
     ModulusMismatch,
@@ -169,3 +172,68 @@ def test_scramble_transform_is_consistent():
             old = base.mul_vec(S[:, i], S[:, j])
             new = A.mul_vec(np.eye(A.dim, dtype=int)[i], np.eye(A.dim, dtype=int)[j])
             assert matmul_mod(S, new[:, None], p)[:, 0].tolist() == old.tolist()
+
+
+def spy_certificate(monkeypatch):
+    """Records the dimension of each algebra the associativity certificate
+    runs on."""
+    dims = []
+    certify = Algebra._certify_associativity
+
+    def spy(self):
+        dims.append(self.dim)
+        return certify(self)
+
+    monkeypatch.setattr(Algebra, "_certify_associativity", spy)
+    return dims
+
+
+GENERATED = {
+    "matrix_algebra": lambda: matrix_algebra(7, 3).algebra,
+    "matrix_algebra over F_49": lambda: matrix_algebra(7, 2, [3, 1, 1]).algebra,
+    "group_algebra": lambda: group_algebra(cayley_fixture("S3"), 5),
+    "build_planted, one part": lambda: build_planted([(3, 1)], 7).algebra,
+    "scramble": lambda: scramble(matrix_algebra(7, 3).algebra, seed=1)[0],
+}
+
+
+@pytest.mark.parametrize("build", GENERATED.values(), ids=GENERATED)
+def test_generators_hand_out_pending_presentations(monkeypatch, build):
+    # a generated algebra is associative by construction: building it runs
+    # no certificate, and the first entry point that rests on it runs one
+    dims = spy_certificate(monkeypatch)
+    A = build()
+    assert dims == [] and A._pending
+    A.center_basis()
+    assert dims == [A.dim] and not A._pending
+
+
+def test_direct_sum_proves_its_parts_but_not_the_sum(monkeypatch):
+    parts = [matrix_algebra(5, 2).algebra, group_algebra(cayley_fixture("C3"), 5)]
+    dims = spy_certificate(monkeypatch)
+    S = direct_sum(parts)
+    assert dims == [4, 3] and S._pending
+    # proved parts are not proved again, and build_planted's sum is not proved
+    direct_sum(parts)
+    assert dims == [4, 3]
+    dims.clear()
+    B = build_planted([(2, 1), (1, 2), (1, 1)], 5).algebra
+    assert dims == [4, 2, 1] and B._pending
+
+
+def test_gen_matrix_scramble_runs_no_certificate(monkeypatch, tmp_path):
+    dims = spy_certificate(monkeypatch)
+    out = str(tmp_path / "m.json")
+    argv = ["gen", "matrix", "-n", "4", "-p", "97", "--scramble", "--seed", "1",
+            "-o", out]
+    assert cli.main(argv) == 0
+    assert dims == []
+
+
+def test_make_presentation_runs_the_certificate_once(monkeypatch):
+    A = scramble(matrix_algebra(7, 3).algebra, seed=1)[0]
+    dims = spy_certificate(monkeypatch)
+    B = make_presentation(7, A.sc, identity=A.one)
+    assert dims == [9] and not B._pending and len(B._generators) > 0
+    B.center_basis()  # proved once: the entry point does not prove it again
+    assert dims == [9]

@@ -3,6 +3,7 @@
 Coefficient arrays are lowest-degree-first throughout.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -346,6 +347,58 @@ def test_find_irreducible_is_deterministic_and_irreducible():
         assert f.tolist() == poly.find_irreducible(d, p).tolist()
     # the lex scan tries T^2, T^2 + 1 (roots 2, 3) and lands on T^2 + 2
     assert poly.find_irreducible(2, 5).tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("d, p, want", [
+    (2, 3, [1, 0, 1]),
+    (2, 5, [2, 0, 1]),
+    (2, 97, [5, 0, 1]),
+    (3, 97, [2, 0, 0, 1]),
+    (4, 97, [5, 0, 0, 0, 1]),
+    # no binomial is irreducible: 3 does not divide p - 1, or 4 | d and
+    # p = 3 mod 4, so the scan starts where it would arrive, at T^d + T
+    (3, 5, [1, 1, 0, 1]),
+    (4, 7, [1, 1, 0, 0, 1]),
+])
+def test_find_irreducible_pins_the_lex_first(d, p, want):
+    assert poly.find_irreducible(d, p).tolist() == want
+
+
+def lex_first_irreducible(d, p):
+    """The first monic irreducible of degree d, by testing every candidate."""
+    for low in itertools.product(range(p), repeat=d):
+        f = list(reversed(low)) + [1]
+        if poly.is_irreducible(np.array(f), p):
+            return f
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_find_irreducible_is_the_lex_first(d, p):
+    assert poly.find_irreducible(d, p).tolist() == lex_first_irreducible(d, p)
+
+
+@pytest.mark.parametrize("d, p", [
+    (3, 2147483579), (6, 2147483579), (9, 2147483579),  # p = 2 mod 3
+    (4, 2**31 - 1), (8, 2**31 - 1), (12, 2**31 - 1),  # p = 3 mod 4
+])
+def test_find_irreducible_without_a_binomial_returns_promptly(monkeypatch, d, p):
+    # the scan once tried all p binomials T^d + c first; each candidate is
+    # counted, and a scan that runs on past a few hundred is stopped
+    tested = []
+    real = poly._is_irreducible
+
+    def counted(f, q):
+        tested.append(1)
+        if len(tested) > 500:
+            raise RuntimeError("the scan did not stop")
+        return real(f, q)
+
+    monkeypatch.setattr(poly, "_is_irreducible", counted)
+    f = poly.find_irreducible(d, p)
+    assert f[1] == 1 and not f[2:d].any() and f[-1] == 1
+    assert real(f.tolist(), p)
 
 
 @given(st.sampled_from([3, 5]), st.randoms(use_true_random=False))

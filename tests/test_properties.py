@@ -117,6 +117,20 @@ def test_wide_prime_document_round_trip(p, seed):
     assert B.one.tolist() == A.one.tolist()
 
 
+# entry fields with no irreducible binomial T^d + c at a wide prime:
+# 2147483579 = 2 mod 3, and 2^31 - 1 = 3 mod 4
+WIDE_EXTENSIONS = [
+    (2147483579, [(1, 3), (2, 1)]),
+    (2147483579, [(2, 3)]),
+    (2**31 - 1, [(1, 4), (2, 1)]),
+]
+
+
+@pytest.mark.parametrize("p, spec", WIDE_EXTENSIONS)
+def test_round_trip_with_a_wide_extension_field(p, spec):
+    round_trip(spec, p, seed=1)
+
+
 DIVIDING = [
     (3, [(3, 1)]),
     (3, [(3, 1), (1, 2)]),

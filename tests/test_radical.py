@@ -317,6 +317,7 @@ def test_rejection_runs_the_chain_and_matches_a_fresh_report(monkeypatch, name):
 def test_nilpotent_centre_is_refused_before_any_draw(monkeypatch, name):
     # F_3[S3] and F_3[C3] are local rings whose centres hold nilpotents
     A = REJECTIONS[name]()
+    A.require_associative()  # the certificate's own draws come first
     draws = []
     draw = Algebra.random_vec
 
