@@ -26,15 +26,13 @@ The target is an external direct sum, so `check` and `target_multiply`
 multiply one block at a time, as n x n matrices over the d^3 table of the
 block's entry field D, and build no table of M_n(D); only
 `codomain_algebra` presents the whole sum, through `algebra.matrix_ring`.
-`check` proves three relations from cheaper facts that imply them:
-multiplicativity from the generators the associativity certificate
-accepted (lemma 1), the unit relations from the whole a*b pairing
-(lemma 2), and the inverse by comparing it with the witness matrix.  The
-full stage runs only where a cheap fact fails, to name the failure; the
-proofs are in `check`'s docstring.  On an algebra whose associativity is
-still pending (a document read by algebra.from_doc), a passing `check`
-proves it from the isomorphism, and a failing one runs the certificate
-first.
+`check` proves the map once, a unital ring isomorphism onto the sum that
+sends each certificate vector to its standard element (a[mu] to E[0,mu],
+units[mu,nu] to E[mu,nu], ...), and so reads every relation of the
+certificate off it; the proofs are in its docstring.  On an algebra whose
+associativity is still pending (a document read by algebra.from_doc), a
+passing `check` proves it from the isomorphism, and a failing one runs the
+certificate first.
 """
 
 import random
@@ -97,8 +95,9 @@ _FLAGS = ("bijective", "unit", "multiplicative", "orthogonality")
 
 @dataclass
 class VerificationReport:
-    """Flags for the map itself; a failed certificate relation (witnesses,
-    units, division basis, iso rows) shows only in failures and `passed`."""
+    """Flags for the map itself; a failed certificate relation (an entry
+    field, the layout, the image of a certificate vector) shows only in
+    failures and `passed`."""
 
     bijective: bool
     unit: bool
@@ -125,23 +124,6 @@ class DecompositionResult:
 class Failure(NamedTuple):
     relation: str  # a VerificationReport flag name, or "certificate"
     message: str  # names the relation, the block and the indices
-
-
-def _unit_relations(A, units):
-    """Messages for every failed E[mu,nu] * E[xi,eta] = delta(nu,xi) E[mu,eta].
-
-    One row mu of units at a time, so the products held are n^3 of the n^4.
-    """
-    n_i = units.shape[0]
-    flat = units.reshape(n_i * n_i, A.dim)
-    diag = np.arange(n_i)
-    msgs = []
-    for mu in range(n_i):
-        diff = A.products(units[mu], flat).reshape(n_i, n_i, n_i, A.dim)
-        diff[diag, diag] -= units[mu]
-        msgs += [f"unit relation ({mu},{nu})*({xi},{eta}) fails"
-                 for nu, xi, eta in np.argwhere(diff.any(axis=3))]
-    return msgs
 
 
 def matrix_units(A, a, b):
@@ -273,54 +255,9 @@ def codomain_algebra(A, result):
                                   for blk in result.blocks])
 
 
-def _check_block(A, bi, blk, fail):
-    """Relations inside one block; returns the members e[mu] = b[mu]*a[mu].
-
-    Three rounds of products: every pair of [b; a; rep] (one product with
-    the left table gives the b*a and a*b grids, rep*a and rep*rep), the
-    row-wise products on the members, and (e[mu]*b[mu])*rep through the
-    matrix of right multiplication by rep.  The unit relations follow from
-    the whole a*b grid (lemma 2 of `check`): `_unit_relations` runs only
-    when that grid or a relation it rests on fails, to name the failures.
-    """
-    p, rep, a, b, c, n_i = A.p, blk.rep, blk.a, blk.b, blk.c, blk.n
-    diag = np.arange(n_i)
-    X = np.concatenate([b, a, rep[None]])
-    grid = A.products(X, X)  # grid[i, j] = X[i]*X[j]
-    ba, ab, rep_a = grid[:n_i, n_i:-1], grid[n_i:-1, :n_i], grid[-1, n_i:-1]
-    if not np.array_equal(grid[-1, -1], rep):
-        fail(f"block {bi}: representative is not idempotent")
-    if not (np.array_equal(a[0], rep) and np.array_equal(b[0], rep)):
-        fail(f"block {bi}: a[0], b[0] differ from the representative")
-    e = ba[diag, diag]
-    e_e, rep_a_e, e_b = np.split(A.mul_rows(np.concatenate([e, rep_a, e]),
-                                            np.concatenate([e, e, b])), 3)
-    for got, want, what in (
-        (ab[diag, diag], rep, "a[{0}]*b[{0}] != representative"),
-        (e_e, e, "b[{0}]*a[{0}] is not idempotent"),
-        (rep_a_e, a, "a[{0}] is not in rep*A*e[{0}]"),
-        (linalg.matmul_mod(e_b, A.rmat(rep).T, p), b,
-         "b[{0}] is not in e[{0}]*A*rep"),
-    ):
-        for mu in np.flatnonzero((got != want).any(axis=1)):
-            fail(f"block {bi}: " + what.format(mu))
-    for mu, nu in np.argwhere((blk.units != ba).any(axis=2)):
-        fail(f"block {bi}: matrix unit ({mu},{nu}) != b[{mu}]*a[{nu}]")
-    pairing = np.where(np.eye(n_i, dtype=bool)[:, :, None], rep, 0)
-    if not (np.array_equal(blk.units, ba) and np.array_equal(ab, pairing)
-            and np.array_equal(rep_a, a)):
-        for msg in _unit_relations(A, blk.units):
-            fail(f"block {bi}: {msg}")
-    # c is then idempotent once the members are orthogonal (checked later)
-    if not np.array_equal(e.sum(axis=0) % p, c):
-        fail(f"block {bi}: central idempotent is not the member sum")
-    if not np.array_equal(A.lmat(c), A.rmat(c)):
-        fail(f"block {bi}: central idempotent is not central")
-    return e
-
-
 def _check_division_basis(A, bi, blk, fail):
-    """The block's entry ring; None (after a failure) unless it is a field.
+    """The block's entry ring; None (after a failure) unless it is a field
+    whose identity is the representative.
 
     D's structure constants come from A's products, so D inherits A's
     associativity, proved or pending.  D.require_associative runs D's own
@@ -333,6 +270,9 @@ def _check_division_basis(A, bi, blk, fail):
         D = _entry_field(A, blk)
     except EntryOutsideCorner:
         return fail(f"block {bi}: division basis is not closed under product")
+    if not D._is_identity(D.one):
+        return fail(f"block {bi}: representative is not the identity of the "
+                    "division corner")
     try:
         D.require_associative()
     except NotAssociative:
@@ -345,72 +285,85 @@ def _check_division_basis(A, bi, blk, fail):
     return D
 
 
+def _standard_images(A, cert, fields):
+    """(X, want, names): the certificate vectors as rows of X, in A's
+    coordinates, the element of the target T each must map to, and the
+    Failure that names a wrong image.  In order: 1, the central idempotents,
+    then per block rep, a, b, the matrix units and the division basis."""
+    n, start = A.dim, 0
+    ones, rows, wants, names = [], [], [], []
+    for bi, (blk, D) in enumerate(zip(cert.blocks, fields)):
+        n_i, d = blk.n, blk.D.degree
+        size, eye = n_i * n_i * d, np.eye(n_i, dtype=np.int64)
+        # rows (mu, nu): E[mu,nu]*1_D; then the d rows E[0,0]*d_t
+        E = np.zeros((n_i * n_i + d, n), dtype=np.int64)
+        E[:n_i * n_i, start:start + size] = np.einsum(
+            "ma,nb,t->mnabt", eye, eye, D.one).reshape(n_i * n_i, size)
+        E[n_i * n_i + np.arange(d), start + np.arange(d)] = 1
+        units = E[:n_i * n_i]
+        ones.append(units[::n_i + 1].sum(axis=0))
+        rows += [blk.rep[None], blk.a, blk.b, blk.units.reshape(-1, n), blk.D.basis]
+        wants += [units[:1], units[:n_i], units[::n_i], units, E[n_i * n_i:]]
+        names += [f"block {bi}: {what} does not map to {where}" for what, where in [
+            ("representative", "E[0,0]"),
+            *((f"a[{mu}]", f"E[0,{mu}]") for mu in range(n_i)),
+            *((f"b[{mu}]", f"E[{mu},0]") for mu in range(n_i)),
+            *((f"matrix unit ({mu},{nu})", f"E[{mu},{nu}]")
+              for mu in range(n_i) for nu in range(n_i)),
+            *((f"division basis row {t}", f"E[0,0]*d_{t}") for t in range(d))]]
+        start += size
+    X = np.concatenate([A.one[None], [blk.c for blk in cert.blocks], *rows])
+    want = np.concatenate([sum(ones)[None], ones, *wants])
+    names = ([Failure("unit", "image of the identity is not the block identity")]
+             + [Failure("orthogonality", f"central idempotent of block {bi} "
+                        "does not map to its block identity")
+                for bi in range(len(cert.blocks))]
+             + [Failure("certificate", message) for message in names])
+    return X, want, names
+
+
 def check(A, cert):
     """Re-prove every relation of a certificate; returns a list of Failure.
 
     cert is a DecompositionResult, from full_isomorphism or parsed from a
     report.  An empty list proves that cert.iso is a unital ring isomorphism
-    from A onto the direct sum of the blocks M_n(D), D a field, and that it
-    is the map the serialized witnesses define.  The stages run in order and
-    stop after the first one that fails, since each works from what the
-    earlier ones certified: (1) the relations inside each block and its
-    entry field, (2) the parts and the layout across blocks, (3) the iso
-    rows, (4) the map itself.
+    from A onto T, the direct sum of the blocks M_n(D), D a field, with
+    inverse cert.iso_inverse, that sends every certificate vector to its
+    standard element of T.  Each stage runs only if the earlier ones pass:
+    (1) each entry field is a field with identity rep, and the layout
+    matches; (2) iso * iso_inverse = I, so iso is bijective (both are
+    square); (3) one product iso @ X checks that 1 maps to 1_T (unit), each
+    c to its block identity (orthogonality), rep, a[mu], b[mu] and
+    units[mu,nu] to E[0,0], E[0,mu], E[mu,0] and E[mu,nu] times 1_D, and
+    row t of the division basis to E[0,0]*d_t; then iso is proved
+    multiplicative, on every basis pair once an image fails.
 
-    Three relations are proved from cheaper facts that imply them.  Where a
-    cheap fact fails, the full stage runs to name the failure, so every
-    message is the full stage's own.  The lemmas take A as associative: the
-    certificate has proved it, unless it is still pending (as it is for a
-    document read by algebra.from_doc).
+    An isomorphism that sends each vector to its standard element carries
+    every relation of the certificate to the same relation in T, so each
+    holds in A: a[mu]*b[nu] = delta(mu,nu) rep, units = b*a and the unit
+    relations, the members units[mu,mu] orthogonal idempotents summing to
+    c, the c central, orthogonal and summing to 1, and span D = rep*A*rep
+    (the preimage of E[0,0]*T*E[0,0]).  As iso(b[mu]*d_t*a[nu]) =
+    E[mu,nu]*d_t, iso_inverse is the witness matrix of the search, which
+    is never built here.
 
-    Associativity from the isomorphism.  On a pending A, lemma 1 is not
-    used (its generators come from the certificate), every basis pair is
-    multiplied, and each entry field D passes its own associativity
-    certificate: D's constants come from A's products, so nothing else
-    proves it.  If then no stage fails, iso is linear and bijective
-    (iso*W = I with W square), and iso(b_i*b_j) = iso(b_i)*iso(b_j) for
-    every basis pair, hence for all pairs, onto T, the sum of the M_n(D),
-    which is associative because every D is.  (D's certificate takes D.one,
-    the block representative, as D's identity; that holds too, as iso
-    carries A's identity to T's, which the unit relation makes the sum of
-    the E_mm*D.one.)  So A, isomorphic to T, is associative, and every
-    lemma that assumed it holds after the fact.  A failure on a pending A
-    proves nothing about associativity: verify_isomorphism and
+    Lemma 1 (multiplicativity from generators) takes A as associative.
+    S = {x : iso(x*y) = iso(x)*iso(y) for all y} is a subspace, closed
+    under products as A and T are associative, and it holds 1 once 1 maps
+    to 1_T.  The elements the associativity certificate accepted
+    (A._generators) generate A, so S = A once it holds each of them, tested
+    against every basis vector: k*dim products, not dim^2.  Without
+    generators (the blocked check decided, A was not validated, or its
+    associativity is pending), and whenever an image fails, every basis
+    pair is multiplied.
+
+    Associativity from the isomorphism.  On a pending A each entry field D
+    also passes its own associativity certificate, as nothing else proves
+    it.  If then no stage fails, iso is a bijection onto T with
+    iso(b_i*b_j) = iso(b_i)*iso(b_j) for every basis pair, and T is
+    associative, as every D is, with identity rep; so A is associative.  A
+    failure proves nothing about it: verify_isomorphism and
     verify_report_doc then run the certificate first (_certify_on_failure).
-
-    Lemma 1 (multiplicativity from generators).  S = {x : iso(x*y) =
-    iso(x)*iso(y) for all y} is a subspace, and it is closed under
-    products, as the target is associative: for x1, x2 in S, iso(x1*x2*y) =
-    iso(x1)*iso(x2)*iso(y) = iso(x1*x2)*iso(y).  Once the unit relation of
-    stage 4 holds, 1 is in S.  The elements the associativity certificate
-    accepted (A._generators) generate A, so S = A once it holds each of
-    them, tested against every basis vector: k*dim products, not dim^2.
-    Without generators (the blocked check decided, A was not validated, or
-    its associativity is pending), and whenever an earlier relation of
-    stage 4 fails, every basis pair is multiplied.
-
-    Lemma 2 (unit relations from the pairing).  If units = b*a in full,
-    a*b = delta*rep in full and rep*a = a, then
-    units[mu,nu]*units[xi,eta] = b[mu]*(a[nu]*b[xi])*a[eta]
-    = delta(nu,xi) b[mu]*rep*a[eta] = delta(nu,xi) units[mu,eta]:
-    n^2 products of round 1 instead of n^4.
-
-    The inverse.  Once stage 3 passes, iso*W = I for the square matrix W,
-    so W is the one inverse of iso, and iso_inverse gives the identity in
-    both products exactly when it equals W.  They run only when it does
-    not, to name the first entry of each that differs.
-
-    Stage 3 solves nothing.  Once stages 1-2 pass, the witness matrix W
-    (column (block, mu, nu, t) is b[mu]*d_t*a[nu]) is square, and its one
-    inverse is phi: x -> (a[mu]*x*b[nu]) in the division bases.  (1) The
-    field test makes s -> rep*s^p injective on span D, and it kills
-    s - rep*s, so s = rep*s = s*rep (D is commutative) is in rep*A*rep.
-    (2) The parts are orthogonal, sum to 1 and lie under central c's, so A
-    is the sum of the e_mu*A*e_nu within blocks, each mapped onto rep*A*rep
-    by x -> a[mu]*x*b[nu], with inverse y -> b[mu]*y*a[nu].  (3) As the
-    layout has sum n^2*d = dim A, span D = rep*A*rep.  (4) phi(W) = 1, as
-    a[xi]*b[mu] = delta(xi,mu) rep and rep*d*rep = d.  So row r of iso is
-    row r of phi exactly when row r of iso*W is e_r.
     """
     p, n = A.p, A.dim
     fails = []
@@ -418,22 +371,8 @@ def check(A, cert):
     def fail(message, relation="certificate"):
         fails.append(Failure(relation, message))
 
-    members = [_check_block(A, bi, blk, fail) for bi, blk in enumerate(cert.blocks)]
     fields = [_check_division_basis(A, bi, blk, fail)
               for bi, blk in enumerate(cert.blocks)]
-    if fails:
-        return fails
-
-    # across blocks: the parts are orthogonal and complete, hence so are the
-    # central idempotents (each is the sum of its block's parts)
-    labels = [f"({bi},{mu})" for bi, blk in enumerate(cert.blocks)
-              for mu in range(blk.n)]
-    E = np.concatenate(members)
-    if not np.array_equal(E.sum(axis=0) % p, A.one):
-        fail("primitive parts do not sum to the identity")
-    overlap = A.products(E, E).any(axis=2)
-    for i, j in np.argwhere(np.triu(overlap | overlap.T, 1)):
-        fail(f"parts {labels[i]} and {labels[j]} are not orthogonal")
     layout = _layout((blk.n, blk.D.degree) for blk in cert.blocks)
     if len(layout) != n:
         fail("block dimensions do not sum to the algebra dimension")
@@ -446,37 +385,17 @@ def check(A, cert):
     if fails:
         return fails
 
-    # the iso matrix is the map the witnesses define
-    eye = np.eye(n, dtype=np.int64)
-    W = _witness(A, cert.blocks)
-    iso_W = linalg.matmul_mod(cert.iso, W, p)
-    wrong = (iso_W != eye).any(axis=1)
-    for bi, mu, nu in dict.fromkeys(map(tuple, layout[wrong, :3].tolist())):
-        fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
-             "match the connecting elements")
-    if fails:
-        return fails
+    iso = cert.iso
+    product = linalg.matmul_mod(iso, cert.iso_inverse, p)
+    for i, j in np.argwhere(product != np.eye(n, dtype=np.int64))[:1]:
+        return [Failure("bijective",
+                        f"iso * iso_inverse differs from the identity at ({i},{j})")]
 
-    # the iso is a unital ring isomorphism onto the block direct sum
-    targets = [(D, blk.n) for blk, D in zip(cert.blocks, fields)]
-    # the identity of each M_n(D) is the sum of E[mu,mu]*1_D
-    one = np.concatenate([np.einsum("mn,t->mnt", np.eye(n_i, dtype=np.int64),
-                                    D.one).reshape(-1) for D, n_i in targets])
-    iso, inv = cert.iso, cert.iso_inverse
-    if not np.array_equal(inv, W):  # else both products are the identity
-        for name, prod in (("iso * iso_inverse", linalg.matmul_mod(iso, inv, p)),
-                           ("iso_inverse * iso", linalg.matmul_mod(inv, iso, p))):
-            for i, j in np.argwhere(prod != eye)[:1]:
-                fail(f"{name} differs from the identity at ({i},{j})", "bijective")
-    if not np.array_equal(linalg.matmul_mod(iso, A.one[:, None], p)[:, 0], one):
-        fail("image of the identity is not the block identity", "unit")
-    images = linalg.matmul_mod(iso, np.array([blk.c for blk in cert.blocks]).T, p)
-    for bi in range(len(cert.blocks)):
-        block_one = np.where(layout[:, 0] == bi, one, 0)
-        if not np.array_equal(images[:, bi], block_one):
-            fail(f"central idempotent of block {bi} does not map to its "
-                 "block identity", "orthogonality")
+    X, want, names = _standard_images(A, cert, fields)
+    wrong = (linalg.matmul_mod(iso, X.T, p).T != want).any(axis=1)
+    fails += [names[r] for r in np.flatnonzero(wrong)]
     # lemma 1, else every basis pair (a pending A has no generators)
+    targets = [(D, blk.n) for blk, D in zip(cert.blocks, fields)]
     G = getattr(A, "_generators", None)
     if fails or G is None or _defects(A, iso, targets, G).any():
         for i, j in _all_pairs(A, iso, targets):
