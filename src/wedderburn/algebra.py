@@ -268,20 +268,21 @@ class Algebra:
         flat = linalg.matmul_mod(y[None, :], self._ltable.reshape(n, n, n), self.p)
         return np.ascontiguousarray(flat.reshape(n, n).T)
 
-    def powers(self, x, one):
-        """Rows one, x, x^2, ..., x^dim, by doubling (Keller-Gehrig 1985).
+    def powers(self, x, one, top=None):
+        """Rows one, x, x^2, ..., x^top (top = dim by default), by doubling
+        (Keller-Gehrig 1985).
 
         `one` is the zeroth power: A's identity, or the identity e of a
         corner e*A*e that holds x.  With K = [x^0 .. x^(k-1)] and S the
         transpose of L_x^k, K S holds x^k .. x^(2k-1): each step appends
-        it to K and squares S.
+        the rows of it that top asks for, and squares S.
         """
-        n, p = self.dim, self.p
+        top, p = self.dim if top is None else top, self.p
         K, S = one[None, :], np.ascontiguousarray(self.lmat(x).T)
         while True:
-            K = np.concatenate([K, linalg.matmul_mod(K, S, p)])
-            if len(K) > n:
-                return K[: n + 1]
+            K = np.concatenate([K, linalg.matmul_mod(K[: top + 1 - len(K)], S, p)])
+            if len(K) > top:
+                return K
             S = linalg.matmul_mod(S, S, p)
 
     def trace_vector(self):
@@ -425,9 +426,16 @@ def min_poly_of_powers(K, p):
     The kernel of K^T holds the q with q(x) = 0.  Its first row belongs to
     the first free column d, the least power that depends on the lower
     ones; it is monic of degree d and zero past d, so it is the minimal
-    polynomial.
+    polynomial.  K from powers(x, one, top) with top below the degree holds
+    no relation, and raises InternalInvariantViolation.
     """
-    return poly.normalize(linalg.kernel(K.T, p)[0], p)
+    relations = linalg.kernel(K.T, p)
+    if not len(relations):
+        raise InternalInvariantViolation(
+            f"the powers of x up to x^{len(K) - 1} are independent: its "
+            "minimal polynomial has a higher degree"
+        )
+    return poly.normalize(relations[0], p)
 
 
 def matrix_ring(D, n):

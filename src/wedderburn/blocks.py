@@ -131,26 +131,30 @@ def matrix_units(A, a, b):
     return A.products(b, a)
 
 
-def dual_basis(A, c, e, D):
-    """Connecting elements (a, b) of the block c at its primitive idempotent e.
+def dual_basis(A, corner):
+    """Connecting elements (a, b) of a block at its primitive idempotent e.
 
-    D is the basis of the entry field e*A*e.  b[0] = e, and b[1:] are the
-    rows of (c-e)*A*e taken in order while b[nu]*D adds rank: a basis of
-    the left ideal A*e as a right D-module.  The pairing e*A x A*e -> D is
-    perfect, so a[mu] in e*A*c with a[mu]*b[nu] = delta(mu,nu) e is the
-    one solution of one linear system, and a[0] = e.
+    corner is the idempotents.Corner at e <= c, c central, whose basis D is
+    the entry field e*A*e; its kept maps give the two spaces below, since
+    c*x*e = x*e and e*x*c = e*x.  b[0] = e, and b[1:] are the rows v of
+    (c-e)*A*e, the image of R_e - P, taken in order while v*D adds rank:
+    those with a pivot among their d columns in one row_echelon of
+    [D; v_1 D; v_2 D; ...] transposed.  They form a basis of the left ideal
+    A*e as a right D-module.  The pairing e*A x A*e -> D is perfect, so
+    a[mu] in e*A*c = e*A (the image of L_e) with a[mu]*b[nu] =
+    delta(mu,nu) e is the one solution of one linear system, and a[0] = e.
     """
-    p = A.p
-    span, pivots = linalg.row_echelon(D, p)
-    b = [e]
-    rest = A._hom_rows((c - e) % p, e)
-    for v, vD in zip(rest, A.products(rest, D)):
-        span, pivots, fresh = linalg.extend_rref(span, pivots, vD, p)
-        if len(fresh):
-            b.append(v)
-    b = np.array(b)
+    p, e, D = A.p, corner.e, corner.basis
+    d = len(D)
+    rest = linalg.row_space_basis(((corner.right - corner.proj) % p).T, p)
+    b = np.array([e])
+    if len(rest):
+        cols = np.concatenate([D, A.products(rest, D).reshape(-1, A.dim)]).T
+        _, pivots = linalg.row_echelon(cols, p)
+        taken = sorted({(j - d) // d for j in pivots if j >= d})
+        b = np.concatenate([b, rest[taken]])
     n = len(b)
-    W = A._hom_rows(e, c)
+    W = linalg.row_space_basis(corner.left.T, p)
     # row r: w_r * b[nu] for nu = 0 .. n-1; target row mu: delta(mu,nu) e
     pairing = A.products(W, b).reshape(len(W), n * A.dim)
     alpha = linalg.coordinates(pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
@@ -189,18 +193,20 @@ def _search(A, seed, cap):
 
     Per block: its central idempotent c, one primitive idempotent e <= c
     (at most cap draws, from a generator seeded by seed and the block's
-    place), the entry field e*A*e, and the dual basis that gives the
-    connecting elements and matrix units.
+    place), and from the corner maps the descent keeps, the entry field
+    e*A*e and the dual basis that gives the connecting elements and matrix
+    units.
     """
     C, degrees = idempotents._block_idempotents(A)
     master = random.Random(seed)
     found = []
     for c, d in zip(C, degrees):
         rng = random.Random(master.getrandbits(64))
-        e = idempotents.primitive_idempotent(A, c, d, rng, cap)
-        D = DivisionAlgebra(basis=A._hom_rows(e, e), degree=d)
-        a, b = dual_basis(A, c, e, D.basis)
-        found.append(Block(index=None, n=len(a), D=D, rep=e, c=c, a=a, b=b,
+        corner = idempotents._primitive_corner(A, c, d, rng, cap)
+        a, b = dual_basis(A, corner)
+        found.append(Block(index=None, n=len(a),
+                           D=DivisionAlgebra(basis=corner.basis, degree=d),
+                           rep=corner.e, c=c, a=a, b=b,
                            units=matrix_units(A, a, b)))
     found.sort(key=lambda blk: (blk.n, blk.D.degree, blk.c.tolist()))
     for index, blk in enumerate(found):

@@ -7,12 +7,23 @@ idempotents.  Inside a block, the descent follows one branch: it keeps the
 least primary component of a random element of the corner until the
 corner is the block's entry field.  Neither step builds a corner algebra.
 
+The descent works with the maps of its corner, built once per idempotent e
+(a Corner): L_e, R_e and P = R_e L_e, which takes x to e*x*e.  A draw is
+x = P y.  While p > dim, dim(e*A*e) is the trace of P, and no corner
+basis is eliminated before the last one, the entry field D; otherwise it
+is the rank of P.  The dual basis in `blocks` reuses the last corner's
+maps.  In a block M_n(F_{p^d}) a corner of dimension r^2 d is
+M_r(F_{p^d}), where every element has a minimal polynomial of degree at
+most r*d over F_p, so only the powers up to x^(r*d) are computed.
+
 Both steps factor a minimal polynomial with poly.factor, which returns the
 monic irreducible factors sorted by (degree, coefficients): the centre
 takes every (linear) factor, the descent the first.
 """
 
+import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +43,7 @@ def _component(B, one, K, rest, part):
     neither zero nor `one`, by minimality of m.
     """
     _, s, _ = poly.bezout(rest, part, B.p)
-    sr = poly.mul(s, rest, B.p)  # degree below deg m <= dim: rows of K suffice
+    sr = poly.mul(s, rest, B.p)  # degree below deg m, and K runs to x^deg(m)
     eps = linalg.matmul_mod(sr[None, :], K[: len(sr)], B.p)[0]
     if not np.array_equal(B.mul_vec(eps, eps), eps):
         raise InternalInvariantViolation("split produced a non-idempotent")
@@ -103,26 +114,73 @@ def _block_idempotents(A):
     return linalg.matmul_mod(parts, center, p), degrees
 
 
+class Corner(NamedTuple):
+    """The corner e*A*e at an idempotent e, with the maps that build it."""
+
+    e: np.ndarray  # (dim,)
+    left: np.ndarray  # L_e: column j is e*b_j
+    right: np.ndarray  # R_e: column j is b_j*e
+    proj: np.ndarray  # P = R_e L_e, which takes x to e*x*e
+    basis: np.ndarray  # the canonical basis (rows) of e*A*e, the image of P
+
+
+def _maps(A, e):
+    """(L_e, R_e, P) for the idempotent e."""
+    left, right = A.lmat(e), A.rmat(e)
+    return left, right, linalg.matmul_mod(right, left, A.p)
+
+
+def _size(proj, p):
+    """(dim(e*A*e), its basis or None) from P = R_e L_e.
+
+    P is idempotent, so its trace is its rank mod p.  While p > dim the
+    rank is below p, and the trace of the reduced P (a sum below dim*p) is
+    the dimension; no basis is made.  Otherwise the rank is eliminated, and
+    the basis kept.
+    """
+    if p > len(proj):
+        return int(np.trace(proj)) % p, None
+    basis = linalg.row_space_basis(proj.T, p)
+    return len(basis), basis
+
+
 def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
     """A primitive idempotent e <= c of a semisimple A, from at most cap draws.
 
     c is a block idempotent and d the dimension of the block's centre, so
     e is primitive exactly when e*A*e has dimension d.  Each draw takes
-    x = e*y*e for a random y; the powers e, x, x^2, ... are computed in A,
-    and the first relation among them is the minimal polynomial m of x in
-    e*A*e.  Unless m is primary, e moves to the primary component of its
-    least irreducible factor.  A block M_1(D) returns a copy of c without a
-    draw, so the caller may keep e and c as separate fields.
+    x = e*y*e for a random y, one product with the map P = R_e L_e that
+    the descent keeps for each e (with L_e and R_e), and reads dim(e*A*e)
+    off it (see _size).  The powers e, x, x^2, ... are computed in A, up
+    to x^(r*d) when dim(e*A*e) = r^2 d, and the first relation among them
+    is the minimal polynomial m of x in e*A*e.  Unless m is primary, e
+    moves to the primary component of its least irreducible factor.  A
+    block M_1(D) returns a copy of c without a draw, so the caller may
+    keep e and c as separate fields.
     """
     A.require_associative()
+    return _primitive_corner(A, c, d, rng, cap).e
+
+
+def _primitive_corner(A, c, d, rng, cap):
+    """primitive_idempotent's descent, which returns the Corner at e.
+
+    c is a central idempotent, so c*x*c = c*x = x*c: the descent starts
+    from the one map L_c = R_c = P.  A corner whose dimension is no r^2 d
+    (a non-semisimple A, in the search that runs before the radical chain)
+    keeps all dim + 1 powers.
+    """
     p = A.p
-    e, size, draws = c.copy(), len(A._hom_rows(c, c)), 0
+    e, draws = c.copy(), 0
+    left = right = proj = A.lmat(c)
+    size, basis = _size(proj, p)
     while size > d:
         if draws == cap:
             raise SplitIterationCapExceeded(cap)
         draws += 1
-        x = A.mul_vec(A.mul_vec(e, A.random_vec(rng)), e)
-        K = A.powers(x, e)
+        x = linalg.matmul_mod(proj, A.random_vec(rng)[:, None], p)[:, 0]
+        r = math.isqrt(size // d)
+        K = A.powers(x, e, r * d if r * r * d == size else A.dim)
         m = min_poly_of_powers(K, p)
         g, k = poly.factor(m, p, rng)[0]
         part = g
@@ -130,5 +188,8 @@ def primitive_idempotent(A, c, d, rng, cap=DEFAULT_SPLIT_CAP):
             part = poly.mul(part, g, p)
         if len(part) < len(m):
             e = _component(A, e, K, poly.exact_div(m, part, p), part)
-            size = len(A._hom_rows(e, e))
-    return e
+            left, right, proj = _maps(A, e)
+            size, basis = _size(proj, p)
+    if basis is None:
+        basis = linalg.row_space_basis(proj.T, p)
+    return Corner(e, left, right, proj, basis)

@@ -512,6 +512,9 @@ def test_powers_match_repeated_products(p):
     for _ in range(A.dim):
         want.append(A.mul_vec(want[-1], x))
     assert A.powers(x, A.one).tolist() == np.array(want).tolist()
+    # a bound top gives the first top + 1 rows, on both sides of each doubling
+    for top in range(1, A.dim + 1):
+        assert A.powers(x, A.one, top).tolist() == np.array(want[: top + 1]).tolist()
 
 
 def test_powers_in_a_corner_start_at_its_identity():
@@ -528,6 +531,24 @@ def test_powers_in_a_corner_start_at_its_identity():
     q = algebra.min_poly_of_powers(K, 7)
     assert len(q) == 3  # T^2 - 2T - 3: trace 2, determinant -3 of [[2,1],[3,0]]
     assert q.tolist() == [4, 5, 1]
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_min_poly_of_independent_powers_is_an_internal_error(p):
+    # powers cut below the degree of the minimal polynomial hold no relation:
+    # a typed error, which hands the optimistic search to the radical chain
+    C = np.array([[0, 0, p - 1], [1, 0, p - 2], [0, 1, 0]])  # T^3 + 2T + 1
+    A = matrix_algebra(p, 3).algebra
+    x = C.reshape(-1)
+    assert len(algebra.min_poly_of_powers(A.powers(x, A.one), p)) == 4
+    for top in (1, 2):
+        K = A.powers(x, A.one, top)
+        assert linalg.rank(K, p) == top + 1
+        with pytest.raises(InternalInvariantViolation, match="independent"):
+            algebra.min_poly_of_powers(K, p)
+    # and so do the independent rows of the identity
+    with pytest.raises(InternalInvariantViolation):
+        algebra.min_poly_of_powers(np.eye(3, dtype=np.int64), p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Block idempotents from the centre, the one-branch descent, dual bases."""
 
+import math
 import random
 
 import numpy as np
@@ -20,19 +21,24 @@ from wedderburn import (
     scramble,
     verify_isomorphism,
 )
-from wedderburn import poly
+from wedderburn import idempotents, linalg, poly
 from wedderburn.blocks import dual_basis
 from wedderburn.errors import (
     NotSemisimple,
     SplitIterationCapExceeded,
     WitnessSolveFailed,
 )
-from wedderburn.idempotents import _fixed_space
+from wedderburn.idempotents import DEFAULT_SPLIT_CAP, Corner, _fixed_space
 
 
 def corner(A, e):
     """Independently rebuild e*A*e as an algebra with identity e."""
     return A.subalgebra(A._hom_rows(e, e), e)
+
+
+def corner_of(A, e):
+    """The idempotents.Corner at e, built afresh, for dual_basis."""
+    return Corner(e, *idempotents._maps(A, e), A._hom_rows(e, e))
 
 
 def is_field_corner(A, e):
@@ -75,7 +81,7 @@ def test_m2f7_gives_two_equivalent_parts():
     assert C.tolist() == [A.one.tolist()] and degrees == [1]
     e = primitive_idempotent(A, C[0], 1, random.Random(0))
     assert len(A._hom_rows(e, e)) == 1
-    a, b = dual_basis(A, C[0], e, A._hom_rows(e, e))
+    a, b = dual_basis(A, corner_of(A, e))
     assert len(a) == len(b) == 2
     check_decomposition(A, A.products(b, a)[[0, 1], [0, 1]])
     # the connecting pair: a[1]*b[1] = e and b[1]*a[1] is the other part
@@ -226,6 +232,79 @@ def test_m1_block_keeps_e_equal_to_c():
             assert blk.a.tolist() == blk.b.tolist() == [blk.c.tolist()]
 
 
+@pytest.mark.parametrize("build, rank_side", [
+    # p = 2^31 - 1: a trace of unreduced products would overflow int64
+    (lambda: scramble(build_planted([(5, 1), (2, 2)], 2**31 - 1).algebra,
+                      seed=1)[0], False),
+    # p = dim + 1, the least p at which the trace gives the dimension
+    (lambda: scramble(matrix_algebra(37, 6).algebra, seed=1)[0], False),
+    # p <= dim: the rank side, with p | n and without
+    (lambda: scramble(matrix_algebra(31, 6).algebra, seed=1)[0], True),
+    (lambda: scramble(matrix_algebra(3, 3).algebra, seed=1)[0], True),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_corner_size_is_the_dimension_of_every_corner(monkeypatch, build,
+                                                      rank_side, seed):
+    # the size the descent reads off its maps, for c and for every e it
+    # splits off, is dim(e*A*e); only the rank side makes a basis for it
+    A = build()
+    blocks_and_degrees = list(zip(*block_idempotents(A)))
+    split, sizes = [], []
+    maps, size = idempotents._maps, idempotents._size
+    monkeypatch.setattr(idempotents, "_maps",
+                        lambda A, e: split.append(e) or maps(A, e))
+
+    def spy_size(proj, p):
+        got = size(proj, p)
+        sizes.append((got[0], got[1] is not None))
+        return got
+
+    monkeypatch.setattr(idempotents, "_size", spy_size)
+    splits = 0
+    for c, d in blocks_and_degrees:
+        split.clear()
+        sizes.clear()
+        e = primitive_idempotent(A, c, d, random.Random(seed))
+        assert len(sizes) == len(split) + 1 and sizes[-1][0] == d
+        for f, (got, made_basis) in zip([c, *split], sizes):
+            assert got == len(A._hom_rows(f, f))
+            assert made_basis == rank_side
+        assert e.tolist() == (split[-1] if split else c).tolist()
+        splits += len(split)
+    assert splits
+
+
+@pytest.mark.parametrize("spec, p", [
+    ([(4, 1)], 3),
+    ([(3, 2), (2, 1)], 3),
+    ([(2, 3), (3, 1)], 7),
+    ([(3, 1), (2, 2)], 97),
+    ([(3, 2)], 2**31 - 1),
+])
+def test_descent_powers_stop_at_the_corner_degree(monkeypatch, spec, p):
+    # a corner of dimension r^2 d in a block M_n(F_{p^d}) is M_r(F_{p^d}):
+    # the powers run to x^(r*d), and the minimal polynomial fits in them
+    A, _ = scramble(build_planted(spec, p).algebra, seed=3)
+    C, degrees = block_idempotents(A)
+    seen = []
+    min_poly = idempotents.min_poly_of_powers
+    monkeypatch.setattr(idempotents, "min_poly_of_powers",
+                        lambda K, p: seen.append((K, min_poly(K, p))) or seen[-1][1])
+    draws = 0
+    for seed in range(4):
+        for c, d in zip(C, degrees):
+            seen.clear()
+            primitive_idempotent(A, c, d, random.Random(seed))
+            for K, m in seen:
+                size = len(A._hom_rows(K[0], K[0]))
+                r = math.isqrt(size // d)
+                assert r * r * d == size and r > 1
+                assert len(K) == r * d + 1 < A.dim + 1
+                assert len(m) - 1 <= r * d
+            draws += len(seen)
+    assert draws
+
+
 def least_factor_oracle(m, p, rng):
     """The descent's factor step before poly.factor: (g, k), the irreducible
     factor g of m least in (degree, coefficient) order and its multiplicity
@@ -262,7 +341,7 @@ def test_least_factor_is_the_first_of_factor(p, data):
 def test_witness_example_elementary_matrices():
     A = matrix_algebra(7, 2).algebra
     e11 = np.array([1, 0, 0, 0])
-    a, b = dual_basis(A, A.one, e11, A._hom_rows(e11, e11))
+    a, b = dual_basis(A, corner_of(A, e11))
     # b spans A*E11 = span(E11, E21); a is its dual basis in E11*A
     assert b.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0]]
     assert a.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
@@ -275,7 +354,7 @@ def test_witness_of_equal_idempotents_is_trivial():
     # the dual basis is forced to start at the representative itself
     A, _ = scramble(matrix_algebra(5, 3).algebra, seed=4)
     e = primitive_idempotent(A, A.one, 1, random.Random(0))
-    a, b = dual_basis(A, A.one, e, A._hom_rows(e, e))
+    a, b = dual_basis(A, corner_of(A, e))
     assert a[0].tolist() == e.tolist()
     assert b[0].tolist() == e.tolist()
 
@@ -311,5 +390,50 @@ def test_dual_basis_outside_a_semisimple_block_fails():
     # D-rank 2, but e*A = span(E22) cannot pair with E12 to give e
     A = make_presentation(5, _radical_sc())
     e22 = np.array([0, 0, 1])
+    corner = corner_of(A, e22)
+    assert corner.basis.tolist() == [e22.tolist()]
     with pytest.raises(WitnessSolveFailed):
-        dual_basis(A, A.one, e22, np.array([e22]))
+        dual_basis(A, corner)
+
+
+def dual_basis_oracle(A, c, e, D):
+    """The dual basis as built before the search kept its corners: the
+    spaces made afresh by _hom_rows, and b grown one extend_rref per row
+    of (c-e)*A*e, taking the row when v*D adds rank."""
+    p = A.p
+    span, pivots = linalg.row_echelon(D, p)
+    b = [e]
+    rest = A._hom_rows((c - e) % p, e)
+    for v, vD in zip(rest, A.products(rest, D)):
+        span, pivots, fresh = linalg.extend_rref(span, pivots, vD, p)
+        if len(fresh):
+            b.append(v)
+    b = np.array(b)
+    n = len(b)
+    W = A._hom_rows(e, c)
+    pairing = A.products(W, b).reshape(len(W), n * A.dim)
+    alpha = linalg.coordinates(pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
+    return linalg.matmul_mod(alpha, W, p), b
+
+
+@pytest.mark.parametrize("spec, p", [
+    ([(3, 1), (2, 2), (1, 3)], 3),  # p | n in M_3(F_3)
+    ([(3, 2), (2, 1), (1, 1)], 3),  # p | n in M_3(F_9)
+    ([(4, 1), (2, 3), (1, 2)], 97),
+    ([(3, 1), (2, 2), (1, 3)], 2**31 - 1),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_basis_matches_the_greedy_loop(spec, p, seed):
+    # one elimination of [D; rest*D] transposed takes the rows the greedy
+    # loop takes, on the corner the search hands over
+    A, _ = scramble(build_planted(spec, p).algebra, seed=seed)
+    C, degrees = block_idempotents(A)
+    assert sorted(degrees) == sorted(d for _, d in spec)
+    for c, d in zip(C, degrees):
+        corner = idempotents._primitive_corner(A, c, d, random.Random(seed),
+                                               DEFAULT_SPLIT_CAP)
+        assert corner.basis.tolist() == A._hom_rows(corner.e, corner.e).tolist()
+        a, b = dual_basis(A, corner)
+        want_a, want_b = dual_basis_oracle(A, c, corner.e, corner.basis)
+        assert b.tolist() == want_b.tolist()
+        assert a.tolist() == want_a.tolist()
