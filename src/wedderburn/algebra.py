@@ -179,7 +179,7 @@ class Algebra:
         if span.shape[0] < n:
             self._check_associativity()
         else:
-            self._generators = np.array(gens, dtype=np.int64).reshape(-1, n)
+            self._generators = np.array(gens, dtype=np.int64).reshape(len(gens), n)
 
     def _check_associativity(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
@@ -375,13 +375,6 @@ class Algebra:
                         dtype=np.int64)
 
     # -- subalgebras ----------------------------------------------------------
-
-    def _hom_rows(self, f, e):
-        """Canonical basis (rows) of f*A*e for idempotents f and e: the
-        reduced-echelon basis of the image of x -> f x e, whose projector
-        is rmat(e) @ lmat(f).  Unchecked: the callers hold idempotents."""
-        proj = linalg.matmul_mod(self.rmat(e), self.lmat(f), self.p)
-        return linalg.row_space_basis(proj.T, self.p)
 
     def subalgebra(self, rows, one):
         """The algebra presented on the basis `rows` (A's coordinates) with

@@ -6,12 +6,12 @@ entry field D; a D-basis b of the left ideal A*e and its dual basis a in
 e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
 inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
 
-The search presumes A semisimple.  Where the trace form settles that, or a
-radical report is cached, the radical decides first.  Otherwise the search
-runs before the deep radical chain, with a small draw cap, and its result
-stands only if `check` accepts it: an isomorphism onto a direct sum of
-matrix rings over fields proves A semisimple.  Any failure hands the
-verdict to the chain.
+The search presumes A semisimple.  For p > dim the radical chain is the
+trace form alone, and it decides first.  For p <= dim the chain goes on to
+its char_poly stages, so the search runs first, with a small draw cap, and
+its result stands only if `check` accepts it: an isomorphism onto a direct
+sum of matrix rings over fields proves A semisimple.  Any failure hands
+the verdict to the chain.
 
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
@@ -230,8 +230,8 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
     """End-to-end decomposition with the assembled invertible map.
 
     NotSemisimple, with the certified radical, unless A is semisimple.
-    When stage 0 of the radical chain leaves that open (see
-    radical.needs_deep_chain), the search runs first, with at most
+    For p > dim the radical chain is the trace form, O(dim^3), and it
+    decides first.  For p <= dim the search runs first, with at most
     _OPTIMISTIC_CAP draws per block: a certificate that check accepts maps
     A onto a direct sum of matrix rings over fields, which proves A
     semisimple.  Only a typed error or a failed relation runs the chain;
@@ -239,7 +239,7 @@ def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
     errors are the ones a semisimple input gives.
     """
     A.require_associative()
-    if radical.needs_deep_chain(A):
+    if A.p <= A.dim:
         try:
             result = _search(A, seed, min(cap, _OPTIMISTIC_CAP))
         except WedderburnError:

@@ -163,6 +163,8 @@ def cmd_gen_matrix(args):
 
 def cmd_gen_sum(args):
     parts = [algebra.from_doc(_load_json(path)) for path in args.inputs]
+    for part in parts:  # a non-associative part names its own triple
+        part.require_associative()
     return _finish_gen(args, generators.direct_sum(parts))
 
 

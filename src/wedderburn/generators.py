@@ -7,9 +7,9 @@ construction records the block multiset the decomposition must recover.
 Each hands out a validated presentation with associativity pending, as
 every constructor does: a checked Cayley table, a matrix ring over a field
 and a change of basis are associative by construction, so nothing here
-re-proves them.  direct_sum proves each of its parts (so a bad part names
-its own failing triple) but not the sum, which is associative when they
-are.
+re-proves them.  Nor does direct_sum prove its parts or the sum, which is
+associative when they are: a part read from a document is proved by its
+reader (cli's `gen sum`), so that a bad part names its own failing triple.
 """
 
 import random
@@ -222,8 +222,6 @@ def direct_sum(parts):
     """Block-diagonal sum of presentations over the same prime field."""
     if not parts:
         raise ValueError("direct_sum needs at least one part")
-    for part in parts:  # a non-associative part names its own triple
-        part.require_associative()
     p = parts[0].p
     for part in parts[1:]:
         if part.p != p:

@@ -34,24 +34,29 @@ from .errors import InternalInvariantViolation, SplitIterationCapExceeded
 DEFAULT_SPLIT_CAP = 256
 
 
-def _component(B, one, K, rest, part):
+def _component(p, one, K, rest, part):
     """Idempotent of the `part` component of x, from m = part*rest coprime.
 
     m is the minimal polynomial of x in the corner with identity `one`, and
     K holds the powers one, x, x^2, ... as rows.  With s*rest + t*part = 1,
     (s*rest)(x) is one on ker part(x) and zero on ker rest(x).  It is
-    neither zero nor `one`, by minimality of m.
+    neither zero nor `one`, by minimality of m.  The caller proves it
+    idempotent (_require_idempotent), from a map it builds anyway.
     """
-    _, s, _ = poly.bezout(rest, part, B.p)
-    sr = poly.mul(s, rest, B.p)  # degree below deg m, and K runs to x^deg(m)
-    eps = linalg.matmul_mod(sr[None, :], K[: len(sr)], B.p)[0]
-    if not np.array_equal(B.mul_vec(eps, eps), eps):
-        raise InternalInvariantViolation("split produced a non-idempotent")
+    _, s, _ = poly.bezout(rest, part, p)
+    sr = poly.mul(s, rest, p)  # degree below deg m, and K runs to x^deg(m)
+    eps = linalg.matmul_mod(sr[None, :], K[: len(sr)], p)[0]
     if not eps.any():
         raise InternalInvariantViolation("split produced zero")
     if np.array_equal(eps, one):
         raise InternalInvariantViolation("split produced the whole identity")
     return eps
+
+
+def _require_idempotent(eps, square):
+    """Refuse a split whose eps is not idempotent; square is eps*eps."""
+    if not np.array_equal(square, eps):
+        raise InternalInvariantViolation("split produced a non-idempotent")
 
 
 def _fixed_space(Z):
@@ -106,8 +111,10 @@ def _block_idempotents(A):
             )
         if len(roots) < 2:
             continue
-        spectral = np.array([_component(Z, Z.one, K, poly.exact_div(m, g, p), g)
+        spectral = np.array([_component(p, Z.one, K, poly.exact_div(m, g, p), g)
                              for g, _ in roots])
+        for eps in spectral:
+            _require_idempotent(eps, Z.mul_vec(eps, eps))
         prods = Z.products(parts, spectral).reshape(-1, Z.dim)
         parts = prods[prods.any(axis=1)]
     degrees = [linalg.rank(Z.lmat(c), p) for c in parts]
@@ -187,8 +194,9 @@ def _primitive_corner(A, c, d, rng, cap):
         for _ in range(k - 1):
             part = poly.mul(part, g, p)
         if len(part) < len(m):
-            e = _component(A, e, K, poly.exact_div(m, part, p), part)
+            e = _component(p, e, K, poly.exact_div(m, part, p), part)
             left, right, proj = _maps(A, e)
+            _require_idempotent(e, linalg.matmul_mod(left, e[:, None], p)[:, 0])
             size, basis = _size(proj, p)
     if basis is None:
         basis = linalg.row_space_basis(proj.T, p)

@@ -228,7 +228,7 @@ def _frobenius_fixed_space(f, tp, p):
 
 
 def _t_to_the_p(f, p):
-    return _ints(pow_mod([0, 1], p, f, p), p)
+    return _pow_mod([0, 1], p, f, p)
 
 
 def _is_irreducible(f, p):
@@ -267,7 +267,7 @@ def _split(f, p, rng, tp):
         )
     for _ in range(_PROBE_CAP):
         shift = _add(v, [rng.randrange(p)], p)
-        w = _ints(pow_mod(shift, (p - 1) // 2, f, p), p)
+        w = _pow_mod(shift, (p - 1) // 2, f, p)
         g = _gcd(_sub(w, [1], p), f, p)
         if 1 < len(g) < len(f):
             return _split(g, p, rng, tp) + _split(_exact_div(f, g, p), p, rng, tp)

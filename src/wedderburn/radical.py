@@ -17,13 +17,13 @@ step has to be taken on faith:
 If the explicit check ever failed the input would be refused rather than
 guessed at.  For p > dim the chain is the single trace-form stage.
 
-Stage 0 costs O(dim^3); the stages past it cost O(dim^5) in practice.
-trace_kernel keeps stage 0 on the presentation, and the chain starts from
-it.  When it leaves semisimplicity open (needs_deep_chain),
+Stage 0 costs O(dim^3); the stages past it, which run only while
+p <= dim, cost O(dim^5) in practice.  So for p <= dim
 blocks.full_isomorphism first tries the decomposition, whose checked
-certificate proves semisimplicity on its own, and runs the rest of the
-chain only when that fails: to certify the radical it rejects with, or to
-certify that it is zero.
+certificate proves semisimplicity on its own, and runs the chain only when
+that fails: to certify the radical it rejects with, or to certify that it
+is zero.  Nothing is kept on the presentation: each call computes the
+chain afresh.
 
 A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
 the current basis.  It is computed in bulk: one Algebra.products call gives
@@ -86,21 +86,8 @@ def _char_coeff_form(A, rows, k):
 
 def trace_kernel(A):
     """Stage 0 of the chain: canonical basis (rows) of the kernel of the
-    trace form (c_1 is minus the trace), in O(dim^3).  Cached on the
-    presentation, so the chain starts from it and never computes it twice."""
-    rows = getattr(A, "_trace_kernel", None)
-    if rows is None:
-        rows = linalg.row_space_basis(linalg.kernel(A.gram_matrix(), A.p), A.p)
-        A._trace_kernel = rows
-    return rows
-
-
-def needs_deep_chain(A):
-    """True when the cheap facts leave semisimplicity open: no report is
-    cached, stage 0 is nonzero, and p <= dim, so the chain would go on to
-    its char_poly stages.  Otherwise radical_report runs none of them."""
-    return (getattr(A, "_radical_report", None) is None and A.p <= A.dim
-            and trace_kernel(A).shape[0] > 0)
+    trace form (c_1 is minus the trace), in O(dim^3)."""
+    return linalg.row_space_basis(linalg.kernel(A.gram_matrix(), A.p), A.p)
 
 
 def _chain(A):
@@ -147,20 +134,11 @@ def _verify_nilpotent(A, rows):
 
 
 def radical_report(A):
-    """Compute and certify the radical.  Cached on the presentation."""
+    """Compute and certify the radical."""
     A.require_associative()
-    cached = getattr(A, "_radical_report", None)
-    if cached is not None:
-        return cached
-    if A.dim == 0:
-        report = RadicalReport(np.zeros((0, 0), dtype=np.int64), [0], 0)
-        A._radical_report = report
-        return report
     rows, stage_dims = _chain(A)
     if rows.shape[0] == 0:
-        report = RadicalReport(rows.reshape(0, A.dim), stage_dims, 0)
-        A._radical_report = report
-        return report
+        return RadicalReport(rows.reshape(0, A.dim), stage_dims, 0)
     if not _verify_two_sided_ideal(A, rows):
         raise UnsupportedCharacteristic(
             f"radical candidate is not an ideal at p={A.p}, dim={A.dim}; "
@@ -172,9 +150,7 @@ def radical_report(A):
             f"radical candidate is not nilpotent at p={A.p}, dim={A.dim}; "
             "refusing to decide semisimplicity"
         )
-    report = RadicalReport(rows, stage_dims, index)
-    A._radical_report = report
-    return report
+    return RadicalReport(rows, stage_dims, index)
 
 
 def radical_basis(A):

@@ -254,8 +254,7 @@ def test_split_cap_exit_5(tmp_path):
 
 
 def test_search_failures_exit_5_and_6_after_the_chain(tmp_path):
-    # 3 | 3 leaves semisimplicity open after the trace form, so the search
-    # runs before the chain; once the chain certifies a zero radical, its
+    # p = 3 is at most dim 9, so the search runs before the chain; once the chain certifies a zero radical, its
     # failures exit as they do on any semisimple input
     m = tmp_path / "m33.json"
     assert run("gen", "matrix", "-n", "3", "-p", "3", "-o", str(m)).returncode == 0

@@ -24,21 +24,24 @@ from wedderburn import (
 from wedderburn import idempotents, linalg, poly
 from wedderburn.blocks import dual_basis
 from wedderburn.errors import (
+    InternalInvariantViolation,
     NotSemisimple,
     SplitIterationCapExceeded,
     WitnessSolveFailed,
 )
 from wedderburn.idempotents import DEFAULT_SPLIT_CAP, Corner, _fixed_space
 
+from oracles import hom_rows
+
 
 def corner(A, e):
     """Independently rebuild e*A*e as an algebra with identity e."""
-    return A.subalgebra(A._hom_rows(e, e), e)
+    return A.subalgebra(hom_rows(A, e, e), e)
 
 
 def corner_of(A, e):
     """The idempotents.Corner at e, built afresh, for dual_basis."""
-    return Corner(e, *idempotents._maps(A, e), A._hom_rows(e, e))
+    return Corner(e, *idempotents._maps(A, e), hom_rows(A, e, e))
 
 
 def is_field_corner(A, e):
@@ -80,7 +83,7 @@ def test_m2f7_gives_two_equivalent_parts():
     C, degrees = block_idempotents(A)
     assert C.tolist() == [A.one.tolist()] and degrees == [1]
     e = primitive_idempotent(A, C[0], 1, random.Random(0))
-    assert len(A._hom_rows(e, e)) == 1
+    assert len(hom_rows(A, e, e)) == 1
     a, b = dual_basis(A, corner_of(A, e))
     assert len(a) == len(b) == 2
     check_decomposition(A, A.products(b, a)[[0, 1], [0, 1]])
@@ -158,6 +161,21 @@ def test_primitive_idempotent_is_c_on_a_field_and_splits_m2():
     assert e.tolist() != A.one.tolist() and is_field_corner(A, e)
 
 
+@pytest.mark.parametrize("split", ["centre", "descent"])
+def test_a_non_idempotent_split_is_refused(monkeypatch, split):
+    # both splits prove each component idempotent: the centre by its own
+    # product, the descent from the L_e it builds for the new corner
+    component = idempotents._component
+    monkeypatch.setattr(idempotents, "_component",
+                        lambda p, *args: 2 * component(p, *args) % p)
+    with pytest.raises(InternalInvariantViolation, match="non-idempotent"):
+        if split == "centre":  # F_7[C3] = F_7^3: the centre splits
+            block_idempotents(group_algebra(cayley_fixture("C3"), 7))
+        else:  # M_2(F_7) has centre F_7: only the descent splits
+            A = matrix_algebra(7, 2).algebra
+            primitive_idempotent(A, A.one, 1, random.Random(0))
+
+
 def test_split_cap_exceeded():
     P = build_planted([(2, 1), (1, 2)], 7)
     A, _ = scramble(P.algebra, seed=5)
@@ -194,7 +212,7 @@ def test_block_idempotents_separate_every_block(build, shapes):
         for f in C[i + 1 :]:
             assert not A.mul_vec(c, f).any()
         # c*A*c = M_n(F_{p^d}) has dimension n^2 d and a centre of dimension d
-        n2d = len(A._hom_rows(c, c))
+        n2d = len(hom_rows(A, c, c))
         assert (int(round((n2d // degrees[i]) ** 0.5)), degrees[i]) in shapes
         assert len(corner(A, c).center_basis()) == degrees[i]
     res = full_isomorphism(A, seed=0)
@@ -220,7 +238,7 @@ def test_primitive_idempotent_reaches_the_entry_field(spec, p, seed):
     e = primitive_idempotent(A, c, d, random.Random(seed))
     assert np.array_equal(A.mul_vec(e, e), e)
     assert np.array_equal(A.mul_vec(c, e), e)  # e <= c
-    assert len(A._hom_rows(e, e)) == d and is_field_corner(A, e)
+    assert len(hom_rows(A, e, e)) == d and is_field_corner(A, e)
 
 
 def test_m1_block_keeps_e_equal_to_c():
@@ -267,7 +285,7 @@ def test_corner_size_is_the_dimension_of_every_corner(monkeypatch, build,
         e = primitive_idempotent(A, c, d, random.Random(seed))
         assert len(sizes) == len(split) + 1 and sizes[-1][0] == d
         for f, (got, made_basis) in zip([c, *split], sizes):
-            assert got == len(A._hom_rows(f, f))
+            assert got == len(hom_rows(A, f, f))
             assert made_basis == rank_side
         assert e.tolist() == (split[-1] if split else c).tolist()
         splits += len(split)
@@ -296,7 +314,7 @@ def test_descent_powers_stop_at_the_corner_degree(monkeypatch, spec, p):
             seen.clear()
             primitive_idempotent(A, c, d, random.Random(seed))
             for K, m in seen:
-                size = len(A._hom_rows(K[0], K[0]))
+                size = len(hom_rows(A, K[0], K[0]))
                 r = math.isqrt(size // d)
                 assert r * r * d == size and r > 1
                 assert len(K) == r * d + 1 < A.dim + 1
@@ -364,8 +382,8 @@ def test_witness_absent_across_blocks():
     C, _ = block_idempotents(A)
     assert len(C) == 2
     e, f = C
-    assert A._hom_rows(e, f).shape[0] == 0
-    assert A._hom_rows(f, e).shape[0] == 0
+    assert hom_rows(A, e, f).shape[0] == 0
+    assert hom_rows(A, f, e).shape[0] == 0
 
 
 def test_witness_symmetric_within_block():
@@ -398,19 +416,19 @@ def test_dual_basis_outside_a_semisimple_block_fails():
 
 def dual_basis_oracle(A, c, e, D):
     """The dual basis as built before the search kept its corners: the
-    spaces made afresh by _hom_rows, and b grown one extend_rref per row
+    spaces made afresh by hom_rows, and b grown one extend_rref per row
     of (c-e)*A*e, taking the row when v*D adds rank."""
     p = A.p
     span, pivots = linalg.row_echelon(D, p)
     b = [e]
-    rest = A._hom_rows((c - e) % p, e)
+    rest = hom_rows(A, (c - e) % p, e)
     for v, vD in zip(rest, A.products(rest, D)):
         span, pivots, fresh = linalg.extend_rref(span, pivots, vD, p)
         if len(fresh):
             b.append(v)
     b = np.array(b)
     n = len(b)
-    W = A._hom_rows(e, c)
+    W = hom_rows(A, e, c)
     pairing = A.products(W, b).reshape(len(W), n * A.dim)
     alpha = linalg.coordinates(pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
     return linalg.matmul_mod(alpha, W, p), b
@@ -432,7 +450,7 @@ def test_dual_basis_matches_the_greedy_loop(spec, p, seed):
     for c, d in zip(C, degrees):
         corner = idempotents._primitive_corner(A, c, d, random.Random(seed),
                                                DEFAULT_SPLIT_CAP)
-        assert corner.basis.tolist() == A._hom_rows(corner.e, corner.e).tolist()
+        assert corner.basis.tolist() == hom_rows(A, corner.e, corner.e).tolist()
         a, b = dual_basis(A, corner)
         want_a, want_b = dual_basis_oracle(A, c, corner.e, corner.basis)
         assert b.tolist() == want_b.tolist()

@@ -242,15 +242,15 @@ def test_factor_large_prime_uses_probe_path():
 
 
 def count_pow_mod_exponents(monkeypatch):
-    """Record the exponent of every poly.pow_mod call from here on."""
+    """Record the exponent of every poly._pow_mod call from here on."""
     exponents = []
-    real_pow_mod = poly.pow_mod
+    real_pow_mod = poly._pow_mod
 
     def counting_pow_mod(base, e, modulus, q):
         exponents.append(e)
         return real_pow_mod(base, e, modulus, q)
 
-    monkeypatch.setattr(poly, "pow_mod", counting_pow_mod)
+    monkeypatch.setattr(poly, "_pow_mod", counting_pow_mod)
     return exponents
 
 

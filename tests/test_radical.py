@@ -96,10 +96,16 @@ def test_semisimple_cases_report_empty_radical():
         matrix_algebra(5, 3).algebra,  # p < dim: deeper chain stages
         group_algebra(cayley_fixture("S3"), 5),
         direct_sum([matrix_algebra(5, 1).algebra, matrix_algebra(5, 1).algebra]),
+        # the zero algebra, the corner at 0, with associativity pending
+        matrix_algebra(7, 2).algebra.subalgebra(
+            np.zeros((0, 4), dtype=np.int64), np.zeros(4, dtype=np.int64)),
     ]
     for A in cases:
         assert radical_basis(A).shape == (0, A.dim)
         require_semisimple(A)  # should not raise
+    zero = radical_report(cases[-1])
+    assert zero.rows.shape == (0, 0)
+    assert zero.stage_dims == [0] and zero.nilpotency_index == 0
 
 
 def test_stage_dims_recorded():
@@ -117,9 +123,15 @@ def test_q8_at_p3_is_semisimple():
     assert radical_report(A).is_semisimple
 
 
-def test_report_caches():
+def test_report_is_computed_afresh_and_kept_nowhere():
     A = triangular3()
-    assert radical_report(A) is radical_report(A)
+    attrs = dict(vars(A))
+    first, second = radical_report(A), radical_report(A)
+    assert first is not second
+    assert first.rows.tolist() == second.rows.tolist() == [[0, 1, 0]]
+    assert first.stage_dims == second.stage_dims
+    assert first.nilpotency_index == second.nilpotency_index
+    assert vars(A).keys() == attrs.keys()
 
 
 def count_char_poly_calls(monkeypatch):
@@ -237,6 +249,19 @@ def path_algebra(p):
     return make_presentation(p, sc)
 
 
+def spy_gram(monkeypatch):
+    """Count the computations of stage 0 (the trace form's gram matrix)."""
+    grams = []
+    gram = Algebra.gram_matrix
+
+    def counted(self):
+        grams.append(self.dim)
+        return gram(self)
+
+    monkeypatch.setattr(Algebra, "gram_matrix", counted)
+    return grams
+
+
 def spy_chain(monkeypatch):
     """Record each char_poly stage of the chain, by the dimension of the
     stage it starts from."""
@@ -259,11 +284,27 @@ def spy_chain(monkeypatch):
 def test_verified_certificate_proves_semisimplicity_without_the_chain(
         monkeypatch, p, spec):
     A, _ = scramble(build_planted(spec, p).algebra, seed=1)
-    assert radical.needs_deep_chain(A)  # stage 0 alone leaves it open
-    calls = spy_chain(monkeypatch)
+    assert radical.trace_kernel(A).shape[0] > 0  # stage 0 alone leaves it open
+    calls, grams = spy_chain(monkeypatch), spy_gram(monkeypatch)
     res = full_isomorphism(A, seed=0)
     assert verify_isomorphism(A, res).passed
-    assert calls == []
+    assert calls == [] and grams == []
+
+
+@pytest.mark.parametrize("p, spec", [
+    (5, [(2, 1), (1, 1)]),  # p <= dim, and stage 0 is zero
+    (7, [(2, 1), (1, 2), (3, 1)]),
+    (7, [(2, 1), (1, 2)]),  # p > dim: stage 0 is the whole chain
+])
+def test_a_passing_decompose_computes_stage_0_only_when_p_exceeds_dim(
+        monkeypatch, p, spec):
+    # p <= dim alone sends the input to the search first, whatever stage 0
+    # would have been; for p > dim the trace form decides, once
+    A, _ = scramble(build_planted(spec, p).algebra, seed=1)
+    grams = spy_gram(monkeypatch)
+    res = full_isomorphism(A, seed=0)
+    assert verify_isomorphism(A, res).passed
+    assert grams == ([] if p <= A.dim else [A.dim])
 
 
 def test_scrambled_m9_over_f3_skips_the_chain(monkeypatch):
@@ -293,21 +334,14 @@ REJECTIONS = {
 def test_rejection_runs_the_chain_and_matches_a_fresh_report(monkeypatch, name):
     want = radical_report(REJECTIONS[name]())
     A = REJECTIONS[name]()
-    calls = spy_chain(monkeypatch)
-    grams = []
-    gram = Algebra.gram_matrix
-
-    def counted(self):
-        grams.append(1)
-        return gram(self)
-
-    monkeypatch.setattr(Algebra, "gram_matrix", counted)
+    calls, grams = spy_chain(monkeypatch), spy_gram(monkeypatch)
     with pytest.raises(NotSemisimple) as info:
         full_isomorphism(A, seed=0)
-    assert calls and len(grams) == 1  # the chain starts from stage 0 as kept
+    # the search first, then one chain, which computes stage 0 once
+    assert len(calls) == len(want.stage_dims) - 1 and grams == [A.dim]
     assert info.value.radical_basis.tolist() == want.rows.tolist()
-    got = radical_report(A)  # the fallback's report, cached: no second chain
-    assert len(calls) == len(want.stage_dims) - 1
+    got = radical_report(A)  # a fresh report: the chain runs again
+    assert len(calls) == 2 * (len(want.stage_dims) - 1)
     assert got.rows.tolist() == want.rows.tolist()
     assert got.stage_dims == want.stage_dims
     assert got.nilpotency_index == want.nilpotency_index
@@ -370,9 +404,10 @@ def test_search_errors_surface_after_the_chain_certifies_zero(monkeypatch):
     with pytest.raises(SplitIterationCapExceeded) as info:
         full_isomorphism(A, seed=2, cap=1)
     assert info.value.cap == 1 and calls == [9]
-    assert radical_report(A).is_semisimple
-    res = full_isomorphism(A, seed=2)  # the report is cached now
-    assert verify_isomorphism(A, res).passed and calls == [9]
+    assert radical_report(A).is_semisimple  # computed afresh: a second chain
+    assert calls == [9, 9]
+    res = full_isomorphism(A, seed=2)  # the search passes: no chain runs
+    assert verify_isomorphism(A, res).passed and calls == [9, 9]
 
 
 def test_a_failed_check_sends_the_search_to_the_chain(monkeypatch):
