@@ -31,8 +31,6 @@ from .generators import (
 from .idempotents import block_idempotents, primitive_idempotent
 from .radical import (
     RadicalReport,
-    is_semisimple,
-    radical_basis,
     radical_report,
     require_semisimple,
 )
@@ -55,11 +53,9 @@ __all__ = [
     "full_isomorphism",
     "group_algebra",
     "is_prime",
-    "is_semisimple",
     "make_presentation",
     "matrix_algebra",
     "primitive_idempotent",
-    "radical_basis",
     "radical_report",
     "require_semisimple",
     "result_to_doc",

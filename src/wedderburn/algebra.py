@@ -91,12 +91,7 @@ class Algebra:
         # associativity not yet proved; an unvalidated algebra inherits
         # the state of the algebra it was built from
         self._pending = validate or _pending
-        try:
-            self.one = self._identity(identity, validate)
-        except (InvalidDocument, NoIdentity):
-            if validate:
-                self._check_associativity()  # NotAssociative comes first
-            raise
+        self.one = self._identity(identity, validate)
 
     def require_associative(self):
         """Prove associativity now if it is pending: the certificate runs
@@ -457,9 +452,8 @@ def from_doc(doc):
     """Reconstruct an Algebra from its document, with associativity pending.
 
     Form, integer type, shape and the identity are checked as by the
-    Algebra constructor (a failing identity check still reports a failing
-    triple first).  Associativity is left to require_associative, which
-    every entry point that needs it calls first, or to a passing
+    Algebra constructor.  Associativity is left to require_associative,
+    which every entry point that needs it calls first, or to a passing
     blocks.check, which proves it from the isomorphism.
     """
     if not isinstance(doc, dict):

@@ -188,24 +188,19 @@ def matrix_algebra(p, n, ext_poly=None):
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     if ext_poly is None:
-        f = np.array([0, 1], dtype=np.int64)  # T, giving the prime field
+        f = [0, 1]  # T, giving the prime field
     else:
         f = poly.monic(poly.normalize(ext_poly, p), p)
     d = poly.degree(f)
     if d is poly.NEG_INF or d < 1:
         raise ReduciblePolynomial("extension polynomial must have degree >= 1")
     if not poly.is_irreducible(f, p):
-        raise ReduciblePolynomial(
-            f"extension polynomial {f.tolist()} factors over F_{p}"
-        )
-    d = int(d)
+        raise ReduciblePolynomial(f"extension polynomial {f} factors over F_{p}")
     # F_p[T]/(f) on the basis T^t: T^s * T^t = T^(s+t) mod f
     prod_tbl = np.zeros((d, d, d), dtype=np.int64)
     for s in range(d):
         for t in range(d):
-            m = np.zeros(s + t + 1, dtype=np.int64)
-            m[s + t] = 1
-            r = poly.divmod_poly(m, f, p)[1]
+            r = poly.divmod_poly([0] * (s + t) + [1], f, p)[1]
             prod_tbl[s, t, : len(r)] = r
     field = Algebra(p, prod_tbl, identity=np.eye(d, dtype=np.int64)[0],
                     validate=False)

@@ -18,7 +18,9 @@ most r*d over F_p, so only the powers up to x^(r*d) are computed.
 
 Both steps factor a minimal polynomial with poly.factor, which returns the
 monic irreducible factors sorted by (degree, coefficients): the centre
-takes every (linear) factor, the descent the first.
+takes every (linear) factor, the descent the first.  A polynomial is
+poly's list of Python ints; _component turns s*rest into an int64 row once,
+for its product with the powers.
 """
 
 import math
@@ -44,7 +46,8 @@ def _component(p, one, K, rest, part):
     idempotent (_require_idempotent), from a map it builds anyway.
     """
     _, s, _ = poly.bezout(rest, part, p)
-    sr = poly.mul(s, rest, p)  # degree below deg m, and K runs to x^deg(m)
+    sr = np.array(poly.mul(s, rest, p), dtype=np.int64)
+    # deg(s*rest) < deg m, and K runs to x^deg(m)
     eps = linalg.matmul_mod(sr[None, :], K[: len(sr)], p)[0]
     if not eps.any():
         raise InternalInvariantViolation("split produced zero")

@@ -1,12 +1,14 @@
 """Polynomial arithmetic over F_p and Berlekamp factorization.
 
-At the boundary a polynomial is a C-contiguous int64 numpy array of
-coefficients, lowest degree first, with no trailing zeros (the zero
-polynomial is the single coefficient [0]).  Each public function converts
-its arguments once to lists of Python ints, computes on those, exactly at
-any p, and returns int64 arrays.  factor draws its probe's shifts from the
-caller's random.Random; they change only the order in which the factors
-are found, never the factors.
+A polynomial is a list of Python ints in [0, p), lowest degree first, with
+no trailing zeros (the zero polynomial is [0]).  Every function takes and
+returns that form, and computes on it exactly at any p: a Python int does
+not overflow, where an int64 sum of products of residues near 2^31 would.
+So normalize is the one entry point for coefficients from outside (an int64
+kernel row, a document's list): it reduces each with int(x) % p and trims
+the trailing zeros; nothing else converts its arguments.  factor draws its
+probe's shifts from the caller's random.Random; they change only the order
+in which the factors are found, never the factors.
 """
 
 from itertools import zip_longest
@@ -24,8 +26,6 @@ _PROBE_CAP = 256
 
 NEG_INF = float("-inf")
 
-# -- the boundary: int64 arrays outside, normalized int lists inside --------
-
 
 def _trim(c):
     """Drop trailing zeros in place; the zero polynomial stays [0]."""
@@ -34,24 +34,10 @@ def _trim(c):
     return c
 
 
-def _ints(c, p):
-    """c (an array or a sequence of ints) as a normalized list of residues."""
-    return _trim([x % p for x in np.asarray(c, dtype=np.int64).tolist()] or [0])
-
-
-def _array(c):
-    return np.array(c, dtype=np.int64)
-
-
-def _divisor(b, p):
-    b = _ints(b, p)
-    if is_zero(b):
-        raise DivisionByZero("polynomial division by zero")
-    return b
-
-
 def normalize(c, p):
-    return _array(_ints(c, p))
+    """Coefficients from outside (any integers, lowest degree first) as a
+    polynomial: Python ints in [0, p), no trailing zero."""
+    return _trim([int(x) % p for x in c] or [0])
 
 
 def is_zero(c):
@@ -64,7 +50,7 @@ def degree(c):
     return len(c) - 1
 
 
-# -- arithmetic on normalized lists -------------------------------------------
+# -- arithmetic ----------------------------------------------------------------
 
 
 def _add(a, b, p):
@@ -85,7 +71,7 @@ def _convolve(a, b):
     return out
 
 
-def _mul(a, b, p):
+def mul(a, b, p):
     return _trim([x % p for x in _convolve(a, b)])
 
 
@@ -93,8 +79,10 @@ def _scale(k, a, p):
     return _trim([k * x % p for x in a])
 
 
-def _divmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b."""
+def divmod_poly(a, b, p):
+    """Quotient and remainder of a by b (b nonzero)."""
+    if is_zero(b):
+        raise DivisionByZero("polynomial division by zero")
     db = len(b) - 1
     if len(a) <= db or is_zero(a):
         return [0], a
@@ -112,17 +100,17 @@ def _divmod(a, b, p):
 
 
 def _rem(a, b, p):
-    return _divmod(a, b, p)[1]
+    return divmod_poly(a, b, p)[1]
 
 
-def _exact_div(a, b, p):
-    q, r = _divmod(a, b, p)
+def exact_div(a, b, p):
+    q, r = divmod_poly(a, b, p)
     if not is_zero(r):
         raise InternalInvariantViolation("exact_div called on a non-divisor")
     return q
 
 
-def _monic(a, p):
+def monic(a, p):
     lead = a[-1]
     if lead in (0, 1):
         return a
@@ -132,7 +120,7 @@ def _monic(a, p):
 def _gcd(a, b, p):
     while not is_zero(b):
         a, b = b, _rem(a, b, p)
-    return _monic(a, p)
+    return monic(a, p)
 
 
 def _mul_mod(a, b, f, p):
@@ -148,7 +136,7 @@ def _mul_mod(a, b, f, p):
 
 
 def _pow_mod(base, e, modulus, p):
-    f = _monic(modulus, p)  # the same residues, without a leading inverse
+    f = monic(modulus, p)  # the same residues, without a leading inverse
     result, acc = _rem([1], f, p), _rem(base, f, p)
     while e > 0:
         if e & 1:
@@ -169,46 +157,20 @@ def _pth_root(c, p):
     return c[::p]
 
 
-# -- the public functions -----------------------------------------------------
-
-
-def mul(a, b, p):
-    return _array(_mul(_ints(a, p), _ints(b, p), p))
-
-
-def divmod_poly(a, b, p):
-    """Quotient and remainder of a by b (b nonzero)."""
-    q, r = _divmod(_ints(a, p), _divisor(b, p), p)
-    return _array(q), _array(r)
-
-
-def exact_div(a, b, p):
-    return _array(_exact_div(_ints(a, p), _divisor(b, p), p))
-
-
-def monic(a, p):
-    return _array(_monic(_ints(a, p), p))
-
-
 def bezout(a, b, p):
     """(g, s, t) with s*a + t*b = g = monic gcd(a, b)."""
-    r0, r1 = _ints(a, p), _ints(b, p)
+    r0, r1 = a, b
     s0, s1 = [1], [0]
     t0, t1 = [0], [1]
     while not is_zero(r1):
-        q, r = _divmod(r0, r1, p)
+        q, r = divmod_poly(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+        s0, s1 = s1, _sub(s0, mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, mul(q, t1, p), p)
     if not is_zero(r0):
         lead_inv = pow(r0[-1], p - 2, p)
         r0, s0, t0 = (_scale(lead_inv, c, p) for c in (r0, s0, t0))
-    return _array(r0), _array(s0), _array(t0)
-
-
-def pow_mod(base, e, modulus, p):
-    """base**e reduced mod the polynomial `modulus` (nonzero)."""
-    return _array(_pow_mod(_ints(base, p), e, _divisor(modulus, p), p))
+    return r0, s0, t0
 
 
 def _frobenius_fixed_space(f, tp, p):
@@ -217,7 +179,7 @@ def _frobenius_fixed_space(f, tp, p):
     tp is T^p mod f.  The dimension equals the number of distinct
     irreducible factors of f (multiplicities do not change it).
     """
-    f = _monic(f, p)
+    f = monic(f, p)
     n = len(f) - 1
     Q = np.zeros((n, n), dtype=np.int64)
     col = [1]
@@ -231,18 +193,14 @@ def _t_to_the_p(f, p):
     return _pow_mod([0, 1], p, f, p)
 
 
-def _is_irreducible(f, p):
+def is_irreducible(f, p):
+    """Certify irreducibility: squarefree with a single distinct factor."""
     if len(f) <= 2:
         return len(f) == 2  # a nonzero constant or zero is not irreducible
     fp = _derivative(f, p)
     if is_zero(fp) or len(_gcd(f, fp, p)) > 1:
         return False
     return len(_frobenius_fixed_space(f, _t_to_the_p(f, p), p)) == 1
-
-
-def is_irreducible(f, p):
-    """Certify irreducibility: squarefree with a single distinct factor."""
-    return _is_irreducible(_ints(f, p), p)
 
 
 def _split(f, p, rng, tp):
@@ -260,7 +218,7 @@ def _split(f, p, rng, tp):
         return [f]
     # pick a non-constant fixed vector: reduced mod each irreducible factor it
     # is a scalar, and not the same scalar for all of them
-    v = next((_ints(row, p) for row in fixed if row[1:].any()), None)
+    v = next((normalize(row, p) for row in fixed if row[1:].any()), None)
     if v is None:
         raise InternalInvariantViolation(
             "fixed space of dim > 1 must contain a non-constant"
@@ -270,7 +228,7 @@ def _split(f, p, rng, tp):
         w = _pow_mod(shift, (p - 1) // 2, f, p)
         g = _gcd(_sub(w, [1], p), f, p)
         if 1 < len(g) < len(f):
-            return _split(g, p, rng, tp) + _split(_exact_div(f, g, p), p, rng, tp)
+            return _split(g, p, rng, tp) + _split(exact_div(f, g, p), p, rng, tp)
     raise InternalSamplingFailure(
         f"quadratic-residue probe failed to split after {_PROBE_CAP} attempts"
     )
@@ -284,16 +242,16 @@ def _squarefree(f, p):
     if is_zero(fp):
         return [(g, m * p) for g, m in _squarefree(_pth_root(f, p), p)]
     c = _gcd(f, fp, p)
-    w = _exact_div(f, c, p)
+    w = exact_div(f, c, p)
     out = []
     i = 1
     while len(w) > 1:
         y = _gcd(w, c, p)
-        z = _exact_div(w, y, p)
+        z = exact_div(w, y, p)
         if len(z) > 1:
             out.append((z, i))
         w = y
-        c = _exact_div(c, y, p)
+        c = exact_div(c, y, p)
         i += 1
     if len(c) > 1:
         out.extend((g, m * p) for g, m in _squarefree(_pth_root(c, p), p))
@@ -308,14 +266,13 @@ def factor(f, p, rng):
     split with shifts drawn from rng; the draws change only the order in
     which the factors are found, never the result.
     """
-    f = _ints(f, p)
     if is_zero(f):
         raise ValueError("cannot factor the zero polynomial")
     # the parts are pairwise coprime, so each factor is found once
-    found = [(h, m) for g, m in _squarefree(_monic(f, p), p)
+    found = [(h, m) for g, m in _squarefree(monic(f, p), p)
              for h in _split(g, p, rng, None)]
     found.sort(key=lambda hm: (len(hm[0]), hm[0]))
-    return [(_array(h), m) for h, m in found]
+    return found
 
 
 def find_irreducible(d, p):
@@ -332,7 +289,7 @@ def find_irreducible(d, p):
     coeffs = [0] * d + [1]
     if not _has_irreducible_binomial(d, p):
         coeffs[1] = 1
-    while not _is_irreducible(coeffs, p):
+    while not is_irreducible(coeffs, p):
         # odometer increment over the d low coefficients
         for i in range(d):
             coeffs[i] += 1
@@ -343,7 +300,7 @@ def find_irreducible(d, p):
             raise InternalInvariantViolation(
                 "no irreducible of the requested degree found"
             )
-    return _array(coeffs)
+    return coeffs
 
 
 def _has_irreducible_binomial(d, p):

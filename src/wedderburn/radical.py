@@ -153,15 +153,6 @@ def radical_report(A):
     return RadicalReport(rows, stage_dims, index)
 
 
-def radical_basis(A):
-    """Rows spanning the radical (empty for semisimple input)."""
-    return radical_report(A).rows
-
-
-def is_semisimple(A):
-    return radical_report(A).is_semisimple
-
-
 def require_semisimple(A):
     """Return the report for a semisimple A, else raise with the radical."""
     report = radical_report(A)

@@ -124,8 +124,11 @@ def test_witness_is_first_failure_in_first_middle_and_last_block(monkeypatch, a)
     # blocks {0, 1}, {2, 3}, {4, 5}: a = 0, 3, 5 fail in the first, middle
     # (second row of the block) and last block
     monkeypatch.setattr(algebra, "_CHECK_ENTRIES", 2 * n**3)
+    # the cube has no identity, which a validated presentation would refuse
+    # first: the check runs on an unvalidated one
+    bare = Algebra(p, sc, identity=np.ones(n, dtype=np.int64), validate=False)
     with pytest.raises(NotAssociative) as info:
-        make_presentation(p, sc)
+        bare._check_associativity()
     assert info.value.witness == want
 
 
@@ -341,19 +344,22 @@ def test_one_generator_algebra_closes_under_its_first_draw(monkeypatch, p, m):
     assert B.center_basis().tolist() == bare.center_basis().tolist()
 
 
-@pytest.mark.parametrize("identity", [None, [0, 1, 0, 0], [1, 0, 0]])
-def test_non_associative_takes_precedence_over_identity_errors(identity):
-    # no identity at all, a wrong one, and one of the wrong length
+@pytest.mark.parametrize("identity, error", [
+    (None, NoIdentity), ([0, 1, 0, 0], NoIdentity), ([1, 0, 0], InvalidDocument),
+], ids=["missing", "wrong", "wrong-length"])
+def test_identity_errors_come_before_any_associativity_check(monkeypatch,
+                                                             identity, error):
+    # no identity at all, a wrong one, and one of the wrong length, on a
+    # cube that is not associative either: the identity error is raised at
+    # once, and the blocked check, O(n^5) in practice, never runs
     p, sc = 7, corrupted_m2()
     if identity is None:
         sc[0, 0, 0] = 0  # E11 E11 = 0 as well
-        with pytest.raises(NoIdentity):
-            Algebra(p, sc, validate=False)
-    want = oracle_first_failure(sc.tolist(), p)
-    assert want is not None
-    with pytest.raises(NotAssociative) as info:
+    assert oracle_first_failure(sc.tolist(), p) is not None
+    calls = spy_blocked_check(monkeypatch)
+    with pytest.raises(error):
         Algebra(p, sc, identity=identity)
-    assert info.value.witness == want
+    assert calls == []
 
 
 def test_accepted_presentations_pass_oracle():
@@ -490,20 +496,20 @@ def test_min_poly_vec():
     A = c3_algebra()
     g = np.array([0, 1, 0])
     # g has order 3: minimal polynomial T^3 - 1
-    assert min_poly(A, g).tolist() == [4, 0, 0, 1]
+    assert min_poly(A, g) == [4, 0, 0, 1]
 
 
 def test_min_poly_of_companion_matrix():
     # companion matrix of T^3 + 2T + 1 over F_5, as an element of M_3(F_5)
     C = np.array([[0, 0, -1], [1, 0, -2], [0, 1, 0]]) % 5
     A = matrix_algebra(5, 3).algebra
-    assert min_poly(A, C.reshape(-1)).tolist() == [1, 2, 0, 1]
+    assert min_poly(A, C.reshape(-1)) == [1, 2, 0, 1]
 
 
 def test_min_poly_of_identity_and_zero():
     A = matrix_algebra(7, 3).algebra
-    assert min_poly(A, A.one).tolist() == [6, 1]  # T - 1
-    assert min_poly(A, np.zeros(A.dim, dtype=np.int64)).tolist() == [0, 1]
+    assert min_poly(A, A.one) == [6, 1]  # T - 1
+    assert min_poly(A, np.zeros(A.dim, dtype=np.int64)) == [0, 1]
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
@@ -532,7 +538,7 @@ def test_powers_in_a_corner_start_at_its_identity():
     assert K[2].tolist() == A.mul_vec(x, x).tolist()
     q = algebra.min_poly_of_powers(K, 7)
     assert len(q) == 3  # T^2 - 2T - 3: trace 2, determinant -3 of [[2,1],[3,0]]
-    assert q.tolist() == [4, 5, 1]
+    assert q == [4, 5, 1]
 
 
 @pytest.mark.parametrize("p", [7, 2**31 - 1])

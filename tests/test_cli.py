@@ -174,8 +174,7 @@ def test_malformed_labels_exit_4(tmp_path, labels):
 _BROKEN_SPLIT = (
     "import sys\n"
     "from wedderburn import cli, poly\n"
-    "zero = lambda p: poly._array([0])\n"
-    "poly.bezout = lambda g, h, p: (poly._array([1]), zero(p), zero(p))\n"
+    "poly.bezout = lambda g, h, p: ([1], [0], [0])\n"
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 

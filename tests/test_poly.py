@@ -1,16 +1,24 @@
 """Polynomial arithmetic and factorization over F_p, oracle-checked.
 
-Coefficient arrays are lowest-degree-first throughout.
+A polynomial is a list of Python ints in [0, p), lowest degree first.
 """
 
+import inspect
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wedderburn import poly
+from wedderburn import (
+    build_planted,
+    full_isomorphism,
+    poly,
+    scramble,
+    verify_isomorphism,
+)
 from wedderburn.errors import InternalInvariantViolation
 
 
@@ -51,9 +59,9 @@ def oracle_factor(f, p):
         return not any(h)
 
     def exact_div(g, h):
-        q, r = poly.divmod_poly(np.array(h), np.array(g), p)
+        q, r = poly.divmod_poly(list(h), list(g), p)
         assert poly.is_zero(r)
-        return [int(c) for c in q]
+        return q
 
     factors = {}
     rest = f
@@ -77,27 +85,27 @@ def oracle_factor(f, p):
 
 
 def berlekamp_multiset(f, p):
-    got = poly.factor(np.array(f), p, random.Random(0))
-    return sorted((tuple(int(c) for c in g), m) for g, m in got)
+    got = poly.factor(poly.normalize(f, p), p, random.Random(0))
+    return sorted((tuple(g), m) for g, m in got)
 
 
 # -- arithmetic ------------------------------------------------------------
 
 
 def test_divmod_example():
-    q, r = poly.divmod_poly(np.array([1, 0, 0, 1]), np.array([1, 1]), 5)
+    q, r = poly.divmod_poly([1, 0, 0, 1], [1, 1], 5)
     # T^3 + 1 = (T + 1)(T^2 - T + 1)
-    assert q.tolist() == [1, 4, 1] and poly.is_zero(r)
+    assert q == [1, 4, 1] and poly.is_zero(r)
 
 
 def test_gcd_and_bezout():
-    f = poly.mul(np.array([1, 1]), np.array([2, 1]), 7)  # (T+1)(T+2)
-    g = poly.mul(np.array([1, 1]), np.array([3, 1]), 7)  # (T+1)(T+3)
-    d = poly._gcd(f.tolist(), g.tolist(), 7)
+    f = poly.mul([1, 1], [2, 1], 7)  # (T+1)(T+2)
+    g = poly.mul([1, 1], [3, 1], 7)  # (T+1)(T+3)
+    d = poly._gcd(f, g, 7)
     assert d == [1, 1]
     d2, u, v = poly.bezout(f, g, 7)
-    assert d2.tolist() == [1, 1]
-    lhs = poly._add(poly.mul(u, f, 7).tolist(), poly.mul(v, g, 7).tolist(), 7)
+    assert d2 == [1, 1]
+    lhs = poly._add(poly.mul(u, f, 7), poly.mul(v, g, 7), 7)
     assert lhs == [1, 1]
 
 
@@ -115,66 +123,78 @@ def test_pth_root():
 def test_broken_preconditions_raise_a_typed_error():
     # checks, not asserts: they must hold under python -O as well
     with pytest.raises(InternalInvariantViolation, match="non-divisor"):
-        poly.exact_div(np.array([1, 1]), np.array([0, 1]), 5)
+        poly.exact_div([1, 1], [0, 1], 5)
     with pytest.raises(InternalInvariantViolation, match="not in T"):
         poly._pth_root([1, 1], 5)
 
 
 def test_pow_mod():
     # T^4 mod (T^2 - 2) = 4 over F_5
-    got = poly.pow_mod(np.array([0, 1]), 4, np.array([3, 0, 1]), 5)
-    assert got.tolist() == [4]
+    assert poly._pow_mod([0, 1], 4, [3, 0, 1], 5) == [4]
 
 
-def contract(c):
-    """c as the public functions promise it: a C-contiguous int64 array,
-    lowest degree first, with no trailing zero (zero is [0])."""
-    assert isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1
-    assert c.flags.c_contiguous and len(c) >= 1
-    assert c[-1] != 0 or c.tolist() == [0]
+def contract(c, p):
+    """c as every poly function promises it: a list of Python ints in
+    [0, p), lowest degree first, with no trailing zero (zero is [0])."""
+    assert type(c) is list and len(c) >= 1
+    assert all(type(x) is int and 0 <= x < p for x in c)
+    assert c[-1] != 0 or c == [0]
     return c
+
+
+def test_normalize_takes_any_integers_to_the_contract():
+    p = 2**31 - 1
+    row = np.array([p + 3, -1, 0, 2 * p, 0], dtype=np.int64)
+    assert contract(poly.normalize(row, p), p) == [3, p - 1]
+    assert contract(poly.normalize([0, 0, 0], p), p) == [0]
+    assert contract(poly.normalize([], p), p) == [0]
+    assert contract(poly.normalize([p**3 + 5], p), p) == [5]
 
 
 @given(st.sampled_from([3, 5, 7, 65537, 2**31 - 1]),
        st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_divmod_round_trip(p, rng):
-    f = np.array([rng.randrange(p) for _ in range(rng.randrange(1, 7))])
+    # the coefficients arrive as an int64 row, as a kernel row would
+    f = contract(poly.normalize(np.array(
+        [rng.randrange(p) for _ in range(rng.randrange(1, 7))]), p), p)
     g = contract(poly.normalize(
         np.array([rng.randrange(p) for _ in range(rng.randrange(1, 4))]), p
-    ))
+    ), p)
     if poly.is_zero(g):
-        g = np.array([1])
-    q, r = map(contract, poly.divmod_poly(f, g, p))
-    back = poly._add(contract(poly.mul(q, g, p)).tolist(), r.tolist(), p)
-    assert back == poly.normalize(f, p).tolist()
+        g = [1]
+    q, r = (contract(c, p) for c in poly.divmod_poly(f, g, p))
+    back = poly._add(contract(poly.mul(q, g, p), p), r, p)
+    assert back == f
     assert poly.degree(r) < poly.degree(g) or poly.is_zero(r)
     # s*f + t*g = d, the monic gcd
-    d, s, t = map(contract, poly.bezout(f, g, p))
-    assert d.tolist() == poly._gcd(poly._ints(f, p), poly._ints(g, p), p)
-    assert d.tolist() == [0] or d[-1] == 1
-    lhs = poly._add(poly.mul(s, f, p).tolist(), poly.mul(t, g, p).tolist(), p)
-    assert lhs == d.tolist()
-    assert poly._sub(lhs, d.tolist(), p) == [0]
+    d, s, t = (contract(c, p) for c in poly.bezout(f, g, p))
+    assert d == poly._gcd(f, g, p)
+    assert d == [0] or d[-1] == 1
+    lhs = poly._add(poly.mul(s, f, p), poly.mul(t, g, p), p)
+    assert lhs == d
+    assert poly._sub(lhs, d, p) == [0]
     # f^e mod g against e rounds of multiply-and-reduce
     e = rng.randrange(6)
     want = poly.divmod_poly([1], g, p)[1]
     for _ in range(e):
         want = poly.divmod_poly(poly.mul(want, f, p), g, p)[1]
-    assert contract(poly.pow_mod(f, e, g, p)).tolist() == want.tolist()
+    assert contract(poly._pow_mod(f, e, g, p), p) == want
 
 
 def test_divmod_rejects_zero_divisor_even_unnormalized():
     from wedderburn.errors import DivisionByZero
 
     with pytest.raises(DivisionByZero):
-        poly.divmod_poly(np.array([1, 2]), np.array([0]), 5)
-    # trailing-zero disguise of the zero polynomial is caught too
+        poly.divmod_poly([1, 2], [0], 5)
     with pytest.raises(DivisionByZero):
-        poly.divmod_poly(np.array([1, 2]), np.array([0, 0]), 5)
+        poly.exact_div([1, 2], [0], 5)
+    # a trailing-zero disguise of the zero polynomial is [0] once normalized
+    with pytest.raises(DivisionByZero):
+        poly.divmod_poly([1, 2], poly.normalize(np.array([0, 0]), 5), 5)
     # the error doubles as the stdlib kind so generic handlers still work
     with pytest.raises(ZeroDivisionError):
-        poly.divmod_poly(np.array([1, 2]), np.array([0]), 5)
+        poly.divmod_poly([1, 2], [0], 5)
 
 
 # -- factorization ---------------------------------------------------------
@@ -182,10 +202,9 @@ def test_divmod_rejects_zero_divisor_even_unnormalized():
 
 def test_t4_minus_1_over_f5_splits_completely():
     # T^4 - 1 has all of F_5^* as roots: four distinct linear factors
-    f = np.array([-1, 0, 0, 0, 1]) % 5
     want = oracle_factor([4, 0, 0, 0, 1], 5)
     assert want == [((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((4, 1), 1)]
-    assert berlekamp_multiset(f.tolist(), 5) == want
+    assert berlekamp_multiset([-1, 0, 0, 0, 1], 5) == want
 
 
 def test_t2_plus_1_over_f5():
@@ -195,7 +214,7 @@ def test_t2_plus_1_over_f5():
 
 
 def test_t2_plus_t_plus_1_irreducible_over_f5():
-    assert poly.is_irreducible(np.array([1, 1, 1]), 5)
+    assert poly.is_irreducible([1, 1, 1], 5)
     assert berlekamp_multiset([1, 1, 1], 5) == [((1, 1, 1), 1)]
 
 
@@ -211,16 +230,13 @@ def test_cyclotomic_t3_minus_1():
 
 def test_repeated_factors():
     # (T + 1)^2 (T^2 + 1) over F_3, where T^2 + 1 is irreducible
-    f = poly.mul(poly.mul(np.array([1, 1]), np.array([1, 1]), 3),
-                 np.array([1, 0, 1]), 3)
-    assert berlekamp_multiset(f.tolist(), 3) == [((1, 0, 1), 1), ((1, 1), 2)]
+    f = poly.mul(poly.mul([1, 1], [1, 1], 3), [1, 0, 1], 3)
+    assert berlekamp_multiset(f, 3) == [((1, 0, 1), 1), ((1, 1), 2)]
 
 
 def test_frobenius_power_multiplicity():
     # (T + 2)^5 over F_5 exercises the p-th-root branch of squarefree split
-    f = np.zeros(6, dtype=np.int64)
-    f[0], f[5] = 2, 1
-    assert berlekamp_multiset(f.tolist(), 5) == [((2, 1), 5)]
+    assert berlekamp_multiset([2, 0, 0, 0, 0, 1], 5) == [((2, 1), 5)]
 
 
 def test_factor_matches_oracle_randomly():
@@ -237,8 +253,8 @@ def test_factor_matches_oracle_randomly():
 
 def test_factor_large_prime_uses_probe_path():
     # p = 101 splits by the quadratic-residue probe, like every odd p
-    f = poly.mul(np.array([7, 1]), np.array([90, 1]), 101)
-    assert berlekamp_multiset(f.tolist(), 101) == [((7, 1), 1), ((90, 1), 1)]
+    f = poly.mul([7, 1], [90, 1], 101)
+    assert berlekamp_multiset(f, 101) == [((7, 1), 1), ((90, 1), 1)]
 
 
 def count_pow_mod_exponents(monkeypatch):
@@ -258,11 +274,11 @@ def test_factor_at_a_large_prime_runs_the_probe(monkeypatch):
     p = 65537
     # (T + 3)(T + 10)^2 (T^2 - 3): 3 generates F_65537^*, so it is a
     # non-residue and T^2 - 3 is irreducible
-    f = np.array([1])
+    f = [1]
     for g in ([3, 1], [10, 1], [10, 1], [p - 3, 0, 1]):
-        f = poly.mul(f, np.array(g), p)
+        f = poly.mul(f, g, p)
     exponents = count_pow_mod_exponents(monkeypatch)
-    assert berlekamp_multiset(f.tolist(), p) == [
+    assert berlekamp_multiset(f, p) == [
         ((3, 1), 1), ((10, 1), 2), ((p - 3, 0, 1), 1)
     ]
     # the quadratic-residue probe raises to (p - 1) / 2
@@ -278,11 +294,11 @@ def test_factor_at_a_large_prime_runs_the_probe(monkeypatch):
 def test_factor_at_small_primes_runs_the_probe(monkeypatch, p, factors):
     # at p = 3 the probe's exponent (p - 1) / 2 is 1: the shifted fixed
     # vector itself is compared with 1, the only nonzero square
-    f = np.array([1])
+    f = [1]
     for g in factors:
-        f = poly.mul(f, np.array(g), p)
+        f = poly.mul(f, g, p)
     exponents = count_pow_mod_exponents(monkeypatch)
-    assert berlekamp_multiset(f.tolist(), p) == oracle_factor(f.tolist(), p)
+    assert berlekamp_multiset(f, p) == oracle_factor(f, p)
     # the fixed-space and irreducibility checks raise to p, not (p - 1) / 2
     assert exponents.count((p - 1) // 2) >= 1
 
@@ -297,12 +313,11 @@ def test_mul_is_exact_at_the_largest_modulus():
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 want[i + j] = (want[i + j] + x * y) % p
-        got = poly.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-        assert got.tolist() == want, (la, lb)
+        assert contract(poly.mul(a, b, p), p) == want, (la, lb)
     # all-maximal coefficients: every convolution sum is as large as it gets
-    top = np.full(8, p - 1, dtype=np.int64)
+    top = [p - 1] * 8
     want = [((k + 1 if k < 8 else 15 - k) * (p - 1) ** 2) % p for k in range(15)]
-    assert poly.mul(top, top, p).tolist() == want
+    assert poly.mul(top, top, p) == want
 
 
 def test_squarefree_decomposition_reassembles():
@@ -310,14 +325,14 @@ def test_squarefree_decomposition_reassembles():
     for p in (3, 5):
         for _ in range(10):
             deg = rng.randrange(1, 6)
-            f = np.array([rng.randrange(p) for _ in range(deg)] + [1])
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
             parts = poly.factor(f, p, random.Random(0))
-            acc = np.array([1])
+            acc = [1]
             for g, m in parts:
-                assert poly.is_irreducible(g, p)
+                assert poly.is_irreducible(contract(g, p), p)
                 for _ in range(m):
                     acc = poly.mul(acc, g, p)
-            assert acc.tolist() == f.tolist()
+            assert acc == f
 
 
 @given(st.sampled_from([3, 5, 97, 2**31 - 1]), st.randoms(use_true_random=False))
@@ -325,28 +340,27 @@ def test_squarefree_decomposition_reassembles():
 def test_factor_is_sorted_and_independent_of_the_draws(p, rng):
     # the shifts come from the caller's generator; they may change the order
     # in which the probe finds the factors, never the sorted result
-    f = np.array([1])
+    f = [1]
     for _ in range(rng.randrange(1, 4)):
         g = [rng.randrange(p) for _ in range(rng.randrange(1, 3))] + [1]
         for _ in range(rng.randrange(1, 3)):
-            f = poly.mul(f, np.array(g), p)
-    got = [(g.tolist(), m) for g, m in poly.factor(f, p, random.Random(1))]
+            f = poly.mul(f, g, p)
+    got = poly.factor(f, p, random.Random(1))
     assert got == sorted(got, key=lambda gm: (len(gm[0]), gm[0]))
     for seed in (2, 3):
-        again = poly.factor(f, p, random.Random(seed))
-        assert [(g.tolist(), m) for g, m in again] == got
+        assert poly.factor(f, p, random.Random(seed)) == got
     with pytest.raises(ValueError):
-        poly.factor(np.array([0]), p, random.Random(0))
+        poly.factor([0], p, random.Random(0))
 
 
 def test_find_irreducible_is_deterministic_and_irreducible():
     for p, d in [(5, 2), (5, 3), (7, 2), (97, 2)]:
         f = poly.find_irreducible(d, p)
-        assert poly.degree(f) == d and f[-1] == 1
+        assert poly.degree(contract(f, p)) == d and f[-1] == 1
         assert poly.is_irreducible(f, p)
-        assert f.tolist() == poly.find_irreducible(d, p).tolist()
+        assert f == poly.find_irreducible(d, p)
     # the lex scan tries T^2, T^2 + 1 (roots 2, 3) and lands on T^2 + 2
-    assert poly.find_irreducible(2, 5).tolist() == [2, 0, 1]
+    assert poly.find_irreducible(2, 5) == [2, 0, 1]
 
 
 @pytest.mark.parametrize("d, p, want", [
@@ -361,14 +375,14 @@ def test_find_irreducible_is_deterministic_and_irreducible():
     (4, 7, [1, 1, 0, 0, 1]),
 ])
 def test_find_irreducible_pins_the_lex_first(d, p, want):
-    assert poly.find_irreducible(d, p).tolist() == want
+    assert poly.find_irreducible(d, p) == want
 
 
 def lex_first_irreducible(d, p):
     """The first monic irreducible of degree d, by testing every candidate."""
     for low in itertools.product(range(p), repeat=d):
         f = list(reversed(low)) + [1]
-        if poly.is_irreducible(np.array(f), p):
+        if poly.is_irreducible(f, p):
             return f
     return None
 
@@ -376,7 +390,7 @@ def lex_first_irreducible(d, p):
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_find_irreducible_is_the_lex_first(d, p):
-    assert poly.find_irreducible(d, p).tolist() == lex_first_irreducible(d, p)
+    assert poly.find_irreducible(d, p) == lex_first_irreducible(d, p)
 
 
 @pytest.mark.parametrize("d, p", [
@@ -387,7 +401,7 @@ def test_find_irreducible_without_a_binomial_returns_promptly(monkeypatch, d, p)
     # the scan once tried all p binomials T^d + c first; each candidate is
     # counted, and a scan that runs on past a few hundred is stopped
     tested = []
-    real = poly._is_irreducible
+    real = poly.is_irreducible
 
     def counted(f, q):
         tested.append(1)
@@ -395,10 +409,10 @@ def test_find_irreducible_without_a_binomial_returns_promptly(monkeypatch, d, p)
             raise RuntimeError("the scan did not stop")
         return real(f, q)
 
-    monkeypatch.setattr(poly, "_is_irreducible", counted)
+    monkeypatch.setattr(poly, "is_irreducible", counted)
     f = poly.find_irreducible(d, p)
-    assert f[1] == 1 and not f[2:d].any() and f[-1] == 1
-    assert real(f.tolist(), p)
+    assert f[1] == 1 and not any(f[2:d]) and f[-1] == 1
+    assert real(f, p)
 
 
 @given(st.sampled_from([3, 5]), st.randoms(use_true_random=False))
@@ -410,9 +424,73 @@ def test_factor_product_round_trip(p, rng):
         5: [[1, 1], [3, 1], [1, 1, 1], [2, 0, 1]],
     }[p]
     picks = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
-    f = np.array([1])
+    f = [1]
     want = {}
     for g in picks:
-        f = poly.mul(f, np.array(g), p)
+        f = poly.mul(f, g, p)
         want[tuple(g)] = want.get(tuple(g), 0) + 1
-    assert berlekamp_multiset(f.tolist(), p) == sorted(want.items())
+    assert berlekamp_multiset(f, p) == sorted(want.items())
+
+
+# -- the callers ------------------------------------------------------------
+
+# the positional arguments of each poly function that are polynomials, and
+# the polynomials among its result
+_POLY_ARGS = {
+    "normalize": 0, "find_irreducible": 0,  # outside coefficients, a degree
+    "degree": 1, "is_zero": 1, "monic": 1, "is_irreducible": 1, "factor": 1,
+    "mul": 2, "divmod_poly": 2, "exact_div": 2, "bezout": 2,
+}
+_POLY_RESULTS = {
+    "degree": lambda out: [], "is_zero": lambda out: [],
+    "is_irreducible": lambda out: [],
+    "divmod_poly": list, "bezout": list,
+    "factor": lambda out: [g for g, _ in out],
+}
+
+
+def spy_on_poly(monkeypatch, p):
+    """Give algebra, generators and idempotents a poly whose every function
+    checks its polynomial arguments and result against contract; returns
+    the names called."""
+    from wedderburn import algebra, generators, idempotents
+
+    called = []
+
+    def checked(name, fn):
+        def spy(*args):
+            called.append(name)
+            for c in args[: _POLY_ARGS[name]]:
+                contract(c, p)
+            out = fn(*args)
+            for c in _POLY_RESULTS.get(name, lambda out: [out])(out):
+                contract(c, p)
+            return out
+        return spy
+
+    public = {name: value for name, value in vars(poly).items()
+              if not name.startswith("_")}
+    proxy = types.SimpleNamespace(**{
+        name: checked(name, value)
+        if inspect.isfunction(value) and value.__module__ == poly.__name__
+        else value
+        for name, value in public.items()
+    })
+    for module in (algebra, generators, idempotents):
+        monkeypatch.setattr(module, "poly", proxy)
+    return called
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+def test_callers_hand_poly_lists_and_get_lists_back(monkeypatch, p):
+    # an int64 coefficient near 2^31 would overflow the convolution's sums,
+    # and nothing in poly converts its arguments: every caller must pass
+    # lists of Python ints, as normalize makes them
+    called = spy_on_poly(monkeypatch, p)
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], p).algebra, seed=5)
+    res = full_isomorphism(A, seed=0)
+    assert verify_isomorphism(A, res).passed
+    assert sorted((b.n, b.D.degree) for b in res.blocks) == [(1, 2), (2, 1)]
+    assert {"normalize", "find_irreducible", "monic", "is_irreducible",
+            "divmod_poly", "factor", "bezout", "mul",
+            "exact_div"} <= set(called)
