@@ -6,12 +6,12 @@ entry field D; a D-basis b of the left ideal A*e and its dual basis a in
 e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
 inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
 
-The search presumes A semisimple.  For p > dim the radical chain is the
-trace form alone, and it decides first.  For p <= dim the chain goes on to
-its char_poly stages, so the search runs first, with a small draw cap, and
-its result stands only if `check` accepts it: an isomorphism onto a direct
-sum of matrix rings over fields proves A semisimple.  Any failure hands
-the verdict to the chain.
+The search presumes A semisimple, and runs once per decomposition.  For
+p > dim the radical chain is the trace form alone, and it decides first.
+For p <= dim the chain goes on to its char_poly stages, so the search runs
+first, and its result stands only if `check` accepts it: an isomorphism
+onto a direct sum of matrix rings over fields proves A semisimple.  Any
+failure hands the verdict to the chain.
 
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
@@ -52,17 +52,6 @@ from .errors import (
     WedderburnError,
     WitnessSolveFailed,
 )
-
-# Draws per block of the search that runs before semisimplicity is known.
-# A draw in an M_2(F_3) block fails to split with probability 45/81, the
-# worst case measured: in 3000 descents each in M_2(F_3), M_2(F_9),
-# M_3(F_3), M_4(F_3), M_5(F_3) and M_5(F_5) the share needing more than k
-# draws fell by about that factor per draw, and none needed more than 16.
-# So a semisimple input runs the chain needlessly with probability below
-# 10^-8 per block, and a rejection that the search cannot see through pays
-# at most this many draws (under a millisecond each at dim 30) first.
-_OPTIMISTIC_CAP = 32
-
 
 class DivisionAlgebra(NamedTuple):
     """The block's entry field: a basis of the corner rep*A*rep."""
@@ -188,21 +177,21 @@ def _witness(A, blocks):
     return np.concatenate(cols).T
 
 
-def _search(A, seed, cap):
+def _search(A, seed):
     """The certificate the search builds, unchecked; A is taken as semisimple.
 
     Per block: its central idempotent c, one primitive idempotent e <= c
-    (at most cap draws, from a generator seeded by seed and the block's
-    place), and from the corner maps the descent keeps, the entry field
-    e*A*e and the dual basis that gives the connecting elements and matrix
-    units.
+    (at most idempotents.SPLIT_CAP draws, from a generator seeded by seed
+    and the block's place), and from the corner maps the descent keeps, the
+    entry field e*A*e and the dual basis that gives the connecting elements
+    and matrix units.
     """
     C, degrees = idempotents._block_idempotents(A)
     master = random.Random(seed)
     found = []
     for c, d in zip(C, degrees):
         rng = random.Random(master.getrandbits(64))
-        corner = idempotents._primitive_corner(A, c, d, rng, cap)
+        corner = idempotents._primitive_corner(A, c, d, rng)
         a, b = dual_basis(A, corner)
         found.append(Block(index=None, n=len(a),
                            D=DivisionAlgebra(basis=corner.basis, degree=d),
@@ -226,28 +215,29 @@ def _search(A, seed, cap):
     )
 
 
-def full_isomorphism(A, seed=0, cap=idempotents.DEFAULT_SPLIT_CAP):
+def full_isomorphism(A, seed=0):
     """End-to-end decomposition with the assembled invertible map.
 
     NotSemisimple, with the certified radical, unless A is semisimple.
     For p > dim the radical chain is the trace form, O(dim^3), and it
-    decides first.  For p <= dim the search runs first, with at most
-    _OPTIMISTIC_CAP draws per block: a certificate that check accepts maps
-    A onto a direct sum of matrix rings over fields, which proves A
-    semisimple.  Only a typed error or a failed relation runs the chain;
-    if it certifies a zero radical, the search runs again with cap, so its
-    errors are the ones a semisimple input gives.
+    decides first.  For p <= dim the search runs first: a certificate that
+    check accepts maps A onto a direct sum of matrix rings over fields,
+    which proves A semisimple.  Only a typed error or a failed relation
+    runs the chain; if it certifies a zero radical, the search's own error
+    is raised, or its result returned.  The search runs once either way.
     """
     A.require_associative()
-    if A.p <= A.dim:
-        try:
-            result = _search(A, seed, min(cap, _OPTIMISTIC_CAP))
-        except WedderburnError:
-            result = None
-        if result is not None and not check(A, result):
-            return result
-    radical.require_semisimple(A)
-    return _search(A, seed, cap)
+    if A.p > A.dim:
+        radical.require_semisimple(A)
+        return _search(A, seed)
+    try:
+        result = _search(A, seed)
+    except WedderburnError:
+        radical.require_semisimple(A)
+        raise
+    if check(A, result):
+        radical.require_semisimple(A)
+    return result
 
 
 def _entry_field(A, blk):

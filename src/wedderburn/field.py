@@ -59,8 +59,8 @@ def check_modulus(p):
     """Validate p as a supported field characteristic.
 
     Raises UnsupportedCharacteristic for p > MAX_MODULUS (prime or not) and
-    for p = 2 (idempotent splitting needs 2 invertible), NotPrime for other
-    composites.
+    for p = 2 (poly factors by a quadratic-residue probe, which raises to
+    the power (p - 1)/2), NotPrime for other composites.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise NotPrime(f"modulus must be an int, got {type(p).__name__}")

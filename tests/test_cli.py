@@ -178,6 +178,14 @@ _BROKEN_SPLIT = (
     "sys.exit(cli.main(sys.argv[1:]))\n"
 )
 
+# a draw budget of one per block, read by the descent at each call
+_SPLIT_CAP_1 = (
+    "import sys\n"
+    "from wedderburn import cli, idempotents\n"
+    "idempotents.SPLIT_CAP = 1\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
 # blocks.matrix_units raising the error class named as the first argument
 _FATAL_UNITS = (
     "import sys\n"
@@ -246,9 +254,11 @@ def test_split_cap_exit_5(tmp_path):
                "-o", str(f25)).returncode == 0
     assert run("gen", "sum", str(m), str(f25), "--scramble", "--seed", "5",
                "-o", str(s)).returncode == 0
-    r = run("decompose", str(s), "--seed", "0", "--max-split-iters", "1")
+    r = subprocess.run([sys.executable, "-c", _SPLIT_CAP_1, "decompose", str(s),
+                        "--seed", "0"], capture_output=True, text=True, timeout=120)
     assert r.returncode == 5
-    # with the default cap the same input decomposes fine
+    assert "retry with a different --seed" in r.stderr
+    # with the module's budget the same input decomposes fine
     assert run("decompose", str(s)).returncode == 0
 
 
@@ -257,7 +267,8 @@ def test_search_failures_exit_5_and_6_after_the_chain(tmp_path):
     # failures exit as they do on any semisimple input
     m = tmp_path / "m33.json"
     assert run("gen", "matrix", "-n", "3", "-p", "3", "-o", str(m)).returncode == 0
-    r = run("decompose", str(m), "--seed", "2", "--max-split-iters", "1")
+    r = subprocess.run([sys.executable, "-c", _SPLIT_CAP_1, "decompose", str(m),
+                        "--seed", "2"], capture_output=True, text=True, timeout=120)
     assert r.returncode == 5 and "after 1 random draws" in r.stderr
     assert run("decompose", str(m), "--seed", "2").returncode == 0
     r = subprocess.run([sys.executable, "-c", _BROKEN_SPLIT, "decompose", str(m)],
@@ -266,15 +277,24 @@ def test_search_failures_exit_5_and_6_after_the_chain(tmp_path):
     assert "internal error: split produced zero" in r.stderr
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_non_positive_split_cap_is_invalid_input(tmp_path, cap):
-    # no seed can help a cap below 1, so it is an argument error, not exit 5
+def test_split_cap_is_no_option(tmp_path):
+    # the draw budget is idempotents.SPLIT_CAP; only the seed moves the search
     m = tmp_path / "m.json"
     assert run("gen", "matrix", "-n", "2", "-p", "7", "-o", str(m)).returncode == 0
-    r = run("decompose", str(m), "--max-split-iters", cap)
+    r = run("decompose", str(m), "--max-split-iters", "5")
     assert r.returncode == 4
-    assert "usage:" in r.stderr and "--max-split-iters: must be at least 1" in r.stderr
+    assert "usage:" in r.stderr
+    assert "unrecognized arguments: --max-split-iters 5" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_empty_ext_poly_is_invalid_input(tmp_path):
+    # an empty --ext-poly names no polynomial, not the prime field
+    out = tmp_path / "m.json"
+    r = run("gen", "matrix", "-n", "2", "-p", "7", "--ext-poly", "", "-o", str(out))
+    assert r.returncode == 4
+    assert "invalid input: --ext-poly expects comma-separated integers" in r.stderr
+    assert "Traceback" not in r.stderr and not out.exists()
 
 
 def test_byte_identical_reports(tmp_path, c3_doc):

@@ -22,6 +22,7 @@ from wedderburn import (
     verify_isomorphism,
 )
 from wedderburn import idempotents, linalg, poly
+from wedderburn.algebra import Algebra
 from wedderburn.blocks import dual_basis
 from wedderburn.errors import (
     InternalInvariantViolation,
@@ -29,7 +30,7 @@ from wedderburn.errors import (
     SplitIterationCapExceeded,
     WitnessSolveFailed,
 )
-from wedderburn.idempotents import DEFAULT_SPLIT_CAP, Corner, _fixed_space
+from wedderburn.idempotents import Corner, _fixed_space
 
 from oracles import hom_rows
 
@@ -176,13 +177,38 @@ def test_a_non_idempotent_split_is_refused(monkeypatch, split):
             primitive_idempotent(A, A.one, 1, random.Random(0))
 
 
-def test_split_cap_exceeded():
+def test_split_cap_exceeded(monkeypatch):
     P = build_planted([(2, 1), (1, 2)], 7)
     A, _ = scramble(P.algebra, seed=5)
-    with pytest.raises(SplitIterationCapExceeded):
-        full_isomorphism(A, seed=0, cap=1)
-    # the default cap succeeds on the same input
+    with monkeypatch.context() as m:
+        m.setattr(idempotents, "SPLIT_CAP", 1)
+        with pytest.raises(SplitIterationCapExceeded) as info:
+            full_isomorphism(A, seed=0)
+    assert info.value.cap == 1
+    # the module's budget succeeds on the same input
     assert len(parts_of(full_isomorphism(A, seed=0))) == 3
+
+
+@pytest.mark.parametrize("n, p, ext", [
+    (2, 3, None), (2, 3, [1, 0, 1]), (3, 3, None), (5, 5, None),
+], ids=["M_2(F_3)", "M_2(F_9)", "M_3(F_3)", "M_5(F_5)"])
+def test_the_draw_budget_has_a_fourfold_margin(monkeypatch, n, p, ext):
+    # no descent of 200 takes more than a quarter of SPLIT_CAP draws
+    A, _ = scramble(matrix_algebra(p, n, ext).algebra, seed=1)
+    (c,), (d,) = block_idempotents(A)
+    draws, draw = [], Algebra.random_vec
+
+    def counted(self, rng):
+        draws.append(1)
+        return draw(self, rng)
+
+    monkeypatch.setattr(Algebra, "random_vec", counted)
+    worst = 0
+    for seed in range(200):
+        draws.clear()
+        idempotents._primitive_corner(A, c, d, random.Random(seed))
+        worst = max(worst, len(draws))
+    assert 0 < worst <= idempotents.SPLIT_CAP // 4
 
 
 # -- the centre: blocks, including more blocks than field elements -----------
@@ -446,8 +472,7 @@ def test_dual_basis_matches_the_greedy_loop(spec, p, seed):
     C, degrees = block_idempotents(A)
     assert sorted(degrees) == sorted(d for _, d in spec)
     for c, d in zip(C, degrees):
-        corner = idempotents._primitive_corner(A, c, d, random.Random(seed),
-                                               DEFAULT_SPLIT_CAP)
+        corner = idempotents._primitive_corner(A, c, d, random.Random(seed))
         assert corner.basis.tolist() == hom_rows(A, corner.e, corner.e).tolist()
         a, b = dual_basis(A, corner)
         want_a, want_b = dual_basis_oracle(A, c, corner.e, corner.basis)

@@ -375,13 +375,13 @@ def test_reduced_centre_reaches_the_search(name):
 
 def test_path_algebra_is_rejected_for_every_seed(monkeypatch):
     # some seeds land in the corner F_3[alpha]/(alpha^2), which no draw
-    # splits: they spend the optimistic cap and then run the chain
+    # splits: they spend the draw budget and then run the chain
     capped = []
     search = blocks._search
 
-    def spy(A, seed, cap):
+    def spy(A, seed):
         try:
-            return search(A, seed, cap)
+            return search(A, seed)
         except SplitIterationCapExceeded as exc:
             capped.append(exc.cap)
             raise
@@ -391,22 +391,50 @@ def test_path_algebra_is_rejected_for_every_seed(monkeypatch):
         with pytest.raises(NotSemisimple) as info:
             full_isomorphism(path_algebra(3), seed=seed)
         assert len(info.value.radical_basis) == 3
-    assert capped and set(capped) == {blocks._OPTIMISTIC_CAP}
+    assert capped and set(capped) == {idempotents.SPLIT_CAP}
 
 
 def test_search_errors_surface_after_the_chain_certifies_zero(monkeypatch):
-    # seed 2 needs a second draw in M_3(F_3); the optimistic attempt fails,
-    # the chain certifies a zero radical, and the search runs again with
-    # the caller's cap, so the caller sees that cap exceeded
+    # seed 2 needs a second draw in M_3(F_3); with a budget of one draw the
+    # search fails, the chain certifies a zero radical, and the caller sees
+    # the search's own error
     A = matrix_algebra(3, 3).algebra
     calls = spy_chain(monkeypatch)
-    with pytest.raises(SplitIterationCapExceeded) as info:
-        full_isomorphism(A, seed=2, cap=1)
+    with monkeypatch.context() as m:
+        m.setattr(idempotents, "SPLIT_CAP", 1)
+        with pytest.raises(SplitIterationCapExceeded) as info:
+            full_isomorphism(A, seed=2)
     assert info.value.cap == 1 and calls == [9]
     assert radical_report(A).is_semisimple  # computed afresh: a second chain
     assert calls == [9, 9]
     res = full_isomorphism(A, seed=2)  # the search passes: no chain runs
     assert verify_isomorphism(A, res).passed and calls == [9, 9]
+
+
+@pytest.mark.parametrize("build, cap", [
+    (lambda: matrix_algebra(7, 2).algebra, None),  # p > dim
+    (lambda: scramble(build_planted([(3, 1), (1, 2)], 3).algebra, seed=1)[0],
+     None),  # p <= dim, semisimple
+    # p <= dim: the search fails, and the chain certifies a zero radical
+    (lambda: matrix_algebra(3, 3).algebra, 1),
+], ids=["p>dim", "p<=dim", "cap-exceeded-after-the-chain"])
+def test_one_search_per_decomposition(monkeypatch, build, cap):
+    A = build()
+    seeds, search = [], blocks._search
+
+    def spy(A, seed):
+        seeds.append(seed)
+        return search(A, seed)
+
+    monkeypatch.setattr(blocks, "_search", spy)
+    if cap is None:
+        assert verify_isomorphism(A, full_isomorphism(A, seed=2)).passed
+    else:
+        monkeypatch.setattr(idempotents, "SPLIT_CAP", cap)
+        with pytest.raises(SplitIterationCapExceeded) as info:
+            full_isomorphism(A, seed=2)
+        assert info.value.cap == cap
+    assert seeds == [2]
 
 
 def test_a_failed_check_sends_the_search_to_the_chain(monkeypatch):
