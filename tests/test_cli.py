@@ -288,6 +288,18 @@ def test_split_cap_is_no_option(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_split_cap_is_invalid_input(tmp_path, cap):
+    # there is no cap option to take a bad value: the flag itself is an argument error, not exit 5
+    m = tmp_path / "m.json"
+    assert run("gen", "matrix", "-n", "2", "-p", "7", "-o", str(m)).returncode == 0
+    r = run("decompose", str(m), "--max-split-iters", cap)
+    assert r.returncode == 4
+    assert "usage:" in r.stderr
+    assert f"unrecognized arguments: --max-split-iters {cap}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_empty_ext_poly_is_invalid_input(tmp_path):
     # an empty --ext-poly names no polynomial, not the prime field
     out = tmp_path / "m.json"
