@@ -6,20 +6,20 @@ are not integers (see doc_array) and locates the two-sided identity; it
 checks nothing more.  Associativity, the one ring axiom a cube of constants
 does not give for free, stays pending until require_associative proves it,
 once, for every presentation: first by a left-nucleus certificate (a few
-drawn elements that associate with every basis pair, O(n^4) each, and
-generate the algebra; unless it is commutative, the span of 1 grows under
-the first two together), and when that does not conclude, by the blocked
-check of every basis triple (two flattened matrix products a block of the
-first index at a time, O(n^3) memory), which names the first failing
-triple.
+drawn elements that generate the algebra, the closure, each tested to
+associate with every basis pair, O(n^4) each), and when that does not
+conclude, by the blocked check of every basis triple (two flattened
+matrix products a block of the first index at a time, O(n^3) memory),
+which names the first failing triple.
 
-make_presentation calls it at once.  Every entry point that rests on
-associativity (decomposition, radical, idempotents, centre, direct sum)
-calls it before its first product, and a passing `wedderburn verify`
-proves associativity from the isomorphism instead (see blocks.check).
-Subalgebras and matrix rings built without validation inherit the state
-of the algebra they come from.  So a pending Algebra is proved associative
-or refused with NotAssociative before anything rests on it.
+make_presentation calls it at once, and so do the radical, the
+idempotent and centre entry points before their first product.  A
+decomposition (blocks.full_isomorphism) and `wedderburn verify` prove
+associativity from the isomorphism instead (see blocks.check): they read
+the centre off the closure unproved, and run the certificate only before
+a failure.  Subalgebras and matrix rings built without validation inherit
+the state of the algebra they come from.  So a pending Algebra is proved
+associative or refused with NotAssociative before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
 over c, row i the flattened matrix of left multiplication by b_i.  The
@@ -117,39 +117,23 @@ class Algebra:
         return one
 
     def _certify_associativity(self):
-        """Prove associativity from a few elements of the left nucleus.
+        """Prove associativity from generators in the left nucleus.
 
         The left nucleus N = {g : (g w) z = g (w z) for all w, z} of a
         unital algebra is a subalgebra containing 1 (Schafer 1966), so if
-        elements of N generate A, then A = N is associative.  Elements g
-        are drawn from a fixed-seed RNG, each tested as drawn: g lies in N
-        when (g b_j) b_k = g (b_j b_k) for all j, k, two n^3-entry products.
-        The span of 1 is closed a level at a time under the accepted g's
-        (new rows times [L_g1 | L_g2 | ...]); under g1 alone it is
-        commutative, so unless A is, the first closure waits for g2.  Once
-        it is all of A the proof is complete.  The randomness only decides
-        how soon that happens.  A g outside N, or a span still short of A
-        after the last draw, hands over to the blocked check, which gives
-        the verdict and the first failing triple.  A completed proof keeps
-        the accepted g's, which generate A, for center_basis.
+        elements of N generate A, then A = N is associative.  The elements
+        are the closure's (_closure), and g lies in N when (g b_j) b_k =
+        g (b_j b_k) for all j, k, two n^3-entry products.  A g outside N,
+        or a closure that falls short of A, hands over to the blocked
+        check, which gives the verdict and the first failing triple.
         """
         n, p = self.dim, self.p
+        gens = self._closure()
+        if gens is None:
+            self._check_associativity()
+            return
         flat = self._ltable.reshape(n * n, n)
-        span, pivots = linalg.row_echelon(self.one[None, :], p)
-        # j random elements of F_p^n generate it once p^j >> n^2 (they
-        # must separate all n coordinates: the birthday bound), so allow
-        # 2 ceil(log_p n) + 2 draws
-        log = 0
-        while p**log < n:
-            log += 1
-        draws = 2 * log + 2
-        rng = random.Random(0)
-        gens = []
-        lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
-        for _ in range(draws):
-            if span.shape[0] == n:
-                break
-            g = self.random_vec(rng)
+        for g in gens:
             # left[j, m] = coordinate m of g b_j
             left = linalg.matmul_mod(g[None, :], self._ltable, p).reshape(n, n)
             gw_z = linalg.matmul_mod(left, self._ltable, p)  # [j, (k, l)]
@@ -160,7 +144,37 @@ class Algebra:
                     "a drawn element lies outside the left nucleus, yet no "
                     "basis triple fails to associate"
                 )
+
+    def _closure(self):
+        """Rows g_1 .. g_k drawn from a fixed-seed RNG that generate A, or
+        None when the draws run out first; drawn once, kept as _generators.
+
+        The span of 1 is closed a level at a time under left multiplication
+        by the g's (new rows times [L_g1 | L_g2 | ...]); under g1 alone it
+        is commutative, so unless A is, the first closure waits for g2.
+        Once it is all of A, the g's generate A if A is associative (the
+        certificate proves that from them), and the centre is what commutes
+        with them.  The randomness only decides how soon that happens.
+        """
+        if hasattr(self, "_generators"):
+            return self._generators
+        n, p = self.dim, self.p
+        span, pivots = linalg.row_echelon(self.one[None, :], p)
+        # j random elements of F_p^n generate it once p^j >> n^2 (they
+        # must separate all n coordinates: the birthday bound), so allow
+        # 2 ceil(log_p n) + 2 draws
+        log = 0
+        while p**log < n:
+            log += 1
+        rng = random.Random(0)
+        gens = []
+        lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
+        for _ in range(2 * log + 2):
+            if span.shape[0] == n:
+                break
+            g = self.random_vec(rng)
             gens.append(g)
+            left = linalg.matmul_mod(g[None, :], self._ltable, p).reshape(n, n)
             lefts = np.concatenate([lefts, left], axis=1)
             # g1 alone spans a commutative algebra: g^a g^b = g^(a+b)
             if len(gens) == 1 and not self.is_commutative():
@@ -171,10 +185,10 @@ class Algebra:
                 span, pivots, fresh = linalg.extend_rref(
                     span, pivots, new.reshape(-1, n), p)
                 new = linalg.matmul_mod(fresh, lefts, p)
-        if span.shape[0] < n:
-            self._check_associativity()
-        else:
+        self._generators = None
+        if span.shape[0] == n:
             self._generators = np.array(gens, dtype=np.int64).reshape(len(gens), n)
+        return self._generators
 
     def _check_associativity(self):
         """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
@@ -293,18 +307,22 @@ class Algebra:
         ).reshape(n, n)
 
     def center_basis(self):
-        """Canonical basis (rows) of {z : zx = xz for all x}.
-
-        z is central iff it commutes with each of a set of generators: the
-        elements the associativity certificate accepted, or else (the
-        blocked check decided, or associativity was inherited from the
-        algebra this one was built from) the basis vectors.  Row (g, k) of
-        the system is coordinate k of z*g - g*z, so the kernel is
-        k*dim x dim for k generators.
-        """
+        """Canonical basis (rows) of {z : zx = xz for all x}, with
+        associativity proved first; see _center_basis."""
         self.require_associative()
+        return self._center_basis()
+
+    def _center_basis(self):
+        """center_basis without the proof, for a search whose result is
+        checked.
+
+        In an associative A, z is central iff it commutes with each of a set
+        of generators: the closure's, or the basis vectors when it falls
+        short.  Row (g, k) of the system is coordinate k of z*g - g*z, so
+        the kernel is k*dim x dim for k generators.
+        """
         n, p = self.dim, self.p
-        G = getattr(self, "_generators", None)
+        G = self._closure()
         if G is None:
             G = np.eye(n, dtype=np.int64)
         # right[j, g, k] = coordinate k of b_j*g, left[g, j, k] of g*b_j

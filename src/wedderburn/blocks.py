@@ -6,12 +6,13 @@ entry field D; a D-basis b of the left ideal A*e and its dual basis a in
 e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
 inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
 
-The search presumes A semisimple, and runs once per decomposition.  For
-p > dim the radical chain is the trace form alone, and it decides first.
+The search presumes A associative and semisimple, and runs once per
+decomposition, on A as read: an isomorphism that `check` accepts onto a
+direct sum of matrix rings over fields proves both.  For p > dim the
+radical chain is the trace form alone, and a nonzero kernel rejects first.
 For p <= dim the chain goes on to its char_poly stages, so the search runs
-first, and its result stands only if `check` accepts it: an isomorphism
-onto a direct sum of matrix rings over fields proves A semisimple.  Any
-failure hands the verdict to the chain.
+first, and the check at once.  An exception or a failed relation hands
+the verdict to the chain, which proves associativity first.
 
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
@@ -32,7 +33,7 @@ units[mu,nu] to E[mu,nu], ...), and so reads every relation of the
 certificate off it; the proofs are in its docstring.  On an algebra whose
 associativity is still pending (a document read by algebra.from_doc), a
 passing `check` proves it from the isomorphism, and a failing one runs the
-certificate first.
+associativity certificate first.
 """
 
 import random
@@ -49,7 +50,6 @@ from .errors import (
     NonBijective,
     NotAssociative,
     ShapeMismatch,
-    WedderburnError,
     WitnessSolveFailed,
 )
 
@@ -218,24 +218,24 @@ def _search(A, seed):
 def full_isomorphism(A, seed=0):
     """End-to-end decomposition with the assembled invertible map.
 
-    NotSemisimple, with the certified radical, unless A is semisimple.
-    For p > dim the radical chain is the trace form, O(dim^3), and it
-    decides first.  For p <= dim the search runs first: a certificate that
-    check accepts maps A onto a direct sum of matrix rings over fields,
-    which proves A semisimple.  Only a typed error or a failed relation
-    runs the chain; if it certifies a zero radical, the search's own error
-    is raised, or its result returned.  The search runs once either way.
+    A's associativity may be pending, as check proves it with the result.
+    For p > dim the radical chain is the trace form, O(dim^3): a nonzero
+    kernel runs the chain, and a zero one leaves the proof to
+    verify_isomorphism.  For p <= dim the search runs first, and check at
+    once.  An exception or a failed relation runs the chain, which proves
+    associativity first; then NotSemisimple carries the certified radical,
+    or on a zero radical the search's own error is raised, or its result
+    returned.  The search runs once either way.
     """
-    A.require_associative()
-    if A.p > A.dim:
-        radical.require_semisimple(A)
-        return _search(A, seed)
+    if A.p > A.dim and len(radical.trace_kernel(A)):
+        radical.require_semisimple(A)  # the stage-0 radical: it raises
     try:
         result = _search(A, seed)
-    except WedderburnError:
+        failed = A.p <= A.dim and check(A, result)
+    except Exception:
         radical.require_semisimple(A)
         raise
-    if check(A, result):
+    if failed:
         radical.require_semisimple(A)
     return result
 
@@ -331,8 +331,9 @@ def check(A, cert):
     square); (3) one product iso @ X checks that 1 maps to 1_T (unit), each
     c to its block identity (orthogonality), rep, a[mu], b[mu] and
     units[mu,nu] to E[0,0], E[0,mu], E[mu,0] and E[mu,nu] times 1_D, and
-    row t of the division basis to E[0,0]*d_t; then iso is proved
-    multiplicative, on every basis pair once an image fails.
+    row t of the division basis to E[0,0]*d_t; and, whatever (3) finds,
+    (4) iso is multiplicative on every basis pair (_all_pairs), which
+    names the first pair that fails.
 
     An isomorphism that sends each vector to its standard element carries
     every relation of the certificate to the same relation in T, so each
@@ -343,23 +344,14 @@ def check(A, cert):
     E[mu,nu]*d_t, iso_inverse is the witness matrix of the search, which
     is never built here.
 
-    Lemma 1 (multiplicativity from generators) takes A as associative.
-    S = {x : iso(x*y) = iso(x)*iso(y) for all y} is a subspace, closed
-    under products as A and T are associative, and it holds 1 once 1 maps
-    to 1_T.  The elements the associativity certificate accepted
-    (A._generators) generate A, so S = A once it holds each of them, tested
-    against every basis vector: k*dim products, not dim^2.  Without
-    generators (the blocked check decided, A was not validated, or its
-    associativity is pending), and whenever an image fails, every basis
-    pair is multiplied.
-
     Associativity from the isomorphism.  On a pending A each entry field D
     also passes its own associativity certificate, as nothing else proves
     it.  If then no stage fails, iso is a bijection onto T with
     iso(b_i*b_j) = iso(b_i)*iso(b_j) for every basis pair, and T is
     associative, as every D is, with identity rep; so A is associative.  A
     failure proves nothing about it: verify_isomorphism and
-    verify_report_doc then run the certificate first (_certify_on_failure).
+    verify_report_doc then run the certificate first (_certify_on_failure),
+    and full_isomorphism the radical chain, which does the same.
     """
     p, n = A.p, A.dim
     fails = []
@@ -390,12 +382,9 @@ def check(A, cert):
     X, want, names = _standard_images(A, cert, fields)
     wrong = (linalg.matmul_mod(iso, X.T, p).T != want).any(axis=1)
     fails += [names[r] for r in np.flatnonzero(wrong)]
-    # lemma 1, else every basis pair (a pending A has no generators)
     targets = [(D, blk.n) for blk, D in zip(cert.blocks, fields)]
-    G = getattr(A, "_generators", None)
-    if fails or G is None or _defects(A, iso, targets, G).any():
-        for i, j in _all_pairs(A, iso, targets):
-            fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
+    for i, j in _all_pairs(A, iso, targets):
+        fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
     return fails
 
 
@@ -418,25 +407,6 @@ def _block_products(D, n, X, Y):
     return out.reshape(k, m, n * n * d)
 
 
-def _defects(A, iso, targets, X, XB=None):
-    """differ[i, j]: iso(X[i]*b_j) != iso(X[i])*iso(b_j), the right side
-    multiplied in each block of the target alone.  XB[i, j] is X[i]*b_j,
-    computed here unless given."""
-    n, p = A.dim, A.p
-    if XB is None:
-        XB = linalg.matmul_mod(X, A._ltable, p)
-    images = iso.T  # row j: iso(b_j)
-    got = linalg.matmul_mod(XB.reshape(-1, n), images, p).reshape(len(X), n, n)
-    iso_x = linalg.matmul_mod(X, images, p)
-    differ, row = np.zeros((len(X), n), dtype=bool), 0
-    for D, n_i in targets:
-        cols = slice(row, row + n_i * n_i * D.dim)
-        want = _block_products(D, n_i, iso_x[:, cols], images[:, cols])
-        differ |= (got[:, :, cols] != want).any(axis=2)
-        row = cols.stop
-    return differ
-
-
 # int64 entries of the images one row block of the all-pairs stage holds
 _PAIR_ENTRIES = 2**20
 
@@ -444,13 +414,22 @@ _PAIR_ENTRIES = 2**20
 def _all_pairs(A, iso, targets):
     """[(i, j)] for the first basis pair with iso(b_i b_j) != iso(b_i) iso(b_j),
     or [] when there is none: dim^2 products, a block of rows i at a time,
-    in order, up to the first block with a defect."""
-    n = A.dim
-    eye = np.eye(n, dtype=np.int64)
+    in order, up to the first block with a defect.  The right side is
+    multiplied in each block of the target alone."""
+    n, p = A.dim, A.p
+    images = iso.T  # row j: iso(b_j)
     step = max(1, _PAIR_ENTRIES // (n * n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        differ = _defects(A, iso, targets, eye[lo:hi], A.sc[lo:hi])
+        # got[i, j] = iso(b_(lo+i) b_j); differ[i, j] where it is wrong
+        got = linalg.matmul_mod(A.sc[lo:hi].reshape(-1, n), images, p)
+        got = got.reshape(hi - lo, n, n)
+        differ, row = np.zeros((hi - lo, n), dtype=bool), 0
+        for D, n_i in targets:
+            cols = slice(row, row + n_i * n_i * D.dim)
+            want = _block_products(D, n_i, images[lo:hi, cols], images[:, cols])
+            differ |= (got[:, :, cols] != want).any(axis=2)
+            row = cols.stop
         for i, j in np.argwhere(differ)[:1]:
             return [(lo + i, j)]
     return []
@@ -459,10 +438,9 @@ def _all_pairs(A, iso, targets):
 def verify_isomorphism(A, result, check_multiplicative=True):
     """Exact re-proof of a result: `check` on its certificate arrays.
 
-    There is one level: multiplicativity is always proved for all basis
-    pairs, by lemma 1 of `check` from the certificate's generators, or else
-    pair by pair.  On an A whose associativity is pending, a passing check
-    proves it, and a failing one runs the certificate first, so a
+    There is one level: multiplicativity is always proved pair by pair, for
+    all basis pairs.  On an A whose associativity is pending, a passing
+    check proves it, and a failing one runs the certificate first, so a
     non-associative A raises NotAssociative.  check_multiplicative is
     accepted only as True; the keyword remains for callers that still pass
     it.

@@ -99,11 +99,11 @@ def block_idempotents(A):
 
 
 def _block_idempotents(A):
-    """block_idempotents without the semisimplicity gate, for a search whose
-    result is checked.  A centre with a nonzero nilpotent raises
-    InternalInvariantViolation."""
+    """block_idempotents without the associativity and semisimplicity gates,
+    for a search whose result is checked.  A centre with a nonzero nilpotent
+    raises InternalInvariantViolation."""
     p = A.p
-    center = A.center_basis()
+    center = A._center_basis()
     Z = A.subalgebra(center, A.one)
     parts = Z.one[None, :]
     rng = random.Random(0)

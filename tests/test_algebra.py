@@ -609,24 +609,35 @@ def test_center_of_group_algebra_of_abelian_group_is_everything():
     lambda: scramble(matrix_algebra(3, 4).algebra, seed=1)[0],
 ], ids=["S3 p=5", "Q8 p=3", "planted p=7", "M_4(F_3)"])
 def test_center_from_the_certificate_generators(monkeypatch, build):
-    # the generators the associativity certificate accepted give the same
-    # canonical basis as the dim^2 x dim system of the basis vectors
+    # on a pending algebra the search reads the centre off the closure's
+    # generators without their nucleus test: the same canonical basis as
+    # the dim^2 x dim system of the basis vectors.  center_basis proves
+    # associativity first, from the same generators
     A = build()
-    A.require_associative()
-    assert 0 < len(A._generators) < A.dim
-    unvalidated = Algebra(A.p, A.sc, identity=A.one, validate=False)
-    assert getattr(unvalidated, "_generators", None) is None
-    shapes = []
-    kernel = linalg.kernel
+    n, p = A.dim, A.p
+    # row (j, k), column i: coordinate k of b_i*b_j - b_j*b_i
+    system = (A.sc.transpose(1, 2, 0) - A.sc.transpose(0, 2, 1)) % p
+    want = linalg.kernel(system.reshape(n * n, n), p).tolist()
+    certified, shapes = [], []
+    certify, kernel = Algebra._certify_associativity, linalg.kernel
 
-    def spy(M, p):
+    def spy_certify(self):
+        certified.append(self.dim)
+        return certify(self)
+
+    def spy_kernel(M, p):
         shapes.append(M.shape)
         return kernel(M, p)
 
-    monkeypatch.setattr(linalg, "kernel", spy)
-    assert A.center_basis().tolist() == unvalidated.center_basis().tolist()
-    n = A.dim
-    assert shapes == [(len(A._generators) * n, n), (n * n, n)]
+    monkeypatch.setattr(Algebra, "_certify_associativity", spy_certify)
+    monkeypatch.setattr(linalg, "kernel", spy_kernel)
+    assert A._pending
+    assert A._center_basis().tolist() == want
+    assert certified == [] and A._pending
+    assert 0 < len(A._generators) < n
+    assert shapes == [(len(A._generators) * n, n)]
+    assert A.center_basis().tolist() == want
+    assert certified == [n] and not A._pending
 
 
 def test_center_after_the_blocked_check_uses_the_basis(monkeypatch):

@@ -83,11 +83,12 @@ def test_grouping_counts():
 
 
 def test_search_calls_center_basis_only_on_a(monkeypatch):
-    # the blocks come from A's centre alone, and no corner algebra is built:
-    # the one subalgebra the search presents is that centre (check, which
-    # runs after it here since p <= dim, presents each entry field)
+    # the blocks come from A's centre alone, read unproved off the closure,
+    # and no corner algebra is built: the one subalgebra the search
+    # presents is that centre (check, which runs after it here since
+    # p <= dim, presents each entry field)
     A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
-    center, subalgebra, search = (Algebra.center_basis, Algebra.subalgebra,
+    center, subalgebra, search = (Algebra._center_basis, Algebra.subalgebra,
                                   blocks._search)
     calls, searching = [], []
 
@@ -107,7 +108,7 @@ def test_search_calls_center_basis_only_on_a(monkeypatch):
         finally:
             searching.pop()
 
-    monkeypatch.setattr(Algebra, "center_basis", counted_center)
+    monkeypatch.setattr(Algebra, "_center_basis", counted_center)
     monkeypatch.setattr(Algebra, "subalgebra", counted_subalgebra)
     monkeypatch.setattr(blocks, "_search", spy_search)
     full_isomorphism(A, seed=0)
@@ -948,28 +949,20 @@ def _spy(monkeypatch, *names):
     return calls
 
 
-def test_clean_certificate_runs_no_unit_relations_and_no_pair_products(monkeypatch):
-    # a validated algebra keeps its certificate's generators: lemma 1 proves
-    # multiplicativity from them, and one product gives every image
-    A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
-    A.require_associative()
-    assert A._generators.shape[0] <= 3
-    res = full_isomorphism(A, seed=0)
-    calls = _spy(monkeypatch, "_all_pairs")
-    assert blocks.check(A, res) == []
-    assert calls == []
-
-
 def test_pair_products_run_without_generators(monkeypatch):
-    # an unvalidated presentation has no certificate generators, so every
-    # basis pair is multiplied, and the clean certificate passes that too
+    # multiplicativity has one proof, every basis pair: check reads no
+    # generators, so on a proved algebra whose closure generators are
+    # garbage, and on an unvalidated one without them, the clean
+    # certificate runs one all-pairs stage and passes
     A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
     res = full_isomorphism(A, seed=0)
+    A.require_associative()
+    A._generators = np.zeros((1, A.dim), dtype=np.int64)
     bare = Algebra(7, A.sc, identity=A.one, validate=False)
-    assert not hasattr(bare, "_generators")
     calls = _spy(monkeypatch, "_all_pairs")
-    assert blocks.check(bare, res) == []
-    assert calls == ["_all_pairs"]
+    assert blocks.check(A, res) == blocks.check(bare, res) == []
+    assert calls == ["_all_pairs", "_all_pairs"]
+    assert not hasattr(bare, "_generators")
 
 MALFORMED = {
     "connecting_a=5": ("report", ("blocks", 0, "connecting_a"), 5),
@@ -1137,27 +1130,39 @@ def algebra_fuzz_files(tmp_path_factory):
     return folder / "a.json", folder / "r.json"
 
 
-@given(st.sampled_from(["structure_constants", "identity"]),
+@given(st.sampled_from(["verify", "decompose"]),
+       st.sampled_from(["structure_constants", "identity"]),
        st.integers(0, FUZZ_ALGEBRA.dim**3 - 1), st.integers(1, FUZZ_ALGEBRA.p - 1))
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_mutated_algebra_never_verifies(algebra_fuzz_files, name, index, shift):
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_algebra_never_verifies(algebra_fuzz_files, command, name, index,
+                                        shift):
     # one structure constant or one identity entry moved, the valid report
     # kept: an iso that passes fixes every product b_i*b_j and the
     # identity, so no such document verifies.  Exactly the ones that
     # make_presentation refuses exit 4, since a failing verify runs the
-    # certificate first; the others exit 1
+    # certificate first; the others exit 1.  decompose, which runs the
+    # certificate before every failure, exits 4 on the same documents, and
+    # 0 only with a report that verify accepts
     doc = FUZZ_ALGEBRA.to_doc()
     flat = np.array(doc[name])
     flat.reshape(-1)[index % flat.size] += shift
     doc[name] = (flat % FUZZ_ALGEBRA.p).tolist()
     try:
         make_presentation(doc["p"], doc["structure_constants"], identity=doc["identity"])
-        want = 1
+        refused = False
     except (NotAssociative, NoIdentity):
-        want = 4
+        refused = True
     alg, rpt = algebra_fuzz_files
     alg.write_text(cli.canonical_json(doc))
-    assert cli.main(["verify", str(alg), str(rpt)]) == want
+    if command == "verify":
+        assert cli.main(["verify", str(alg), str(rpt)]) == (4 if refused else 1)
+        return
+    own = rpt.with_name("own.json")
+    own.unlink(missing_ok=True)
+    code = cli.main(["decompose", str(alg), "--format", "structured", "-o", str(own)])
+    assert (code == 4) == refused
+    assert code in (0, 1, 2, 3, 4, 5)
+    assert code != 0 or cli.main(["verify", str(alg), str(own)]) == 0
 
 
 def _spy_certificate(monkeypatch):
@@ -1222,7 +1227,8 @@ def test_failing_verify_of_a_document_runs_the_certificate_once_first(monkeypatc
 
 
 def _first_steps():
-    """Entry points that rest on associativity, each for a pending algebra."""
+    """Entry points that rest on associativity, each for a pending algebra;
+    full_isomorphism instead leaves the proof to the isomorphism."""
     C, degrees = idempotents.block_idempotents(FUZZ_ALGEBRA)
     return {
         "full_isomorphism": lambda A: full_isomorphism(A, seed=0),
@@ -1245,6 +1251,9 @@ ENTRY_POINTS = ["full_isomorphism", "radical_report", "block_idempotents",
 def _certificate_comes_first(monkeypatch, name, A):
     step = _first_steps()[name]
     assert A._pending
+    if name == "full_isomorphism":
+        _passing_decomposition_runs_no_certificate(monkeypatch, A)
+        return
     products = []
     matmul = linalg.matmul_mod
     monkeypatch.setattr(linalg, "matmul_mod",
@@ -1264,6 +1273,21 @@ def _certificate_comes_first(monkeypatch, name, A):
     step(A)
     step(A)
     assert events == [("certificate", A.dim)]
+
+
+def _passing_decomposition_runs_no_certificate(monkeypatch, A):
+    # check proves the result, and with it A's associativity, in
+    # verify_isomorphism here since p > dim: A's certificate never runs, and
+    # A stays pending
+    assert A.p > A.dim
+    on_A = []
+    certify = Algebra._certify_associativity
+    monkeypatch.setattr(Algebra, "_certify_associativity",
+                        lambda self: on_A.append(self is A) or certify(self))
+    res = full_isomorphism(A, seed=0)
+    assert verify_isomorphism(A, res).passed
+    # the entry fields, pending too, run their own
+    assert on_A and not any(on_A) and A._pending
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

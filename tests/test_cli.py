@@ -13,12 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedderburn import (
+    Algebra,
     blocks,
     cayley_fixture,
     cli,
     group_algebra,
+    idempotents,
     make_presentation,
     matrix_algebra,
+    poly,
+    scramble,
 )
 from wedderburn.errors import NotAssociative
 
@@ -478,3 +482,93 @@ def test_non_associative_document_exits_4_with_its_first_triple(tmp_path, capsys
     assert cli.main(argv) == 4
     out = capsys.readouterr()
     assert out.err == message and out.out == ""
+
+
+def _spy_certificate(monkeypatch):
+    """The dimension of each algebra whose associativity certificate runs."""
+    dims = []
+    certify = Algebra._certify_associativity
+
+    def spy(self):
+        dims.append(self.dim)
+        return certify(self)
+
+    monkeypatch.setattr(Algebra, "_certify_associativity", spy)
+    return dims
+
+
+@pytest.mark.parametrize("n, p", [(3, 97), (6, 31)], ids=["p > dim", "p <= dim"])
+def test_passing_decompose_runs_no_nucleus_test(tmp_path, monkeypatch, n, p):
+    # the check of the isomorphism proves the document associative, so its
+    # certificate never runs; the entry fields (F_p, dimension 1) run their
+    # own inside each check
+    A, _ = scramble(matrix_algebra(p, n).algebra, seed=1)
+    alg, rep = tmp_path / "a.json", tmp_path / "r.json"
+    alg.write_text(cli.canonical_json(A.to_doc()))
+    dims = _spy_certificate(monkeypatch)
+    assert cli.main(["decompose", str(alg), "-o", str(rep)]) == 0
+    assert cli.main(["verify", str(alg), str(rep)]) == 0
+    assert dims and set(dims) == {1}
+
+
+def _shifted(A, i, j, k):
+    """A's document with the constant c[i][j][k] moved by one."""
+    doc = A.to_doc()
+    c = doc["structure_constants"]
+    c[i][j][k] = (c[i][j][k] + 1) % A.p
+    return doc
+
+
+def _local_ring():
+    """F_5[x]/(x^2): rad = (x), and p = 5 > dim = 2."""
+    return {"p": 5, "structure_constants": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+            "identity": [1, 0]}
+
+
+_M2_7 = scramble(matrix_algebra(7, 2).algebra, seed=1)[0]
+_M3_3 = scramble(matrix_algebra(3, 3).algebra, seed=1)[0]
+
+
+def _no_draws(monkeypatch):
+    monkeypatch.setattr(idempotents, "SPLIT_CAP", 0)
+
+
+def _zero_splits(monkeypatch):
+    monkeypatch.setattr(poly, "bezout", lambda g, h, p: ([1], [0], [0]))
+
+
+FAILING_DECOMPOSE = {
+    "exit 2, p > dim": (_local_ring, None, 2),
+    "exit 2, p <= dim": (lambda: group_algebra(cayley_fixture("S3"), 3).to_doc(),
+                         None, 2),
+    "exit 5, p > dim": (_M2_7.to_doc, _no_draws, 5),
+    "exit 5, p <= dim": (_M3_3.to_doc, _no_draws, 5),
+    "exit 6, p > dim": (_M2_7.to_doc, _zero_splits, 6),
+    "exit 6, p <= dim": (_M3_3.to_doc, _zero_splits, 6),
+    "exit 4, p > dim": (lambda: _shifted(matrix_algebra(7, 2).algebra, 1, 2, 0),
+                        None, 4),
+    "exit 4, p <= dim": (lambda: _shifted(matrix_algebra(3, 3).algebra, 1, 3, 0),
+                         None, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_DECOMPOSE))
+def test_failing_decompose_runs_the_certificate_first(tmp_path, capsys, monkeypatch,
+                                                      case):
+    # every verdict but success comes after associativity is settled, so a
+    # non-associative document exits 4 with the triple make_presentation
+    # names, whatever the search would have made of it
+    build, patch, want = FAILING_DECOMPOSE[case]
+    doc = build()
+    alg = tmp_path / "a.json"
+    alg.write_text(cli.canonical_json(doc))
+    if patch is not None:
+        patch(monkeypatch)
+    dims = _spy_certificate(monkeypatch)
+    assert cli.main(["decompose", str(alg)]) == want
+    assert len(doc["structure_constants"]) in dims
+    if want == 4:
+        with pytest.raises(NotAssociative) as info:
+            make_presentation(doc["p"], doc["structure_constants"],
+                              identity=doc["identity"])
+        assert capsys.readouterr().err == f"invalid input: {info.value}\n"
