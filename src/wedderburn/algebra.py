@@ -5,12 +5,13 @@ validating constructor refuses entries of c or of a declared identity that
 are not integers (see doc_array) and locates the two-sided identity; it
 checks nothing more.  Associativity, the one ring axiom a cube of constants
 does not give for free, stays pending until require_associative proves it,
-once, for every presentation: first by a left-nucleus certificate (a few
-drawn elements that generate the algebra, the closure, each tested to
-associate with every basis pair, O(n^4) each), and when that does not
-conclude, by the blocked check of every basis triple (two flattened
-matrix products a block of the first index at a time, O(n^3) memory),
-which names the first failing triple.
+once, for every presentation, by one left-nucleus test (_nucleus_defect:
+rows g that associate with every basis pair, two flattened matrix
+products a block of rows at a time, O(n^4) per row in O(n^3) memory).
+The certificate tests a few drawn elements that generate the algebra,
+the closure; an algebra no larger than the draw cap, a closure that
+falls short and a failed test take every basis row instead, the
+exhaustive check, which names the first failing triple.
 
 make_presentation calls it at once, and so do the radical, the
 idempotent and centre entry points before their first product.  A
@@ -122,32 +123,27 @@ class Algebra:
         The left nucleus N = {g : (g w) z = g (w z) for all w, z} of a
         unital algebra is a subalgebra containing 1 (Schafer 1966), so if
         elements of N generate A, then A = N is associative.  The elements
-        are the closure's (_closure), and g lies in N when (g b_j) b_k =
-        g (b_j b_k) for all j, k, two n^3-entry products.  A g outside N,
-        or a closure that falls short of A, hands over to the blocked
-        check, which gives the verdict and the first failing triple.
+        are the closure's rows (_closure), tested by _nucleus_defect.  With
+        no closure, and after a g outside N, the exhaustive check gives the
+        verdict and the first failing triple.
         """
-        n, p = self.dim, self.p
         gens = self._closure()
         if gens is None:
             self._check_associativity()
             return
-        flat = self._ltable.reshape(n * n, n)
-        for g in gens:
-            # left[j, m] = coordinate m of g b_j
-            left = linalg.matmul_mod(g[None, :], self._ltable, p).reshape(n, n)
-            gw_z = linalg.matmul_mod(left, self._ltable, p)  # [j, (k, l)]
-            g_wz = linalg.matmul_mod(flat, left, p)  # [(j, k), l]
-            if not np.array_equal(gw_z.reshape(-1), g_wz.reshape(-1)):
-                self._check_associativity()
-                raise InternalInvariantViolation(
-                    "a drawn element lies outside the left nucleus, yet no "
-                    "basis triple fails to associate"
-                )
+        n = self.dim
+        left = linalg.matmul_mod(gens, self._ltable, self.p).reshape(-1, n, n)
+        if self._nucleus_defect(left) is not None:
+            self._check_associativity()
+            raise InternalInvariantViolation(
+                "a drawn element lies outside the left nucleus, yet no "
+                "basis triple fails to associate"
+            )
 
     def _closure(self):
-        """Rows g_1 .. g_k drawn from a fixed-seed RNG that generate A, or
-        None when the draws run out first; drawn once, kept as _generators.
+        """Rows g_1 .. g_k drawn from a fixed-seed RNG that generate A, kept
+        as _generators; None when the draws run out first, or at once when
+        dim is at most the draw cap, as the basis is then no more rows.
 
         The span of 1 is closed a level at a time under left multiplication
         by the g's (new rows times [L_g1 | L_g2 | ...]); under g1 alone it
@@ -159,17 +155,20 @@ class Algebra:
         if hasattr(self, "_generators"):
             return self._generators
         n, p = self.dim, self.p
-        span, pivots = linalg.row_echelon(self.one[None, :], p)
         # j random elements of F_p^n generate it once p^j >> n^2 (they
         # must separate all n coordinates: the birthday bound), so allow
         # 2 ceil(log_p n) + 2 draws
         log = 0
         while p**log < n:
             log += 1
+        cap, self._generators = 2 * log + 2, None
+        if n <= cap:
+            return None
+        span, pivots = linalg.row_echelon(self.one[None, :], p)
         rng = random.Random(0)
         gens = []
         lefts = np.zeros((n, 0), dtype=np.int64)  # [L_g1 | L_g2 | ...]
-        for _ in range(2 * log + 2):
+        for _ in range(cap):
             if span.shape[0] == n:
                 break
             g = self.random_vec(rng)
@@ -185,40 +184,39 @@ class Algebra:
                 span, pivots, fresh = linalg.extend_rref(
                     span, pivots, new.reshape(-1, n), p)
                 new = linalg.matmul_mod(fresh, lefts, p)
-        self._generators = None
         if span.shape[0] == n:
             self._generators = np.array(gens, dtype=np.int64).reshape(len(gens), n)
         return self._generators
 
     def _check_associativity(self):
-        """(b_i b_j) b_k = b_i (b_j b_k) for all triples, a block of i at a time.
+        """(b_i b_j) b_k = b_i (b_j b_k) for all triples, else NotAssociative
+        with the first failing one: the nucleus test of every basis row,
+        whose left multiplications are the cube c itself."""
+        witness = self._nucleus_defect(self.sc)
+        if witness is not None:
+            raise NotAssociative(witness)
 
-        Row block i of the pair table (row (i, j) holds b_i b_j) times the
-        left table gives the coordinates of (b_i b_j) b_k; the pair table
-        times the block's matrices i of the cube c, each taking y to b_i y,
-        gives those of b_i (b_j b_k), in the same (i, j, k) order.
-        Each block holds at most about _CHECK_ENTRIES of the n^4 entries, so
-        memory stays O(n^3), and the blocks go in order of i, so the witness
-        is the first failing triple.
+    def _nucleus_defect(self, left):
+        """The first (r, j, k) in row-major order with (g_r b_j) b_k !=
+        g_r (b_j b_k), or None; left[r, j, m] is coordinate m of g_r b_j.
+
+        Rows (r, j) of a block of left times the left table give (g_r b_j) b_k,
+        and the pair table (row (j, k) holds b_j b_k) times the block's
+        matrices r, each taking y to g_r y, gives g_r (b_j b_k), both in
+        (r, j, k) order.  A block holds about _CHECK_ENTRIES entries, so
+        memory stays O(n^3), and the blocks go in order of r.
         """
         n, p = self.dim, self.p
-        if n == 0:
-            return
         flat = self._ltable.reshape(n * n, n)
-        step = max(1, _CHECK_ENTRIES // n**3)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            # lhs[i, j, k, l] = sum_m c[i,j,m] c[m,k,l]
-            lhs = linalg.matmul_mod(
-                flat.ints[lo * n : hi * n], self._ltable, p
-            ).reshape(hi - lo, n, n, n)
-            # rhs[i, j, k, l] = sum_m c[j,k,m] c[i,m,l]
-            rhs = linalg.matmul_mod(flat, self.sc[lo:hi], p).reshape(
-                hi - lo, n, n, n
-            )
-            if not np.array_equal(lhs, rhs):
-                i, j, k, _ = np.argwhere(lhs != rhs)[0]
-                raise NotAssociative((int(lo + i), int(j), int(k)))
+        step = max(1, _CHECK_ENTRIES // max(n, 1) ** 3)
+        for lo in range(0, len(left), step):
+            block = left[lo : lo + step]
+            lhs = linalg.matmul_mod(block.reshape(-1, n), self._ltable, p)
+            bad = lhs.reshape(-1) != linalg.matmul_mod(flat, block, p).reshape(-1)
+            if bad.any():
+                r, j, k, _ = np.unravel_index(bad.argmax(), (len(block), n, n, n))
+                return (int(lo + r), int(j), int(k))
+        return None
 
     def _solve_identity(self):
         """The two-sided identity, solved from u b_j = b_j for all j.
@@ -317,8 +315,8 @@ class Algebra:
         checked.
 
         In an associative A, z is central iff it commutes with each of a set
-        of generators: the closure's, or the basis vectors when it falls
-        short.  Row (g, k) of the system is coordinate k of z*g - g*z, so
+        of generators: the closure's, or the basis vectors when there is
+        none.  Row (g, k) of the system is coordinate k of z*g - g*z, so
         the kernel is k*dim x dim for k generators.
         """
         n, p = self.dim, self.p

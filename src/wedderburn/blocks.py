@@ -256,9 +256,9 @@ def _check_division_basis(A, bi, blk, fail):
     whose identity is the representative.
 
     D's structure constants come from A's products, so D inherits A's
-    associativity, proved or pending.  D.require_associative runs D's own
-    certificate while it is pending (see check) and does nothing once it is
-    proved."""
+    associativity, proved or pending.  D.require_associative proves it
+    while it is pending (see check), with no draw when the degree is at
+    most the closure's draw cap (every degree up to 4): every basis triple."""
     p = A.p
     if linalg.rank(blk.D.basis, p) != blk.D.degree:
         return fail(f"block {bi}: division basis is not independent")
@@ -345,13 +345,14 @@ def check(A, cert):
     is never built here.
 
     Associativity from the isomorphism.  On a pending A each entry field D
-    also passes its own associativity certificate, as nothing else proves
-    it.  If then no stage fails, iso is a bijection onto T with
-    iso(b_i*b_j) = iso(b_i)*iso(b_j) for every basis pair, and T is
-    associative, as every D is, with identity rep; so A is associative.  A
-    failure proves nothing about it: verify_isomorphism and
-    verify_report_doc then run the certificate first (_certify_on_failure),
-    and full_isomorphism the radical chain, which does the same.
+    also proves its own associativity (require_associative: every basis
+    triple at small degree), as nothing else proves it.  If then no stage
+    fails, iso is a bijection onto T with iso(b_i*b_j) = iso(b_i)*iso(b_j)
+    for every basis pair, and T is associative, as every D is, with
+    identity rep; so A is associative.  A failure proves nothing about
+    it: verify_isomorphism and verify_report_doc then run the certificate
+    first (_certify_on_failure), and full_isomorphism the radical chain,
+    which does the same.
     """
     p, n = A.p, A.dim
     fails = []

@@ -96,19 +96,49 @@ def test_rejects_non_integer_entries(sc, identity):
         make_presentation(5, sc, identity=identity)
 
 
+def unital_f3_6():
+    """F_3^6 on the basis 1, e_1 .. e_5 (e_0 = 1 - e_1 - ... - e_5)."""
+    sc = np.zeros((6, 6, 6), dtype=np.int64)
+    sc[0, range(6), range(6)] = sc[range(6), 0, range(6)] = 1
+    sc[range(1, 6), range(1, 6), range(1, 6)] = 1
+    return sc
+
+
 def test_rejects_non_associative_and_oracle_agrees():
-    sc = np.array(m2().sc)
-    sc[1, 2, 0] = (sc[1, 2, 0] + 1) % 7  # corrupt one constant
-    assert not oracle_associative(sc.tolist(), 7)
-    with pytest.raises(NotAssociative) as info:
-        make_presentation(7, sc)
-    i, j, k = info.value.witness
-    # the witness triple really does violate associativity
-    n = 4
-    basis = [[int(t == s) for s in range(n)] for t in range(n)]
-    lhs = oracle_mul(sc.tolist(), oracle_mul(sc.tolist(), basis[i], basis[j], 7), basis[k], 7)
-    rhs = oracle_mul(sc.tolist(), basis[i], oracle_mul(sc.tolist(), basis[j], basis[k], 7), 7)
-    assert lhs != rhs
+    # one constant corrupted on both sides of the draw cap: dims 4 and 6
+    # take the exhaustive check at once, dims 9 and 16 draw the closure,
+    # whose rows the nucleus test passes on the clean algebra
+    bad_f3_6 = unital_f3_6()
+    bad_f3_6[1, 2, 1] = 1  # e_1 e_2 = e_1
+    # scrambled after the corruption, so the cube is dense and still unital
+    bad_m4 = Algebra(97, corrupted_m2(97, 4), validate=False)
+    cases = [
+        (7, m2().sc, corrupted_m2()),
+        (3, unital_f3_6(), bad_f3_6),
+        (7, matrix_algebra(7, 3).algebra.sc, corrupted_m2(n=3)),
+        (97, scramble(matrix_algebra(97, 4).algebra, seed=1)[0].sc,
+         scramble(bad_m4, seed=1)[0].sc),
+    ]
+    for p, clean, sc in cases:
+        A = Algebra(p, clean)
+        n = A.dim
+        gens = A._closure()
+        assert (gens is None) == (n <= 6)
+        if gens is not None:
+            left = linalg.matmul_mod(gens, A._ltable, p).reshape(-1, n, n)
+            assert A._nucleus_defect(left) is None
+        want = oracle_first_failure(sc.tolist(), p)
+        assert want is not None
+        with pytest.raises(NotAssociative) as info:
+            make_presentation(p, sc)
+        assert info.value.witness == want
+        # the witness triple really does violate associativity
+        i, j, k = want
+        basis = [[int(t == s) for s in range(n)] for t in range(n)]
+        c = sc.tolist()
+        lhs = oracle_mul(c, oracle_mul(c, basis[i], basis[j], p), basis[k], p)
+        rhs = oracle_mul(c, basis[i], oracle_mul(c, basis[j], basis[k], p), p)
+        assert lhs != rhs
 
 
 @pytest.mark.parametrize("a", [0, 3, 5])
@@ -148,11 +178,12 @@ def test_a_reduced_cube_is_kept_read_only():
 
 
 def test_associativity_check_memory_is_cubic():
-    # dim 64: one n^4 int64 array alone would be 128 MiB
-    sc = matrix_algebra(97, 8).algebra.sc.copy()
+    # dim 64: one n^4 int64 array alone would be 128 MiB, so the nucleus
+    # test of every basis row must run a block of rows at a time
+    bare = Algebra(97, matrix_algebra(97, 8).algebra.sc, validate=False)
     tracemalloc.start()
     try:
-        Algebra(97, sc)
+        bare._check_associativity()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,10 +204,10 @@ def test_certificate_memory_is_cubic():
     assert peak < 48 * 2**20
 
 
-def corrupted_m2(p=7):
-    """M_2(F_p) with E12 E21 = 2 E11: still unital, no longer associative."""
-    sc = np.array(m2(p).sc)
-    sc[1, 2, 0] = (sc[1, 2, 0] + 1) % p
+def corrupted_m2(p=7, n=2):
+    """M_n(F_p) with E12 E21 = 2 E11: still unital, no longer associative."""
+    sc = np.array(matrix_algebra(p, n).algebra.sc)
+    sc[1, n, 0] = (sc[1, n, 0] + 1) % p
     return sc
 
 
@@ -213,52 +244,58 @@ def count_draws(monkeypatch):
 
 def test_nucleus_draws_that_generate_nothing_reach_the_blocked_check(monkeypatch):
     # multiples of 1 always lie in the left nucleus but never enlarge the
-    # span of 1, so every draw is accepted, the cap runs out, and the
-    # blocked check has the last word
-    p, sc = 7, corrupted_m2()
+    # span of 1, so every draw is accepted, the cap (6 at dim 9) runs out,
+    # and the blocked check has the last word
+    p, sc = 7, corrupted_m2(n=3)
     want = oracle_first_failure(sc.tolist(), p)
     assert want is not None
-    assert Algebra(p, sc, validate=False).one.tolist() == [1, 0, 0, 1]
+    assert Algebra(p, sc, validate=False).one.tolist() == np.eye(3).ravel().tolist()
     monkeypatch.setattr(
         Algebra, "random_vec", lambda self, rng: self.one * rng.randrange(p) % p
     )
     calls = spy_blocked_check(monkeypatch)
+    draws = count_draws(monkeypatch)
     with pytest.raises(NotAssociative) as info:
         make_presentation(p, sc)
-    assert calls == [4]
+    assert calls == [9] and len(draws) == 6
     assert info.value.witness == want
 
 
 def test_element_outside_the_nucleus_hands_over_the_first_witness(monkeypatch):
-    p, sc = 7, corrupted_m2()
+    p, sc = 7, corrupted_m2(n=3)
     calls = spy_blocked_check(monkeypatch)
+    draws = count_draws(monkeypatch)
     with pytest.raises(NotAssociative) as info:
         make_presentation(p, sc)
-    assert calls == [4]
+    assert calls == [9] and draws
     assert info.value.witness == oracle_first_failure(sc.tolist(), p)
 
 
 def test_nucleus_failure_without_a_witness_is_an_invariant_violation(monkeypatch):
+    # corrupted M_3(F_7), dim 9, is above the draw cap of 6, so the closure
+    # is drawn and its rows are tested
     monkeypatch.setattr(Algebra, "_check_associativity", lambda self: None)
+    draws = count_draws(monkeypatch)
     with pytest.raises(InternalInvariantViolation):
-        make_presentation(7, corrupted_m2())
+        make_presentation(7, corrupted_m2(n=3))
+    assert draws
 
 
 def test_several_nucleus_generators_certify_without_the_blocked_check(monkeypatch):
-    # one element of F_3^5 has at most 3 distinct coordinates, so it cannot
-    # generate: the certificate needs a second draw
+    # one element of F_3^7 has at most 3 distinct coordinates, so it cannot
+    # generate: the certificate needs a second draw (7 is above the cap, 6)
     def blocked(self):
         raise AssertionError("the blocked check ran")
 
     monkeypatch.setattr(Algebra, "_check_associativity", blocked)
     draws = count_draws(monkeypatch)
-    A = make_presentation(3, diagonal_cube(5))
-    assert A.one.tolist() == [1] * 5
+    A = make_presentation(3, diagonal_cube(7))
+    assert A.one.tolist() == [1] * 7
     assert len(draws) >= 2
 
 
 def test_exhausted_draw_cap_falls_back_and_accepts(monkeypatch):
-    # F_3^6: the cap is 2 ceil(log_3 6) + 2 = 6 draws; multiples of 1 lie in
+    # F_3^7: the cap is 2 ceil(log_3 7) + 2 = 6 draws; multiples of 1 lie in
     # the left nucleus but generate only the span of 1, so every draw is
     # spent and the blocked check decides
     monkeypatch.setattr(
@@ -266,18 +303,19 @@ def test_exhausted_draw_cap_falls_back_and_accepts(monkeypatch):
     )
     calls = spy_blocked_check(monkeypatch)
     draws = count_draws(monkeypatch)
-    A = make_presentation(3, diagonal_cube(6))
-    assert calls == [6] and len(draws) == 6
-    assert A.one.tolist() == [1] * 6
+    A = make_presentation(3, diagonal_cube(7))
+    assert calls == [7] and len(draws) == 6
+    assert A.one.tolist() == [1] * 7
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_small_prime_products_certify_without_the_blocked_check(monkeypatch, p):
     # F_p^k needs random elements separating all k coordinates; the cap of
-    # 2 ceil(log_p k) + 2 draws leaves room for that at every k here
+    # 2 ceil(log_p k) + 2 draws leaves room for that at every k here, and
+    # every k from 7 on is above it (at p = 5, k = 6 is not)
     calls = spy_blocked_check(monkeypatch)
-    for k in range(2, 40):
-        make_presentation(p, diagonal_cube(k))
+    for k in range(7, 40):
+        assert len(make_presentation(p, diagonal_cube(k))._generators) > 0
     assert calls == []
 
 
@@ -612,7 +650,9 @@ def test_center_from_the_certificate_generators(monkeypatch, build):
     # on a pending algebra the search reads the centre off the closure's
     # generators without their nucleus test: the same canonical basis as
     # the dim^2 x dim system of the basis vectors.  center_basis proves
-    # associativity first, from the same generators
+    # associativity first, from the same generators.  S3 at p = 5 (dim 6)
+    # is no larger than the draw cap of 6: nothing is drawn, and the centre
+    # solves the basis vectors' own system
     A = build()
     n, p = A.dim, A.p
     # row (j, k), column i: coordinate k of b_i*b_j - b_j*b_i
@@ -634,8 +674,9 @@ def test_center_from_the_certificate_generators(monkeypatch, build):
     assert A._pending
     assert A._center_basis().tolist() == want
     assert certified == [] and A._pending
-    assert 0 < len(A._generators) < n
-    assert shapes == [(len(A._generators) * n, n)]
+    G = A._generators
+    assert G is None if n <= 6 else 0 < len(G) < n
+    assert shapes == [((n if G is None else len(G)) * n, n)]
     assert A.center_basis().tolist() == want
     assert certified == [n] and not A._pending
 
@@ -643,15 +684,17 @@ def test_center_from_the_certificate_generators(monkeypatch, build):
 def test_center_after_the_blocked_check_uses_the_basis(monkeypatch):
     # multiples of 1 are accepted but generate only the span of 1, so the
     # blocked check decides and no generators are kept: the centre of
-    # M_2(F_3) is still only the scalars
+    # M_3(F_3) (dim 9, above the cap of 6) is still only the scalars
     monkeypatch.setattr(
         Algebra, "random_vec", lambda self, rng: self.one * rng.randrange(3) % 3
     )
     calls = spy_blocked_check(monkeypatch)
-    A = m2(3)
+    draws = count_draws(monkeypatch)
+    A = matrix_algebra(3, 3).algebra
     A.require_associative()
-    assert calls == [4] and getattr(A, "_generators", None) is None
-    assert A.center_basis().tolist() == [[1, 0, 0, 1]]
+    assert calls == [9] and len(draws) == 6
+    assert getattr(A, "_generators", None) is None
+    assert A.center_basis().tolist() == [np.eye(3, dtype=int).ravel().tolist()]
 
 
 def test_frobenius_fixed_space_counts_blocks():

@@ -1187,21 +1187,70 @@ def _spy_certificate(monkeypatch):
     return events
 
 
+def _spy_draws_and_closures(monkeypatch):
+    """Records every random_vec draw, and (dim, generators) per closure."""
+    draws, closures = [], []
+    draw, closure = Algebra.random_vec, Algebra._closure
+
+    def counted(self, rng):
+        draws.append(self.dim)
+        return draw(self, rng)
+
+    def spy(self):
+        gens = closure(self)
+        closures.append((self.dim, gens))
+        return gens
+
+    monkeypatch.setattr(Algebra, "random_vec", counted)
+    monkeypatch.setattr(Algebra, "_closure", spy)
+    return draws, closures
+
+
 def test_passing_verify_of_a_document_runs_no_certificate(monkeypatch):
     # the passing check proves associativity from the isomorphism: every
-    # basis pair multiplied, and each entry field by its own certificate,
-    # which concludes without the blocked check
+    # basis pair multiplied, and each entry field, of degree 1 or 2 and so
+    # no larger than the closure's draw cap, by the blocked check of all
+    # its basis triples, with no draw
     A = from_doc(FUZZ_ALGEBRA.to_doc())
     events = _spy_certificate(monkeypatch)
     blocked = Algebra._check_associativity
     monkeypatch.setattr(Algebra, "_check_associativity",
                         lambda self: events.append(("blocked", self.dim)) or blocked(self))
+    draws, _ = _spy_draws_and_closures(monkeypatch)
     calls = _spy(monkeypatch, "_all_pairs")
     assert verify_report_doc(A, FUZZ_REPORT) == []
     assert calls == ["_all_pairs"]
-    assert events == [("certificate", b["division_degree"])
-                      for b in FUZZ_REPORT["blocks"]]
+    assert events == [(step, b["division_degree"]) for b in FUZZ_REPORT["blocks"]
+                      for step in ("certificate", "blocked")]
+    assert draws == []
     assert A._pending and getattr(A, "_generators", None) is None
+
+
+def test_entry_fields_up_to_the_draw_cap_are_proved_without_a_draw(monkeypatch):
+    # at p = 97 the closure's draw cap is 4 for every dim up to 97, so
+    # entry fields of degree 1-4 prove associativity by all their basis
+    # triples: a passing verify of the pending algebra, in process or from
+    # its documents, draws nothing and builds no closure
+    A, _ = scramble(build_planted([(2, 1), (1, 2), (1, 3), (1, 4)], 97).algebra,
+                    seed=1)
+    res = full_isomorphism(A, seed=0)
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    draws, closures = _spy_draws_and_closures(monkeypatch)
+    assert verify_isomorphism(A, res).passed
+    assert verify_report_doc(from_doc(A.to_doc()), doc) == []
+    assert draws == []
+    assert sorted(dim for dim, _ in closures) == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert all(gens is None for _, gens in closures)
+    assert A._pending
+    # a degree-5 field is above the cap: its own certificate draws
+    F, _ = scramble(build_planted([(1, 5)], 97).algebra, seed=1)
+    res = full_isomorphism(F, seed=0)
+    draws.clear()
+    closures.clear()
+    assert verify_isomorphism(F, res).passed
+    assert draws and set(draws) == {5}
+    assert len(closures) == 1 and closures[0][0] == 5
+    assert len(closures[0][1]) > 0
 
 
 @pytest.mark.parametrize("how", ["failure", "flag", "exception"])
