@@ -30,7 +30,9 @@ holds b_i b_j, and the cube, whose matrix i takes a row vector y to b_i y
 (so y against the cube gives right multiplication by y).
 """
 
+import math
 import random
+import struct
 from itertools import chain
 
 import numpy as np
@@ -47,6 +49,18 @@ from .errors import (
 from .field import check_modulus
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
+
+# a list cube whose first innermost row is at most this share 0s and 1s is
+# converted by struct; denser ones take a type scan and np.fromiter.  At dim
+# 50 the two cost the same near a share of 0.4 (p = 5): a quarter keeps a
+# cube with p <= 7 on the scan, as a first row strays from the cube's share
+_ZERO_ONE_SHARE = 0.25
+# leaves a step of the converted cube's 0/1 type check looks at, so that its
+# temporaries stay small at any size
+_CHECK_LEAVES = 2**14
+
+_PACKED_KEYS = frozenset(("encoding", "dtype", "shape", "data"))
+_PACKED_DTYPES = ("<u1", "<u2", "<u4")
 
 # int64 entries of one block of the associativity check (1 MB per side;
 # blocks that fit in cache beat larger ones at every p measured)
@@ -412,11 +426,13 @@ class Algebra:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_doc(self):
+    def to_doc(self, packed=False):
+        """The algebra document: the cube as nested lists, or packed."""
         doc = {
             "p": int(self.p),
             "dim": int(self.dim),
-            "structure_constants": self.sc.tolist(),
+            "structure_constants": (pack_cube(self.sc, self.p) if packed
+                                    else self.sc.tolist()),
             "identity": self.one.tolist(),
         }
         if self.labels is not None:
@@ -467,10 +483,11 @@ def make_presentation(p, structure_constants, identity=None, labels=None):
 def from_doc(doc):
     """Reconstruct an Algebra from its document, with associativity pending.
 
-    Form, integer type, shape and the identity are checked as by the
-    Algebra constructor.  Associativity is left to require_associative,
-    which every entry point that needs it calls first, or to a passing
-    blocks.check, which proves it from the isomorphism.
+    The cube is nested lists or the packed form (doc_array).  Form, integer
+    type, shape and the identity are checked as by the Algebra constructor.
+    Associativity is left to require_associative, which every entry point
+    that needs it calls first, or to a passing blocks.check, which proves
+    it from the isomorphism.
     """
     if not isinstance(doc, dict):
         raise InvalidDocument("algebra document must be an object")
@@ -481,7 +498,7 @@ def from_doc(doc):
     if not is_doc_int(p):
         raise InvalidDocument("field 'p' must be an integer")
     arr = doc_array(doc["structure_constants"], (None, None, None),
-                    "structure constants")
+                    "structure constants", p=p)
     if "dim" in doc and not (is_doc_int(doc["dim"]) and arr.shape[0] == doc["dim"]):
         raise InvalidDocument("declared dim disagrees with the constants cube")
     return Algebra(p, arr, identity=doc.get("identity"), labels=doc.get("labels"))
@@ -492,15 +509,19 @@ def is_doc_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def doc_array(x, shape, what, error=InvalidDocument):
+def doc_array(x, shape, what, error=InvalidDocument, p=None):
     """int64 array of a document field with the given shape (None: any size).
 
-    Nested lists of Python ints take one typed pass (_int_lists); anything
-    else takes numpy's reading, which words every refused leaf.  Booleans,
-    floats and strings are refused, not truncated or coerced; a ragged,
-    non-integer or misshapen x raises `error`.
+    Nested lists take one conversion pass (_int_lists); anything else takes
+    numpy's reading, which words every refused leaf.  Booleans, floats and
+    strings are refused, not truncated or coerced; a ragged, non-integer or
+    misshapen x raises `error`.  Given the modulus p, x may also be the
+    packed object form of a cube (_unpack).
     """
-    arr = typed = _int_lists(x, len(shape))
+    if p is not None and isinstance(x, dict):
+        arr = typed = _unpack(x, p, what, error)
+    else:
+        arr = typed = _int_lists(x, len(shape))
     if typed is None:
         try:
             arr = np.asarray(x)
@@ -524,9 +545,18 @@ def doc_array(x, shape, what, error=InvalidDocument):
 
 
 def _int_lists(x, depth):
-    """x as int64 if it is a rectangular nested list of that depth of Python
-    ints (not bools) within int64, else None: one walk of the lengths, one
-    scan of the leaf types and one np.fromiter, never listing the leaves."""
+    """x as int64 if it is a rectangular nested list of that depth of ints
+    within int64, else None (numpy's reading then words the refusal).
+
+    One walk of the lengths, then one conversion pass over the innermost
+    rows, never listing the leaves.  When at most _ZERO_ONE_SHARE of the
+    first row reads 0 or 1, each row is converted by struct's "q" format,
+    which refuses floats, strings, None and ints past int64 by itself; only
+    the leaves that read 0 or 1 can be JSON booleans, so only their types
+    are looked at (_converted_rows).  A cube denser in 0s and 1s (p <= 7, an
+    unscrambled matrix ring or group algebra) costs less with one scan of
+    every leaf's type and one np.fromiter.
+    """
     rows, dims = [x], []
     for _ in range(depth):
         if dims:
@@ -534,6 +564,10 @@ def _int_lists(x, depth):
         if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
             return None
         dims.append(len(rows[0]))
+    first = rows[0]
+    if first and (first.count(0) + first.count(1)
+                  <= _ZERO_ONE_SHARE * len(first)):
+        return _converted_rows(rows, dims)
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         return None
     try:
@@ -541,3 +575,89 @@ def _int_lists(x, depth):
                            len(rows) * dims[-1]).reshape(dims)
     except OverflowError:
         return None
+
+
+def _converted_rows(rows, dims):
+    """_int_lists' struct pass over rows of equal length: each row is
+    written straight into the result, then the 0s and 1s of about
+    _CHECK_LEAVES leaves at a time are looked up by type."""
+    width = dims[-1]
+    flat = np.empty(len(rows) * width, dtype=np.int64)
+    pack = struct.Struct(f"{width}q").pack_into
+    offsets = range(0, flat.nbytes, flat.itemsize * width)
+    try:
+        for offset, row in zip(offsets, rows):
+            pack(flat, offset, *row)
+    except struct.error:
+        return None
+    step = max(1, _CHECK_LEAVES // width)
+    for lo in range(0, len(rows), step):
+        # 0 and 1 are the values <= 1 unsigned: a negative reads >= 2^63
+        chunk = flat[lo * width : (lo + step) * width].view(np.uint64)
+        r, c = np.divmod(np.flatnonzero(chunk <= 1), width)
+        if not set(map(type, map(list.__getitem__,
+                                 map(rows.__getitem__, (r + lo).tolist()),
+                                 c.tolist()))) <= {int}:
+            return None
+    return flat.reshape(dims)
+
+
+def packed_dtype(p):
+    """The smallest unsigned little-endian dtype that holds p - 1."""
+    return next(d for d in _PACKED_DTYPES
+                if p - 1 < 256 ** np.dtype(d).itemsize)
+
+
+def pack_cube(sc, p):
+    """The packed object form of a cube with entries in [0, p)."""
+    import base64  # only the packed form needs it
+
+    dtype = packed_dtype(p)
+    return {
+        "encoding": "base64",
+        "dtype": dtype,
+        "shape": list(sc.shape),
+        "data": base64.b64encode(sc.astype(dtype).tobytes()).decode("ascii"),
+    }
+
+
+def _unpack(x, p, what, error):
+    """The cube of the packed form, read strictly: {"encoding": "base64",
+    "dtype": packed_dtype(p), "shape": [n, n, n], "data": base64 of the
+    entries in C order}, every entry below p.  Each fault raises `error`
+    naming its field."""
+    import base64  # only the packed form needs it
+
+    p = check_modulus(p)
+    unknown = sorted(map(repr, x.keys() - _PACKED_KEYS))
+    if unknown:
+        raise error(f"{what}: unknown key {unknown[0]} in the packed form")
+    missing = sorted(_PACKED_KEYS - x.keys())
+    if missing:
+        raise error(f"{what}: the packed form is missing {missing[0]!r}")
+    if x["encoding"] != "base64":
+        raise error(f"{what}: field 'encoding' must be 'base64', "
+                    f"got {x['encoding']!r}")
+    dtype = packed_dtype(p)
+    if x["dtype"] != dtype:
+        raise error(f"{what}: field 'dtype' must be {dtype!r}, the smallest "
+                    f"width that holds p - 1 = {p - 1}, got {x['dtype']!r}")
+    shape = x["shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(is_doc_int(s) and s >= 0 for s in shape)):
+        raise error(f"{what}: field 'shape' must be three non-negative "
+                    f"integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(x["data"], validate=True)
+    except (TypeError, ValueError):
+        raise error(f"{what}: field 'data' is not a base64 string") from None
+    want = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != want:
+        raise error(f"{what}: field 'data' holds {len(raw)} bytes, not the "
+                    f"{want} of shape {shape} in {dtype!r}")
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if arr.size and arr.max() >= p:
+        at = np.unravel_index(np.argmax(arr >= p), arr.shape)
+        raise error(f"{what}: field 'data' holds {arr[at]} at "
+                    f"{tuple(map(int, at))}, not below p = {p}")
+    return arr.astype(np.int64)

@@ -123,7 +123,7 @@ def _finish_gen(args, A):
         if args.output is None:
             raise InvalidDocument("--scramble requires -o for the sidecar")
         scrambled, S = generators.scramble(A, args.seed)
-        _write_output(scrambled.to_doc(), args.output)
+        _write_output(scrambled.to_doc(packed=args.packed), args.output)
         sidecar = {
             "p": int(A.p),
             "dim": int(A.dim),
@@ -132,7 +132,7 @@ def _finish_gen(args, A):
         }
         _write_output(sidecar, args.output + ".scramble.json")
         return EXIT_OK
-    _write_output(A.to_doc(), args.output)
+    _write_output(A.to_doc(packed=args.packed), args.output)
     return EXIT_OK
 
 
@@ -205,6 +205,9 @@ def build_parser():
         sub_parser.add_argument("--scramble", action="store_true",
                                 help="apply a random invertible basis change; "
                                      "writes the matrix to a sidecar")
+        sub_parser.add_argument("--packed", action="store_true",
+                                help="write the structure constants as one "
+                                     "base64 string (lists by default)")
         sub_parser.add_argument("--seed", type=int, default=0)
         sub_parser.add_argument("-o", "--output", default=None)
         sub_parser.set_defaults(func=func)

@@ -1,6 +1,8 @@
 """Structure-constant presentations: validation, products, corners, documents."""
 
+import base64
 import functools
+import json
 import random
 import tracemalloc
 from itertools import chain
@@ -27,7 +29,9 @@ from wedderburn.errors import (
     NoIdentity,
     NotAssociative,
     NotCommutative,
+    NotPrime,
     ShapeMismatch,
+    UnsupportedCharacteristic,
 )
 
 from oracles import hom_rows
@@ -928,3 +932,170 @@ def test_doc_array_matches_the_numpy_reading(case):
     for error in (InvalidDocument, ShapeMismatch):
         assert (conversion(algebra.doc_array, x, shape, error)
                 == conversion(doc_array_oracle, x, shape, error))
+
+
+def _read_cube(monkeypatch, cube):
+    """doc_array's conversion of cube beside the oracle's, and whether the
+    struct pass ran."""
+    calls = []
+    convert = algebra._converted_rows
+    monkeypatch.setattr(algebra, "_converted_rows",
+                        lambda rows, dims: calls.append(1) or convert(rows, dims))
+    got, want = (conversion(f, cube, (None,) * 3, InvalidDocument)
+                 for f in (algebra.doc_array, doc_array_oracle))
+    return got, want, bool(calls)
+
+
+def _cube_with(values, dim, first_row):
+    """A dim^3 list cube of drawn values whose first innermost row is given;
+    its last row holds 0 and 1 at (dim-1, dim-1, 0) and (dim-1, dim-1, 1)."""
+    rng = np.random.default_rng(dim)
+    cube = rng.choice(values, (dim, dim, dim)).tolist()
+    cube[0][0] = list(first_row)
+    cube[-1][-1][:2] = [0, 1]
+    return cube
+
+
+# (value read, leaf): each is put in place of an entry that reads the value
+LEAVES = [(1, True), (0, False), (3, 3.0), (5, "5"), (0, None), (2, 2**63),
+          (4, np.int64(4)), (1, np.int64(1))]
+
+
+@pytest.mark.parametrize("read, leaf", LEAVES,
+                         ids=["true", "false", "float", "string", "null",
+                              "past int64", "np.int64", "np.int64 one"])
+@pytest.mark.parametrize("dense", [False, True], ids=["p97", "zero-one"])
+def test_both_list_paths_match_the_numpy_reading(monkeypatch, dense, read, leaf):
+    # dim 32 is two steps of the 0/1 check; the leaf goes in the second,
+    # at an entry that reads its value, so only its JSON type differs
+    dim = 32
+    if dense:
+        cube = _cube_with([0, 1, 2], dim, [i % 2 for i in range(dim)])
+    else:
+        cube = _cube_with(np.arange(97), dim, range(2, dim + 2))
+    at = (dim - 1, dim // 2, 3)
+    cube[at[0]][at[1]][at[2]] = read
+    assert _read_cube(monkeypatch, cube)[0][0] == np.int64
+    cube[at[0]][at[1]][at[2]] = leaf
+    got, want, converted = _read_cube(monkeypatch, cube)
+    assert converted is not dense
+    assert got == want
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["p97", "zero-one"])
+def test_clean_cubes_take_their_path_and_read_exactly(monkeypatch, dense):
+    dim = 32
+    if dense:
+        cube = _cube_with([0, 1, 2], dim, [i % 2 for i in range(dim)])
+    else:
+        cube = _cube_with([-(2**63), 2**63 - 1, 0, 1, 96],
+                          dim, range(2, dim + 2))
+    got, want, converted = _read_cube(monkeypatch, cube)
+    assert converted is not dense
+    assert got == want and got[2] == cube
+
+
+def test_a_first_row_a_quarter_zeros_and_ones_takes_the_conversion(monkeypatch):
+    dim = 8
+    for zero_ones, converted in ((2, True), (3, False)):
+        first = [0, 1, 0][:zero_ones] + [5] * (dim - zero_ones)
+        cube = _cube_with(np.arange(97), dim, first)
+        assert _read_cube(monkeypatch, cube)[2] is converted
+
+
+def test_numpy_unsigned_leaves_read_by_the_chosen_path(monkeypatch):
+    # JSON has no unsigned scalars; struct packs np.uint64 by its
+    # value, where numpy reads it beside Python ints as float64 and refuses
+    dim = 8
+    sparse = _cube_with(np.arange(97), dim, range(2, dim + 2))
+    dense = _cube_with([0, 1], dim, [1] * dim)
+    for cube in (sparse, dense):
+        cube[3][4][5] = np.uint64(7)
+    got, want, converted = _read_cube(monkeypatch, sparse)
+    assert converted and got[0] == np.int64 and got[2][3][4][5] == 7
+    assert want == (InvalidDocument,
+                    "field must hold integers, not float64")
+    got, want, converted = _read_cube(monkeypatch, dense)
+    assert not converted and got == want
+
+
+# -- the packed cube ------------------------------------------------------------
+
+
+def test_packed_dtype_is_the_smallest_width_for_p_minus_one():
+    assert [algebra.packed_dtype(p) for p in (3, 97, 251, 257, 65521,
+                                              65537, 2**31 - 1)] == \
+        ["<u1", "<u1", "<u1", "<u2", "<u2", "<u4", "<u4"]
+
+
+def packed_doc(p=97):
+    A, _ = scramble(matrix_algebra(p, 2).algebra, seed=1)
+    return A, json.loads(json.dumps(A.to_doc(packed=True)))
+
+
+def test_packed_document_reads_as_the_list_document():
+    A, doc = packed_doc()
+    assert doc["structure_constants"]["dtype"] == "<u1"
+    B = from_doc(doc)
+    assert B.sc.dtype == np.int64 and B.sc.tolist() == A.sc.tolist()
+    assert B.to_doc() == A.to_doc()
+
+
+def _edit(doc, **fields):
+    sc = {**doc["structure_constants"], **fields}
+    return {**doc, "structure_constants": {k: v for k, v in sc.items()
+                                           if v is not None}}
+
+
+def _b64(values, dtype="<u1"):
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode()
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"order": "C"}, "unknown key 'order'"),
+    ({"data": None}, "missing 'data'"),
+    ({"encoding": "base85"}, "field 'encoding'"),
+    ({"dtype": "<u2"}, "field 'dtype' must be '<u1'"),
+    ({"dtype": "<i8"}, "field 'dtype' must be '<u1'"),
+    ({"shape": [4, 4]}, "field 'shape'"),
+    ({"shape": [4, 4, True]}, "field 'shape'"),
+    ({"data": "AAAA*AAA"}, "field 'data' is not a base64 string"),
+    ({"data": "AAA"}, "field 'data' is not a base64 string"),
+    ({"data": 7}, "field 'data' is not a base64 string"),
+    ({"data": _b64([0] * 63)}, "field 'data' holds 63 bytes, not the 64"),
+    ({"data": _b64([0] * 65)}, "field 'data' holds 65 bytes, not the 64"),
+    ({"data": _b64([0] * 9 + [97] + [0] * 54)},
+     "field 'data' holds 97 at (0, 2, 1), not below p = 97"),
+], ids=["unknown key", "missing key", "encoding", "wider dtype", "signed dtype",
+        "shape length", "boolean shape", "bad character", "bad padding",
+        "not a string", "short data", "long data", "entry at p"])
+def test_packed_form_refusals_name_the_field(fields, named):
+    _, doc = packed_doc()
+    with pytest.raises(InvalidDocument) as info:
+        from_doc(_edit(doc, **fields))
+    assert str(info.value).startswith("structure constants: ")
+    assert named in str(info.value)
+
+
+def test_packed_width_follows_p():
+    # <u2 at 65521, and a <u2 cube at 65537 is refused for its width
+    A, doc = packed_doc(65521)
+    assert doc["structure_constants"]["dtype"] == "<u2"
+    assert from_doc(doc).sc.tolist() == A.sc.tolist()
+    with pytest.raises(InvalidDocument, match="field 'dtype' must be '<u4'"):
+        from_doc({**doc, "p": 65537})
+
+
+def test_packed_form_needs_a_supported_modulus():
+    _, doc = packed_doc()
+    with pytest.raises(NotPrime):
+        from_doc({**doc, "p": 99})
+    with pytest.raises(UnsupportedCharacteristic):
+        from_doc({**doc, "p": 2**61 - 1})
+
+
+def test_packed_form_is_read_only_where_the_modulus_is_known():
+    # report fields and a bare Algebra take lists only
+    _, doc = packed_doc()
+    with pytest.raises(InvalidDocument, match="must hold integers, not object"):
+        algebra.doc_array(doc["structure_constants"], (None,) * 3, "cube")

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, round trips, determinism, sidecars."""
 
+import base64
 import contextlib
 import functools
 import io
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wedderburn import (
     Algebra,
+    algebra,
     blocks,
     cayley_fixture,
     cli,
@@ -572,3 +574,75 @@ def test_failing_decompose_runs_the_certificate_first(tmp_path, capsys, monkeypa
             make_presentation(doc["p"], doc["structure_constants"],
                               identity=doc["identity"])
         assert capsys.readouterr().err == f"invalid input: {info.value}\n"
+
+
+# -- the packed cube ------------------------------------------------------------
+
+
+def _main(*argv):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("p, dtype", [(3, "<u1"), (97, "<u1"), (65521, "<u2"),
+                                      (65537, "<u4"), (2**31 - 1, "<u4")])
+def test_packed_round_trip_for_every_gen_kind(tmp_path, p, dtype):
+    # each gen kind writes both forms of one algebra; gen sum reads packed
+    # parts, and --scramble packs the scrambled cube
+    kinds = {
+        "group": ["group", "--cayley", "S3"],
+        "matrix": ["matrix", "-n", 2],
+        "sum": ["sum", tmp_path / "group_packed.json",
+                tmp_path / "matrix_packed.json"],
+        "scrambled": ["matrix", "-n", 2, "--scramble", "--seed", 1],
+    }
+    for kind, args in kinds.items():
+        docs = []
+        for form in ("lists", "packed"):
+            path = tmp_path / f"{kind}_{form}.json"
+            flags = ["--packed"] if form == "packed" else []
+            p_flag = [] if kind == "sum" else ["-p", p]
+            assert _main("gen", *args, *p_flag, *flags, "-o", path)[0] == 0
+            docs.append(json.loads(path.read_text()))
+        lists, packed = docs
+        assert packed["structure_constants"]["dtype"] == dtype, kind
+        assert algebra.from_doc(packed).to_doc() == lists, kind
+        assert algebra.from_doc(lists).to_doc(packed=True) == packed, kind
+
+
+def test_both_forms_give_byte_identical_reports(tmp_path):
+    reports = []
+    for flags in ([], ["--packed"]):
+        alg, rep = tmp_path / f"m{len(flags)}.json", tmp_path / f"r{len(flags)}.json"
+        assert _main("gen", "matrix", "-n", 3, "-p", 97, "--scramble",
+                     "--seed", 1, *flags, "-o", alg)[0] == 0
+        assert _main("decompose", alg, "--format", "structured", "-o", rep)[0] == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+    code, out, _ = _main("verify", tmp_path / "m1.json", tmp_path / "r0.json")
+    assert code == 0 and out == "report verifies: all checks pass\n"
+
+
+@pytest.mark.parametrize("fault, named", [
+    ({"extra": 1}, "unknown key 'extra'"),
+    ({"dtype": "<u4"}, "field 'dtype'"),
+    ({"data": "AAAA"}, "field 'data' holds 3 bytes"),
+    ({"data": "A@AA"}, "field 'data' is not a base64 string"),
+    ({"data": base64.b64encode(bytes([0, 0, 0, 0, 0, 0, 0, 7])).decode()},
+     "field 'data' holds 7 at (1, 1, 1), not below p = 7"),
+], ids=["unknown key", "wide dtype", "byte count", "bad base64", "entry at p"])
+def test_packed_faults_exit_4_naming_the_field(tmp_path, fault, named):
+    alg = tmp_path / "m.json"
+    assert _main("gen", "matrix", "-n", 1, "-p", 7, "--ext-poly", "1,0,1",
+                 "--packed", "-o", alg)[0] == 0
+    doc = json.loads(alg.read_text())
+    doc["structure_constants"].update(fault)
+    alg.write_text(json.dumps(doc))
+    for command in ("decompose", "verify"):
+        code, _, err = _main(command, alg, *([alg] * (command == "verify")))
+        assert code == 4
+        assert err.startswith("invalid input: structure constants: ")
+        assert named in err

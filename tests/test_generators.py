@@ -234,3 +234,85 @@ def test_make_presentation_runs_the_certificate_once(monkeypatch):
     assert dims == [9] and not B._pending and len(B._generators) > 0
     B.center_basis()  # proved once: the entry point does not prove it again
     assert dims == [9]
+
+
+def validate_cayley_loops(doc):
+    """validate_cayley's checks past the entry types as Python loops, in
+    their order: rows and columns, the identity, then every triple."""
+    m, ident, table = doc["order"], doc["identity"], doc["table"]
+    for g in range(m):
+        if sorted(table[g]) != list(range(m)):
+            raise InvalidCayley(f"row {g} is not a permutation")
+        if sorted(table[h][g] for h in range(m)) != list(range(m)):
+            raise InvalidCayley(f"column {g} is not a permutation")
+    for g in range(m):
+        if table[ident][g] != g or table[g][ident] != g:
+            raise InvalidCayley("declared identity is not an identity")
+    for g in range(m):
+        for h in range(m):
+            for k in range(m):
+                if table[table[g][h]][k] != table[g][table[h][k]]:
+                    raise InvalidCayley(
+                        f"associativity fails at triple ({g},{h},{k})"
+                    )
+    return m, ident, table
+
+
+def cayley_verdict(validate, doc):
+    try:
+        m, ident, table = validate(doc)
+    except InvalidCayley as exc:
+        return str(exc)
+    return m, ident, np.asarray(table).tolist()
+
+
+def corrupted_tables():
+    """Each fixture, and with the next index declared its identity; each
+    with one entry moved to the next index; and each with the two symbols
+    of an intercalate swapped (rows x, xz and columns u, zu for an
+    involution z, away from the identity), which keeps a Latin square with
+    the same identity but breaks associativity."""
+    for name in FIXTURE_NAMES:
+        doc = cayley_fixture(name)
+        m, e, t = doc["order"], doc["identity"], doc["table"]
+        yield doc
+        yield {**doc, "identity": (e + 1) % m}
+        for g, h in itertools.product(range(m), repeat=2):
+            bad = [row[:] for row in t]
+            bad[g][h] = (bad[g][h] + 1) % m
+            yield {**doc, "table": bad}
+        for z in range(m):
+            if z == e or t[z][z] != e:
+                continue
+            for x, u in itertools.product(range(m), repeat=2):
+                if e in (x, t[x][z], u, t[z][u]):
+                    continue
+                a, b = t[x][u], t[x][t[z][u]]
+                bad = [row[:] for row in t]
+                bad[x][u] = bad[t[x][z]][t[z][u]] = b
+                bad[x][t[z][u]] = bad[t[x][z]][u] = a
+                yield {**doc, "table": bad}
+
+
+def test_vectorised_cayley_checks_match_the_loops():
+    verdicts = [(cayley_verdict(validate_cayley, doc),
+                 cayley_verdict(validate_cayley_loops, doc))
+                for doc in corrupted_tables()]
+    assert all(got == want for got, want in verdicts)
+    # every branch is reached: rows, columns, identity, associativity
+    seen = {want.split(" ")[0] if isinstance(want, str) else "group"
+            for _, want in verdicts}
+    assert seen == {"row", "column", "declared", "associativity", "group"}
+    assert len({want for _, want in verdicts
+                if isinstance(want, str) and want.startswith("assoc")}) > 10
+
+
+def test_group_algebra_fills_the_cube_as_the_table_loop_did():
+    for name in FIXTURE_NAMES:
+        doc = cayley_fixture(name)
+        m, t = doc["order"], doc["table"]
+        sc = np.zeros((m, m, m), dtype=np.int64)
+        for g in range(m):
+            for h in range(m):
+                sc[g, h, t[g][h]] = 1
+        assert group_algebra(doc, 5).sc.tolist() == sc.tolist(), name
