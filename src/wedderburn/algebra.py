@@ -70,8 +70,9 @@ _CHECK_ENTRIES = 2**17
 class Algebra:
     """Finite-dimensional unital algebra over F_p, associative once
     require_associative has passed; a reduced C-contiguous int64 cube is
-    kept as `sc`, uncopied, and set read-only.  A validated one checks form
-    and the identity, and leaves associativity pending."""
+    kept as `sc`, uncopied, and set read-only, and so is the identity
+    `one`, always a copy.  A validated one checks form and the identity,
+    and leaves associativity pending."""
 
     def __init__(self, p, structure_constants, identity=None, labels=None,
                  validate=True, _pending=False):
@@ -107,6 +108,7 @@ class Algebra:
         # the state of the algebra it was built from
         self._pending = validate or _pending
         self.one = self._identity(identity, validate)
+        self.one.flags.writeable = False
 
     def require_associative(self):
         """Prove associativity now if it is pending: the certificate runs

@@ -19,9 +19,13 @@ per block the representative, connecting elements, matrix units, central
 idempotent and division basis, plus the iso matrix, its inverse and the
 layout.  The search hands plain int64 arrays from stage to stage and does
 not re-check what it builds: `check` is the one proof of every relation of
-a certificate, exact and without re-running any of the search, and no
-verdict of it is kept.  `verify_isomorphism` runs it on a result and
-`verify_report_doc` on the result parsed from a report document.
+a certificate, exact and without re-running any of the search.
+`verify_isomorphism` runs it on a result and `verify_report_doc`, so
+`wedderburn verify`, on the result parsed from a report document, always
+afresh.  The one verdict kept is a pass of the check full_isomorphism
+runs for p <= dim: `verify_isomorphism` reports it while the algebra is
+the same object and every array the check read equals its copy, so a
+decomposition runs one all-pairs check at any p.
 
 The target is an external direct sum, so `check` and `target_multiply`
 multiply one block at a time, as n x n matrices over the d^3 table of the
@@ -37,7 +41,9 @@ associativity certificate first.
 """
 
 import random
+import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +114,21 @@ class DecompositionResult:
     p: int
     dim: int
     seed: int
+    # a pass of check in full_isomorphism, for verify_isomorphism (_Proof)
+    _proof: object = field(default=None, init=False, repr=False, compare=False)
+
+
+class _Proof(NamedTuple):
+    """A passing check of a result: a weak reference to the algebra it ran
+    on, and exact copies of everything of the result it read
+    (_read_by_check).  A deep copy or a pickle of the result drops it, to
+    be proved again."""
+
+    algebra: weakref.ref
+    arrays: list
+
+    def __reduce_ex__(self, protocol):
+        return type(None), ()
 
 
 class Failure(NamedTuple):
@@ -222,22 +243,56 @@ def full_isomorphism(A, seed=0):
     For p > dim the radical chain is the trace form, O(dim^3): a nonzero
     kernel runs the chain, and a zero one leaves the proof to
     verify_isomorphism.  For p <= dim the search runs first, and check at
-    once.  An exception or a failed relation runs the chain, which proves
-    associativity first; then NotSemisimple carries the certified radical,
-    or on a zero radical the search's own error is raised, or its result
-    returned.  The search runs once either way.
+    once; a pass is kept on the result (_proved), which verify_isomorphism
+    then reports without a second check.  An exception or a failed relation
+    runs the chain, which proves associativity first; then NotSemisimple
+    carries the certified radical, or on a zero radical the search's own
+    error is raised, or its result returned.  The search runs once either
+    way.
     """
     if A.p > A.dim and len(radical.trace_kernel(A)):
         radical.require_semisimple(A)  # the stage-0 radical: it raises
     try:
         result = _search(A, seed)
-        failed = A.p <= A.dim and check(A, result)
+        failed = A.p <= A.dim and _proved(A, result)
     except Exception:
         radical.require_semisimple(A)
         raise
     if failed:
         radical.require_semisimple(A)
     return result
+
+
+def _read_by_check(cert):
+    """Everything of a certificate that check reads, in a fixed order."""
+    return [cert.iso, cert.iso_inverse, cert.layout, *chain.from_iterable(
+        (blk.n, blk.D.degree, blk.D.basis, blk.rep, blk.c, blk.a, blk.b,
+         blk.units) for blk in cert.blocks)]
+
+
+def _proved(A, cert):
+    """check(A, cert); a pass is kept on cert for verify_isomorphism.  A
+    failure is not: it sends the search to the radical chain, and a result
+    that still comes back is proved again."""
+    fails = check(A, cert)
+    if not fails:
+        cert._proof = _Proof(weakref.ref(A),
+                             [np.array(x) for x in _read_by_check(cert)])
+    return fails
+
+
+def _verdict(A, cert):
+    """[] when cert keeps a pass of check on A and every array check read
+    still equals its copy, in shape and every entry; otherwise check(A,
+    cert).  A's constants and identity are read-only, so A is told by
+    identity."""
+    proof = cert._proof
+    if proof is not None and proof.algebra() is A:
+        now = _read_by_check(cert)
+        if len(now) == len(proof.arrays) and all(
+                np.array_equal(x, kept) for x, kept in zip(now, proof.arrays)):
+            return []
+    return check(A, cert)
 
 
 def _entry_field(A, blk):
@@ -437,7 +492,11 @@ def _all_pairs(A, iso, targets):
 
 
 def verify_isomorphism(A, result, check_multiplicative=True):
-    """Exact re-proof of a result: `check` on its certificate arrays.
+    """Exact proof of a result: `check` on its certificate arrays, or the
+    pass full_isomorphism's own check kept for p <= dim, while A is the
+    algebra it ran on and every array it read equals its kept copy
+    (_verdict).  A changed array, a deep copy of the result or another
+    algebra, even one read from the same document, is proved again.
 
     There is one level: multiplicativity is always proved pair by pair, for
     all basis pairs.  On an A whose associativity is pending, a passing
@@ -449,7 +508,7 @@ def verify_isomorphism(A, result, check_multiplicative=True):
     if check_multiplicative is not True:
         raise ValueError("verification always proves the all-pairs product "
                          "relation; there is no partial level")
-    return _report(_certify_on_failure(A, lambda: check(A, result)))
+    return _report(_certify_on_failure(A, lambda: _verdict(A, result)))
 
 
 def _certify_on_failure(A, verdict):

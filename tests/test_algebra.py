@@ -181,6 +181,18 @@ def test_a_reduced_cube_is_kept_read_only():
     raw[0, 0, 0] = 0
 
 
+def test_the_identity_is_kept_read_only():
+    # like sc, so an algebra's constants and identity cannot change under a
+    # verdict kept for it; the declared identity is a copy, and the
+    # caller's stays writable
+    declared = np.array(m2().one)
+    for A in (make_presentation(7, m2().sc), make_presentation(7, m2().sc,
+                                                               declared)):
+        with pytest.raises(ValueError):
+            A.one[0] = 0
+    declared[0] = 0
+
+
 def test_associativity_check_memory_is_cubic():
     # dim 64: one n^4 int64 array alone would be 128 MiB, so the nucleus
     # test of every basis row must run a block of rows at a time

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import pickle
 import random
 
 import numpy as np
@@ -484,23 +485,23 @@ def test_report_doc_contains_the_contracted_fields():
 
 def _tamper(res, field):
     """Corrupt one certificate field of res in place; return the message the
-    verifier must report.  Block 0 is M_1(F_49), block 1 is M_2(F_7)."""
-    b0, b1 = res.blocks
+    verifier must report.  Block 0 is M_1(F_{p^2}), block 1 is M_2(F_p)."""
+    p, (b0, b1) = res.p, res.blocks
     if field == "a[mu]":
-        b1.a[1] = b1.a[1] * 2 % 7
+        b1.a[1] = b1.a[1] * 2 % p
         return "block 1: a[1] does not map to E[0,1]"
     if field == "b[mu]":
-        b1.b[1] = b1.b[1] * 2 % 7
+        b1.b[1] = b1.b[1] * 2 % p
         return "block 1: b[1] does not map to E[1,0]"
     if field == "a in corner":
         # a' = a + b keeps a'*b = rep and b*a' = e, but rep*a'*e = a
-        b1.a[1] = (b1.a[1] + b1.b[1]) % 7
+        b1.a[1] = (b1.a[1] + b1.b[1]) % p
         return "block 1: a[1] does not map to E[0,1]"
     if field == "b in corner":
-        b1.b[1] = (b1.b[1] + b1.a[1]) % 7
+        b1.b[1] = (b1.b[1] + b1.a[1]) % p
         return "block 1: b[1] does not map to E[1,0]"
     if field == "central":
-        # the representative alone is a consistent block M_1(F_7), whose
+        # the representative alone is a consistent block M_1(F_p), whose
         # member sum is not central
         b1.n, b1.a, b1.b = 1, b1.a[:1], b1.b[:1]
         b1.units, b1.c = b1.units[:1, :1], b1.rep.copy()
@@ -512,25 +513,28 @@ def _tamper(res, field):
         del res.blocks[0]
         return "block dimensions do not sum to the algebra dimension"
     if field == "unit":
-        b1.units[0, 1] = (b1.units[0, 1] + 1) % 7
+        b1.units[0, 1] = (b1.units[0, 1] + 1) % p
         return "block 1: matrix unit (0,1) does not map to E[0,1]"
     if field == "central idempotent":
-        b0.c = (b0.c + 1) % 7
+        b0.c = (b0.c + 1) % p
         return ("central idempotent of block 0 does not map to its block "
                 "identity")
     if field == "representative":
-        b0.rep = b0.rep * 2 % 7
+        b0.rep = b0.rep * 2 % p
         return ("block 0: representative is not the identity of the "
                 "division corner")
     if field == "division basis":
         b0.D.basis[1] = b0.D.basis[0]
         return "block 0: division basis is not independent"
+    if field == "division basis replaced":
+        b0.D = b0.D._replace(basis=b0.D.basis[::-1].copy())
+        return "block 0: division basis row 0 does not map to E[0,0]*d_0"
     if field == "iso row":
-        res.iso[4] = (res.iso[4] + 1) % 7  # layout row 4 is (1, 1, 0, 0)
-        j = int(np.flatnonzero(res.iso_inverse.sum(axis=0) % 7)[0])
+        res.iso[4] = (res.iso[4] + 1) % p  # layout row 4 is (1, 1, 0, 0)
+        j = int(np.flatnonzero(res.iso_inverse.sum(axis=0) % p)[0])
         return f"iso * iso_inverse differs from the identity at (4,{j})"
     if field == "iso_inverse":
-        res.iso_inverse[0, 0] = (res.iso_inverse[0, 0] + 1) % 7
+        res.iso_inverse[0, 0] = (res.iso_inverse[0, 0] + 1) % p
         i = int(np.flatnonzero(res.iso[:, 0])[0])
         return f"iso * iso_inverse differs from the identity at ({i},0)"
     if field == "layout":
@@ -542,7 +546,8 @@ def _tamper(res, field):
 @pytest.mark.parametrize("field", [
     "a[mu]", "b[mu]", "a in corner", "b in corner", "unit",
     "central idempotent", "central", "representative", "division basis",
-    "orthogonal", "sum to one", "iso row", "iso_inverse", "layout",
+    "division basis replaced", "orthogonal", "sum to one", "iso row",
+    "iso_inverse", "layout",
 ])
 def test_one_verifier_names_the_tampered_relation(field):
     A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
@@ -555,6 +560,58 @@ def test_one_verifier_names_the_tampered_relation(field):
     assert message in msgs
     # the in-process verifier runs the same check on the same arrays
     assert ver.failures == msgs
+
+
+def _kept_proof():
+    """(A, result) at p <= dim, where full_isomorphism keeps the pass of its
+    check on the result: scrambled M_1(F_25) (+) M_2(F_5), dim 6."""
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 5).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    assert [(b.n, b.D.degree) for b in res.blocks] == [(1, 2), (2, 1)]
+    assert res._proof is not None
+    return A, res
+
+
+def test_an_unchanged_result_reuses_the_kept_pass(monkeypatch):
+    A, res = _kept_proof()
+    calls = _spy(monkeypatch, "check")
+    ver = verify_isomorphism(A, res)
+    assert ver.passed and calls == []
+    assert verify_report_doc(A, result_to_doc(res, ver)) == []
+    assert calls == ["check"]
+
+
+@pytest.mark.parametrize("field", [
+    "iso row", "unit", "division basis", "division basis replaced",
+    "orthogonal", "sum to one",
+])
+def test_a_result_changed_in_place_is_proved_again(monkeypatch, field):
+    # no copy: the kept pass is of arrays that have since changed, so
+    # verify_isomorphism runs check again and finds what the report
+    # verifier finds
+    A, res = _kept_proof()
+    message = _tamper(res, field)
+    calls = _spy(monkeypatch, "check")
+    ver = verify_isomorphism(A, res)
+    assert calls == ["check"]
+    msgs = verify_report_doc(A, result_to_doc(res, ver))
+    assert message in msgs and ver.failures == msgs
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle", "second from_doc"])
+def test_a_copy_or_another_algebra_is_proved_again(monkeypatch, how):
+    A, res = _kept_proof()
+    if how == "deepcopy":
+        res = copy.deepcopy(res)
+    elif how == "pickle":
+        res = pickle.loads(pickle.dumps(res))
+    else:
+        A = from_doc(A.to_doc())
+    assert (res._proof is None) == (how != "second from_doc")
+    calls = _spy(monkeypatch, "check")
+    ver = verify_isomorphism(A, res)
+    assert calls == ["check"]
+    assert ver.failures == verify_report_doc(A, result_to_doc(res, ver)) == []
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -513,6 +513,24 @@ def test_passing_decompose_runs_no_nucleus_test(tmp_path, monkeypatch, n, p):
     assert dims and set(dims) == {1}
 
 
+@pytest.mark.parametrize("n, p", [(3, 97), (6, 31)], ids=["p > dim", "p <= dim"])
+def test_one_check_per_decompose_and_per_verify(tmp_path, monkeypatch, n, p):
+    # at p <= dim the search's own check proves the input semisimple, and
+    # verify_isomorphism reuses its verdict on the unchanged result; at
+    # p > dim verify_isomorphism runs the one check.  verify reads a fresh
+    # certificate from the report and proves it again
+    A, _ = scramble(matrix_algebra(p, n).algebra, seed=1)
+    alg, rep = tmp_path / "a.json", tmp_path / "r.json"
+    alg.write_text(cli.canonical_json(A.to_doc()))
+    calls, check = [], blocks.check
+    monkeypatch.setattr(blocks, "check",
+                        lambda *args: calls.append(args) or check(*args))
+    assert cli.main(["decompose", str(alg), "-o", str(rep)]) == 0
+    assert len(calls) == 1
+    assert cli.main(["verify", str(alg), str(rep)]) == 0
+    assert len(calls) == 2
+
+
 def _shifted(A, i, j, k):
     """A's document with the constant c[i][j][k] moved by one."""
     doc = A.to_doc()
