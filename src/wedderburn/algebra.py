@@ -17,17 +17,19 @@ make_presentation calls it at once, and so do the radical, the
 idempotent and centre entry points before their first product.  A
 decomposition (blocks.full_isomorphism) and `wedderburn verify` prove
 associativity from the isomorphism instead (see blocks.check): they read
-the centre off the closure unproved, and run the certificate only before
-a failure.  Subalgebras and matrix rings built without validation inherit
-the state of the algebra they come from.  So a pending Algebra is proved
-associative or refused with NotAssociative before anything rests on it.
+the centre off the closure unproved, a passing check marks the algebra
+proved, and the certificate runs only before a failure.  Subalgebras and
+matrix rings built without validation inherit the state of the algebra
+they come from.  So a pending Algebra is proved associative or refused
+with NotAssociative before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
-over c, row i the flattened matrix of left multiplication by b_i.  The
-other shapes of c a product needs are reshape views of it that share its
-float copies, so c is converted once: the pair table, whose row (i, j)
-holds b_i b_j, and the cube, whose matrix i takes a row vector y to b_i y
-(so y against the cube gives right multiplication by y).
+over c, row i the flattened matrix of left multiplication by b_i.  Every
+product with the structure constants, here and in the other modules, goes
+through three methods that read reshape views of it, which share its float
+copies, so c is converted once: left(X), the products X[i] b_j; right(Y),
+the products b_j Y[i]; and pair_products(M, lo, hi), the products b_i b_j
+for lo <= i < hi, mapped by M.  No other code reads the table's layout.
 """
 
 import math
@@ -92,7 +94,7 @@ class Algebra:
         self.dim = n
         self.sc = sc
         # row i holds the flattened matrix of left multiplication by b_i;
-        # every product with the structure constants reads a view of it
+        # only left, right and pair_products read it
         self._ltable = linalg.Operand(sc.reshape(n, n * n), self.p)
         if labels is not None:
             if not (isinstance(labels, list)
@@ -147,9 +149,7 @@ class Algebra:
         if gens is None:
             self._check_associativity()
             return
-        n = self.dim
-        left = linalg.matmul_mod(gens, self._ltable, self.p).reshape(-1, n, n)
-        if self._nucleus_defect(left) is not None:
+        if self._nucleus_defect(self.left(gens)) is not None:
             self._check_associativity()
             raise InternalInvariantViolation(
                 "a drawn element lies outside the left nucleus, yet no "
@@ -189,7 +189,7 @@ class Algebra:
                 break
             g = self.random_vec(rng)
             gens.append(g)
-            left = linalg.matmul_mod(g[None, :], self._ltable, p).reshape(n, n)
+            left = self.left(g[None, :])[0]
             lefts = np.concatenate([lefts, left], axis=1)
             # g1 alone spans a commutative algebra: g^a g^b = g^(a+b)
             if len(gens) == 1 and not self.is_commutative():
@@ -216,19 +216,18 @@ class Algebra:
         """The first (r, j, k) in row-major order with (g_r b_j) b_k !=
         g_r (b_j b_k), or None; left[r, j, m] is coordinate m of g_r b_j.
 
-        Rows (r, j) of a block of left times the left table give (g_r b_j) b_k,
-        and the pair table (row (j, k) holds b_j b_k) times the block's
-        matrices r, each taking y to g_r y, gives g_r (b_j b_k), both in
-        (r, j, k) order.  A block holds about _CHECK_ENTRIES entries, so
-        memory stays O(n^3), and the blocks go in order of r.
+        The left products of the rows (r, j) of a block of left give
+        (g_r b_j) b_k, and the pair products mapped by the block's matrices
+        r, each taking y to g_r y, give g_r (b_j b_k), both in (r, j, k)
+        order.  A block holds about _CHECK_ENTRIES entries, so memory stays
+        O(n^3), and the blocks go in order of r.
         """
-        n, p = self.dim, self.p
-        flat = self._ltable.reshape(n * n, n)
+        n = self.dim
         step = max(1, _CHECK_ENTRIES // max(n, 1) ** 3)
         for lo in range(0, len(left), step):
             block = left[lo : lo + step]
-            lhs = linalg.matmul_mod(block.reshape(-1, n), self._ltable, p)
-            bad = lhs.reshape(-1) != linalg.matmul_mod(flat, block, p).reshape(-1)
+            lhs = self.left(block.reshape(-1, n))
+            bad = lhs.reshape(-1) != self.pair_products(block).reshape(-1)
             if bad.any():
                 r, j, k, _ = np.unravel_index(bad.argmax(), (len(block), n, n, n))
                 return (int(lo + r), int(j), int(k))
@@ -266,30 +265,48 @@ class Algebra:
         """Coordinates of x*y."""
         return linalg.matmul_mod(self.lmat(x), y[:, None], self.p)[:, 0]
 
+    def left(self, X):
+        """Left products with the basis: out[i, j, k] is coordinate k of
+        X[i]*b_j, shape (len(X), dim, dim); matrix i is the transpose of
+        L_X[i].  One product of X with the table."""
+        n = self.dim
+        return linalg.matmul_mod(X, self._ltable, self.p).reshape(-1, n, n)
+
+    def right(self, Y):
+        """Right products with the basis: out[j, i, k] is coordinate k of
+        b_j*Y[i], shape (dim, len(Y), dim).  One product of Y with the
+        table as a cube, whose matrix j takes y to b_j*y."""
+        n = self.dim
+        return linalg.matmul_mod(Y, self._ltable.reshape(n, n, n), self.p)
+
+    def pair_products(self, M, lo=0, hi=None):
+        """The products b_i*b_j for lo <= i < hi (hi = dim by default), as
+        rows (i, j), times M: a matrix (dim, m) gives ((hi - lo) dim, m), a
+        stack (s, dim, m) the stack (s, (hi - lo) dim, m).  A part of the
+        range reads the int rows, which matmul_mod converts on every call."""
+        n = self.dim
+        hi = n if hi is None else hi
+        rows = self._ltable.reshape(n * n, n)
+        if (lo, hi) != (0, n):
+            rows = rows.ints[lo * n : hi * n]
+        return linalg.matmul_mod(rows, M, self.p)
+
     def products(self, X, Y):
         """All pairwise products: out[i, j] = X[i] * Y[j], shape (kx, ky, dim).
 
-        Two matmul_mod calls: X against the n x n^2 multiplication table,
-        then Y against the stack whose matrix i takes y to X[i]*y, one per
-        row of X, so the shorter stack should be X.
+        Two matmul_mod calls: left(X), then Y against its stack, whose
+        matrix i takes y to X[i]*y, one per row of X, so the shorter stack
+        should be X.
         """
-        n, p = self.dim, self.p
-        # left[i, j, k] = coordinate k of X[i] * b_j
-        left = linalg.matmul_mod(X, self._ltable, p).reshape(len(X), n, n)
-        return linalg.matmul_mod(Y, left, p)
+        return linalg.matmul_mod(Y, self.left(X), self.p)
 
     def lmat(self, x):
         """Matrix of left multiplication by x; column j is x*b_j."""
-        n = self.dim
-        flat = linalg.matmul_mod(x[None, :], self._ltable, self.p)
-        return np.ascontiguousarray(flat.reshape(n, n).T)
+        return np.ascontiguousarray(self.left(x[None, :])[0].T)
 
     def rmat(self, y):
         """Matrix of right multiplication by y; column i is b_i*y."""
-        n = self.dim
-        # flat[i, 0, k] = coordinate k of b_i*y
-        flat = linalg.matmul_mod(y[None, :], self._ltable.reshape(n, n, n), self.p)
-        return np.ascontiguousarray(flat.reshape(n, n).T)
+        return np.ascontiguousarray(self.right(y[None, :])[:, 0].T)
 
     def powers(self, x, one, top=None):
         """Rows one, x, x^2, ..., x^top (top = dim by default), by doubling
@@ -315,10 +332,7 @@ class Algebra:
     def gram_matrix(self):
         """Trace form gram[i,j] = trace(L_{b_i b_j})."""
         n = self.dim
-        t = self.trace_vector()
-        return linalg.matmul_mod(
-            self._ltable.reshape(n * n, n), t[:, None], self.p
-        ).reshape(n, n)
+        return self.pair_products(self.trace_vector()[:, None]).reshape(n, n)
 
     def center_basis(self):
         """Canonical basis (rows) of {z : zx = xz for all x}, with
@@ -339,12 +353,9 @@ class Algebra:
         G = self._closure()
         if G is None:
             G = np.eye(n, dtype=np.int64)
-        # right[j, g, k] = coordinate k of b_j*g, left[g, j, k] of g*b_j
-        right = linalg.matmul_mod(G, self._ltable.reshape(n, n, n), p)
-        left = linalg.matmul_mod(G, self._ltable, p).reshape(-1, n, n)
         # row (g, k), column j: coordinate k of b_j*g - g*b_j
-        M = (right.transpose(1, 2, 0) - left.transpose(0, 2, 1)) % p
-        return linalg.kernel(M.reshape(-1, n), p)
+        M = self.right(G).transpose(1, 2, 0) - self.left(G).transpose(0, 2, 1)
+        return linalg.kernel(M.reshape(-1, n) % p, p)
 
     def is_commutative(self):
         # a slice at a time: O(n^2) memory, and an early exit on a mismatch
@@ -364,18 +375,22 @@ class Algebra:
         (Fermat), so F is that scalar.
         """
         self.require_commutative()
-        n, k = self.dim, self.p
+        n, p = self.dim, self.p
         if n == 1:
-            return np.array([[self.one[0] * self.sc[0, 0, 0] % k]],
+            return np.array([[self.one[0] * self.sc[0, 0, 0] % p]],
                             dtype=np.int64)
-        acc = np.tile(self.one, (n, 1))
-        base = np.eye(n, dtype=np.int64)
+
+        def mul_rows(X, Y):
+            """out[i] = X[i] * Y[i]: Y[i] through L_X[i], shape (k, dim)."""
+            return linalg._stack_matvec(self.left(X).transpose(0, 2, 1), Y, p)
+
+        acc, base, k = np.tile(self.one, (n, 1)), np.eye(n, dtype=np.int64), p
         while k:
             if k & 1:
-                acc = self.mul_rows(acc, base)
+                acc = mul_rows(acc, base)
             k >>= 1
             if k:
-                base = self.mul_rows(base, base)
+                base = mul_rows(base, base)
         return np.ascontiguousarray(acc.T)
 
     def frobenius_fixed_space(self):
@@ -388,14 +403,6 @@ class Algebra:
         if linalg.rank(F, self.p) < self.dim:
             return None
         return linalg.kernel((F - np.eye(self.dim, dtype=np.int64)) % self.p, self.p)
-
-    def mul_rows(self, X, Y):
-        """Row-wise products: out[i] = X[i] * Y[i], shape (k, dim)."""
-        n, p = self.dim, self.p
-        # left[i, l, j] = coordinate l of X[i] * b_j
-        left = linalg.matmul_mod(X, self._ltable, p).reshape(-1, n, n)
-        Y = linalg.as_mod_array(Y, p)
-        return linalg._stack_matvec(left.transpose(0, 2, 1), Y, p)
 
     def random_vec(self, rng):
         return np.array([rng.randrange(self.p) for _ in range(self.dim)],

@@ -7,12 +7,10 @@ e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
 inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
 
 The search presumes A associative and semisimple, and runs once per
-decomposition, on A as read: an isomorphism that `check` accepts onto a
-direct sum of matrix rings over fields proves both.  For p > dim the
-radical chain is the trace form alone, and a nonzero kernel rejects first.
-For p <= dim the chain goes on to its char_poly stages, so the search runs
-first, and the check at once.  An exception or a failed relation hands
-the verdict to the chain, which proves associativity first.
+decomposition, on A as read, with the check at once: an isomorphism that
+`check` accepts onto a direct sum of matrix rings over fields proves both.
+An exception or a failed relation hands the verdict to the radical chain,
+which proves associativity first.
 
 A `DecompositionResult` is the certificate, and what the report serializes:
 per block the representative, connecting elements, matrix units, central
@@ -22,10 +20,10 @@ not re-check what it builds: `check` is the one proof of every relation of
 a certificate, exact and without re-running any of the search.
 `verify_isomorphism` runs it on a result and `verify_report_doc`, so
 `wedderburn verify`, on the result parsed from a report document, always
-afresh.  The one verdict kept is a pass of the check full_isomorphism
-runs for p <= dim: `verify_isomorphism` reports it while the algebra is
-the same object and every array the check read equals its copy, so a
-decomposition runs one all-pairs check at any p.
+afresh.  The one verdict kept is the pass of full_isomorphism's check:
+`verify_isomorphism` reports it while the algebra is the same object and
+every array the check read equals its copy, so a decomposition runs one
+all-pairs check.
 
 The target is an external direct sum, so `check` and `target_multiply`
 multiply one block at a time, as n x n matrices over the d^3 table of the
@@ -36,8 +34,8 @@ sends each certificate vector to its standard element (a[mu] to E[0,mu],
 units[mu,nu] to E[mu,nu], ...), and so reads every relation of the
 certificate off it; the proofs are in its docstring.  On an algebra whose
 associativity is still pending (a document read by algebra.from_doc), a
-passing `check` proves it from the isomorphism, and a failing one runs the
-associativity certificate first.
+passing `check` proves it from the isomorphism and marks A proved, and
+after a failing one its callers run the associativity certificate first.
 """
 
 import random
@@ -240,21 +238,17 @@ def full_isomorphism(A, seed=0):
     """End-to-end decomposition with the assembled invertible map.
 
     A's associativity may be pending, as check proves it with the result.
-    For p > dim the radical chain is the trace form, O(dim^3): a nonzero
-    kernel runs the chain, and a zero one leaves the proof to
-    verify_isomorphism.  For p <= dim the search runs first, and check at
-    once; a pass is kept on the result (_proved), which verify_isomorphism
+    At every p the search runs first, and check at once; a pass marks A
+    proved and is kept on the result (_proved), which verify_isomorphism
     then reports without a second check.  An exception or a failed relation
-    runs the chain, which proves associativity first; then NotSemisimple
-    carries the certified radical, or on a zero radical the search's own
-    error is raised, or its result returned.  The search runs once either
-    way.
+    runs the radical chain, which proves associativity first; then
+    NotSemisimple carries the certified radical, or on a zero radical the
+    search's own error is raised, or its result returned.  The search runs
+    once either way.
     """
-    if A.p > A.dim and len(radical.trace_kernel(A)):
-        radical.require_semisimple(A)  # the stage-0 radical: it raises
     try:
         result = _search(A, seed)
-        failed = A.p <= A.dim and _proved(A, result)
+        failed = _proved(A, result)
     except Exception:
         radical.require_semisimple(A)
         raise
@@ -271,9 +265,9 @@ def _read_by_check(cert):
 
 
 def _proved(A, cert):
-    """check(A, cert); a pass is kept on cert for verify_isomorphism.  A
-    failure is not: it sends the search to the radical chain, and a result
-    that still comes back is proved again."""
+    """check(A, cert), whose pass marks A proved, and is kept on cert for
+    verify_isomorphism.  A failure is not: it sends the search to the
+    radical chain, and a result that still comes back is proved again."""
     fails = check(A, cert)
     if not fails:
         cert._proof = _Proof(weakref.ref(A),
@@ -404,10 +398,10 @@ def check(A, cert):
     triple at small degree), as nothing else proves it.  If then no stage
     fails, iso is a bijection onto T with iso(b_i*b_j) = iso(b_i)*iso(b_j)
     for every basis pair, and T is associative, as every D is, with
-    identity rep; so A is associative.  A failure proves nothing about
-    it: verify_isomorphism and verify_report_doc then run the certificate
-    first (_certify_on_failure), and full_isomorphism the radical chain,
-    which does the same.
+    identity rep; so A is associative, and check marks it proved.  A
+    failure proves nothing about it: verify_isomorphism and
+    verify_report_doc then run the certificate first (_certify_on_failure),
+    and full_isomorphism the radical chain, which does the same.
     """
     p, n = A.p, A.dim
     fails = []
@@ -441,6 +435,8 @@ def check(A, cert):
     targets = [(D, blk.n) for blk, D in zip(cert.blocks, fields)]
     for i, j in _all_pairs(A, iso, targets):
         fail(f"multiplicativity fails at basis pair ({i},{j})", "multiplicative")
+    if not fails:
+        A._pending = False
     return fails
 
 
@@ -453,8 +449,8 @@ def _block_products(D, n, X, Y):
     """
     p, d = D.p, D.dim
     k, m = len(X), len(Y)
-    # xd[i, mu, nu, t, u] = sum_s X[i, mu, nu, s] D.sc[s, t, u]
-    xd = linalg.matmul_mod(X.reshape(-1, d), D.sc.reshape(d, d * d), p)
+    # xd[i, mu, nu, t, u]: coordinate u of X[i, mu, nu] * d_t in D
+    xd = D.left(X.reshape(-1, d))
     right = xd.reshape(k, n, n, d, d).transpose(0, 2, 3, 1, 4)
     cols = Y.reshape(m, n, n, d).transpose(0, 2, 1, 3).reshape(m * n, n * d)
     # out[i, (j, eta), (mu, u)]
@@ -472,14 +468,12 @@ def _all_pairs(A, iso, targets):
     or [] when there is none: dim^2 products, a block of rows i at a time,
     in order, up to the first block with a defect.  The right side is
     multiplied in each block of the target alone."""
-    n, p = A.dim, A.p
-    images = iso.T  # row j: iso(b_j)
+    n, images = A.dim, iso.T  # row j of images: iso(b_j)
     step = max(1, _PAIR_ENTRIES // (n * n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         # got[i, j] = iso(b_(lo+i) b_j); differ[i, j] where it is wrong
-        got = linalg.matmul_mod(A.sc[lo:hi].reshape(-1, n), images, p)
-        got = got.reshape(hi - lo, n, n)
+        got = A.pair_products(images, lo, hi).reshape(hi - lo, n, n)
         differ, row = np.zeros((hi - lo, n), dtype=bool), 0
         for D, n_i in targets:
             cols = slice(row, row + n_i * n_i * D.dim)
@@ -493,17 +487,17 @@ def _all_pairs(A, iso, targets):
 
 def verify_isomorphism(A, result, check_multiplicative=True):
     """Exact proof of a result: `check` on its certificate arrays, or the
-    pass full_isomorphism's own check kept for p <= dim, while A is the
-    algebra it ran on and every array it read equals its kept copy
-    (_verdict).  A changed array, a deep copy of the result or another
-    algebra, even one read from the same document, is proved again.
+    pass full_isomorphism's own check kept, while A is the algebra it ran
+    on and every array it read equals its kept copy (_verdict).  A changed
+    array, a deep copy of the result or another algebra, even one read
+    from the same document, is proved again.
 
     There is one level: multiplicativity is always proved pair by pair, for
     all basis pairs.  On an A whose associativity is pending, a passing
-    check proves it, and a failing one runs the certificate first, so a
-    non-associative A raises NotAssociative.  check_multiplicative is
-    accepted only as True; the keyword remains for callers that still pass
-    it.
+    check proves it and marks A proved, and a failing one runs the
+    certificate first, so a non-associative A raises NotAssociative.
+    check_multiplicative is accepted only as True; the keyword remains for
+    callers that still pass it.
     """
     if check_multiplicative is not True:
         raise ValueError("verification always proves the all-pairs product "

@@ -279,7 +279,7 @@ def scramble(A, seed):
         )
     # X[a, j, k] = sum_i S[i, a] c[i, j, k], then Y[a, b, k] = sum_j
     # S[j, b] X[a, j, k] as a stacked product, then Z = Y in the new basis
-    X = linalg.matmul_mod(S.T, A._ltable, p).reshape(n, n, n)
+    X = A.left(S.T)
     Y = linalg.matmul_mod(S.T, X, p)
     Z = linalg.matmul_mod(Y.reshape(n * n, n), Sinv.T, p).reshape(n, n, n)
     one = linalg.matmul_mod(Sinv, A.one[:, None], p)[:, 0]

@@ -18,19 +18,18 @@ If the explicit check ever failed the input would be refused rather than
 guessed at.  For p > dim the chain is the single trace-form stage.
 
 Stage 0 costs O(dim^3); the stages past it, which run only while
-p <= dim, cost O(dim^5) in practice.  So for p <= dim
-blocks.full_isomorphism first tries the decomposition, whose checked
-certificate proves semisimplicity on its own, and runs the chain only when
-that fails: to certify the radical it rejects with, or to certify that it
-is zero.  Nothing is kept on the presentation: each call computes the
-chain afresh.
+p <= dim, cost O(dim^5) in practice.  So at every p blocks.full_isomorphism
+first tries the decomposition, whose checked certificate proves
+semisimplicity on its own, and runs the chain only when that fails: to
+certify the radical it rejects with, or to certify that it is zero.
+Nothing is kept on the presentation: each call computes the chain afresh.
 
 A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
 the current basis.  It is computed in bulk: one Algebra.products call gives
-the products x_s x_t, and their left multiplication matrices go through
-linalg.char_poly as stacks of at most _CHUNK_ENTRIES entries, so a stage
-makes one char_poly call per chunk and the matrices it holds do not grow
-with m^2.  The explicit ideal and nilpotency checks use Algebra.products.
+the products x_s x_t, whose left multiplication matrices (Algebra.left) go
+through linalg.char_poly as stacks of at most _CHUNK_ENTRIES entries, so a
+stage makes one char_poly call per chunk and the matrices it holds do not
+grow with m^2.  The explicit ideal and nilpotency checks use Algebra.products.
 """
 
 from dataclasses import dataclass, field
@@ -68,9 +67,9 @@ def _char_coeff_form(A, rows, k):
     """Gram matrix of (x, y) -> c_k(xy) on the span of the given rows.
 
     One A.products call gives x_s x_t for all pairs; those with s <= t go
-    against the multiplication table in chunks, each chunk one stack of the
-    matrices L_{x_s x_t}^T (same characteristic polynomial as L_{x_s x_t})
-    and one char_poly call.
+    through A.left in chunks, each chunk one stack of the matrices
+    L_{x_s x_t}^T (same characteristic polynomial as L_{x_s x_t}) and one
+    char_poly call.
     """
     m, n, p = rows.shape[0], A.dim, A.p
     su, tu = np.triu_indices(m)
@@ -79,8 +78,8 @@ def _char_coeff_form(A, rows, k):
     step = max(1, _CHUNK_ENTRIES // (n * n))
     for lo in range(0, su.size, step):
         s, t = su[lo : lo + step], tu[lo : lo + step]
-        stack = linalg.matmul_mod(prods[lo : lo + step], A._ltable, p)
-        B[s, t] = B[t, s] = linalg.char_poly(stack.reshape(-1, n, n), p)[:, n - k]
+        stack = A.left(prods[lo : lo + step])
+        B[s, t] = B[t, s] = linalg.char_poly(stack, p)[:, n - k]
     return B
 
 

@@ -532,6 +532,45 @@ def test_products_at_the_largest_prime_match_oracle(monkeypatch):
             assert len(A._ltable.parts(True)) == 2
 
 
+def oracle_pair_products(sc, M, lo, hi, p):
+    """Rows (i, j) for lo <= i < hi: b_i b_j times the matrix M, in ints."""
+    n = len(sc)
+    basis = [[int(t == j) for t in range(n)] for j in range(n)]
+    return [[sum(c * m for c, m in zip(oracle_mul(sc, basis[i], basis[j], p), col)) % p
+             for col in zip(*M)]
+            for i in range(lo, hi) for j in range(n)]
+
+
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+@pytest.mark.parametrize("macs", [2**62, 0], ids=["int64", "blas"])
+def test_table_methods_match_the_oracle(monkeypatch, p, macs):
+    # scrambled F_p[S3] (dim 6), whose entries fill [0, p): left and right
+    # of one row and of several, and pair_products mapped by a matrix and
+    # by a stack, over every i and over a part of them
+    monkeypatch.setattr(linalg, "_SMALL_MACS", macs)
+    A, _ = scramble(group_algebra(cayley_fixture("S3"), p), seed=4)
+    sc, n = A.sc.tolist(), A.dim
+    basis = [[int(t == j) for t in range(n)] for j in range(n)]
+    rng = np.random.default_rng(p % 1000)
+    for X in (rng.integers(0, p, (1, n)), rng.integers(0, p, (3, n))):
+        left, right = A.left(X), A.right(X)
+        assert left.shape == (len(X), n, n) and right.shape == (n, len(X), n)
+        for i, x in enumerate(X.tolist()):
+            for j in range(n):
+                assert left[i, j].tolist() == oracle_mul(sc, x, basis[j], p)
+                assert right[j, i].tolist() == oracle_mul(sc, basis[j], x, p)
+    M, stack = rng.integers(0, p, (n, 2)), rng.integers(0, p, (3, n, 2))
+    assert A.pair_products(M).tolist() == oracle_pair_products(sc, M.tolist(), 0, n, p)
+    for lo, hi in ((0, n), (2, 5), (3, 4)):
+        got = A.pair_products(M, lo, hi)
+        assert got.tolist() == oracle_pair_products(sc, M.tolist(), lo, hi, p)
+        got = A.pair_products(stack, lo, hi)
+        assert got.shape == (3, (hi - lo) * n, 2)
+        for s in range(3):
+            assert got[s].tolist() == oracle_pair_products(
+                sc, stack[s].tolist(), lo, hi, p)
+
+
 def test_lmat_rmat_columns_are_products():
     A = m2()
     x = np.array([1, 2, 3, 4])

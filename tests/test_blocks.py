@@ -86,8 +86,8 @@ def test_grouping_counts():
 def test_search_calls_center_basis_only_on_a(monkeypatch):
     # the blocks come from A's centre alone, read unproved off the closure,
     # and no corner algebra is built: the one subalgebra the search
-    # presents is that centre (check, which runs after it here since
-    # p <= dim, presents each entry field)
+    # presents is that centre (check, which runs after it, presents each
+    # entry field)
     A, _ = scramble(build_planted([(2, 1), (1, 2), (3, 1)], 7).algebra, seed=2)
     center, subalgebra, search = (Algebra._center_basis, Algebra.subalgebra,
                                   blocks._search)
@@ -563,8 +563,8 @@ def test_one_verifier_names_the_tampered_relation(field):
 
 
 def _kept_proof():
-    """(A, result) at p <= dim, where full_isomorphism keeps the pass of its
-    check on the result: scrambled M_1(F_25) (+) M_2(F_5), dim 6."""
+    """(A, result) where full_isomorphism keeps the pass of its check on
+    the result: scrambled M_1(F_25) (+) M_2(F_5), dim 6."""
     A, _ = scramble(build_planted([(2, 1), (1, 2)], 5).algebra, seed=3)
     res = full_isomorphism(A, seed=0)
     assert [(b.n, b.D.degree) for b in res.blocks] == [(1, 2), (2, 1)]
@@ -619,9 +619,10 @@ def test_final_stage_multiplies_in_each_target_block(monkeypatch, k):
     # block k's entry field comes back as x o y = 2xy (identity 4 = 1/2 mod
     # 7): every earlier stage passes, and the images of 1, c_k and the
     # vectors that must map to E[mu,nu]*1_D fail with the multiplicativity
-    # of the final stage
+    # of the final stage.  A deep copy of the result drops the kept pass of
+    # full_isomorphism's check, so the patched check runs
     A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
-    res = full_isomorphism(A, seed=0)
+    res = copy.deepcopy(full_isomorphism(A, seed=0))
     real = blocks._check_division_basis
 
     def rescaled(A, bi, blk, fail):
@@ -643,6 +644,37 @@ def test_final_stage_multiplies_in_each_target_block(monkeypatch, k):
     ]
     assert ver.bijective
     assert not (ver.unit or ver.orthogonality or ver.multiplicative)
+
+
+def _pair_defect_algebra():
+    """(A, result, targets, B): scrambled M_2(F_7) (+) F_49, dim 6, its
+    result and entry fields, and B, A with b_4 b_3 and b_5 b_0 moved, on
+    which the first pair iso fails to multiply is (4, 3)."""
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    targets = [(blocks._entry_field(A, blk), blk.n) for blk in res.blocks]
+    sc = A.sc.copy()
+    sc[4, 3, 0] = (sc[4, 3, 0] + 1) % 7
+    sc[5, 0, 2] = (sc[5, 0, 2] + 3) % 7
+    return A, res, targets, Algebra(7, sc, identity=A.one, validate=False)
+
+
+@pytest.mark.parametrize("step", [1, 2, 4, 5])
+def test_all_pairs_in_several_row_blocks(monkeypatch, step):
+    # the one-block run is the reference; a block of `step` rows i makes
+    # pair_products read rows lo <= i < hi of the table
+    A, res, targets, bad = _pair_defect_algebra()
+    assert blocks._all_pairs(bad, res.iso, targets) == [(4, 3)]
+    monkeypatch.setattr(blocks, "_PAIR_ENTRIES", step * A.dim * A.dim)
+    blocks_seen = []
+    pairs = Algebra.pair_products
+    monkeypatch.setattr(Algebra, "pair_products", lambda self, M, lo=0, hi=None:
+                        blocks_seen.append((lo, hi)) or pairs(self, M, lo, hi))
+    assert blocks._all_pairs(A, res.iso, targets) == []
+    assert blocks_seen == [(lo, min(lo + step, A.dim))
+                           for lo in range(0, A.dim, step)]
+    assert blocks.check(A, copy.deepcopy(res)) == []
+    assert blocks._all_pairs(bad, res.iso, targets) == [(4, 3)]
 
 
 def check_block_oracle(A, bi, blk, fail):
@@ -737,7 +769,7 @@ def relation_oracle(A, cert):
         if not np.array_equal(images[:, bi], block_one):
             fail(f"central idempotent of block {bi} does not map to its "
                  "block identity", "orthogonality")
-    left = matmul_mod(A._ltable.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+    left = matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
     differ, row = np.zeros((n, n), dtype=bool), 0
     for R in rings:
         rows = iso[row:row + R.dim].T
@@ -817,7 +849,7 @@ def check_oracle(A, cert):
                   f"block {bi}: division basis row {t} does not map to E[0,0]*d_{t}")
     rings = [matrix_ring(D, blk.n) for blk, D in zip(cert.blocks, fields)]
     iso = cert.iso
-    left = matmul_mod(A._ltable.reshape(n * n, n), iso.T, p).reshape(n, n, n)
+    left = matmul_mod(A.sc.reshape(n * n, n), iso.T, p).reshape(n, n, n)
     differ, row = np.zeros((n, n), dtype=bool), 0
     for R in rings:
         rows = iso[row:row + R.dim].T
@@ -1264,10 +1296,10 @@ def _spy_draws_and_closures(monkeypatch):
 
 
 def test_passing_verify_of_a_document_runs_no_certificate(monkeypatch):
-    # the passing check proves associativity from the isomorphism: every
-    # basis pair multiplied, and each entry field, of degree 1 or 2 and so
-    # no larger than the closure's draw cap, by the blocked check of all
-    # its basis triples, with no draw
+    # the passing check proves associativity from the isomorphism, and
+    # marks A proved: every basis pair multiplied, and each entry field, of
+    # degree 1 or 2 and so no larger than the closure's draw cap, by the
+    # blocked check of all its basis triples, with no draw
     A = from_doc(FUZZ_ALGEBRA.to_doc())
     events = _spy_certificate(monkeypatch)
     blocked = Algebra._check_associativity
@@ -1280,31 +1312,33 @@ def test_passing_verify_of_a_document_runs_no_certificate(monkeypatch):
     assert events == [(step, b["division_degree"]) for b in FUZZ_REPORT["blocks"]
                       for step in ("certificate", "blocked")]
     assert draws == []
-    assert A._pending and getattr(A, "_generators", None) is None
+    assert not A._pending and getattr(A, "_generators", None) is None
 
 
 def test_entry_fields_up_to_the_draw_cap_are_proved_without_a_draw(monkeypatch):
     # at p = 97 the closure's draw cap is 4 for every dim up to 97, so
     # entry fields of degree 1-4 prove associativity by all their basis
     # triples: a passing verify of the pending algebra, in process or from
-    # its documents, draws nothing and builds no closure
+    # its documents, draws nothing and builds no closure.  full_isomorphism's
+    # passing check marks A proved, so the in-process verify takes a
+    # pending copy read from A's document
     A, _ = scramble(build_planted([(2, 1), (1, 2), (1, 3), (1, 4)], 97).algebra,
                     seed=1)
     res = full_isomorphism(A, seed=0)
+    assert not A._pending
     doc = result_to_doc(res, verify_isomorphism(A, res))
     draws, closures = _spy_draws_and_closures(monkeypatch)
-    assert verify_isomorphism(A, res).passed
+    assert verify_isomorphism(from_doc(A.to_doc()), res).passed
     assert verify_report_doc(from_doc(A.to_doc()), doc) == []
     assert draws == []
     assert sorted(dim for dim, _ in closures) == [1, 1, 2, 2, 3, 3, 4, 4]
     assert all(gens is None for _, gens in closures)
-    assert A._pending
     # a degree-5 field is above the cap: its own certificate draws
     F, _ = scramble(build_planted([(1, 5)], 97).algebra, seed=1)
     res = full_isomorphism(F, seed=0)
     draws.clear()
     closures.clear()
-    assert verify_isomorphism(F, res).passed
+    assert verify_isomorphism(from_doc(F.to_doc()), res).passed
     assert draws and set(draws) == {5}
     assert len(closures) == 1 and closures[0][0] == 5
     assert len(closures[0][1]) > 0
@@ -1331,14 +1365,44 @@ def test_failing_verify_of_a_document_runs_the_certificate_once_first(monkeypatc
         with pytest.raises(InvalidDocument):
             verify_report_doc(A, report)
         assert on_A() == [("certificate", A.dim)]
+    elif how == "flag":
+        # the check itself passes and proves A associative: the wrong flag
+        # is reported with no certificate
+        msgs = verify_report_doc(A, report)
+        assert msgs == ["report flag unit is false, but the check finds true"]
+        assert on_A() == ["check"]
     else:
         msgs = verify_report_doc(A, report)
         assert msgs and on_A() == ["check", ("certificate", A.dim)]
-    assert not A._pending and len(A._generators) > 0
+    assert not A._pending
+    assert (getattr(A, "_generators", None) is None) == (how == "flag")
     # proved once: a second failing verify runs no certificate
     events.clear()
     if how != "exception":
         assert verify_report_doc(A, report) == msgs and on_A() == ["check"]
+
+
+@pytest.mark.parametrize("how", ["verify_isomorphism", "verify_report_doc"])
+def test_a_passing_check_marks_a_document_proved(monkeypatch, how):
+    # scrambled M_8(F_97), dim 64, read from its document: the passing
+    # check proves it associative, so an entry point that needs that proof
+    # afterwards runs no certificate on it
+    M, _ = scramble(matrix_algebra(97, 8).algebra, seed=1)
+    A = from_doc(M.to_doc())
+    if how == "verify_isomorphism":
+        res = full_isomorphism(A, seed=0)
+        assert verify_isomorphism(A, res).passed
+    else:
+        res = full_isomorphism(M, seed=0)
+        doc = result_to_doc(res, verify_isomorphism(M, res))
+        assert verify_report_doc(A, doc) == []
+    assert not A._pending
+    on_A = []
+    certify = Algebra._certify_associativity
+    monkeypatch.setattr(Algebra, "_certify_associativity",
+                        lambda self: on_A.append(self is A) or certify(self))
+    assert radical_report(A).is_semisimple
+    assert on_A == []
 
 
 def _first_steps():
@@ -1391,10 +1455,8 @@ def _certificate_comes_first(monkeypatch, name, A):
 
 
 def _passing_decomposition_runs_no_certificate(monkeypatch, A):
-    # check proves the result, and with it A's associativity, in
-    # verify_isomorphism here since p > dim: A's certificate never runs, and
-    # A stays pending
-    assert A.p > A.dim
+    # full_isomorphism's check proves the result, and with it A's
+    # associativity: A's certificate never runs, and A is marked proved
     on_A = []
     certify = Algebra._certify_associativity
     monkeypatch.setattr(Algebra, "_certify_associativity",
@@ -1402,7 +1464,7 @@ def _passing_decomposition_runs_no_certificate(monkeypatch, A):
     res = full_isomorphism(A, seed=0)
     assert verify_isomorphism(A, res).passed
     # the entry fields, pending too, run their own
-    assert on_A and not any(on_A) and A._pending
+    assert on_A and not any(on_A) and not A._pending
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

@@ -295,15 +295,14 @@ def test_verified_certificate_proves_semisimplicity_without_the_chain(
     (7, [(2, 1), (1, 2), (3, 1)]),
     (7, [(2, 1), (1, 2)]),  # p > dim: stage 0 is the whole chain
 ])
-def test_a_passing_decompose_computes_stage_0_only_when_p_exceeds_dim(
-        monkeypatch, p, spec):
-    # p <= dim alone sends the input to the search first, whatever stage 0
-    # would have been; for p > dim the trace form decides, once
+def test_a_passing_decompose_computes_no_stage_0_at_any_p(monkeypatch, p, spec):
+    # the search runs first on either side of p <= dim, and its passing
+    # check proves the input semisimple: the trace form is never built
     A, _ = scramble(build_planted(spec, p).algebra, seed=1)
     grams = spy_gram(monkeypatch)
     res = full_isomorphism(A, seed=0)
     assert verify_isomorphism(A, res).passed
-    assert grams == ([] if p <= A.dim else [A.dim])
+    assert grams == []
 
 
 def test_scrambled_m9_over_f3_skips_the_chain(monkeypatch):
