@@ -1,35 +1,39 @@
 """Jacobson radical over F_p, certified in every odd characteristic.
 
-The radical is computed as a descending chain: R_0 is the kernel of the
-trace form, and while p^i does not exceed the dimension, R_i is the kernel
-of the symmetric pairing (x, y) -> c_{p^i}(xy) on R_{i-1}, where c_k(z) is
-the coefficient of T^(n-k) in the characteristic polynomial of left
-multiplication by z.  Two facts make every verdict self-certifying, so no
-step has to be taken on faith:
+The radical is computed as a descending chain of ideals: R_0 is the kernel
+of the trace form, and while p^i does not exceed the dimension, R_i is
+{x in R_{i-1} : g_i(xy) = 0 for all y in A}, where g_i(z) = c_{p^i}(z) and
+c_k(z) is the coefficient of T^(n-k) in the characteristic polynomial of
+left multiplication by z.  On the ideal R_{i-1}, g_i is additive, and so
+F_p-linear (Ronyai, "Computing the structure of finite algebras", JSC
+1990; Cohen, Ivanyos & Wales, "Finding the radical of an algebra of linear
+transformations", JPAA 1997).  That lemma is what makes a stage cheap, and
+one inclusion rests on it:
 
-  * the radical lies inside every R_i (left multiplication by a radical
-    multiple is nilpotent, so all its lower characteristic coefficients
-    vanish), hence a zero final stage proves semisimplicity outright;
-  * a nonzero final stage is accepted only after an explicit check that it
-    is a two-sided ideal with vanishing power, which forces it inside the
-    radical and therefore equal to it.
+  * I inside rad is checked: a nonzero final stage I is accepted only
+    after an explicit check that it is a two-sided ideal with vanishing
+    power, which forces it inside the radical;
+  * rad inside I rests on the lemma.  rad lies in every
+    {x in R_{i-1} : g_i(xy) = 0 for all y} (left multiplication by a
+    radical multiple is nilpotent, so all its lower characteristic
+    coefficients vanish), and the lemma makes the computed R_i that set.
+    So a zero final stage proves semisimplicity given the lemma.
 
 If the explicit check ever failed the input would be refused rather than
 guessed at.  For p > dim the chain is the single trace-form stage.
 
-Stage 0 costs O(dim^3); the stages past it, which run only while
-p <= dim, cost O(dim^5) in practice.  So at every p blocks.full_isomorphism
-first tries the decomposition, whose checked certificate proves
-semisimplicity on its own, and runs the chain only when that fails: to
-certify the radical it rejects with, or to certify that it is zero.
-Nothing is kept on the presentation: each call computes the chain afresh.
-
-A stage past the trace form needs c_k(x_s x_t) for all m(m+1)/2 pairs of
-the current basis.  It is computed in bulk: one Algebra.products call gives
-the products x_s x_t, whose left multiplication matrices (Algebra.left) go
-through linalg.char_poly as stacks of at most _CHUNK_ENTRIES entries, so a
-stage makes one char_poly call per chunk and the matrices it holds do not
-grow with m^2.  The explicit ideal and nilpotency checks use Algebra.products.
+Stage 0 costs O(dim^3).  A stage past it, which runs only while p <= dim,
+takes the m RREF rows u_r of R_{i-1} and costs O(m dim^3): one
+characteristic polynomial per row gives g_i(u_r), and the products u_s b_j,
+which must lie in R_{i-1} (else the input is refused, as a failed ideal
+check is), have their coordinates in R_{i-1} on its pivot columns, so by
+linearity g_i(u_s b_j) is one matrix-vector product away.  At every p
+blocks.full_isomorphism first tries the decomposition, whose checked
+certificate proves semisimplicity on its own, and runs the chain only when
+that fails: to certify the radical it rejects with, or to certify that it
+is zero.  Nothing is kept on the presentation: each call computes the
+chain afresh.  The explicit ideal and nilpotency checks use
+Algebra.products.
 """
 
 from dataclasses import dataclass, field
@@ -58,29 +62,39 @@ class RadicalReport:
         return self.rows.shape[0] == 0
 
 
-# int64 entries of one stack of pair products (8 MB); char_poly's temporaries
-# are a few times that, whatever the number of pairs
+# int64 entries of one stack of left multiplication matrices (8 MB);
+# char_poly's temporaries are a few times that, whatever the stage's size
 _CHUNK_ENTRIES = 2**20
 
 
 def _char_coeff_form(A, rows, k):
-    """Gram matrix of (x, y) -> c_k(xy) on the span of the given rows.
+    """B[s, j] = c_k(u_s b_j) for the RREF rows u of a stage R, from one
+    characteristic polynomial per row.
 
-    One A.products call gives x_s x_t for all pairs; those with s <= t go
-    through A.left in chunks, each chunk one stack of the matrices
-    L_{x_s x_t}^T (same characteristic polynomial as L_{x_s x_t}) and one
-    char_poly call.
+    The rows go through A.left in chunks of at most _CHUNK_ENTRIES entries:
+    a chunk is one stack of the matrices L_{u_s}^T for char_poly, which
+    gives c_k(u_s), and its products u_s b_j.  Each product must lie in R,
+    or the input is refused; then its coordinates in the u_r are its
+    entries on R's pivot columns, and since c_k is linear on R,
+    B[s, j] = sum_r (u_s b_j)[pivots[r]] c_k(u_r).
     """
     m, n, p = rows.shape[0], A.dim, A.p
-    su, tu = np.triu_indices(m)
-    prods = A.products(rows, rows)[su, tu]
-    B = np.zeros((m, m), dtype=np.int64)
+    pivots = np.argmax(rows != 0, axis=1)
+    g = np.empty(m, dtype=np.int64)
+    coords = np.empty((m, n, m), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, su.size, step):
-        s, t = su[lo : lo + step], tu[lo : lo + step]
-        stack = A.left(prods[lo : lo + step])
-        B[s, t] = B[t, s] = linalg.char_poly(stack, p)[:, n - k]
-    return B
+    for lo in range(0, m, step):
+        L = A.left(rows[lo : lo + step])
+        if linalg.reduce_rows(rows, pivots, L.reshape(-1, n), p).any():
+            raise UnsupportedCharacteristic(
+                f"radical chain stage is not a right ideal at p={p}, "
+                f"dim={n}; refusing to decide semisimplicity"
+            )
+        g[lo : lo + step] = linalg.char_poly(L, p)[:, n - k]
+        coords[lo : lo + step] = L[:, :, pivots]
+    return linalg.matmul_mod(
+        coords.reshape(m * n, m), g[:, None], p
+    ).reshape(m, n)
 
 
 def trace_kernel(A):
@@ -95,13 +109,8 @@ def _chain(A):
     stage_dims = [rows.shape[0]]
     k = p
     while k <= n and rows.shape[0] > 0:
-        null = linalg.kernel(_char_coeff_form(A, rows, k), p)
-        if null.shape[0] == 0:
-            rows = np.zeros((0, n), dtype=np.int64)
-        else:
-            rows = linalg.row_space_basis(
-                linalg.matmul_mod(null, rows, p), p
-            )
+        null = linalg.kernel(_char_coeff_form(A, rows, k).T, p)
+        rows = linalg.row_space_basis(linalg.matmul_mod(null, rows, p), p)
         stage_dims.append(rows.shape[0])
         k *= p
     return rows, stage_dims

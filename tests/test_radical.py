@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import pairwise_chain_oracle
 
 from wedderburn import (
     build_planted,
@@ -18,12 +20,13 @@ from wedderburn import (
     scramble,
     verify_isomorphism,
 )
-from wedderburn import blocks, idempotents
+from wedderburn import blocks, idempotents, linalg
 from wedderburn.algebra import Algebra
 from wedderburn.errors import (
     InternalInvariantViolation,
     NotSemisimple,
     SplitIterationCapExceeded,
+    UnsupportedCharacteristic,
 )
 from wedderburn.generators import FIXTURE_NAMES
 
@@ -154,8 +157,8 @@ def test_scrambled_m6_over_f3_is_semisimple(monkeypatch):
     rep = radical_report(A)
     assert rep.is_semisimple
     assert rep.stage_dims == [36, 0]
-    # all 36 * 37 / 2 pairs of the stage in one stacked call, not one per pair
-    assert calls == [(666, 36, 36)]
+    # one matrix per basis row of the stage, all in one stacked call
+    assert calls == [(36, 36, 36)]
 
 
 def m3_plus_f3c3():
@@ -173,8 +176,9 @@ def test_scrambled_m3_plus_f3c3_is_rejected_with_its_radical(monkeypatch):
     assert rep.nilpotency_index == 3
     for row in rep.rows:
         assert is_nilpotent_oracle(A, row)
-    # one call per chain stage past the trace form (c_3, then c_9)
-    assert [shape[0] for shape in calls] == [78, 3]
+    # one call per chain stage past the trace form (c_3, then c_9), with
+    # one matrix per basis row of the stage it starts from
+    assert [shape[0] for shape in calls] == [12, 2]
     with pytest.raises(NotSemisimple) as info:
         require_semisimple(A)
     assert len(info.value.radical_basis) == 2
@@ -184,34 +188,45 @@ def test_char_coeff_stage_is_chunked_and_chunking_is_invisible(monkeypatch):
     from wedderburn import radical
 
     want = radical_report(m3_plus_f3c3())
-    # room for 10 pair products of 12 x 12 per chunk
-    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", 10 * 12 * 12)
+    # room for 5 matrices of 12 x 12 per chunk
+    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", 5 * 12 * 12)
     calls = count_char_poly_calls(monkeypatch)
     got = radical_report(m3_plus_f3c3())
     assert got.rows.tolist() == want.rows.tolist()
     assert got.stage_dims == want.stage_dims
     assert got.nilpotency_index == want.nilpotency_index
-    # 78 pairs at stage c_3 in chunks of 10, then the 3 pairs of stage c_9
-    assert [shape[0] for shape in calls] == [10] * 7 + [8, 3]
+    # the 12 rows of stage c_3 in chunks of 5, then the 2 rows of stage c_9
+    assert [shape[0] for shape in calls] == [5, 5, 2, 2]
 
 
 @pytest.mark.parametrize("chunk_entries", [2**20, 7 * 12 * 12])
-def test_char_coeff_form_matches_the_pairwise_definition(monkeypatch, chunk_entries):
-    from wedderburn import linalg, radical
-
+def test_char_coeff_form_matches_one_char_poly_per_product(
+        monkeypatch, chunk_entries):
     monkeypatch.setattr(radical, "_CHUNK_ENTRIES", chunk_entries)
     A = m3_plus_f3c3()
     n, p = A.dim, A.p
-    rows = np.random.default_rng(3).integers(0, p, size=(6, n))
-    for k in (3, 9):
-        # B[s, t] = coefficient of T^(n-k) in det(T - L_{x_s} L_{x_t})
+    rep = radical_report(A)
+    assert rep.stage_dims == [12, 2, 2]  # so R_1 is the radical
+    basis = np.eye(n, dtype=np.int64)
+    for k, rows in [(3, radical.trace_kernel(A)), (9, rep.rows)]:
+        # B[s, j] = coefficient of T^(n-k) in det(T - L_{x_s b_j})
         want = [
-            [int(linalg.char_poly(
-                linalg.matmul_mod(A.lmat(x), A.lmat(y), p), p)[n - k])
-             for y in rows]
+            [int(linalg.char_poly(A.lmat(A.mul_vec(x, b)), p)[n - k])
+             for b in basis]
             for x in rows
         ]
         assert radical._char_coeff_form(A, rows, k).tolist() == want
+
+
+def test_a_stage_that_is_not_an_ideal_is_refused(monkeypatch):
+    # three random rows of M_3(F_3) + F_3[C3] span no right ideal, so
+    # their products with the basis have no coordinates in the stage
+    A = m3_plus_f3c3()
+    rows = linalg.row_space_basis(
+        np.random.default_rng(3).integers(0, A.p, size=(3, A.dim)), A.p)
+    monkeypatch.setattr(radical, "trace_kernel", lambda A: rows)
+    with pytest.raises(UnsupportedCharacteristic, match="not a right ideal"):
+        radical_report(A)
 
 
 # -- where the chain runs ------------------------------------------------------
@@ -275,11 +290,15 @@ def spy_chain(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p, spec", [
+# semisimple at p <= dim, with a nonzero stage 0
+SMALL_CHAR_PLANTED = [
     (5, [(5, 1), (2, 1), (1, 2)]),
     (3, [(3, 1), (3, 1), (2, 2)]),
     (3, [(3, 2), (2, 1), (1, 1)]),
-])
+]
+
+
+@pytest.mark.parametrize("p, spec", SMALL_CHAR_PLANTED)
 def test_verified_certificate_proves_semisimplicity_without_the_chain(
         monkeypatch, p, spec):
     A, _ = scramble(build_planted(spec, p).algebra, seed=1)
@@ -343,6 +362,58 @@ def test_rejection_runs_the_chain_and_matches_a_fresh_report(monkeypatch, name):
     assert got.rows.tolist() == want.rows.tolist()
     assert got.stage_dims == want.stage_dims
     assert got.nilpotency_index == want.nilpotency_index
+
+
+PINNED = {
+    **REJECTIONS,
+    "M_3(F_3) + F_3[C3]": m3_plus_f3c3,
+    **{f"F_3[{g}]": (lambda g=g: group_algebra(cayley_fixture(g), 3))
+       for g in ("S3", "C3", "Q8")},
+    **{f"planted {spec} over F_{p}":
+       (lambda p=p, spec=spec: scramble(build_planted(spec, p).algebra, seed=1)[0])
+       for p, spec in SMALL_CHAR_PLANTED},
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_chain_matches_the_pairwise_oracle(monkeypatch, name):
+    A = PINNED[name]()
+    want = pairwise_chain_oracle(A)
+    calls = count_char_poly_calls(monkeypatch)
+    rep = radical_report(A)
+    assert (rep.rows.tolist(), rep.stage_dims, rep.nilpotency_index) == (
+        want[0].tolist(), want[1], want[2])
+    # each stage past the trace form, one stacked call of one matrix per
+    # basis row of the stage it starts from
+    assert [shape[0] for shape in calls] == rep.stage_dims[:-1]
+
+
+@st.composite
+def small_char_sums(draw):
+    """Scrambled direct sums of M_k(F_p), group algebras and T_k(F_p) at p
+    in {3, 5}, dim <= 24.  No fixture group has order divisible by 5, so
+    T_5(F_5), where left multiplication by E_11 has trace 5, is what
+    degenerates the trace form at p = 5."""
+    p = draw(st.sampled_from([3, 5]))
+    part = st.one_of(
+        st.integers(1, 4).map(lambda k: matrix_algebra(p, k).algebra),
+        st.sampled_from(FIXTURE_NAMES).map(
+            lambda g: group_algebra(cayley_fixture(g), p)),
+        st.integers(2, 5).map(lambda k: upper_triangular(k, p)),
+    )
+    parts = draw(st.lists(part, min_size=1, max_size=3).filter(
+        lambda parts: sum(P.dim for P in parts) <= 24))
+    return scramble(direct_sum(parts), seed=draw(st.integers(0, 500)))[0]
+
+
+@given(small_char_sums())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_chain_matches_the_pairwise_oracle_on_drawn_sums(A):
+    rows, stage_dims, index = pairwise_chain_oracle(A)
+    rep = radical_report(A)
+    assert rep.rows.tolist() == rows.tolist()
+    assert rep.stage_dims == stage_dims
+    assert rep.nilpotency_index == index
 
 
 @pytest.mark.parametrize("name", ["M_3(F_3) + F_3[S3]", "M_4(F_3) + F_3[C3]"])
