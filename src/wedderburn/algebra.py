@@ -17,10 +17,11 @@ make_presentation calls it at once, and so do the radical, the
 idempotent and centre entry points before their first product.  A
 decomposition (blocks.full_isomorphism) and `wedderburn verify` prove
 associativity from the isomorphism instead (see blocks.check): they read
-the centre off the closure unproved, a passing check marks the algebra
-proved, and the certificate runs only before a failure.  Subalgebras and
-matrix rings built without validation inherit the state of the algebra
-they come from.  So a pending Algebra is proved associative or refused
+the centre off the centraliser of a few draws, which a test against the
+basis confirms without assuming associativity (_center_basis); a passing
+check marks the algebra proved, and the certificate runs only before a
+failure.  Subalgebras and matrix rings built without validation inherit
+the state of the algebra they come from.  So a pending Algebra is proved associative or refused
 with NotAssociative before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
@@ -156,6 +157,16 @@ class Algebra:
                 "basis triple fails to associate"
             )
 
+    def _draw_cap(self):
+        """2 ceil(log_p dim) + 2, the draws allowed to the closure and to
+        the centre's centraliser: j random elements of F_p^n generate it
+        once p^j >> n^2 (they must separate all n coordinates: the birthday
+        bound)."""
+        log = 0
+        while self.p**log < self.dim:
+            log += 1
+        return 2 * log + 2
+
     def _closure(self):
         """Rows g_1 .. g_k drawn from a fixed-seed RNG that generate A, kept
         as _generators; None when the draws run out first, or at once when
@@ -164,20 +175,14 @@ class Algebra:
         The span of 1 is closed a level at a time under left multiplication
         by the g's (new rows times [L_g1 | L_g2 | ...]); under g1 alone it
         is commutative, so unless A is, the first closure waits for g2.
-        Once it is all of A, the g's generate A if A is associative (the
-        certificate proves that from them), and the centre is what commutes
-        with them.  The randomness only decides how soon that happens.
+        Once it is all of A, the g's generate A if A is associative, which
+        the certificate, its one caller, proves from them.  The randomness
+        only decides how soon that happens.
         """
         if hasattr(self, "_generators"):
             return self._generators
         n, p = self.dim, self.p
-        # j random elements of F_p^n generate it once p^j >> n^2 (they
-        # must separate all n coordinates: the birthday bound), so allow
-        # 2 ceil(log_p n) + 2 draws
-        log = 0
-        while p**log < n:
-            log += 1
-        cap, self._generators = 2 * log + 2, None
+        cap, self._generators = self._draw_cap(), None
         if n <= cap:
             return None
         span, pivots = linalg.row_echelon(self.one[None, :], p)
@@ -344,15 +349,40 @@ class Algebra:
         """center_basis without the proof, for a search whose result is
         checked.
 
-        In an associative A, z is central iff it commutes with each of a set
-        of generators: the closure's, or the basis vectors when there is
-        none.  Row (g, k) of the system is coordinate k of z*g - g*z, so
-        the kernel is k*dim x dim for k generators.
+        The centre Z lies in C, the centraliser of any elements g; C is Z
+        once z b_j = b_j z for every row z of C and basis vector b_j, one
+        left and one right product of C, which proves C inside Z by
+        bilinearity alone (for C = A that is is_commutative).  The g's
+        are draws from a fixed-seed RNG: two, then one more after each
+        failed test, up to the closure's draw cap (_draw_cap); past it, or
+        when dim is at most the cap, C is the centraliser of the basis
+        vectors, which is Z.  Generators that proved A associative give Z
+        untested.  Every path solves for the same subspace, and
+        linalg.kernel returns its canonical basis.
         """
+        n, cap = self.dim, self._draw_cap()
+        G = None if self._pending else getattr(self, "_generators", None)
+        if G is not None:
+            return self._centraliser(G)
+        if n > cap:
+            rng = random.Random(0)
+            G = [self.random_vec(rng)]
+            while len(G) < cap:
+                G.append(self.random_vec(rng))
+                C = self._centraliser(np.array(G))
+                # C = A takes n^3 comparisons, not the test's 2 n^4 products
+                central = (self.is_commutative() if len(C) == n else
+                           np.array_equal(self.left(C),
+                                          self.right(C).transpose(1, 0, 2)))
+                if central:
+                    return C
+        return self._centraliser(np.eye(n, dtype=np.int64))
+
+    def _centraliser(self, G):
+        """Canonical basis (rows) of {z : z g = g z for every row g of G}:
+        the kernel of the len(G)*dim x dim system whose row (g, k) is
+        coordinate k of z*g - g*z."""
         n, p = self.dim, self.p
-        G = self._closure()
-        if G is None:
-            G = np.eye(n, dtype=np.int64)
         # row (g, k), column j: coordinate k of b_j*g - g*b_j
         M = self.right(G).transpose(1, 2, 0) - self.left(G).transpose(0, 2, 1)
         return linalg.kernel(M.reshape(-1, n) % p, p)

@@ -127,7 +127,8 @@ def _block_idempotents(A):
             _require_idempotent(eps, Z.mul_vec(eps, eps))
         prods = Z.products(parts, spectral).reshape(-1, Z.dim)
         parts = prods[prods.any(axis=1)]
-    degrees = [linalg.rank(Z.lmat(c), p) for c in parts]
+    # L_c is idempotent with image c*Z: _size reads its dimension
+    degrees = [_size(Z.lmat(c), p)[0] for c in parts]
     return linalg.matmul_mod(parts, center, p), degrees
 
 

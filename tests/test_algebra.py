@@ -16,6 +16,7 @@ from wedderburn import (
     Algebra,
     build_planted,
     cayley_fixture,
+    direct_sum,
     from_doc,
     group_algebra,
     make_presentation,
@@ -695,6 +696,38 @@ def test_center_of_group_algebra_of_abelian_group_is_everything():
     assert len(A.center_basis()) == 3 and A.is_commutative()
 
 
+def basis_centre(A):
+    """The centre from the dim^2 x dim system of the basis vectors: row
+    (j, k), column i is coordinate k of b_i*b_j - b_j*b_i."""
+    n, p = A.dim, A.p
+    system = (A.sc.transpose(1, 2, 0) - A.sc.transpose(0, 2, 1)) % p
+    return linalg.kernel(system.reshape(n * n, n), p).tolist()
+
+
+def spy_kernel_shapes(monkeypatch):
+    shapes = []
+    kernel = linalg.kernel
+
+    def spy(M, p):
+        shapes.append(M.shape)
+        return kernel(M, p)
+
+    monkeypatch.setattr(linalg, "kernel", spy)
+    return shapes
+
+
+def spy_closures(monkeypatch):
+    calls = []
+    closure = Algebra._closure
+
+    def spy(self):
+        calls.append(self.dim)
+        return closure(self)
+
+    monkeypatch.setattr(Algebra, "_closure", spy)
+    return calls
+
+
 @pytest.mark.parametrize("build", [
     lambda: scramble(group_algebra(cayley_fixture("S3"), 5), seed=2)[0],
     lambda: scramble(group_algebra(cayley_fixture("Q8"), 3), seed=1)[0],
@@ -702,38 +735,72 @@ def test_center_of_group_algebra_of_abelian_group_is_everything():
     lambda: scramble(matrix_algebra(3, 4).algebra, seed=1)[0],
 ], ids=["S3 p=5", "Q8 p=3", "planted p=7", "M_4(F_3)"])
 def test_center_from_the_certificate_generators(monkeypatch, build):
-    # on a pending algebra the search reads the centre off the closure's
-    # generators without their nucleus test: the same canonical basis as
-    # the dim^2 x dim system of the basis vectors.  center_basis proves
-    # associativity first, from the same generators.  S3 at p = 5 (dim 6)
-    # is no larger than the draw cap of 6: nothing is drawn, and the centre
-    # solves the basis vectors' own system
+    # on a pending algebra above the draw cap the search reads the centre
+    # off the centraliser of two draws, tested against the basis, with no
+    # closure and no nucleus test: the same canonical basis as the
+    # dim^2 x dim system of the basis vectors.  center_basis proves
+    # associativity first, and then takes the certificate's generators.
+    # S3 at p = 5 (dim 6) is no larger than the cap of 6: nothing is
+    # drawn, and the centre solves the basis vectors' own system
     A = build()
-    n, p = A.dim, A.p
-    # row (j, k), column i: coordinate k of b_i*b_j - b_j*b_i
-    system = (A.sc.transpose(1, 2, 0) - A.sc.transpose(0, 2, 1)) % p
-    want = linalg.kernel(system.reshape(n * n, n), p).tolist()
-    certified, shapes = [], []
-    certify, kernel = Algebra._certify_associativity, linalg.kernel
-
-    def spy_certify(self):
-        certified.append(self.dim)
-        return certify(self)
-
-    def spy_kernel(M, p):
-        shapes.append(M.shape)
-        return kernel(M, p)
-
-    monkeypatch.setattr(Algebra, "_certify_associativity", spy_certify)
-    monkeypatch.setattr(linalg, "kernel", spy_kernel)
+    n = A.dim
+    want = basis_centre(A)
+    certified = []
+    certify = Algebra._certify_associativity
+    monkeypatch.setattr(Algebra, "_certify_associativity",
+                        lambda self: certified.append(self.dim) or certify(self))
+    closures = spy_closures(monkeypatch)
+    shapes = spy_kernel_shapes(monkeypatch)
     assert A._pending
     assert A._center_basis().tolist() == want
-    assert certified == [] and A._pending
-    G = A._generators
-    assert G is None if n <= 6 else 0 < len(G) < n
-    assert shapes == [((n if G is None else len(G)) * n, n)]
+    assert certified == [] and closures == [] and A._pending
+    assert not hasattr(A, "_generators")
+    assert shapes == [(n * n if n <= A._draw_cap() else 2 * n, n)]
     assert A.center_basis().tolist() == want
     assert certified == [n] and not A._pending
+    G = A._generators
+    assert G is None if n <= 6 else 0 < len(G) < n
+    assert shapes[1:] == [((n if G is None else len(G)) * n, n)]
+
+
+def diagonal_draw(self, rng):
+    """A random diagonal matrix of M_3, basis E[i,j] in row-major order."""
+    x = np.zeros(9, dtype=np.int64)
+    x[[0, 4, 8]] = [rng.randrange(3) for _ in range(3)]
+    return x
+
+
+@pytest.mark.parametrize("draw", [
+    lambda self, rng: self.one * rng.randrange(3) % 3,
+    diagonal_draw,
+], ids=["multiples of 1", "diagonal"])
+def test_center_when_every_draw_commutes_with_too_much(monkeypatch, draw):
+    # multiples of 1 commute with everything, and diagonal matrices with
+    # every diagonal one, so each centraliser of M_3(F_3) (dim 9, above the
+    # cap of 6) is A, or holds the diagonal, and fails the test: exactly
+    # cap draws, then the basis vectors' system, which gives the scalars
+    monkeypatch.setattr(Algebra, "random_vec", draw)
+    draws = count_draws(monkeypatch)
+    shapes = spy_kernel_shapes(monkeypatch)
+    A = matrix_algebra(3, 3).algebra
+    assert A._pending and A._draw_cap() == 6
+    assert A._center_basis().tolist() == [np.eye(3, dtype=int).ravel().tolist()]
+    assert len(draws) == 6
+    assert shapes == [(k * 9, 9) for k in range(2, 7)] + [(81, 9)]
+    assert A._pending
+
+
+def test_center_of_a_commutative_algebra_above_the_cap(monkeypatch):
+    # scrambled F_13[C4] (+) F_13[C3] (+) F_13[C2], dim 9 above the cap of 4
+    # at p = 13: the first two draws' centraliser is all of A, which the
+    # cube's commutativity test accepts
+    parts = [group_algebra(cayley_fixture(g), 13) for g in ("C4", "C3", "C2")]
+    A, _ = scramble(direct_sum(parts), seed=1)
+    closures = spy_closures(monkeypatch)
+    shapes = spy_kernel_shapes(monkeypatch)
+    assert A.dim == 9 and A._draw_cap() == 4 and A.is_commutative()
+    assert A._center_basis().tolist() == np.eye(9, dtype=int).tolist()
+    assert shapes == [(18, 9)] and closures == [] and A._pending
 
 
 def test_center_after_the_blocked_check_uses_the_basis(monkeypatch):

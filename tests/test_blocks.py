@@ -1295,6 +1295,20 @@ def _spy_draws_and_closures(monkeypatch):
     return draws, closures
 
 
+def test_decomposition_builds_no_closure_on_a(monkeypatch):
+    # the search reads the centre off a tested centraliser of draws, and
+    # the passing check proves associativity: full_isomorphism on a pending
+    # planted algebra above the draw cap never calls A._closure (the entry
+    # fields' own certificates still run theirs)
+    A, _ = scramble(build_planted([(3, 1), (2, 2), (1, 1)], 97).algebra, seed=1)
+    _, closures = _spy_draws_and_closures(monkeypatch)
+    assert A._pending and A.dim > A._draw_cap()
+    res = full_isomorphism(A, seed=0)
+    assert A.dim not in [dim for dim, _ in closures]
+    assert not A._pending and not hasattr(A, "_generators")
+    assert verify_isomorphism(A, res).passed
+
+
 def test_passing_verify_of_a_document_runs_no_certificate(monkeypatch):
     # the passing check proves associativity from the isomorphism, and
     # marks A proved: every basis pair multiplied, and each entry field, of
