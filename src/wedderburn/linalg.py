@@ -191,33 +191,49 @@ def inverse(M, p):
     return coordinates(M, np.eye(n, dtype=np.int64), p)
 
 
-# float64 products are exact while every inner product stays under 2^53,
-# int64 ones while it stays under 2^63
+# float32 products are exact while every inner product stays under 2^24,
+# float64 ones while it stays under 2^53, int64 ones under 2^63
+_FLOAT32_SAFE = 2**24
 _FLOAT_SAFE = 2**53
 _INT64_SAFE = 2**63
 # products of at most this many multiply-adds (m k n times the stack size)
 # run on numpy's int64 matmul, which makes no float copy.  Timed on the
 # products the perfbench workloads make (one BLAS thread), it beats BLAS up
-# to about 2^13 of them at p = 97, and up to about 2^15 at p > 2^27, where
+# to between 2^12 and 2^13 of them at p = 97, where BLAS runs in float32
+# (a matmul_mod call on float32 against int64: 1 x 50 x 50 11.8 against
+# 10.8 us, 5 x 50 x 5 11.9 against 7.4, 3 x 40 x 50 8.8 against 9.4,
+# 40 x 40 x 4 9.6 against 15.8), and up to about 2^15 at p > 2^27, where
 # both kernels split B into limbs
 _SMALL_MACS = 2**13
 # the int64 sums of exact K-slice products (each < 2^53) are reduced mod p
 # after this many slices, so they stay under 2^63
 _REDUCE_EVERY = 2**9
+# below this many entries _reduce_in_place takes one `%=`: timed on int64
+# arrays at p = 97, `%=` against floor division is 1.1 against 3.3 us at 4
+# entries, 2.3 against 3.8 at 250, 5.4 against 5.5 at 1,000 and 11.7
+# against 8.6 at 2,500
+_MOD_ENTRIES = 2**10
+# the float copies an Operand keeps, by kind: its entries whole in float32
+# or in float64, or its two 16-bit limbs in float64
+_WHOLE32, _WHOLE64, _LIMBS = np.float32, False, True
 
 
 class Operand:
-    """A matrix reduced mod p, with the float64 copies matmul_mod feeds BLAS.
+    """A matrix reduced mod p, with the float copies matmul_mod feeds BLAS.
 
-    A copy is made the first time a product needs it and kept: the entries
-    whole (both operands of a float product, and the left operand of a limb
-    product), and the two 16-bit limbs M >> 16 and M & 0xFFFF (the right
-    operand of a limb product).  A product small enough for the int64
-    kernel reads the ints and makes no copy.  matmul_mod converts a plain
-    array afresh on every call; keeping an Operand for a matrix used again
-    and again (a multiplication table) converts it once.  reshape gives a
-    view of the same entries in another shape that shares those copies:
-    one conversion serves every shape.
+    A copy is made the first time a product needs it and kept, under its
+    kind: the entries whole in float32 (both operands of a product whose
+    sums stay under 2^24), whole in float64 (both operands of a product
+    whose sums stay under 2^53, and the left operand of a limb product),
+    and the two 16-bit limbs M >> 16 and M & 0xFFFF in float64 (the right
+    operand of a limb product).  A multiplication table of dimension n
+    with n (p-1)^2 < 2^24 (n <= 1,820 at p = 97) thus keeps one float32
+    copy.  A product small enough for the int64 kernel reads the ints and
+    makes no copy.  matmul_mod converts a plain array afresh on every call;
+    keeping an Operand for a matrix used again and again (a multiplication
+    table) converts it once.  reshape gives a view of the same entries in
+    another shape that shares those copies: one conversion serves every
+    shape.
     """
 
     __slots__ = ("p", "ints", "shape", "_parts")
@@ -235,19 +251,21 @@ class Operand:
         view.shape, view._parts = view.ints.shape, self._parts
         return view
 
-    def parts(self, limbs):
-        """(M,) as float64, or when limbs (M >> 16, M & 0xFFFF) as float64."""
-        got = self._parts.get(limbs)
+    def parts(self, kind):
+        """The float copies of one kind, in this operand's shape: (M,) in
+        float32 for _WHOLE32, (M,) in float64 for _WHOLE64 (False), and
+        (M >> 16, M & 0xFFFF) in float64 for _LIMBS (True)."""
+        got = self._parts.get(kind)
         if got is None:
-            got = self._parts[limbs] = _float_parts(self.ints, limbs)
+            got = self._parts[kind] = _float_parts(self.ints, kind)
         return tuple(x.reshape(self.shape) for x in got)
 
 
-def _float_parts(M, limbs):
-    """The float64 copies of M: whole, or its two 16-bit limbs."""
-    if limbs:
+def _float_parts(M, kind):
+    """The float copies of M of one kind (see Operand.parts)."""
+    if kind is _LIMBS:
         return (M >> 16).astype(np.float64), (M & 0xFFFF).astype(np.float64)
-    return (M.astype(np.float64),)
+    return (M.astype(np.float32 if kind is _WHOLE32 else np.float64),)
 
 
 def _ints(X, p):
@@ -259,9 +277,9 @@ def _ints(X, p):
     return _reduced(X, p)
 
 
-def _parts(X, ints, limbs):
-    """X.parts(limbs), cached for an Operand, made afresh for an array."""
-    return X.parts(limbs) if isinstance(X, Operand) else _float_parts(ints, limbs)
+def _parts(X, ints, kind):
+    """X.parts(kind), cached for an Operand, made afresh for an array."""
+    return X.parts(kind) if isinstance(X, Operand) else _float_parts(ints, kind)
 
 
 def _reduced(M, p):
@@ -286,7 +304,11 @@ def matmul_mod(A, B, p):
       of B, (A @ hi mod p) 2^16 + A @ lo, exact while
       (p-1) 2^16 + K (p-1)(2^16-1) < 2^63 (K <= 2^16 at p = 2^31-1).
       Past that bound a small product goes on to BLAS;
-    - else while K (p-1)^2 < 2^53: one float64 BLAS product;
+    - else while K (p-1)^2 < 2^53: one BLAS product on the entries whole,
+      in float32 while K (p-1)^2 < 2^24 (half the bytes of float64: every
+      partial sum is an integer below 2^24, exact in float32 in whatever
+      order BLAS adds the terms), else in float64.  At p = 97 float32
+      holds up to K = 1,820;
     - else A stays whole in float64 (entries below 2^31 are exact there)
       and B is split into its limbs.  Each K-slice of
       S = (2^53-1) // ((p-1)(2^16-1)) terms (64 at 2^31-1, 128 at 2^30+3)
@@ -310,13 +332,16 @@ def matmul_mod(A, B, p):
             C += a @ (b & 0xFFFF)
             _reduce_in_place(C, p)
             return C
-    (fa,) = _parts(A, a, False)
-    if K * (p - 1) * (p - 1) < _FLOAT_SAFE:
-        (fb,) = _parts(B, b, False)
+    bound = K * (p - 1) * (p - 1)
+    if bound < _FLOAT_SAFE:
+        kind = _WHOLE32 if bound < _FLOAT32_SAFE else _WHOLE64
+        (fa,) = _parts(A, a, kind)
+        (fb,) = _parts(B, b, kind)
         C = (fa @ fb).astype(np.int64)
         _reduce_in_place(C, p)
         return C
-    hi, lo = _parts(B, b, True)
+    (fa,) = _parts(A, a, _WHOLE64)
+    hi, lo = _parts(B, b, _LIMBS)
     step = _limb_slice(p)
     C = _sliced_product(fa, hi, step, p)
     _reduce_in_place(C, p)
@@ -357,9 +382,14 @@ def _inv_mod(t, p):
 
 
 def _reduce_in_place(X, p):
-    """X %= p, written with floor division: numpy divides an int64 array by
-    a scalar several times faster than it takes the remainder."""
-    X -= X // p * p
+    """X %= p.  Above _MOD_ENTRIES entries it is written with floor
+    division, since numpy divides a large int64 array by a scalar about
+    twice as fast as it takes the remainder; below, one `%=` costs less
+    than the three calls."""
+    if X.size < _MOD_ENTRIES:
+        X %= p
+    else:
+        X -= X // p * p
 
 
 def _stack_matvec(X, v, p):

@@ -200,10 +200,27 @@ def test_matmul_zero_size_operands(kernels):
 
 
 def test_matmul_sums_limb_products_over_k_slices(monkeypatch):
+    rng = np.random.default_rng(3)
+    # float32 holds sums below 2^24, so at p = 1031 a product of K = 15
+    # runs on float32 and one of K = 16 on float64.  Row 1 times column 1
+    # is K - 1 terms (p-1)^2 and one (p-2)^2: an odd number, past 2^24 at
+    # K = 16, which float32 would round.  The products, of a matrix and of
+    # a stack, are too large for the int64 kernel
+    p = 1031
+    assert 15 * (p - 1) ** 2 < linalg._FLOAT32_SAFE <= 16 * (p - 1) ** 2
+    for K in (15, 16):
+        A = rng.integers(0, p, (40, K))
+        B = rng.integers(0, p, (3, K, 24))
+        A[:2], B[:, :, :2] = p - 1, p - 1
+        A[1, 0], B[:, 0, 1] = p - 2, p - 2
+        assert len(A) * B[0].size > linalg._SMALL_MACS
+        assert matmul_mod(A, B[0], p).tolist() == int_oracle(A, B[0], p)
+        got = matmul_mod(A, B, p)
+        for s in range(len(B)):
+            assert got[s].tolist() == int_oracle(A, B[s], p)
     # on the BLAS limb path a K-slice holds S terms, so these K take one to
     # five slices, whose int64 sums are recombined mod p once
     monkeypatch.setattr(linalg, "_SMALL_MACS", 0)
-    rng = np.random.default_rng(3)
     for p, S in ((2**31 - 1, 64), (2**30 + 3, 128)):
         assert linalg._limb_slice(p) == S
         for K in (S - 1, S, S + 1, 4 * S + 1):
@@ -312,15 +329,45 @@ def test_operand_reshape_shares_the_base_float_parts(monkeypatch, p):
     assert matmul_mod(pairs, x.T, p).tolist() == int_oracle(
         base.ints.reshape(25, 5), x.T, p)
     # a right operand on limbs keeps its two limbs, and a left operand
-    # keeps its entries whole: on the plain float path both are whole
-    limbs = 5 * (p - 1) ** 2 >= linalg._FLOAT_SAFE
-    assert set(base._parts) == {False, limbs}
+    # keeps its entries whole in float64: on the plain float path both are
+    # whole, here in float32
+    if 5 * (p - 1) ** 2 >= linalg._FLOAT_SAFE:
+        counts = {linalg._WHOLE64: 1, linalg._LIMBS: 2}
+    else:
+        counts = {linalg._WHOLE32: 1}
+    assert set(base._parts) == set(counts)
     for view in (pairs, cube):
-        for key, count in ((False, 1), (limbs, 2 if limbs else 1)):
+        for key, count in counts.items():
             got, want = view.parts(key), base.parts(key)
             assert len(got) == len(want) == count
             for g, w in zip(got, want):
                 assert g.shape == view.shape and np.shares_memory(g, w)
+
+
+@pytest.mark.parametrize("p, kind, dtype",
+                         [(97, linalg._WHOLE32, np.float32),
+                          (65537, linalg._WHOLE64, np.float64)],
+                         ids=["float32", "float64"])
+def test_a_table_keeps_one_float_copy(p, kind, dtype):
+    # a table (n, n^2) read as an algebra's left, right and pair_products
+    # read it, in products too large for the int64 kernel: K = n, so at
+    # p = 97 every product runs on float32 and at 65537 on float64 whole,
+    # and the table keeps that one copy
+    n = 16
+    rng = np.random.default_rng(p)
+    table = linalg.Operand(rng.integers(0, p, (n, n * n)), p)
+    X = rng.integers(0, p, (3, n))
+    ints = table.ints.reshape(n, n, n)
+    left = matmul_mod(X, table, p).reshape(3, n, n)
+    right = matmul_mod(X, table.reshape(n, n, n), p)
+    pairs = matmul_mod(table.reshape(n * n, n), X.T, p)
+    assert min(left.size, right.size, pairs.size) * n > linalg._SMALL_MACS
+    for j in range(n):
+        assert left[:, j].tolist() == int_oracle(X, ints[:, j], p)
+        assert right[j].tolist() == int_oracle(X, ints[j], p)
+        assert pairs[j * n : (j + 1) * n].tolist() == int_oracle(ints[j], X.T, p)
+    assert set(table._parts) == {kind}
+    assert table.parts(kind)[0].dtype == dtype
 
 
 def test_kernel_rows_annihilate():
