@@ -3,8 +3,13 @@
 Pipeline: the central idempotent c of each block and one primitive
 idempotent e <= c come from `idempotents`; the corner e*A*e is the block's
 entry field D; a D-basis b of the left ideal A*e and its dual basis a in
-e*A give the connecting elements, the matrix units b[mu]*a[nu] and the iso
-inverse E[mu,nu]*d_t -> b[mu]*d_t*a[nu], whose one inverse is the iso.
+e*A give the connecting elements and the matrix units b[mu]*a[nu].  Both
+matrices of the map are then in closed form: the iso, the paper's map
+x -> (a[mu]*x*b[nu]) in each block, and its inverse E[mu,nu]*d_t ->
+b[mu]*d_t*a[nu].  D's basis is an RREF, so an element of D has its
+coordinates at D's unit columns (linalg.unit_columns): the iso's entries
+and the dual basis's system are read off products, and nothing is
+inverted.
 
 The search presumes A associative and semisimple, and runs once per
 decomposition, on A as read, with the check at once: an isomorphism that
@@ -140,20 +145,24 @@ def matrix_units(A, a, b):
 
 
 def dual_basis(A, corner):
-    """Connecting elements (a, b) of a block at its primitive idempotent e.
+    """Connecting elements (a, b) of a block at its primitive idempotent e,
+    and right = A.right(b), whose products b_j*b[nu] the iso reads.
 
     corner is the idempotents.Corner at e <= c, c central, whose basis D is
-    the entry field e*A*e; its kept maps give the two spaces below, since
-    c*x*e = x*e and e*x*c = e*x.  b[0] = e, and b[1:] are the rows v of
-    (c-e)*A*e, the image of R_e - P, taken in order while v*D adds rank:
-    those with a pivot among their d columns in one row_echelon of
+    the entry field e*A*e, an RREF whose unit columns u (linalg.unit_columns)
+    hold the coordinates of its elements; its kept maps give the two spaces
+    below, since c*x*e = x*e and e*x*c = e*x.  b[0] = e, and b[1:] are the
+    rows v of (c-e)*A*e, the image of R_e - P, taken in order while v*D adds
+    rank: those with a pivot among their d columns in one row_echelon of
     [D; v_1 D; v_2 D; ...] transposed.  They form a basis of the left ideal
     A*e as a right D-module.  The pairing e*A x A*e -> D is perfect, so
     a[mu] in e*A*c = e*A (the image of L_e) with a[mu]*b[nu] =
-    delta(mu,nu) e is the one solution of one linear system, and a[0] = e.
+    delta(mu,nu) e is the one solution of one square system in D's
+    coordinates: row r holds the u entries of w_r*b[nu], nu = 0 .. n-1,
+    for the n*d rows w_r of e*A, and a[0] = e.
     """
     p, e, D = A.p, corner.e, corner.basis
-    d = len(D)
+    d, u = len(D), linalg.unit_columns(D)
     rest = linalg.row_space_basis(((corner.right - corner.proj) % p).T, p)
     b = np.array([e])
     if len(rest):
@@ -163,15 +172,29 @@ def dual_basis(A, corner):
         b = np.concatenate([b, rest[taken]])
     n = len(b)
     W = linalg.row_space_basis(corner.left.T, p)
-    # row r: w_r * b[nu] for nu = 0 .. n-1; target row mu: delta(mu,nu) e
-    pairing = A.products(W, b).reshape(len(W), n * A.dim)
-    alpha = linalg.coordinates(pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
+    right = A.right(b)  # right[j, nu] = b_j * b[nu]
+    # row r: w_r * b[nu] in D's coordinates; target row mu: delta(mu,nu) e
+    pairing = linalg.matmul_mod(W, right[:, :, u].reshape(A.dim, n * d), p)
+    target = (np.eye(n, dtype=np.int64)[:, :, None] * e[u]).reshape(n, n * d)
+    alpha = linalg.coordinates(pairing, target, p)
     if alpha is None:
         raise WitnessSolveFailed(
             "a*b = delta*e has no solution: e is not a primitive idempotent "
             "of a semisimple block"
         )
-    return linalg.matmul_mod(alpha, W, p), b
+    return linalg.matmul_mod(alpha, W, p), b, right
+
+
+def _iso_rows(A, blk, right):
+    """The block's rows (mu, nu, t) of iso, the paper's map: column j is
+    entry u_t of a[mu]*(b_j*b[nu]), u the unit columns of the division
+    basis, and right = A.right(b).  One stacked product of the b_j*b[nu]
+    with the u columns of the maps y -> a[mu]*y."""
+    n, d, dim = blk.n, blk.D.degree, A.dim
+    left = A.left(blk.a)[:, :, linalg.unit_columns(blk.D.basis)]
+    # rows[mu, (j, nu), t] = entry u_t of a[mu]*(b_j*b[nu])
+    rows = linalg.matmul_mod(right.reshape(dim * n, dim), left, A.p)
+    return rows.reshape(n, dim, n, d).transpose(0, 2, 3, 1).reshape(-1, dim)
 
 
 def _layout(shapes):
@@ -189,10 +212,12 @@ def _witness(A, blocks):
     """W, the iso inverse: column (block, mu, nu, t) is b[mu]*d_t*a[nu]."""
     cols = []
     for blk in blocks:
-        # bda[mu, t, nu] = b[mu] * d_t * a[nu]
-        bd = A.products(blk.b, blk.D.basis).reshape(-1, A.dim)
-        bda = A.products(bd, blk.a).reshape(blk.n, blk.D.degree, blk.n, A.dim)
-        cols.append(bda.transpose(0, 2, 1, 3).reshape(-1, A.dim))
+        n, d, dim = blk.n, blk.D.degree, A.dim
+        # bda[mu, t, nu] = (b[mu] * d_t) * a[nu], through the maps y -> y*a[nu]
+        bd = A.products(blk.b, blk.D.basis).reshape(-1, dim)
+        bda = linalg.matmul_mod(bd, A.right(blk.a).reshape(dim, n * dim), A.p)
+        bda = bda.reshape(n, d, n, dim).transpose(0, 2, 1, 3)
+        cols.append(bda.reshape(-1, dim))
     return np.concatenate(cols).T
 
 
@@ -203,7 +228,11 @@ def _search(A, seed):
     (at most idempotents.SPLIT_CAP draws, from a generator seeded by seed
     and the block's place), and from the corner maps the descent keeps, the
     entry field e*A*e and the dual basis that gives the connecting elements
-    and matrix units.
+    and matrix units.  Both matrices of the map are in closed form: the
+    iso's rows are read off products (_iso_rows) and the witness W is its
+    inverse (_witness), with no elimination.  NonBijective when they are
+    not square; a singular W is left to check, which proves
+    iso * W = I.
     """
     C, degrees = idempotents._block_idempotents(A)
     master = random.Random(seed)
@@ -211,23 +240,23 @@ def _search(A, seed):
     for c, d in zip(C, degrees):
         rng = random.Random(master.getrandbits(64))
         corner = idempotents._primitive_corner(A, c, d, rng)
-        a, b = dual_basis(A, corner)
-        found.append(Block(index=None, n=len(a),
-                           D=DivisionAlgebra(basis=corner.basis, degree=d),
-                           rep=corner.e, c=c, a=a, b=b,
-                           units=matrix_units(A, a, b)))
-    found.sort(key=lambda blk: (blk.n, blk.D.degree, blk.c.tolist()))
-    for index, blk in enumerate(found):
+        a, b, right = dual_basis(A, corner)
+        blk = Block(index=None, n=len(a),
+                    D=DivisionAlgebra(basis=corner.basis, degree=d),
+                    rep=corner.e, c=c, a=a, b=b, units=matrix_units(A, a, b))
+        found.append((blk, _iso_rows(A, blk, right)))
+    found.sort(key=lambda pair: (pair[0].n, pair[0].D.degree, pair[0].c.tolist()))
+    for index, (blk, _) in enumerate(found):
         blk.index = index
-    W = _witness(A, found)
-    iso = linalg.inverse(W, A.p) if W.shape == (A.dim, A.dim) else None
-    if iso is None:
-        raise NonBijective("assembled block map is not invertible")
+    iso = np.concatenate([rows for _, rows in found])
+    if iso.shape != (A.dim, A.dim):
+        raise NonBijective("assembled block map is not square")
+    ordered = [blk for blk, _ in found]
     return DecompositionResult(
-        blocks=found,
+        blocks=ordered,
         iso=iso,
-        iso_inverse=W,
-        layout=_layout((blk.n, blk.D.degree) for blk in found),
+        iso_inverse=_witness(A, ordered),
+        layout=_layout((blk.n, blk.D.degree) for blk in ordered),
         p=A.p,
         dim=A.dim,
         seed=seed,
@@ -244,7 +273,9 @@ def full_isomorphism(A, seed=0):
     runs the radical chain, which proves associativity first; then
     NotSemisimple carries the certified radical, or on a zero radical the
     search's own error is raised, or its result returned.  The search runs
-    once either way.
+    once either way.  A singular witness is such a failed relation (check's
+    bijective stage); the search raises NonBijective only for a map that is
+    not square.
     """
     try:
         result = _search(A, seed)
@@ -304,16 +335,20 @@ def _check_division_basis(A, bi, blk, fail):
     """The block's entry ring; None (after a failure) unless it is a field
     whose identity is the representative.
 
+    The presentation reads coordinates off the basis's unit columns, which
+    a reduced basis has, or else eliminates (linalg.coordinates); only a
+    refused one is ranked, to tell a dependent basis from one that is not
+    closed under product.
+
     D's structure constants come from A's products, so D inherits A's
     associativity, proved or pending.  D.require_associative proves it
     while it is pending (see check), with no draw when the degree is at
     most the closure's draw cap (every degree up to 4): every basis triple."""
-    p = A.p
-    if linalg.rank(blk.D.basis, p) != blk.D.degree:
-        return fail(f"block {bi}: division basis is not independent")
     try:
         D = _entry_field(A, blk)
     except EntryOutsideCorner:
+        if linalg.rank(blk.D.basis, A.p) != blk.D.degree:
+            return fail(f"block {bi}: division basis is not independent")
         return fail(f"block {bi}: division basis is not closed under product")
     if not D._is_identity(D.one):
         return fail(f"block {bi}: representative is not the identity of the "
@@ -375,14 +410,16 @@ def check(A, cert):
     from A onto T, the direct sum of the blocks M_n(D), D a field, with
     inverse cert.iso_inverse, that sends every certificate vector to its
     standard element of T.  Each stage runs only if the earlier ones pass:
-    (1) each entry field is a field with identity rep, and the layout
-    matches; (2) iso * iso_inverse = I, so iso is bijective (both are
-    square); (3) one product iso @ X checks that 1 maps to 1_T (unit), each
-    c to its block identity (orthogonality), rep, a[mu], b[mu] and
-    units[mu,nu] to E[0,0], E[0,mu], E[mu,0] and E[mu,nu] times 1_D, and
-    row t of the division basis to E[0,0]*d_t; and, whatever (3) finds,
-    (4) iso is multiplicative on every basis pair (_all_pairs), which
-    names the first pair that fails.
+    (1) each entry field is a field with identity rep (presented off its
+    basis's unit columns, with no elimination, when it has them), and the
+    layout matches; (2) iso * iso_inverse = I, so iso is bijective (both
+    are square; the search inverts neither, so this is the one proof that
+    they are inverse); (3) one product iso @ X checks that 1 maps to 1_T
+    (unit), each c to its block identity (orthogonality), rep, a[mu],
+    b[mu] and units[mu,nu] to E[0,0], E[0,mu], E[mu,0] and E[mu,nu] times
+    1_D, and row t of the division basis to E[0,0]*d_t; and, whatever (3)
+    finds, (4) iso is multiplicative on every basis pair (_all_pairs),
+    which names the first pair that fails.
 
     An isomorphism that sends each vector to its standard element carries
     every relation of the certificate to the same relation in T, so each

@@ -86,7 +86,9 @@ class EntryOutsideCorner(WedderburnError):
 
 
 class NonBijective(WedderburnError):
-    """The assembled global linear map is not invertible (fatal)."""
+    """The assembled global linear map is not square: the block sizes
+    n^2 d do not sum to the dimension (fatal).  A square map that is not
+    invertible fails the check's bijective stage instead."""
 
 
 class ShapeMismatch(WedderburnError):

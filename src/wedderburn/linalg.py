@@ -161,23 +161,44 @@ def kernel(M, p):
     return out
 
 
+def unit_columns(B):
+    """u with column u[r] of B the unit vector e_r for every row r: a
+    column whose one nonzero entry is a 1 in row r, the first such column
+    of each row.  None when some row has none.  B's entries are reduced.
+
+    An RREF basis has one per row, at its pivots, and a kernel basis at its
+    free columns.  Rows that have them are independent, as B[:, u] = I, and
+    the coordinates of a vector v of their span are v[u].
+    """
+    unit = (B == 1) & (np.count_nonzero(B, axis=0) == 1)
+    if not unit.any(axis=1).all():
+        return None
+    return unit.argmax(axis=1) if unit.size else np.zeros(0, dtype=np.intp)
+
+
 def coordinates(B, V, p):
     """C with C B = V for independent rows B, or None when B is dependent or
     some row of V lies outside the row space of B.
 
-    One row_echelon of [B | I_k] gives [R | E] with E B = R.  Every pivot of
-    an independent B lies among its own columns, and a row v of its span is
-    v[pivots] R = v[pivots] E B, so C = V[:, pivots] E.  The product C B is
+    When B has a unit column per row (unit_columns), C = V[:, u] is read
+    off V, with no elimination.  Otherwise one row_echelon of [B | I_k]
+    gives [R | E] with E B = R.  Every pivot of an independent B lies among
+    its own columns, and a row v of its span is v[pivots] R =
+    v[pivots] E B, so C = V[:, pivots] E.  Either way the product C B is
     compared with V, which refuses the rows outside the span.
     """
     B, V = as_mod_array(B, p), as_mod_array(V, p)
     k, n = B.shape
-    RE, pivots = row_echelon(
-        np.concatenate([B, np.eye(k, dtype=np.int64)], axis=1), p
-    )
-    if pivots and pivots[-1] >= n:
-        return None
-    C = matmul_mod(V[:, pivots], RE[:, n:], p)
+    u = unit_columns(B)
+    if u is not None:
+        C = V[:, u]
+    else:
+        RE, pivots = row_echelon(
+            np.concatenate([B, np.eye(k, dtype=np.int64)], axis=1), p
+        )
+        if pivots and pivots[-1] >= n:
+            return None
+        C = matmul_mod(V[:, pivots], RE[:, n:], p)
     if not np.array_equal(matmul_mod(C, B, p), V):
         return None
     return C

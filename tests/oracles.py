@@ -44,3 +44,37 @@ def pairwise_chain_oracle(A):
             return rows, stage_dims, None
         power, index = nxt, index + 1
     return rows, stage_dims, index if len(rows) else 0
+
+
+def eliminated_coordinates(B, V, p):
+    """C with C B = V by elimination alone, or None when B is dependent or
+    a row of V leaves its span: one row_echelon of [B | I_k] gives
+    [R | E] with E B = R, and C = V[:, pivots] E, compared with V."""
+    B, V = linalg.as_mod_array(B, p), linalg.as_mod_array(V, p)
+    k, n = B.shape
+    RE, pivots = linalg.row_echelon(
+        np.concatenate([B, np.eye(k, dtype=np.int64)], axis=1), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    C = linalg.matmul_mod(V[:, pivots], RE[:, n:], p)
+    return C if np.array_equal(linalg.matmul_mod(C, B, p), V) else None
+
+
+def iso_oracle(result):
+    """The iso solved, not read: the one inverse of the witness matrix
+    iso_inverse, by elimination; None when it is singular."""
+    n = result.dim
+    return eliminated_coordinates(result.iso_inverse,
+                                  np.eye(n, dtype=np.int64), result.p)
+
+
+def pairing_dual_oracle(A, e, b):
+    """The dual basis a in e*A with a[mu]*b[nu] = delta(mu,nu) e, solved by
+    elimination over all n*dim columns of the pairing w_r*b[nu], w_r the
+    canonical basis of e*A; None when the system has no solution."""
+    p, n = A.p, len(b)
+    W = linalg.row_space_basis(A.lmat(e).T, p)
+    pairing = A.products(W, b).reshape(len(W), n * A.dim)
+    alpha = eliminated_coordinates(
+        pairing, np.kron(np.eye(n, dtype=np.int64), e), p)
+    return None if alpha is None else linalg.matmul_mod(alpha, W, p)

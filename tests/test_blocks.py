@@ -37,12 +37,13 @@ from wedderburn.blocks import (
 from wedderburn.errors import (
     InvalidDocument,
     NoIdentity,
+    NonBijective,
     NotAssociative,
     ShapeMismatch,
 )
 from wedderburn.linalg import matmul_mod
 
-from oracles import hom_rows
+from oracles import hom_rows, iso_oracle, pairing_dual_oracle
 
 
 def c3(p=5):
@@ -267,6 +268,33 @@ def test_search_iso_is_the_per_block_solve(p):
     assert np.array_equal(res.iso, want)
 
 
+_READ_OFF_CASES = {
+    "M_3(F_3)+M_1(F_9), p | n": ([(3, 1), (1, 2)], 3),
+    "M_5(F_5)+M_2(F_5)+M_1(F_25), p | n": ([(5, 1), (2, 1), (1, 2)], 5),
+    "planted p = 97": ([(3, 1), (2, 2), (1, 3)], 97),
+    "planted p = 65537": ([(2, 1), (2, 2), (1, 1)], 65537),
+    "planted p = 2^31-1": ([(2, 1), (1, 2), (1, 1)], 2**31 - 1),
+    "F_7[S3]": ("S3", 7),
+    "F_3[Q8]": ("Q8", 3),
+}
+
+
+@pytest.mark.parametrize("name", _READ_OFF_CASES)
+def test_search_reads_what_the_solves_gave(name):
+    # iso is read off products and a off D's coordinates; the solves they
+    # replace, the inverse of the witness and the pairing over all n*dim
+    # columns, give the same arrays
+    spec, p = _READ_OFF_CASES[name]
+    A = (group_algebra(cayley_fixture(spec), p) if isinstance(spec, str)
+         else build_planted(spec, p).algebra)
+    A, _ = scramble(A, seed=5)
+    res = blocks._search(A, seed=0)
+    assert blocks.check(A, res) == []
+    assert np.array_equal(res.iso, iso_oracle(res))
+    for blk in res.blocks:
+        assert np.array_equal(blk.a, pairing_dual_oracle(A, blk.rep, blk.b))
+
+
 @pytest.mark.parametrize("p", [7, 97, 2**31 - 1])
 @given(data=st.data())
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -294,6 +322,26 @@ def test_iso_is_invertible_and_layout_complete():
     assert len(res.layout) == A.dim
     # layout rows are (block, mu, nu, t) in flattened order
     assert res.layout[0].tolist() == [0, 0, 0, 0]
+
+
+def test_a_singular_witness_is_refused_by_the_bijective_stage(monkeypatch):
+    # the search inverts nothing: a singular W is check's to refuse, and
+    # after the chain certifies a zero radical the result comes back
+    A = matrix_algebra(7, 2).algebra
+    monkeypatch.setattr(blocks, "_witness",
+                        lambda A, found: np.zeros((A.dim, A.dim), dtype=np.int64))
+    res = full_isomorphism(A, seed=0)
+    ver = verify_isomorphism(A, res)
+    assert not ver.bijective
+    assert ver.failures == ["iso * iso_inverse differs from the identity at (0,0)"]
+
+
+def test_a_map_that_is_not_square_raises_non_bijective(monkeypatch):
+    A = matrix_algebra(7, 2).algebra
+    rows = blocks._iso_rows
+    monkeypatch.setattr(blocks, "_iso_rows", lambda *args: rows(*args)[1:])
+    with pytest.raises(NonBijective):
+        full_isomorphism(A, seed=0)
 
 
 def test_blocks_sorted_by_size_then_degree():
@@ -529,6 +577,13 @@ def _tamper(res, field):
     if field == "division basis replaced":
         b0.D = b0.D._replace(basis=b0.D.basis[::-1].copy())
         return "block 0: division basis row 0 does not map to E[0,0]*d_0"
+    if field == "division basis mixed":
+        # a generic invertible combination of the rows spans the same field
+        # but has no unit column per row: its presentation is eliminated
+        mixed = matmul_mod(np.array([[1, 1], [1, 2]]), b0.D.basis, p)
+        assert linalg.unit_columns(mixed) is None
+        b0.D = b0.D._replace(basis=mixed)
+        return "block 0: division basis row 0 does not map to E[0,0]*d_0"
     if field == "iso row":
         res.iso[4] = (res.iso[4] + 1) % p  # layout row 4 is (1, 1, 0, 0)
         j = int(np.flatnonzero(res.iso_inverse.sum(axis=0) % p)[0])
@@ -546,8 +601,8 @@ def _tamper(res, field):
 @pytest.mark.parametrize("field", [
     "a[mu]", "b[mu]", "a in corner", "b in corner", "unit",
     "central idempotent", "central", "representative", "division basis",
-    "division basis replaced", "orthogonal", "sum to one", "iso row",
-    "iso_inverse", "layout",
+    "division basis replaced", "division basis mixed", "orthogonal",
+    "sum to one", "iso row", "iso_inverse", "layout",
 ])
 def test_one_verifier_names_the_tampered_relation(field):
     A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
@@ -560,6 +615,23 @@ def test_one_verifier_names_the_tampered_relation(field):
     assert message in msgs
     # the in-process verifier runs the same check on the same arrays
     assert ver.failures == msgs
+
+
+def test_a_passing_check_ranks_no_division_basis(monkeypatch):
+    # each entry field is presented off its unit columns; rank runs only to
+    # word a refused presentation
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = full_isomorphism(A, seed=0)
+    ranked, real = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda M, p: ranked.append(np.array(M)) or real(M, p))
+    assert blocks.check(A, res) == []
+    assert not any(np.array_equal(M, blk.D.basis)
+                   for M in ranked for blk in res.blocks)
+    bad = copy.deepcopy(res)
+    assert _tamper(bad, "division basis") in [f.message
+                                              for f in blocks.check(A, bad)]
+    assert any(np.array_equal(M, bad.blocks[0].D.basis) for M in ranked)
 
 
 def _kept_proof():
@@ -583,7 +655,7 @@ def test_an_unchanged_result_reuses_the_kept_pass(monkeypatch):
 
 @pytest.mark.parametrize("field", [
     "iso row", "unit", "division basis", "division basis replaced",
-    "orthogonal", "sum to one",
+    "division basis mixed", "orthogonal", "sum to one",
 ])
 def test_a_result_changed_in_place_is_proved_again(monkeypatch, field):
     # no copy: the kept pass is of arrays that have since changed, so

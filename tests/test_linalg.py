@@ -16,6 +16,8 @@ from wedderburn.linalg import (
     rref,
 )
 
+from oracles import eliminated_coordinates
+
 
 def oracle_matmul(A, B, p):
     """Plain int triple loop, no numpy arithmetic involved."""
@@ -519,6 +521,59 @@ def test_coordinates_of_an_empty_basis():
     B = np.zeros((0, 3), dtype=np.int64)
     assert coordinates(B, np.zeros((2, 3)), 7).shape == (2, 0)
     assert coordinates(B, np.array([[0, 1, 0]]), 7) is None
+
+
+def test_unit_columns_of_reduced_and_kernel_bases():
+    B = np.array([[0, 1, 2, 0, 3], [0, 0, 0, 1, 4]])
+    assert linalg.unit_columns(B).tolist() == [1, 3]  # the pivots
+    assert linalg.unit_columns(kernel(B, 7)).tolist() == [0, 2, 4]  # free
+    # the first unit column of each row, in any order of the rows
+    assert linalg.unit_columns(np.array([[0, 1, 1], [1, 0, 0]])).tolist() == [1, 0]
+    # a 2 and a column with two nonzeros are no unit columns
+    assert linalg.unit_columns(np.array([[2, 1], [0, 1]])) is None
+    assert linalg.unit_columns(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+
+
+def _read_path_bases(p):
+    """(name, B, V, has unit columns): the bases coordinates meets, with a
+    span check both inside and with one row outside the span."""
+    rng = np.random.default_rng(p % 1000 + 3)
+    M = rng.integers(0, p, (4, 9))
+    reduced, null = row_space_basis(M, p), kernel(M, p)
+    # a generic invertible combination of the reduced rows
+    mixed = matmul_mod(np.array([[1, 1, 0, 0], [1, 2, 1, 0], [0, 1, 3, 1],
+                                 [2, 0, 1, 1]]), reduced, p)
+    dependent = reduced.copy()
+    dependent[-1] = (reduced[0] + reduced[1]) % p
+    cases = []
+    for name, B, read in [("rref", reduced, True), ("kernel", null, True),
+                          ("mixed", mixed, False),
+                          ("dependent", dependent, False)]:
+        inside = matmul_mod(rng.integers(0, p, (3, len(B))), B, p)
+        outside = inside.copy()
+        outside[1] = (outside[1] + rng.integers(1, p, B.shape[1])) % p
+        cases += [(name, B, inside, read), (name + " outside", B, outside, read)]
+    return cases
+
+
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+def test_coordinates_read_what_elimination_solves(monkeypatch, p):
+    cases = _read_path_bases(p)
+    want = [eliminated_coordinates(B, V, p) for _, B, V, _ in cases]
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda M, p: calls.append(M.shape) or real(M, p))
+    for (name, B, V, read), expected in zip(cases, want):
+        assert (linalg.unit_columns(B) is not None) == read, name
+        del calls[:]
+        got = coordinates(B, V, p)
+        # the read path eliminates nothing
+        assert (calls == []) == read, name
+        if "outside" in name or name == "dependent":
+            assert expected is None and got is None, name
+        else:
+            assert expected is not None and np.array_equal(got, expected), name
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
