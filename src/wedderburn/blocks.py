@@ -139,9 +139,10 @@ class Failure(NamedTuple):
     message: str  # names the relation, the block and the indices
 
 
-def matrix_units(A, a, b):
-    """Grid units[mu, nu] = b[mu]*a[nu]."""
-    return A.products(b, a)
+def matrix_units(A, a, left_b):
+    """Grid units[mu, nu] = b[mu]*a[nu]: a against the maps y -> b[mu]*y,
+    left_b = A.left(b), which the search computes once per block."""
+    return linalg.matmul_mod(a, left_b, A.p)
 
 
 def dual_basis(A, corner):
@@ -157,32 +158,39 @@ def dual_basis(A, corner):
     [D; v_1 D; v_2 D; ...] transposed.  They form a basis of the left ideal
     A*e as a right D-module.  The pairing e*A x A*e -> D is perfect, so
     a[mu] in e*A*c = e*A (the image of L_e) with a[mu]*b[nu] =
-    delta(mu,nu) e is the one solution of one square system in D's
-    coordinates: row r holds the u entries of w_r*b[nu], nu = 0 .. n-1,
-    for the n*d rows w_r of e*A, and a[0] = e.
+    delta(mu,nu) e is unique, and one elimination finds it.  The rows
+    y_j = e*b_j of L_e^T span e*A; their pairing P[j, (nu, t)] with b is
+    entry u_t of y_j*b[nu], an element of D.  One row_echelon of
+    [P^T | target^T], target[mu, (nu, t)] = delta(mu,nu) e[u_t], solves
+    alpha P = target: P^T has rank n*d exactly when the pairing is perfect,
+    alpha is the target part of the RREF at its pivots j (zero elsewhere),
+    and a = alpha Y.  WitnessSolveFailed when the rank is below n*d.
     """
-    p, e, D = A.p, corner.e, corner.basis
+    p, e, D, dim = A.p, corner.e, corner.basis, A.dim
     d, u = len(D), linalg.unit_columns(D)
     rest = linalg.row_space_basis(((corner.right - corner.proj) % p).T, p)
     b = np.array([e])
     if len(rest):
-        cols = np.concatenate([D, A.products(rest, D).reshape(-1, A.dim)]).T
+        cols = np.concatenate([D, A.products(rest, D).reshape(-1, dim)]).T
         _, pivots = linalg.row_echelon(cols, p)
         taken = sorted({(j - d) // d for j in pivots if j >= d})
         b = np.concatenate([b, rest[taken]])
     n = len(b)
-    W = linalg.row_space_basis(corner.left.T, p)
     right = A.right(b)  # right[j, nu] = b_j * b[nu]
-    # row r: w_r * b[nu] in D's coordinates; target row mu: delta(mu,nu) e
-    pairing = linalg.matmul_mod(W, right[:, :, u].reshape(A.dim, n * d), p)
-    target = (np.eye(n, dtype=np.int64)[:, :, None] * e[u]).reshape(n, n * d)
-    alpha = linalg.coordinates(pairing, target, p)
-    if alpha is None:
+    # row (nu, t) of P^T: entry u_t of y_j * b[nu] over the rows j
+    pairing_t = linalg.matmul_mod(right[:, :, u].reshape(dim, n * d).T,
+                                  corner.left, p)
+    # row (nu, t) of target^T: delta(mu,nu) e[u_t] over mu
+    target_t = np.eye(n, dtype=np.int64)[:, None, :] * e[u][:, None]
+    R, pivots = linalg.row_echelon(
+        np.concatenate([pairing_t, target_t.reshape(n * d, n)], axis=1), p)
+    if len(pivots) < n * d or pivots[-1] >= dim:
         raise WitnessSolveFailed(
             "a*b = delta*e has no solution: e is not a primitive idempotent "
             "of a semisimple block"
         )
-    return linalg.matmul_mod(alpha, W, p), b, right
+    # a = alpha Y, alpha[:, pivots] = R[:, dim:]^T and Y[pivots] = L_e[:, pivots]^T
+    return linalg.matmul_mod(R[:, dim:].T, corner.left[:, pivots].T, p), b, right
 
 
 def _iso_rows(A, blk, right):
@@ -208,13 +216,14 @@ def _layout(shapes):
     ], dtype=np.int64).reshape(-1, 4)
 
 
-def _witness(A, blocks):
-    """W, the iso inverse: column (block, mu, nu, t) is b[mu]*d_t*a[nu]."""
+def _witness(A, blocks, lefts):
+    """W, the iso inverse: column (block, mu, nu, t) is b[mu]*d_t*a[nu].
+    lefts holds A.left(b) of each block, the maps y -> b[mu]*y."""
     cols = []
-    for blk in blocks:
+    for blk, left_b in zip(blocks, lefts):
         n, d, dim = blk.n, blk.D.degree, A.dim
         # bda[mu, t, nu] = (b[mu] * d_t) * a[nu], through the maps y -> y*a[nu]
-        bd = A.products(blk.b, blk.D.basis).reshape(-1, dim)
+        bd = linalg.matmul_mod(blk.D.basis, left_b, A.p).reshape(-1, dim)
         bda = linalg.matmul_mod(bd, A.right(blk.a).reshape(dim, n * dim), A.p)
         bda = bda.reshape(n, d, n, dim).transpose(0, 2, 1, 3)
         cols.append(bda.reshape(-1, dim))
@@ -230,7 +239,8 @@ def _search(A, seed):
     entry field e*A*e and the dual basis that gives the connecting elements
     and matrix units.  Both matrices of the map are in closed form: the
     iso's rows are read off products (_iso_rows) and the witness W is its
-    inverse (_witness), with no elimination.  NonBijective when they are
+    inverse (_witness), with no elimination.  One A.left(b) per block
+    serves both the matrix units and W.  NonBijective when they are
     not square; a singular W is left to check, which proves
     iso * W = I.
     """
@@ -241,21 +251,23 @@ def _search(A, seed):
         rng = random.Random(master.getrandbits(64))
         corner = idempotents._primitive_corner(A, c, d, rng)
         a, b, right = dual_basis(A, corner)
+        left_b = A.left(b)
         blk = Block(index=None, n=len(a),
                     D=DivisionAlgebra(basis=corner.basis, degree=d),
-                    rep=corner.e, c=c, a=a, b=b, units=matrix_units(A, a, b))
-        found.append((blk, _iso_rows(A, blk, right)))
-    found.sort(key=lambda pair: (pair[0].n, pair[0].D.degree, pair[0].c.tolist()))
-    for index, (blk, _) in enumerate(found):
+                    rep=corner.e, c=c, a=a, b=b,
+                    units=matrix_units(A, a, left_b))
+        found.append((blk, _iso_rows(A, blk, right), left_b))
+    found.sort(key=lambda kept: (kept[0].n, kept[0].D.degree, kept[0].c.tolist()))
+    for index, (blk, _, _) in enumerate(found):
         blk.index = index
-    iso = np.concatenate([rows for _, rows in found])
+    iso = np.concatenate([rows for _, rows, _ in found])
     if iso.shape != (A.dim, A.dim):
         raise NonBijective("assembled block map is not square")
-    ordered = [blk for blk, _ in found]
+    ordered = [blk for blk, _, _ in found]
     return DecompositionResult(
         blocks=ordered,
         iso=iso,
-        iso_inverse=_witness(A, ordered),
+        iso_inverse=_witness(A, ordered, [left_b for _, _, left_b in found]),
         layout=_layout((blk.n, blk.D.degree) for blk in ordered),
         p=A.p,
         dim=A.dim,

@@ -7,14 +7,22 @@ import numpy as np
 
 
 def as_mod_array(data, p):
-    """Copy data into a C-contiguous int64 array reduced mod p."""
-    return np.ascontiguousarray(np.asarray(data, dtype=np.int64) % p)
+    """Copy data into a C-contiguous int64 array reduced mod p.  The copy
+    is made first, and one unsigned scan decides whether it needs the
+    `% p` pass (as in _reduced, a negative entry reads as at least 2^63):
+    the eliminations' inputs are reduced already, and are not reduced
+    again."""
+    M = np.array(data, dtype=np.int64, order="C")
+    if M.size and M.view(np.uint64).max() >= p:
+        M %= p
+    return M
 
 
 def rref(M, p):
     """Reduced row echelon form (copy), pivot at a time.  Returns
     (R, pivot_column_list).  Callers go through row_echelon, which runs this
-    only on the residue a row chunk leaves (extend_rref).
+    on a matrix of one row chunk, and on the residue a row chunk leaves
+    (extend_rref).
 
     Reduction is delayed (after Dumas, Giorgi & Pernet, FFLAS-FFPACK): a
     pivot step reduces mod p only its column (the multipliers f) and the
@@ -27,6 +35,9 @@ def rref(M, p):
     zero off the pivot makes no update.  At a column that is zero below the
     current row the matrix is reduced, and one scan skips the run of such
     columns.  One row is just scaled by its leading entry.
+
+    At the end only the r pivot rows are reduced: the rows below are
+    congruent to 0 mod p, and are set to zero.  The full shape is kept.
     """
     R = as_mod_array(M, p)
     if R.ndim != 2:
@@ -75,7 +86,8 @@ def rref(M, p):
                 pending = 0
         r, c = r + 1, c + 1
     if dirty:
-        R %= p
+        R[:r] %= p
+    R[r:] = 0
     return R, pivots
 
 
@@ -123,11 +135,15 @@ def extend_rref(R, pivots, V, p):
 
 def row_echelon(M, p):
     """(R, pivots): the nonzero rows of the RREF of M and their pivot
-    columns.  A tall M is folded in a chunk of rows at a time."""
+    columns.  An M of at most one row chunk goes to rref as it is; a tall
+    one is folded in a chunk of rows at a time (extend_rref)."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     step = max(1, _ROW_CHUNK_ENTRIES // max(1, M.shape[1]))
+    if M.shape[0] <= step:
+        R, pivots = rref(M, p)
+        return R[: len(pivots)], pivots
     R, pivots = np.zeros((0, M.shape[1]), dtype=np.int64), []
     for lo in range(0, M.shape[0], step):
         R, pivots, _ = extend_rref(R, pivots, M[lo : lo + step], p)

@@ -206,13 +206,18 @@ def is_irreducible(f, p):
 def _split(f, p, rng, tp):
     """Distinct irreducible factors of a squarefree monic list f, unsorted.
 
-    A part is returned only when irreducible: at degree <= 1, or with a
-    one-dimensional Frobenius fixed space.  tp is T^p mod a multiple of f,
-    or None; it is computed once and reduced mod each part.
+    A part is returned only when irreducible: at degree <= 1; at degree 2
+    or 3 when gcd(T^p - T, f) = 1, as a reducible one has a linear factor,
+    a root in F_p; or with a one-dimensional Frobenius fixed space.  tp is
+    T^p mod a multiple of f, or None; it is computed once and reduced mod
+    each part.  The degree <= 3 test takes no draw and builds no Berlekamp
+    matrix, so the draws are those of the fixed-space path alone.
     """
     if len(f) <= 2:
         return [f]
     tp = _t_to_the_p(f, p) if tp is None else _rem(tp, f, p)
+    if len(f) <= 4 and len(_gcd(_sub(tp, [0, 1], p), f, p)) == 1:
+        return [f]
     fixed = _frobenius_fixed_space(f, tp, p)
     if len(fixed) == 1:
         return [f]

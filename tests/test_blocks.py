@@ -154,7 +154,7 @@ def test_matrix_units_catch_corruption():
     blk = bad.blocks[0]
     blk.a = blk.a.copy()
     blk.a[1] = (blk.a[1] * 2) % 7  # scales a without fixing b
-    blk.units = blocks.matrix_units(A, blk.a, blk.b)
+    blk.units = blocks.matrix_units(A, blk.a, A.left(blk.b))
     assert not delta_oracle(A, blk.units)
     rep = verify_isomorphism(A, bad)
     assert not rep.passed
@@ -274,6 +274,7 @@ _READ_OFF_CASES = {
     "planted p = 97": ([(3, 1), (2, 2), (1, 3)], 97),
     "planted p = 65537": ([(2, 1), (2, 2), (1, 1)], 65537),
     "planted p = 2^31-1": ([(2, 1), (1, 2), (1, 1)], 2**31 - 1),
+    "planted p = 2^31-1, n*d = 6": ([(3, 2), (1, 1)], 2**31 - 1),
     "F_7[S3]": ("S3", 7),
     "F_3[Q8]": ("Q8", 3),
 }
@@ -293,6 +294,33 @@ def test_search_reads_what_the_solves_gave(name):
     assert np.array_equal(res.iso, iso_oracle(res))
     for blk in res.blocks:
         assert np.array_equal(blk.a, pairing_dual_oracle(A, blk.rep, blk.b))
+
+
+@pytest.mark.parametrize("p", [97, 2**31 - 1])
+def test_dual_basis_takes_one_solve_and_no_coordinates(monkeypatch, p):
+    # per block: the row space of (c-e)*A*e, the elimination that picks b
+    # (only when n > 1), and the one solve for a; no call of coordinates
+    A, _ = scramble(build_planted([(3, 2), (1, 1)], p).algebra, seed=2)
+    C, degrees = idempotents._block_idempotents(A)
+    corners = [idempotents._primitive_corner(A, c, d, random.Random(0))
+               for c, d in zip(C, degrees)]
+    calls = []
+
+    def spy(name):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    spy("coordinates")
+    spy("row_echelon")
+    sizes = []
+    for corner in corners:
+        calls.clear()
+        a, b, _ = blocks.dual_basis(A, corner)
+        assert calls == ["row_echelon"] * (3 if len(b) > 1 else 2)
+        assert np.array_equal(a, pairing_dual_oracle(A, corner.e, b))
+        sizes.append(len(b))
+    assert sorted(sizes) == [1, 3]
 
 
 @pytest.mark.parametrize("p", [7, 97, 2**31 - 1])
@@ -328,8 +356,8 @@ def test_a_singular_witness_is_refused_by_the_bijective_stage(monkeypatch):
     # the search inverts nothing: a singular W is check's to refuse, and
     # after the chain certifies a zero radical the result comes back
     A = matrix_algebra(7, 2).algebra
-    monkeypatch.setattr(blocks, "_witness",
-                        lambda A, found: np.zeros((A.dim, A.dim), dtype=np.int64))
+    monkeypatch.setattr(blocks, "_witness", lambda A, found, lefts: np.zeros(
+        (A.dim, A.dim), dtype=np.int64))
     res = full_isomorphism(A, seed=0)
     ver = verify_isomorphism(A, res)
     assert not ver.bijective
@@ -819,7 +847,8 @@ def relation_oracle(A, cert):
     if fails:
         return fails
     eye = np.eye(n, dtype=np.int64)
-    iso_W = matmul_mod(cert.iso, blocks._witness(A, cert.blocks), p)
+    W = blocks._witness(A, cert.blocks, [A.left(blk.b) for blk in cert.blocks])
+    iso_W = matmul_mod(cert.iso, W, p)
     wrong = (iso_W != eye).any(axis=1)
     for bi, mu, nu in dict.fromkeys(map(tuple, layout[wrong, :3].tolist())):
         fail(f"iso_matrix rows for block {bi} entry ({mu},{nu}) do not "
@@ -949,7 +978,7 @@ def _tamper_drawn(A, res, draw):
         mu, nu = draw(st.integers(0, blk.n - 1)), draw(st.integers(0, blk.n - 1))
         M[mu] = (M[mu] + delta * M[nu]) % p
         if draw(st.booleans()):
-            blk.units = blocks.matrix_units(A, blk.a, blk.b)
+            blk.units = blocks.matrix_units(A, blk.a, A.left(blk.b))
         return
     else:
         blk = res.blocks[draw(st.integers(0, len(res.blocks) - 1))]
@@ -1050,7 +1079,7 @@ def test_off_diagonal_pairing_fails_the_unit_relations():
     bad = full_isomorphism(A, seed=0)
     blk = bad.blocks[1]
     blk.a[1] = (blk.a[1] + blk.a[0]) % 7
-    blk.units = blocks.matrix_units(A, blk.a, blk.b)
+    blk.units = blocks.matrix_units(A, blk.a, A.left(blk.b))
     fails = blocks.check(A, bad)
     assert fails == check_oracle(A, bad)
     assert [f.message for f in fails] == [

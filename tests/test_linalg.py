@@ -12,6 +12,7 @@ from wedderburn.linalg import (
     kernel,
     matmul_mod,
     rank,
+    row_echelon,
     row_space_basis,
     rref,
 )
@@ -461,6 +462,71 @@ def test_row_chunks_of_any_size_give_the_same_echelon_form(m, n, chunk, p, seed)
     assert want[0] == oracle_rref(M.tolist(), p)[0]
 
 
+def lifted(M, p, rng):
+    """M + p K, K in [-2, 2] with both signs: entries below 0 and at least p."""
+    K = rng.integers(-2, 3, M.shape)
+    K.flat[:2] = [-1, 2]
+    return M + p * K
+
+
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+def test_unreduced_input_gives_the_reduced_result_and_is_left_alone(p):
+    # a reduced input is copied after one scan, an unreduced one reduced:
+    # both give the same result, and neither is written to
+    rng = np.random.default_rng(7)
+    M = low_rank(rng, 9, 7, 4, p)
+    # independent rows with no unit column, which coordinates eliminates,
+    # and their RREF, whose coordinates it reads
+    B = 2 * np.concatenate([np.tri(3, dtype=np.int64),
+                            np.ones((3, 4), dtype=np.int64)], axis=1)
+    W = row_space_basis(B, p)
+    V = matmul_mod(rng.integers(0, p, (5, 3)), B, p)
+    ops = {
+        "row_echelon": lambda M, B, W, V: row_echelon(M, p),
+        "rank": lambda M, B, W, V: rank(M, p),
+        "kernel": lambda M, B, W, V: kernel(M, p),
+        "row_space_basis": lambda M, B, W, V: row_space_basis(M, p),
+        "coordinates, eliminated": lambda M, B, W, V: coordinates(B, V, p),
+        "coordinates, read": lambda M, B, W, V: coordinates(W, V, p),
+    }
+    inputs = (M, B, W, V)
+    lifts = tuple(lifted(X, p, rng) for X in inputs)
+    assert all((X < 0).any() and (X >= p).any() for X in lifts)
+    for name, op in ops.items():
+        results = []
+        for args in (inputs, lifts):
+            kept = [X.copy() for X in args]
+            results.append(op(*args))
+            assert all(np.array_equal(X, Y) for X, Y in zip(args, kept)), name
+        want, got = results
+        if name == "row_echelon":
+            assert np.array_equal(want[0], got[0]) and want[1] == got[1]
+        else:
+            assert np.array_equal(want, got), name
+    assert linalg.unit_columns(B % p) is None
+    assert coordinates(B, V, p) is not None
+
+
+@pytest.mark.parametrize("p", [3, 97, 2**31 - 1])
+@pytest.mark.parametrize("chunk", [7, 20, 64])
+def test_one_chunk_and_many_chunks_give_one_echelon_form(monkeypatch, p, chunk):
+    # 30 x 7 fits one default chunk, which goes to rref as it is; a chunk
+    # of 7..64 entries folds it in 1..9 rows at a time
+    rng = np.random.default_rng(chunk)
+    M = lifted(low_rank(rng, 30, 7, 5, p), p, rng)
+    calls = []
+    real = linalg.extend_rref
+    monkeypatch.setattr(linalg, "extend_rref",
+                        lambda *args: calls.append(1) or real(*args))
+    R, pivots = row_echelon(M, p)
+    assert calls == []
+    monkeypatch.setattr(linalg, "_ROW_CHUNK_ENTRIES", chunk)
+    R2, pivots2 = row_echelon(M, p)
+    assert len(calls) > 1
+    assert pivots2 == pivots and np.array_equal(R2, R)
+    assert (R.tolist(), pivots) == oracle_rref(M.tolist(), p)
+
+
 def test_inverse_round_trip():
     import random
 
@@ -669,6 +735,21 @@ def test_rref_of_one_row(p):
 def test_rref_of_a_zero_matrix(p, shape):
     R, pivots = rref(np.zeros(shape, dtype=np.int64), p)
     assert pivots == [] and R.shape == shape and not R.any()
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+@pytest.mark.parametrize("n", [4, 10])
+def test_rref_rows_below_the_rank_are_zero(p, n):
+    # the rows below the rank are congruent to 0 after elimination, and are
+    # left unreduced between pivots at p = 97 and 2^30 + 3; rref returns
+    # them as zeros.  At n = 4 the last pivot is in the last column, so no
+    # zero column reduces the matrix after it
+    rng = np.random.default_rng(p % 1000 + n)
+    M = low_rank(rng, 12, n, 4, p)
+    R, pivots = rref(lifted(M, p, rng), p)
+    assert R.shape == M.shape
+    assert not R[len(pivots):].any()
+    assert (R[: len(pivots)].tolist(), pivots) == oracle_rref(M.tolist(), p)
 
 
 @pytest.mark.parametrize("p", [2**30 + 3, 2**31 - 1])

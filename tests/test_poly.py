@@ -320,6 +320,98 @@ def test_mul_is_exact_at_the_largest_modulus():
     assert poly.mul(top, top, p) == want
 
 
+def fixed_space_split(f, p, rng, tp):
+    """poly._split without its degree <= 3 test, the reference it must
+    agree with in factors and in draws: the Frobenius fixed space at every
+    degree above 1, then the probe."""
+    if len(f) <= 2:
+        return [f]
+    tp = poly._t_to_the_p(f, p) if tp is None else poly._rem(tp, f, p)
+    fixed = poly._frobenius_fixed_space(f, tp, p)
+    if len(fixed) == 1:
+        return [f]
+    v = next(poly.normalize(row, p) for row in fixed if row[1:].any())
+    while True:
+        shift = poly._add(v, [rng.randrange(p)], p)
+        w = poly._pow_mod(shift, (p - 1) // 2, f, p)
+        g = poly._gcd(poly._sub(w, [1], p), f, p)
+        if 1 < len(g) < len(f):
+            return (fixed_space_split(g, p, rng, tp)
+                    + fixed_space_split(poly.exact_div(f, g, p), p, rng, tp))
+
+
+def squarefree_monics(p, d):
+    """Every monic squarefree polynomial of degree d over F_p."""
+    for tail in itertools.product(range(p), repeat=d):
+        f = list(tail) + [1]
+        if poly._gcd(f, poly._derivative(f, p), p) == [1]:
+            yield f
+
+
+def low_degree_cases(p):
+    """Every monic squarefree quadratic and cubic at a small p; at a large
+    one, 30 random ones, then 30 random squarefree products of up to three
+    factors of degree at most 3, whose parts the split meets again."""
+    if p < 10:
+        return [f for d in (2, 3) for f in squarefree_monics(p, d)]
+    rng, out = random.Random(p), []
+
+    def monic(d):
+        return [rng.randrange(p) for _ in range(d)] + [1]
+
+    while len(out) < 60:
+        f = monic(rng.choice((2, 3)))
+        if len(out) >= 30:
+            for _ in range(rng.randrange(1, 3)):
+                f = poly.mul(f, monic(rng.randrange(1, 4)), p)
+        if poly._gcd(f, poly._derivative(f, p), p) == [1]:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97, 2**31 - 1])
+def test_low_degree_test_keeps_the_factors_and_the_draws(monkeypatch, p):
+    # the degree <= 3 test takes no draw, so factor returns what the fixed
+    # space gave, and a seeded generator ends in the same state
+    cases = low_degree_cases(p)
+
+    def run():
+        out = []
+        for seed, f in enumerate(cases):
+            rng = random.Random(seed)
+            out.append((poly.factor(f, p, rng), rng.getstate()))
+        return out
+
+    got = run()
+    monkeypatch.setattr(poly, "_split", fixed_space_split)
+    assert got == run()
+    if p < 10:
+        assert len(cases) == sum(p**d - p**(d - 1) for d in (2, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97, 2**31 - 1])
+def test_irreducible_quadratics_and_cubics_build_no_fixed_space(monkeypatch, p):
+    irreducible = [f for f in low_degree_cases(p)
+                   if len(f) <= 4 and poly.is_irreducible(f, p)]
+    assert {len(f) for f in irreducible} == {3, 4}
+    calls = []
+    real = poly._frobenius_fixed_space
+    monkeypatch.setattr(poly, "_frobenius_fixed_space",
+                        lambda *args: calls.append(args) or real(*args))
+    for f in irreducible:
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert poly.factor(f, p, rng) == [(f, 1)]
+        assert rng.getstate() == state
+    assert calls == []
+    # a linear factor times an irreducible quadratic: one fixed space for
+    # the cubic, none for the quadratic part
+    quad = next(f for f in irreducible if len(f) == 3)
+    f = poly.mul(quad, [1, 1], p)
+    assert poly.factor(f, p, random.Random(0)) == [([1, 1], 1), (quad, 1)]
+    assert len(calls) == 1
+
+
 def test_squarefree_decomposition_reassembles():
     rng = random.Random(33)
     for p in (3, 5):
