@@ -20,9 +20,10 @@ associativity from the isomorphism instead (see blocks.check): they read
 the centre off the centraliser of a few draws, which a test against the
 basis confirms without assuming associativity (_center_basis); a passing
 check marks the algebra proved, and the certificate runs only before a
-failure.  Subalgebras and matrix rings built without validation inherit
-the state of the algebra they come from.  So a pending Algebra is proved associative or refused
-with NotAssociative before anything rests on it.
+failure.  Every Algebra starts pending, a subalgebra or a matrix ring of a
+proved one too: no proof is copied from the algebra it comes from.  So a
+pending Algebra is proved associative or refused with NotAssociative
+before anything rests on it.
 
 An Algebra keeps one multiplication table: the linalg.Operand `_ltable`
 over c, row i the flattened matrix of left multiplication by b_i.  Every
@@ -74,11 +75,11 @@ class Algebra:
     """Finite-dimensional unital algebra over F_p, associative once
     require_associative has passed; a reduced C-contiguous int64 cube is
     kept as `sc`, uncopied, and set read-only, and so is the identity
-    `one`, always a copy.  A validated one checks form and the identity,
-    and leaves associativity pending."""
+    `one`, always a copy.  A validated one checks form and the identity;
+    every one, validated or not, leaves associativity pending."""
 
     def __init__(self, p, structure_constants, identity=None, labels=None,
-                 validate=True, _pending=False):
+                 validate=True):
         self.p = check_modulus(p)
         if validate:
             structure_constants = doc_array(structure_constants, (None,) * 3,
@@ -107,9 +108,9 @@ class Algebra:
                     f"got {len(labels)} labels for dimension {n}"
                 )
         self.labels = labels
-        # associativity not yet proved; an unvalidated algebra inherits
-        # the state of the algebra it was built from
-        self._pending = validate or _pending
+        # associativity not yet proved: only require_associative or a
+        # passing blocks.check proves it
+        self._pending = True
         self.one = self._identity(identity, validate)
         self.one.flags.writeable = False
 
@@ -442,8 +443,9 @@ class Algebra:
 
     def subalgebra(self, rows, one):
         """The algebra presented on the basis `rows` (A's coordinates) with
-        identity `one`, which may differ from A's.  EntryOutsideCorner unless
-        the rows span a subalgebra that contains `one`."""
+        identity `one`, which may differ from A's, with associativity
+        pending, as on every Algebra.  EntryOutsideCorner unless the rows
+        span a subalgebra that contains `one`."""
         k = rows.shape[0]
         # products of basis pairs and the identity, in the row basis
         prods = self.products(rows, rows).reshape(k * k, self.dim)
@@ -456,9 +458,7 @@ class Algebra:
                 "the identity"
             )
         sc = np.ascontiguousarray(coeffs[:-1].reshape(k, k, k))
-        # associativity is inherited, proved or pending: skip the recheck
-        return Algebra(self.p, sc, identity=coeffs[-1], validate=False,
-                       _pending=self._pending)
+        return Algebra(self.p, sc, identity=coeffs[-1], validate=False)
 
     def __repr__(self):
         return f"Algebra(p={self.p}, dim={self.dim})"
@@ -508,7 +508,7 @@ def matrix_ring(D, n):
     sc = np.einsum("ma,nx,eb,stu->mnsxetabu", eye, eye, eye, D.sc)
     one = np.einsum("mn,t->mnt", eye, D.one)
     return Algebra(D.p, sc.reshape(size, size, size), identity=one.reshape(size),
-                   validate=False, _pending=D._pending)
+                   validate=False)
 
 
 def make_presentation(p, structure_constants, identity=None, labels=None):

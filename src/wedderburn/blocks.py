@@ -350,12 +350,14 @@ def _check_division_basis(A, bi, blk, fail):
     The presentation reads coordinates off the basis's unit columns, which
     a reduced basis has, or else eliminates (linalg.coordinates); only a
     refused one is ranked, to tell a dependent basis from one that is not
-    closed under product.
+    closed under product.  More rows than A's dimension are dependent, and
+    are refused before any product, which would cost degree^2 * dim entries.
 
-    D's structure constants come from A's products, so D inherits A's
-    associativity, proved or pending.  D.require_associative proves it
-    while it is pending (see check), with no draw when the degree is at
-    most the closure's draw cap (every degree up to 4): every basis triple."""
+    D starts pending, as every Algebra does, and D.require_associative
+    proves it (see check), with no draw when the degree is at most the
+    closure's draw cap (every degree up to 4): every basis triple."""
+    if blk.D.degree > A.dim:
+        return fail(f"block {bi}: division basis is not independent")
     try:
         D = _entry_field(A, blk)
     except EntryOutsideCorner:
@@ -442,9 +444,9 @@ def check(A, cert):
     E[mu,nu]*d_t, iso_inverse is the witness matrix of the search, which
     is never built here.
 
-    Associativity from the isomorphism.  On a pending A each entry field D
-    also proves its own associativity (require_associative: every basis
-    triple at small degree), as nothing else proves it.  If then no stage
+    Associativity from the isomorphism.  Each entry field D also proves
+    its own associativity (require_associative: every basis triple at
+    small degree), as nothing else proves it.  If then no stage
     fails, iso is a bijection onto T with iso(b_i*b_j) = iso(b_i)*iso(b_j)
     for every basis pair, and T is associative, as every D is, with
     identity rep; so A is associative, and check marks it proved.  A

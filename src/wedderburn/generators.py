@@ -1,8 +1,9 @@
 """Test-corpus constructors with planted ground truth.
 
-Group algebras from Cayley tables, matrix algebras over F_p and its
-extensions, direct sums, and invertible basis scrambles.  A planted
-construction records the block multiset the decomposition must recover.
+Group algebras from Cayley tables (the six built-in ones are the tables of
+permutation lists), matrix algebras over F_p and its extensions, direct
+sums, and invertible basis scrambles.  A planted construction records the
+block multiset the decomposition must recover.
 
 Each hands out a validated presentation with associativity pending, as
 every constructor does: a checked Cayley table, a matrix ring over a field
@@ -12,13 +13,15 @@ associative when they are: a part read from a document is proved by its
 reader (cli's `gen sum`), so that a bad part names its own failing triple.
 """
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, poly
-from .algebra import Algebra, is_doc_int, matrix_ring
+from .algebra import Algebra, doc_array, is_doc_int, matrix_ring
 from .errors import (
     InternalSamplingFailure,
     InvalidCayley,
@@ -43,9 +46,10 @@ class Planted:
 def validate_cayley(doc):
     """Check a Cayley document; returns (order, identity, table) or raises.
 
-    The table comes back as an int64 array.  Row g is tested before column
-    g, and associativity by one gather per g: T[T[g]] against T[g][T], so
-    the first failing triple (g, h, k) in row-major order is the one named.
+    The table is read by doc_array, so it comes back as an int64 array.
+    Row g is tested before column g, and associativity by one gather per g:
+    T[T[g]] against T[g][T], so the first failing triple (g, h, k) in
+    row-major order is the one named.
     """
     if not isinstance(doc, dict):
         raise InvalidCayley("Cayley document must be an object")
@@ -54,19 +58,13 @@ def validate_cayley(doc):
             raise InvalidCayley(f"Cayley document missing {key!r}")
     m = doc["order"]
     ident = doc["identity"]
-    table = doc["table"]
     if not is_doc_int(m) or m < 1:
         raise InvalidCayley("order must be a positive integer")
     if not is_doc_int(ident) or not 0 <= ident < m:
         raise InvalidCayley("identity index out of range")
-    if (not isinstance(table, list) or len(table) != m
-            or any(not isinstance(row, list) or len(row) != m for row in table)):
-        raise InvalidCayley(f"table must be {m}x{m}")
-    for row in table:
-        for v in row:
-            if not is_doc_int(v) or not 0 <= v < m:
-                raise InvalidCayley("table entries must be indices in range")
-    T = np.array(table, dtype=np.int64)
+    T = doc_array(doc["table"], (m, m), "table", InvalidCayley)
+    if ((T < 0) | (T >= m)).any():
+        raise InvalidCayley("table entries must be indices in range")
     full = np.arange(m)
     rows = (np.sort(T, axis=1) != full).any(axis=1)
     cols = (np.sort(T, axis=0) != full[:, None]).any(axis=0)
@@ -85,74 +83,47 @@ def validate_cayley(doc):
     return m, ident, T
 
 
-def _cyclic_table(m):
-    return {
-        "order": m,
-        "identity": 0,
-        "table": [[(i + j) % m for j in range(m)] for i in range(m)],
-    }
+def _compose(a, b):
+    """The permutation a∘b, b applied first."""
+    return tuple(a[x] for x in b)
 
 
-def _s3_table():
-    import itertools
-
-    perms = sorted(itertools.permutations(range(3)))
+def _table(perms):
+    """Cayley document of a list of distinct permutations closed under
+    composition, a group by Cayley's theorem, in list order: entry (a, b)
+    is the index of a∘b, and the identity the index of the identity."""
+    perms = [tuple(s) for s in perms]
     index = {s: i for i, s in enumerate(perms)}
-    table = [
-        [index[tuple(a[b[x]] for x in range(3))] for b in perms]
-        for a in perms
-    ]
-    return {"order": 6, "identity": index[(0, 1, 2)], "table": table}
-
-
-def _d4_table():
-    # elements r^a s^b indexed a + 4b; s r = r^-1 s
-    def mul(x, y):
-        a, b = x % 4, x // 4
-        c, d = y % 4, y // 4
-        return (a + (c if b == 0 else -c)) % 4 + 4 * ((b + d) % 2)
-
     return {
-        "order": 8,
-        "identity": 0,
-        "table": [[mul(x, y) for y in range(8)] for x in range(8)],
+        "order": len(perms),
+        "identity": index[tuple(range(len(perms[0])))],
+        "table": [[index[_compose(a, b)] for b in perms] for a in perms],
     }
 
 
-def _q8_table():
-    # elements: index = 2*axis + sign with axes (1, i, j, k)
-    rules = {
-        (1, 1): (0, 1), (2, 2): (0, 1), (3, 3): (0, 1),
-        (1, 2): (3, 0), (2, 1): (3, 1),
-        (2, 3): (1, 0), (3, 2): (1, 1),
-        (3, 1): (2, 0), (1, 3): (2, 1),
-    }
-
-    def mul(x, y):
-        ax, sx = x // 2, x % 2
-        ay, sy = y // 2, y % 2
-        if ax == 0:
-            az, sz = ay, 0
-        elif ay == 0:
-            az, sz = ax, 0
-        else:
-            az, sz = rules[(ax, ay)]
-        return 2 * az + (sx ^ sy ^ sz)
-
-    return {
-        "order": 8,
-        "identity": 0,
-        "table": [[mul(x, y) for y in range(8)] for x in range(8)],
-    }
+def _cyclic(m):
+    # x -> x + k on Z/m
+    return [[(x + k) % m for x in range(m)] for k in range(m)]
 
 
+def _quaternions():
+    # left multiplications on (1, -1, i, -i, j, -j, k, -k), listed
+    # 1, i^2, i, i^3, j, j^3, ij, ji: index 2*axis + sign, axes (1, i, j, k)
+    i, j = (2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)
+    words = [(), (i, i), (i,), (i, i, i), (j,), (j, j, j), (i, j), (j, i)]
+    return [functools.reduce(_compose, w, tuple(range(8))) for w in words]
+
+
+# each group as its left-regular permutations, in the order of its table
 _FIXTURES = {
-    "C2": lambda: _cyclic_table(2),
-    "C3": lambda: _cyclic_table(3),
-    "C4": lambda: _cyclic_table(4),
-    "S3": _s3_table,
-    "D4": _d4_table,
-    "Q8": _q8_table,
+    "C2": _cyclic(2),
+    "C3": _cyclic(3),
+    "C4": _cyclic(4),
+    "S3": sorted(itertools.permutations(range(3))),
+    # r^a s^b at index a + 4b: x -> a + (-1)^b x on Z/4
+    "D4": [[(a + (-1) ** b * x) % 4 for x in range(4)]
+           for b in range(2) for a in range(4)],
+    "Q8": _quaternions(),
 }
 
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
@@ -160,14 +131,11 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
 def cayley_fixture(name):
     """Built-in Cayley document for C2, C3, C4, S3, D4 or Q8."""
-    try:
-        doc = _FIXTURES[name]()
-    except KeyError:
+    if name not in _FIXTURES:
         raise InvalidCayley(
             f"unknown fixture {name!r}; choices: {sorted(_FIXTURES)}"
-        ) from None
-    validate_cayley(doc)
-    return doc
+        )
+    return _table(_FIXTURES[name])
 
 
 def group_algebra(table_doc, p):

@@ -118,10 +118,9 @@ def _chain(A):
 
 def _verify_two_sided_ideal(A, rows):
     R, pivots = linalg.row_echelon(rows, A.p)
-    basis = np.eye(A.dim, dtype=np.int64)
     prods = np.concatenate([
-        A.products(basis, rows).reshape(-1, A.dim),  # b_i * r
-        A.products(rows, basis).reshape(-1, A.dim),  # r * b_i
+        A.right(rows).reshape(-1, A.dim),  # b_i * r
+        A.left(rows).reshape(-1, A.dim),  # r * b_i
     ])
     return not linalg.reduce_rows(R, pivots, prods, A.p).any()
 

@@ -919,6 +919,16 @@ def test_subalgebra_presents_the_span_and_refuses_non_closed_rows():
         A.subalgebra(diag[:1], A.one)
 
 
+def test_subalgebras_and_matrix_rings_of_a_proved_algebra_start_pending():
+    # no proof is copied from the algebra they come from: only
+    # require_associative or a passing blocks.check proves one
+    A = make_presentation(7, m2().sc)
+    assert not A._pending
+    diag = np.array([[1, 0, 0, 0], [0, 0, 0, 1]])
+    assert A.subalgebra(diag, A.one)._pending
+    assert algebra.matrix_ring(A, 2)._pending
+
+
 # -- documents ----------------------------------------------------------------
 
 

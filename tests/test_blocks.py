@@ -662,6 +662,45 @@ def test_a_passing_check_ranks_no_division_basis(monkeypatch):
     assert any(np.array_equal(M, bad.blocks[0].D.basis) for M in ranked)
 
 
+def test_a_valid_division_basis_without_unit_columns_verifies():
+    # the mixed basis P*D of "division basis mixed", with the block's iso
+    # rows and iso_inverse columns changed to match: row s of the iso is
+    # sum_t P^-1[t,s] row t, column s of the inverse sum_t P[s,t] column t.
+    # The entry field is presented by elimination (linalg.coordinates)
+    A, _ = scramble(build_planted([(2, 1), (1, 2)], 7).algebra, seed=3)
+    res = copy.deepcopy(full_isomorphism(A, seed=0))
+    p, blk = res.p, res.blocks[0]
+    assert (blk.n, blk.D.degree) == (1, 2)  # layout rows 0 and 1
+    P, P_inv = np.array([[1, 1], [1, 2]]), np.array([[2, 6], [6, 1]])
+    assert matmul_mod(P, P_inv, p).tolist() == [[1, 0], [0, 1]]
+    blk.D = blk.D._replace(basis=matmul_mod(P, blk.D.basis, p))
+    assert linalg.unit_columns(blk.D.basis) is None
+    res.iso[:2] = matmul_mod(P_inv.T, res.iso[:2], p)
+    res.iso_inverse[:, :2] = matmul_mod(res.iso_inverse[:, :2], P.T, p)
+    assert blocks.check(A, res) == []
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    assert verify_report_doc(from_doc(A.to_doc()), doc) == []
+
+
+@pytest.mark.parametrize("rows", [5, 1000])
+def test_a_division_basis_longer_than_dim_is_refused_unpresented(
+        monkeypatch, rows):
+    # more rows than dim are dependent: refused with the message a ranked
+    # basis gets, and no entry field of rows^2 * dim product entries is built
+    A = matrix_algebra(7, 2).algebra
+    res = full_isomorphism(A, seed=0)
+    doc = result_to_doc(res, verify_isomorphism(A, res))
+    bdoc = doc["blocks"][0]
+    bdoc["division_degree"] = rows
+    bdoc["division_basis"] = bdoc["division_basis"] * rows
+    calls = _spy(monkeypatch, "_entry_field")
+    assert verify_report_doc(from_doc(A.to_doc()), doc) == [
+        "block 0: division basis is not independent",
+        "block dimensions do not sum to the algebra dimension",
+    ]
+    assert calls == []
+
+
 def _kept_proof():
     """(A, result) where full_isomorphism keeps the pass of its check on
     the result: scrambled M_1(F_25) (+) M_2(F_5), dim 6."""

@@ -72,6 +72,24 @@ def test_validate_cayley_rejects_broken_tables():
             validate_cayley(doc)
 
 
+def test_cayley_tables_are_read_by_doc_array():
+    # a table of the wrong form is refused in doc_array's words, exit 4 on
+    # the command line; an integer outside [0, order) by the range check
+    for table, message in [
+        ([[0, 1, 0], [1, 0, 1]], "table has shape (2, 3), expected (2, 2)"),
+        ([[0, 1], [1]], "table is not an integer array"),
+        ([[False, True], [True, False]], "table must hold integers, not bool"),
+        ([[0, 1], [1, 0.0]], "table must hold integers, not float64"),
+        ([["0", "1"], ["1", "0"]], "table must hold integers, not <U1"),
+        ({"0": [0, 1]}, "table must hold integers, not object"),
+        ([[0, 1], [1, 2]], "table entries must be indices in range"),
+        ([[0, -1], [1, 0]], "table entries must be indices in range"),
+    ]:
+        with pytest.raises(InvalidCayley) as exc:
+            validate_cayley({"order": 2, "identity": 0, "table": table})
+        assert str(exc.value) == message
+
+
 def test_group_algebra_matches_table():
     doc = cayley_fixture("S3")
     A = group_algebra(doc, 7)
