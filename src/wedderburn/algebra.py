@@ -7,7 +7,8 @@ checks nothing more.  Associativity, the one ring axiom a cube of constants
 does not give for free, stays pending until require_associative proves it,
 once, for every presentation, by one left-nucleus test (_nucleus_defect:
 rows g that associate with every basis pair, two flattened matrix
-products a block of rows at a time, O(n^4) per row in O(n^3) memory).
+products a block of rows, or of one row's columns, at a time, O(n^4) per
+row in a fixed budget of memory beside the table).
 The certificate tests a few drawn elements that generate the algebra,
 the closure; an algebra no larger than the draw cap, a closure that
 falls short and a failed test take every basis row instead, the
@@ -31,7 +32,8 @@ product with the structure constants, here and in the other modules, goes
 through three methods that read reshape views of it, which share its float
 copies, so c is converted once: left(X), the products X[i] b_j; right(Y),
 the products b_j Y[i]; and pair_products(M, lo, hi), the products b_i b_j
-for lo <= i < hi, mapped by M.  No other code reads the table's layout.
+for lo <= i < hi, mapped by M.  Beside them only the nucleus test, which
+reads runs of its columns, reads the table's layout.
 """
 
 import math
@@ -67,7 +69,9 @@ _PACKED_KEYS = frozenset(("encoding", "dtype", "shape", "data"))
 _PACKED_DTYPES = ("<u1", "<u2", "<u4")
 
 # int64 entries of one block of the associativity check (1 MB per side;
-# blocks that fit in cache beat larger ones at every p measured)
+# blocks that fit in cache beat larger ones at every p measured).  Runs of
+# table columns read it once per row: 8.6 s at dim 480 (p = 5, one BLAS
+# thread), against 38.5 s for runs of j at 8 times this budget
 _CHECK_ENTRIES = 2**17
 
 
@@ -222,21 +226,35 @@ class Algebra:
         """The first (r, j, k) in row-major order with (g_r b_j) b_k !=
         g_r (b_j b_k), or None; left[r, j, m] is coordinate m of g_r b_j.
 
-        The left products of the rows (r, j) of a block of left give
-        (g_r b_j) b_k, and the pair products mapped by the block's matrices
-        r, each taking y to g_r y, give g_r (b_j b_k), both in (r, j, k)
-        order.  A block holds about _CHECK_ENTRIES entries, so memory stays
-        O(n^3), and the blocks go in order of r.
+        For a run of k, the rows (r, j) of a block of left times the
+        table's columns b_l b_k give (g_r b_j) b_k, and the pair products
+        b_j b_k mapped by the block's matrices r, each taking y to g_r y,
+        give g_r (b_j b_k), both in (r, j, k) order.  A block and run hold
+        about _CHECK_ENTRIES entries: whole rows r while n^3 entries fit,
+        else one row and a run of k (one k at least).  Every run of a
+        failing row is checked, for its first (j, k).
         """
-        n = self.dim
-        step = max(1, _CHECK_ENTRIES // max(n, 1) ** 3)
+        n, p = self.dim, self.p
+        size = max(n, 1)
+        step = max(1, _CHECK_ENTRIES // size**3)
+        run = max(1, min(n, _CHECK_ENTRIES // size**2))
         for lo in range(0, len(left), step):
-            block = left[lo : lo + step]
-            lhs = self.left(block.reshape(-1, n))
-            bad = lhs.reshape(-1) != self.pair_products(block).reshape(-1)
-            if bad.any():
-                r, j, k, _ = np.unravel_index(bad.argmax(), (len(block), n, n, n))
-                return (int(lo + r), int(j), int(k))
+            block, found = left[lo : lo + step], []
+            for k0 in range(0, n, run):
+                if run == n:  # the whole table, with its float copies
+                    cols, pairs = self._ltable, self._ltable.reshape(n * n, n)
+                else:
+                    part = self._ltable.ints.reshape(n, n, n)[:, k0 : k0 + run]
+                    cols, pairs = part.reshape(n, -1), part.reshape(-1, n)
+                lhs = linalg.matmul_mod(block.reshape(-1, n), cols, p)
+                rhs = linalg.matmul_mod(pairs, block, p)
+                bad = (lhs.reshape(rhs.shape) != rhs).any(axis=2)
+                if bad.any():
+                    r, j, k = np.unravel_index(
+                        bad.argmax(), (len(block), n, rhs.shape[1] // n))
+                    found.append((int(lo + r), int(j), int(k0 + k)))
+            if found:
+                return min(found)
         return None
 
     def _solve_identity(self):

@@ -9,8 +9,8 @@ from functools import lru_cache
 from .errors import NotPrime, UnsupportedCharacteristic
 
 # Largest modulus the exact kernels accept: matmul_mod splits entries below
-# 2^31 into 16-bit limbs (the high one under 2^15), and the int64 sums in
-# char_poly bound products of residues by (p-1)^2 < 2^62.
+# 2^31 into 16-bit limbs (the high one under 2^15), and rref's int64 updates
+# bound products of residues by (p-1)^2 < 2^62.
 MAX_MODULUS = 2**31 - 1
 
 

@@ -333,12 +333,27 @@ def matmul_mod(A, B, p):
 
     A and B are arrays (any integers; reduced here) or Operands.  A is a
     matrix (m, K) and B a matrix (K, n) or a stack (..., K, n), which gives
-    the stack (..., m, n) of the products A @ B[...].  The kernel:
+    the stack (..., m, n) of the products A @ B[...].  The kernel is
+    _product's.
+    """
+    a, b = _ints(A, p), _ints(B, p)
+    if a.ndim != 2 or b.ndim < 2 or b.shape[-2] != a.shape[1]:
+        raise ValueError("matmul_mod expects a matrix (m, k) times a matrix "
+                         "or a stack (..., k, n)")
+    return _product(A, B, a, b, p)
+
+
+def _product(A, B, a, b, p):
+    """Exact a @ b mod p for reduced int64 a (..., m, K) and b (..., K, n),
+    their stacks broadcast as np.matmul does, and any modulus p < 2^31,
+    prime or not.  A and B are what a and b were read from: an Operand
+    lends its cached float copies, an array passes itself.  The path is
+    chosen by K (p-1)^2:
 
     - at most _SMALL_MACS multiply-adds over the whole stack: numpy's int64
       matmul on the reduced entries, one product while K (p-1)^2 < 2^63,
-      else two against the 16-bit limbs hi = B >> 16 and lo = B & 0xFFFF
-      of B, (A @ hi mod p) 2^16 + A @ lo, exact while
+      else two against the 16-bit limbs hi = b >> 16 and lo = b & 0xFFFF
+      of b, (a @ hi mod p) 2^16 + a @ lo, exact while
       (p-1) 2^16 + K (p-1)(2^16-1) < 2^63 (K <= 2^16 at p = 2^31-1).
       Past that bound a small product goes on to BLAS;
     - else while K (p-1)^2 < 2^53: one BLAS product on the entries whole,
@@ -346,18 +361,14 @@ def matmul_mod(A, B, p):
       partial sum is an integer below 2^24, exact in float32 in whatever
       order BLAS adds the terms), else in float64.  At p = 97 float32
       holds up to K = 1,820;
-    - else A stays whole in float64 (entries below 2^31 are exact there)
-      and B is split into its limbs.  Each K-slice of
+    - else a stays whole in float64 (entries below 2^31 are exact there)
+      and b is split into its limbs.  Each K-slice of
       S = (2^53-1) // ((p-1)(2^16-1)) terms (64 at 2^31-1, 128 at 2^30+3)
       takes two exact float products; their int64 sums are reduced every
       _REDUCE_EVERY slices, and (hi mod p) 2^16 + lo ends it mod p.
     """
-    a, b = _ints(A, p), _ints(B, p)
-    if a.ndim != 2 or b.ndim < 2 or b.shape[-2] != a.shape[1]:
-        raise ValueError("matmul_mod expects a matrix (m, k) times a matrix "
-                         "or a stack (..., k, n)")
-    K = a.shape[1]
-    if a.shape[0] * b.size <= _SMALL_MACS:
+    K = a.shape[-1]
+    if a.shape[-2] * b.size <= _SMALL_MACS:
         if K * (p - 1) * (p - 1) < _INT64_SAFE:
             C = a @ b
             _reduce_in_place(C, p)
@@ -388,6 +399,27 @@ def matmul_mod(A, B, p):
     return C
 
 
+def power_traces(M, k, q):
+    """Tr(M[s]^k) mod q for a stack M (s, n, n), k >= 1 and any modulus
+    q < 2^31, prime or not, by square-and-multiply on the stack, each step
+    one stacked _product.  The last product is not formed, as
+    Tr(X Y) = sum of X * Y^T: k = 3 takes one product and k = 5 two."""
+    base = _reduced(M, q)
+    if base.ndim != 3 or base.shape[1] != base.shape[2]:
+        raise ValueError("power_traces expects a stack (s, n, n)")
+    acc = None  # the product of the powers M^(2^j) for the bits of k done
+    while k > 1:
+        if k & 1:
+            acc = base if acc is None else _product(acc, base, acc, base, q)
+        base = _product(base, base, base, base, q)
+        k >>= 1
+    if acc is None:
+        return np.trace(base, axis1=1, axis2=2) % q
+    terms = acc * base.transpose(0, 2, 1)  # each below q^2 < 2^62
+    _reduce_in_place(terms, q)
+    return terms.sum(axis=(1, 2)) % q
+
+
 def _limb_slice(p):
     """Terms per K-slice on the limb path: a whole entry times a limb is at
     most (p-1)(2^16-1), and a slice of them sums below 2^53."""
@@ -397,25 +429,12 @@ def _limb_slice(p):
 def _sliced_product(a, b, step, p):
     """a @ b in int64, one exact float64 product per K-slice of `step`
     terms; the running sum is reduced mod p every _REDUCE_EVERY slices."""
-    C = (a[:, :step] @ b[..., :step, :]).astype(np.int64)
-    for j, s in enumerate(range(step, a.shape[1], step), 1):
+    C = (a[..., :step] @ b[..., :step, :]).astype(np.int64)
+    for j, s in enumerate(range(step, a.shape[-1], step), 1):
         if j % _REDUCE_EVERY == 0:
             _reduce_in_place(C, p)
-        C += (a[:, s : s + step] @ b[..., s : s + step, :]).astype(np.int64)
+        C += (a[..., s : s + step] @ b[..., s : s + step, :]).astype(np.int64)
     return C
-
-
-def _inv_mod(t, p):
-    """Elementwise t^(p-2) mod p: the inverse of each nonzero entry, 0 for 0."""
-    out = np.ones_like(t)
-    base = t % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def _reduce_in_place(X, p):
@@ -439,60 +458,3 @@ def _stack_matvec(X, v, p):
     if X.shape[-1] * (p - 1) * (p - 1) < _INT64_SAFE:
         return np.matmul(X, v[:, :, None])[:, :, 0] % p
     return ((X * v[:, None, :]) % p).sum(axis=2) % p
-
-
-def char_poly(M, p):
-    """Characteristic polynomials det(T*I - M) of a stack of square matrices.
-
-    M has shape (..., n, n); the result has shape (..., n + 1), each row
-    lowest-first and monic.  A single matrix is a stack of one.  Hessenberg
-    reduction by exact similarity transformations, applied to the whole
-    stack one column at a time, then the determinant recurrence along the
-    last column.  Works in any odd characteristic (no division by integer
-    constants).
-    """
-    H = as_mod_array(M, p)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
-        raise ValueError("char_poly expects a stack of square matrices")
-    lead, n = H.shape[:-2], H.shape[-1]
-    b = int(np.prod(lead, dtype=np.int64))
-    H = H.reshape(b, n, n)
-    for j in range(n - 2):
-        # first nonzero entry below the subdiagonal position (j+1, j); a
-        # matrix with none there gets piv = j + 1 and a zero multiplier
-        piv = j + 1 + np.argmax(H[:, j + 1:, j] != 0, axis=1)
-        moved = np.nonzero(piv != j + 1)[0]
-        if moved.size:
-            q = piv[moved]
-            H[moved, j + 1], H[moved, q] = H[moved, q], H[moved, j + 1]
-            H[moved, :, j + 1], H[moved, :, q] = H[moved, :, q], H[moved, :, j + 1]
-        u = H[:, j + 2:, j] * _inv_mod(H[:, j + 1, j], p)[:, None] % p
-        if not u.any():
-            continue
-        # rows i > j+1 lose u_i times row j+1, then column j+1 gains
-        # u_i times column i: one similarity.  Row j+1 is zero left of
-        # column j, so the row update starts there.
-        rows = H[:, j + 2:, j:]
-        rows -= u[:, :, None] * H[:, None, j + 1, j:]
-        _reduce_in_place(rows, p)
-        H[:, :, j + 1] += _stack_matvec(H[:, :, j + 2:], u, p)
-        _reduce_in_place(H[:, :, j + 1], p)
-    # p_m(T) = (T - H[m-1,m-1]) p_{m-1}
-    #          - sum_i H[i-1,m-1] * (prod of subdiagonals below row i) p_{i-1}
-    polys = np.zeros((b, n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    sub = np.zeros((b, 0), dtype=np.int64)  # sub[:, i-1] = prod_{k=i}^{m-1} H[k,k-1]
-    for m in range(1, n + 1):
-        prev = polys[:, m - 1, :m]
-        cur = polys[:, m, : m + 1]
-        cur[:, 1:] = prev
-        cur[:, :-1] -= H[:, m - 1, m - 1, None] * prev % p
-        if m > 1:
-            sub = np.concatenate([sub, np.ones((b, 1), dtype=np.int64)], axis=1)
-            sub = sub * H[:, m - 1, m - 2, None] % p
-            coef = H[:, : m - 1, m - 1] * sub % p
-            cur[:, : m - 1] -= _stack_matvec(
-                polys[:, : m - 1, : m - 1].transpose(0, 2, 1), coef, p
-            )
-        cur %= p
-    return polys[:, n].reshape(lead + (n + 1,))

@@ -167,6 +167,44 @@ def test_witness_is_first_failure_in_first_middle_and_last_block(monkeypatch, a)
     assert info.value.witness == want
 
 
+def spy_product_sizes(monkeypatch):
+    """Record the entries of every matmul_mod product."""
+    sizes, real = [], linalg.matmul_mod
+
+    def spy(A, B, p):
+        C = real(A, B, p)
+        sizes.append(C.size)
+        return C
+
+    monkeypatch.setattr(linalg, "matmul_mod", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("budget", [1, 2, 4, 9, 18], ids=lambda b: f"{b}n^2")
+def test_blocked_nucleus_test_names_the_same_first_triple(
+        monkeypatch, seed, budget):
+    # M_3(F_7) with a few constants corrupted fails at many (j, k) of its
+    # first failing row.  A budget below n^3 = 9 n^2 entries takes one row
+    # and runs of budget k's (one k and uneven runs included), n^3 and
+    # more take whole rows; every product stays within the budget
+    rng = np.random.default_rng(seed)
+    sc = np.array(matrix_algebra(7, 3).algebra.sc)
+    n = len(sc)
+    for _ in range(3):
+        sc[tuple(rng.integers(0, n, 3))] += rng.integers(1, 7)
+    sc %= 7
+    want = oracle_first_failure(sc.tolist(), 7)
+    assert want is not None
+    monkeypatch.setattr(algebra, "_CHECK_ENTRIES", budget * n * n)
+    bare = Algebra(7, sc, identity=np.ones(n, dtype=np.int64), validate=False)
+    sizes = spy_product_sizes(monkeypatch)
+    with pytest.raises(NotAssociative) as info:
+        bare._check_associativity()
+    assert info.value.witness == want
+    assert max(sizes) <= budget * n * n
+
+
 def test_a_reduced_cube_is_kept_read_only():
     # no copy is made, so a later write to the caller's array must fail
     # rather than leave the table's float copies out of step

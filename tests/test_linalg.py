@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from wedderburn import linalg
 from wedderburn.linalg import (
-    char_poly,
     coordinates,
     inverse,
     kernel,
@@ -17,7 +16,7 @@ from wedderburn.linalg import (
     rref,
 )
 
-from oracles import eliminated_coordinates
+from oracles import char_poly, eliminated_coordinates
 
 
 def oracle_matmul(A, B, p):
@@ -371,6 +370,42 @@ def test_a_table_keeps_one_float_copy(p, kind, dtype):
         assert pairs[j * n : (j + 1) * n].tolist() == int_oracle(ints[j], X.T, p)
     assert set(table._parts) == {kind}
     assert table.parts(kind)[0].dtype == dtype
+
+
+def trace_power_oracle(M, k, q):
+    """Tr(M[s]^k) mod q for each matrix of a stack, in Python integers."""
+    return [int(np.trace(np.linalg.matrix_power(X.astype(object), k))) % q
+            for X in M]
+
+
+# moduli on each BLAS path of the stacked kernel at K = 6: float32 (9,
+# 25), float64 (3^13, as 6 (q-1)^2 >= 2^24) and limbs (3^19 and 2^31 - 1,
+# as 6 (q-1)^2 >= 2^53).  On the int64 kernel, 3^19 still takes one product
+# and 2^31 - 1 takes limbs.  All but the last are prime powers, not primes
+@pytest.mark.parametrize("q", [9, 25, 3**13, 3**19, 2**31 - 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 25])
+def test_power_traces_match_int_oracle(kernels, q, k):
+    rng = np.random.default_rng(k)
+    M = rng.integers(0, q, (4, 6, 6))
+    M[0] = q - 1  # the largest residues make every product as big as it gets
+    M[1] = np.triu(M[1], 1)  # nilpotent: every power past the sixth is zero
+    want = trace_power_oracle(M, k, q)
+    for _ in kernels():
+        got = linalg.power_traces(M, k, q)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # unreduced entries are reduced first, and the input is left alone
+        shifted = M + q * rng.integers(-2, 3, M.shape)
+        before = shifted.copy()
+        assert linalg.power_traces(shifted, k, q).tolist() == want
+        assert np.array_equal(shifted, before)
+
+
+def test_power_traces_of_an_empty_stack_and_bad_shapes():
+    assert linalg.power_traces(np.zeros((0, 3, 3), dtype=np.int64), 5, 25).shape == (0,)
+    with pytest.raises(ValueError):
+        linalg.power_traces(np.zeros((2, 3, 4), dtype=np.int64), 3, 9)
+    with pytest.raises(ValueError):
+        linalg.power_traces(np.zeros((3, 3), dtype=np.int64), 3, 9)
 
 
 def test_kernel_rows_annihilate():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import pairwise_chain_oracle
+from oracles import char_poly, pairwise_chain_oracle
 
 from wedderburn import (
     build_planted,
@@ -136,24 +136,23 @@ def test_report_is_computed_afresh_and_kept_nowhere():
     assert vars(A).keys() == attrs.keys()
 
 
-def count_char_poly_calls(monkeypatch):
-    from wedderburn import linalg
-
+def count_power_trace_calls(monkeypatch):
+    """Record the stack shape of each linalg.power_traces call."""
     calls = []
-    real = linalg.char_poly
+    real = linalg.power_traces
 
-    def counting(M, p):
+    def counting(M, k, q):
         calls.append(M.shape)
-        return real(M, p)
+        return real(M, k, q)
 
-    monkeypatch.setattr(linalg, "char_poly", counting)
+    monkeypatch.setattr(linalg, "power_traces", counting)
     return calls
 
 
 def test_scrambled_m6_over_f3_is_semisimple(monkeypatch):
-    # 3 | 6 kills the trace form, so the c_3 stage alone proves semisimplicity
+    # 3 | 6 kills the trace form, so the g_1 stage alone proves semisimplicity
     A, _ = scramble(matrix_algebra(3, 6).algebra, seed=5)
-    calls = count_char_poly_calls(monkeypatch)
+    calls = count_power_trace_calls(monkeypatch)
     rep = radical_report(A)
     assert rep.is_semisimple
     assert rep.stage_dims == [36, 0]
@@ -168,7 +167,7 @@ def m3_plus_f3c3():
 
 def test_scrambled_m3_plus_f3c3_is_rejected_with_its_radical(monkeypatch):
     A = m3_plus_f3c3()
-    calls = count_char_poly_calls(monkeypatch)
+    calls = count_power_trace_calls(monkeypatch)
     rep = radical_report(A)
     assert rep.rows.shape == (2, 12)
     assert rep.stage_dims == [12, 2, 2]
@@ -176,7 +175,7 @@ def test_scrambled_m3_plus_f3c3_is_rejected_with_its_radical(monkeypatch):
     assert rep.nilpotency_index == 3
     for row in rep.rows:
         assert is_nilpotent_oracle(A, row)
-    # one call per chain stage past the trace form (c_3, then c_9), with
+    # one call per chain stage past the trace form (k = 3, then 9), with
     # one matrix per basis row of the stage it starts from
     assert [shape[0] for shape in calls] == [12, 2]
     with pytest.raises(NotSemisimple) as info:
@@ -190,12 +189,12 @@ def test_char_coeff_stage_is_chunked_and_chunking_is_invisible(monkeypatch):
     want = radical_report(m3_plus_f3c3())
     # room for 5 matrices of 12 x 12 per chunk
     monkeypatch.setattr(radical, "_CHUNK_ENTRIES", 5 * 12 * 12)
-    calls = count_char_poly_calls(monkeypatch)
+    calls = count_power_trace_calls(monkeypatch)
     got = radical_report(m3_plus_f3c3())
     assert got.rows.tolist() == want.rows.tolist()
     assert got.stage_dims == want.stage_dims
     assert got.nilpotency_index == want.nilpotency_index
-    # the 12 rows of stage c_3 in chunks of 5, then the 2 rows of stage c_9
+    # the 12 rows of stage k = 3 in chunks of 5, then the 2 rows of k = 9
     assert [shape[0] for shape in calls] == [5, 5, 2, 2]
 
 
@@ -209,13 +208,25 @@ def test_char_coeff_form_matches_one_char_poly_per_product(
     assert rep.stage_dims == [12, 2, 2]  # so R_1 is the radical
     basis = np.eye(n, dtype=np.int64)
     for k, rows in [(3, radical.trace_kernel(A)), (9, rep.rows)]:
-        # B[s, j] = coefficient of T^(n-k) in det(T - L_{x_s b_j})
+        # B[s, j] = -c_k(x_s b_j), c_k the coefficient of T^(n-k) in
+        # det(T - L_{x_s b_j}): the chain's older functional (Ronyai 1990),
+        # which equals g_i on these rows
         want = [
-            [int(linalg.char_poly(A.lmat(A.mul_vec(x, b)), p)[n - k])
+            [-int(char_poly(A.lmat(A.mul_vec(x, b)), p)[n - k]) % p
              for b in basis]
             for x in rows
         ]
-        assert radical._char_coeff_form(A, rows, k).tolist() == want
+        assert radical._stage_form(A, rows, k).tolist() == want
+
+
+def test_a_trace_not_divisible_by_k_is_refused(monkeypatch):
+    # on R_{i-1} every Tr(L^k) mod pk is a multiple of k: one that is not
+    # refuses the input, under python -O as well (no assert)
+    real = linalg.power_traces
+    monkeypatch.setattr(linalg, "power_traces",
+                        lambda M, k, q: (real(M, k, q) + 1) % q)
+    with pytest.raises(UnsupportedCharacteristic, match="not divisible by 3"):
+        radical_report(m3_plus_f3c3())
 
 
 def test_a_stage_that_is_not_an_ideal_is_refused(monkeypatch):
@@ -277,16 +288,16 @@ def spy_gram(monkeypatch):
 
 
 def spy_chain(monkeypatch):
-    """Record each char_poly stage of the chain, by the dimension of the
-    stage it starts from."""
+    """Record each stage of the chain past the trace form, by the dimension
+    of the stage it starts from."""
     calls = []
-    real = radical._char_coeff_form
+    real = radical._stage_form
 
     def counting(A, rows, k):
         calls.append(len(rows))
         return real(A, rows, k)
 
-    monkeypatch.setattr(radical, "_char_coeff_form", counting)
+    monkeypatch.setattr(radical, "_stage_form", counting)
     return calls
 
 
@@ -325,8 +336,8 @@ def test_a_passing_decompose_computes_no_stage_0_at_any_p(monkeypatch, p, spec):
 
 
 def test_scrambled_m9_over_f3_skips_the_chain(monkeypatch):
-    # the chain alone took seconds here: every stage-0 pair of this
-    # dim-81 algebra is one char_poly
+    # the chain is not needed here: the checked decomposition proves this
+    # dim-81 algebra semisimple
     A, _ = scramble(matrix_algebra(3, 9).algebra, seed=1)
     calls = spy_chain(monkeypatch)
     res = full_isomorphism(A, seed=0)
@@ -364,8 +375,18 @@ def test_rejection_runs_the_chain_and_matches_a_fresh_report(monkeypatch, name):
     assert got.nilpotency_index == want.nilpotency_index
 
 
+def cyclic_group_algebra(m, p):
+    """F_p[C_m] from an inline Cayley table: entry (a, b) is a + b mod m."""
+    return group_algebra({"order": m, "identity": 0, "table": [
+        [(a + b) % m for b in range(m)] for a in range(m)]}, p)
+
+
 PINNED = {
     **REJECTIONS,
+    # p | m: one stage past the trace form at q = p^2 (F_31[C31] on float64
+    # BLAS, as 31 (q-1)^2 >= 2^24), and three for F_3[C27], up to q = 81
+    **{f"F_{p}[C{m}]": (lambda m=m, p=p: cyclic_group_algebra(m, p))
+       for m, p in ((5, 5), (10, 5), (7, 7), (14, 7), (31, 31), (27, 3))},
     "M_3(F_3) + F_3[C3]": m3_plus_f3c3,
     **{f"F_3[{g}]": (lambda g=g: group_algebra(cayley_fixture(g), 3))
        for g in ("S3", "C3", "Q8")},
@@ -379,7 +400,7 @@ PINNED = {
 def test_chain_matches_the_pairwise_oracle(monkeypatch, name):
     A = PINNED[name]()
     want = pairwise_chain_oracle(A)
-    calls = count_char_poly_calls(monkeypatch)
+    calls = count_power_trace_calls(monkeypatch)
     rep = radical_report(A)
     assert (rep.rows.tolist(), rep.stage_dims, rep.nilpotency_index) == (
         want[0].tolist(), want[1], want[2])
@@ -390,15 +411,18 @@ def test_chain_matches_the_pairwise_oracle(monkeypatch, name):
 
 @st.composite
 def small_char_sums(draw):
-    """Scrambled direct sums of M_k(F_p), group algebras and T_k(F_p) at p
-    in {3, 5}, dim <= 24.  No fixture group has order divisible by 5, so
-    T_5(F_5), where left multiplication by E_11 has trace 5, is what
-    degenerates the trace form at p = 5."""
-    p = draw(st.sampled_from([3, 5]))
+    """Scrambled direct sums of M_k(F_p), group algebras, F_p[C_p] and
+    T_k(F_p) at p in {3, 5, 7}, dim <= 24.  No fixture group has order
+    divisible by 5 or 7, so F_p[C_p] and the T_k, whose radicals leave
+    stage 0 nonzero, give the stages past it at p = 5 and 7 (T_5(F_5),
+    where left multiplication by E_11 has trace 5, also degenerates the
+    trace form)."""
+    p = draw(st.sampled_from([3, 5, 7]))
     part = st.one_of(
         st.integers(1, 4).map(lambda k: matrix_algebra(p, k).algebra),
         st.sampled_from(FIXTURE_NAMES).map(
             lambda g: group_algebra(cayley_fixture(g), p)),
+        st.builds(cyclic_group_algebra, st.just(p), st.just(p)),
         st.integers(2, 5).map(lambda k: upper_triangular(k, p)),
     )
     parts = draw(st.lists(part, min_size=1, max_size=3).filter(
@@ -407,7 +431,7 @@ def small_char_sums(draw):
 
 
 @given(small_char_sums())
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=90, derandomize=True, deadline=None)
 def test_chain_matches_the_pairwise_oracle_on_drawn_sums(A):
     rows, stage_dims, index = pairwise_chain_oracle(A)
     rep = radical_report(A)
@@ -517,6 +541,61 @@ def test_a_failed_check_sends_the_search_to_the_chain(monkeypatch):
     assert calls == [radical.trace_kernel(A).shape[0]]
     monkeypatch.undo()
     assert verify_isomorphism(A, res).passed
+
+
+def spy_products(monkeypatch):
+    """Record the entries of each left and right product of the basis."""
+    sizes = []
+    for name in ("left", "right"):
+        real = getattr(Algebra, name)
+
+        def spy(self, X, real=real):
+            out = real(self, X)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(Algebra, name, spy)
+    return sizes
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_ideal_and_nilpotency_checks_in_one_row_chunks(monkeypatch, name):
+    # a budget of n^2 entries takes one row per chunk: the same radical,
+    # stages and index, and no product of the basis past the budget
+    want = radical_report(REJECTIONS[name]())
+    A = REJECTIONS[name]()
+    A.require_associative()  # the certificate keeps its own budget
+    n = A.dim
+    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", n * n)
+    sizes = spy_products(monkeypatch)
+    got = radical_report(A)
+    assert got.rows.tolist() == want.rows.tolist()
+    assert got.stage_dims == want.stage_dims
+    assert got.nilpotency_index == want.nilpotency_index
+    assert sizes and max(sizes) <= n * n
+
+
+def test_chunked_ideal_and_nilpotency_checks_stop_at_the_first_failure(
+        monkeypatch):
+    A = m3_plus_f3c3()
+    A.require_associative()
+    n, p = A.dim, A.p
+    monkeypatch.setattr(radical, "_CHUNK_ENTRIES", n * n)
+    sizes = spy_products(monkeypatch)
+    # random rows span no ideal: the first row's right products leave it
+    rows = linalg.row_space_basis(
+        np.random.default_rng(3).integers(0, p, size=(3, n)), p)
+    assert not radical._verify_two_sided_ideal(A, rows)
+    assert sizes == [n * n]
+    # the whole algebra is not nilpotent: its first basis row, the
+    # identity, already multiplies it onto all of A
+    del sizes[:]
+    j = int(np.flatnonzero(A.one)[0])
+    whole = np.eye(n, dtype=np.int64)
+    whole[j] = whole[0]
+    whole[0] = A.one
+    assert radical._verify_nilpotent(A, whole) is None
+    assert sizes == [n * n]
 
 
 @pytest.mark.parametrize("name", ["T_3(F_3)", "path algebra over F_3"])
